@@ -6,8 +6,9 @@
         --workdir .perfbench/w --spawned 0 --reference perfbench/reference.json
 
 The worker imports the program from ``src/``, prepares the workload's
-inputs, times the user command, snapshots the layer totals, and then
-checks the outputs against the reference. Its last stdout line is one
+inputs, times the user command, times the host's speed probe
+(``speed.py``), snapshots the layer totals, and then checks the outputs
+against the reference. Its last stdout line is one
 JSON object (see ``run.py`` for how iterations are combined).
 """
 
@@ -84,6 +85,7 @@ def main(argv=None) -> int:
 
     sys.path.insert(0, str(HERE.parent / "src"))
     import layers
+    import speed
     import workloads
 
     workload = workloads.WORKLOADS[args.workload](
@@ -106,6 +108,8 @@ def main(argv=None) -> int:
         "wall_s": wall,
         "setup_s": (workload.ready or ready) - args.spawned,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        # after the memory reading: the probe allocates arrays of its own
+        "probe_s": speed.probe(),
     }
     problems = []
     if args.trace:
