@@ -21,12 +21,13 @@ bit-identity where a reference exists:
 - ``sched_engine`` — a virtual-SPMD overlap run; no slow engine is
   retained, so the case reports absolute throughput plus a
   machine-normalized event rate for the regression gate;
-- ``vspmd`` — the vector epoch-queue tier of
-  :class:`repro.core.virtual.VirtualWorkflow` vs. the retained scalar
-  event-heap tier on the same overlap run (identical reductions,
-  barrier recurrence, and per-rank finish times), gated against the
-  *absolute* ``min_rate_speedup`` (5.0x): the NumPy epoch engine must
-  stay at least 5x above the scalar reference's event rate — the
+- ``vspmd`` — the NumPy epoch engine of
+  :meth:`repro.core.virtual.VirtualWorkflow.run` vs. the per-rank
+  generators of its ``_run_serial`` reference on the same overlap run
+  (identical reductions, barrier recurrence, and per-rank finish
+  times), gated against the *absolute* ``min_rate_speedup`` (5.0x):
+  the epoch engine must stay at least 5x above the generator
+  reference's event rate — the
   million-rank contract, not a host-relative floor;
 - ``trace_streaming`` — the bounded-memory streaming sink
   (:mod:`repro.observe.stream`): raw spans/sec through a
@@ -401,9 +402,9 @@ def _case_sched_engine(quick: bool, loop_score: float) -> CaseResult:
     )
 
 
-#: absolute floor on the vspmd vector-vs-scalar event-rate speedup
-#: (the epoch-queue tier must process events >= 5x faster than the
-#: retained scalar heap) enforced by :func:`check_regressions`
+#: absolute floor on the vspmd epoch-vs-generator event-rate speedup
+#: (the epoch engine must process events >= 5x faster than the
+#: per-rank generator reference) enforced by :func:`check_regressions`
 MIN_RATE_SPEEDUP = 5.0
 
 
@@ -417,19 +418,19 @@ def _case_vspmd(quick: bool, loop_score: float) -> CaseResult:
         backend="julia",
     )
 
-    def run(engine: str):
+    def timed(method):
         t0 = time.perf_counter()
-        result = VirtualWorkflow(
-            settings, nranks=nranks, overlap=True, engine=engine,
-        ).run()
+        result = method(
+            VirtualWorkflow(settings, nranks=nranks, overlap=True)
+        )
         return result, time.perf_counter() - t0
 
-    vec, opt_s = run("vector")
-    ref, ref_s = run("scalar")
+    vec, opt_s = timed(VirtualWorkflow.run)
+    ref, ref_s = timed(VirtualWorkflow._run_serial)
 
-    # the tier contract: identical reductions, barrier recurrence, and
-    # per-rank finish times — events_processed legitimately differs
-    # (the vector tier retires whole epochs per rank, the scalar heap
+    # the reference contract: identical reductions, barrier recurrence,
+    # and per-rank finish times — events_processed legitimately differs
+    # (the epoch engine retires whole epochs per rank, the generators
     # one delay at a time)
     identical = (
         vec.elapsed_seconds == ref.elapsed_seconds
@@ -865,9 +866,10 @@ def check_regressions(
                     f"below {floor:.4f} (baseline {base_rate:.4f} - "
                     f"{tolerance:.0%})"
                 )
-        # absolute floor on the vector-tier event-rate speedup (no
-        # derate, no tolerance): "the epoch engine is >= 5x the scalar
-        # heap" is the million-rank contract, not a host-relative floor
+        # absolute floor on the epoch-engine event-rate speedup (no
+        # derate, no tolerance): "the epoch engine is >= 5x the
+        # generators" is the million-rank contract, not a host-relative
+        # floor
         rate_floor = base.get("metrics", {}).get("min_rate_speedup")
         cur_rate_speedup = cur.get("metrics", {}).get("rate_speedup")
         if (
@@ -876,8 +878,8 @@ def check_regressions(
             and cur_rate_speedup < rate_floor
         ):
             failures.append(
-                f"{name}: vector-tier event rate is only "
-                f"{cur_rate_speedup:.2f}x the scalar reference, below "
+                f"{name}: epoch-engine event rate is only "
+                f"{cur_rate_speedup:.2f}x the generator reference, below "
                 f"the absolute {rate_floor:.1f}x floor"
             )
         # absolute overhead ceilings (no derate, no tolerance): the

@@ -240,68 +240,116 @@ def validate_chrome_trace(obj) -> list[str]:
     return problems
 
 
+def _exclusive_us(lane_events: list[dict]) -> list[float]:
+    """Each span's ``dur`` minus the part covered by its direct children.
+
+    Spans of one lane nest by time; a span starting inside the open
+    span on top of the stack is its child. A child overrunning its
+    parent (rounding, or async spans sharing a lane) is charged only
+    for the overlap, so exclusive times never go negative.
+    """
+    order = sorted(
+        range(len(lane_events)),
+        key=lambda i: (lane_events[i]["ts"], -lane_events[i]["dur"]),
+    )
+    exclusive = [float(e["dur"]) for e in lane_events]
+    stack: list[tuple[int, float]] = []  # (index, end) of open spans
+    for i in order:
+        ts = lane_events[i]["ts"]
+        end = ts + lane_events[i]["dur"]
+        while stack and stack[-1][1] <= ts:
+            stack.pop()
+        if stack:
+            parent, parent_end = stack[-1]
+            exclusive[parent] -= min(end, parent_end) - ts
+        stack.append((i, end))
+    return exclusive
+
+
 def summarize_chrome_trace(obj, *, width: int = 72) -> str:
-    """Human summary of a loaded Chrome trace (the ``grayscott trace`` cmd)."""
+    """Human summary of a loaded Chrome trace (the ``grayscott trace`` cmd).
+
+    Wall-clock and modeled spans get separate sections (keyed on
+    ``args.clock``; spans without one count as wall clock), since their
+    timebases are not comparable. Category and lane times are
+    *exclusive* — a span's duration minus its same-lane children — so
+    each section's shares add up to 100%.
+    """
     from repro.util.tables import Table
 
-    events = [e for e in obj.get("traceEvents", []) if e.get("ph") == "X"]
+    all_events = obj.get("traceEvents", [])
+    events = [e for e in all_events if e.get("ph") == "X"]
     meta = {
         (e["pid"], e.get("tid", 0)): e["args"]["name"]
-        for e in obj.get("traceEvents", [])
+        for e in all_events
         if e.get("ph") == "M" and e.get("name") == "thread_name"
     }
     process_names = {
         e["pid"]: e["args"]["name"]
-        for e in obj.get("traceEvents", [])
+        for e in all_events
         if e.get("ph") == "M" and e.get("name") == "process_name"
     }
-    by_cat: dict[str, list[dict]] = {}
-    for event in events:
-        cat = str(event.get("cat", "?")).split(",")[0]
-        by_cat.setdefault(cat, []).append(event)
-    table = Table(
-        ["category", "spans", "total time", "share"],
-        title=f"trace summary ({len(events)} spans)",
-    )
-    grand_total = sum(e["dur"] for e in events) or 1.0
-    for cat in sorted(by_cat):
-        cat_events = by_cat[cat]
-        total = sum(e["dur"] for e in cat_events)
-        table.add_row(
-            [
-                cat,
-                len(cat_events),
-                format_seconds(total / _US),
-                f"{100 * total / grand_total:.1f}%",
-            ]
-        )
-    lanes = Table(["process", "lane", "spans", "busy"], title="lanes")
     by_lane: dict[tuple, list[dict]] = {}
     for event in events:
         by_lane.setdefault((event["pid"], event["tid"]), []).append(event)
-    for lane in sorted(by_lane):
-        lane_events = by_lane[lane]
-        lanes.add_row(
-            [
+    sections = []
+    for clock, heading in ((WALL, "wall clock"), (SIM, "modeled clock")):
+        lanes = {
+            lane: lane_events for lane, lane_events in sorted(by_lane.items())
+            if (lane_events[0].get("args") or {}).get("clock", WALL) == clock
+        }
+        if not lanes:
+            continue
+        by_cat: dict[str, list] = {}
+        lane_table = Table(
+            ["process", "lane", "spans", "busy"], title=f"lanes ({heading})"
+        )
+        rows = []
+        for lane, lane_events in lanes.items():
+            exclusive = _exclusive_us(lane_events)
+            for event, excl in zip(lane_events, exclusive):
+                cat = str(event.get("cat", "?")).split(",")[0]
+                entry = by_cat.setdefault(cat, [0, 0.0])
+                entry[0] += 1
+                entry[1] += excl
+            lane_table.add_row([
                 process_names.get(lane[0], f"pid{lane[0]}"),
                 meta.get(lane, f"tid{lane[1]}"),
                 len(lane_events),
-                format_seconds(sum(e["dur"] for e in lane_events) / _US),
-            ]
+                format_seconds(sum(exclusive) / _US),
+            ])
+            label = (
+                f"{process_names.get(lane[0], lane[0])}/"
+                f"{meta.get(lane, lane[1])}"
+            )
+            rows.append((label, "#", [
+                (e["ts"] / _US, (e["ts"] + e["dur"]) / _US)
+                for e in lane_events
+            ]))
+        count = sum(n for n, _ in by_cat.values())
+        cat_table = Table(
+            ["category", "spans", "exclusive", "share"],
+            title=f"trace summary, {heading} ({count} spans)",
         )
-    rows = []
-    for lane in sorted(by_lane):
-        label = (
-            f"{process_names.get(lane[0], lane[0])}/"
-            f"{meta.get(lane, lane[1])}"
-        )
-        intervals = [
-            (e["ts"] / _US, (e["ts"] + e["dur"]) / _US) for e in by_lane[lane]
+        grand_total = sum(t for _, t in by_cat.values()) or 1.0
+        for cat in sorted(by_cat):
+            n, total = by_cat[cat]
+            cat_table.add_row([
+                cat, n, format_seconds(total / _US),
+                f"{100 * total / grand_total:.1f}%",
+            ])
+        t_end = max(end for _, _, iv in rows for _, end in iv)
+        sections += [
+            cat_table.render(),
+            lane_table.render(),
+            ascii_timeline(
+                rows, width=width,
+                title=f"{heading}: {format_seconds(t_end)} ({count} spans)",
+            ),
         ]
-        rows.append((label, "#", intervals))
-    return "\n\n".join(
-        [table.render(), lanes.render(), ascii_timeline(rows, width=width)]
-    )
+    if not sections:
+        return "trace summary (0 spans)"
+    return "\n\n".join(sections)
 
 
 # ---------------------------------------------------------------------------

@@ -46,11 +46,12 @@ REDUCE_OPS: dict[str, Callable] = {
 def replay_allreduce(values, op: str = "sum"):
     """Reduce rank-ordered contributions off the engine.
 
-    The sharded and vector execution tiers never run the final
-    allreduce as engine events; the parent replays it with the exact
-    fold :meth:`VirtualComm.allreduce` performs — the same operator
-    from :data:`REDUCE_OPS` applied to the contributions in rank order
-    — so the replayed result is bit-identical to the collective's.
+    The epoch engine of :class:`repro.core.virtual.VirtualWorkflow`
+    never runs the final allreduce as engine events; the parent
+    replays it with the exact fold :meth:`VirtualComm.allreduce`
+    performs — the same operator from :data:`REDUCE_OPS` applied to the
+    contributions in rank order — so the replayed result is
+    bit-identical to the collective's.
     """
     if op not in REDUCE_OPS:
         raise SchedError(

@@ -254,3 +254,36 @@ class TestSummarize:
         assert "trace summary" in text
         assert "lanes" in text
         assert "gcd0 [modeled]" in text
+
+    def test_sections_split_by_clock_and_use_exclusive_time(self):
+        t = Tracer()
+        # a 3 s wall parent with a 1 s nested child on the same lane,
+        # plus a 2 s modeled span: the parent owns 2 s exclusively, and
+        # the modeled seconds never share a table with wall seconds
+        t.add_span("step", cat="core", clock=WALL, process="rank0",
+                   thread="core", start=0.0, seconds=3.0)
+        t.add_span("recv", cat="mpi", clock=WALL, process="rank0",
+                   thread="core", start=1.0, seconds=1.0)
+        t.add_span("kern", cat="gpu", clock=SIM, process="gcd0",
+                   thread="kernel", start=0.0, seconds=2.0)
+        text = summarize_chrome_trace(to_chrome_trace(t), width=40)
+        sections = {}
+        for block in text.split("\n\n"):
+            lines = block.splitlines()
+            if lines[0].startswith("trace summary"):
+                sections[lines[0]] = {
+                    cells[0]: (cells[2], float(cells[-1].rstrip("%")))
+                    for cells in (ln.split() for ln in lines[3:])
+                }
+        wall, modeled = sections.values()
+        assert [h.split(",")[1].split("(")[0].strip() for h in sections] == [
+            "wall clock", "modeled clock"
+        ]
+        assert set(wall) == {"core", "mpi"} and set(modeled) == {"gpu"}
+        for table in (wall, modeled):
+            assert sum(share for _, share in table.values()) == (
+                pytest.approx(100.0, abs=0.1)
+            )
+        assert wall["core"][0].startswith("2")  # 3 s minus the 1 s child
+        assert wall["core"][1] == pytest.approx(66.7)
+        assert wall["mpi"][1] == pytest.approx(33.3)

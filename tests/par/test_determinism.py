@@ -84,18 +84,26 @@ class TestCacheSweepIdentity:
 
 
 class TestVirtualIdentity:
-    @pytest.mark.parametrize("overlap", [False, True])
-    def test_vspmd_result_spans_metrics_identical(self, overlap):
+    # nic_contention takes the per-rank generator path at any jobs
+    @pytest.mark.parametrize(
+        "overlap, nic_contention",
+        [(False, False), (True, False), (True, True)],
+        ids=["False", "True", "nic_contention"],
+    )
+    def test_vspmd_result_spans_metrics_identical(self, overlap,
+                                                  nic_contention):
         from repro.core.settings import GrayScottSettings
         from repro.core.virtual import VirtualWorkflow
 
         settings = GrayScottSettings(L=16, steps=6, plotgap=2, backend="julia")
         t1, t4 = Tracer(), Tracer()
         r1 = VirtualWorkflow(
-            settings, nranks=64, overlap=overlap, tracer=t1
+            settings, nranks=64, overlap=overlap,
+            nic_contention=nic_contention, tracer=t1,
         ).run()
         r4 = VirtualWorkflow(
-            settings, nranks=64, overlap=overlap, tracer=t4
+            settings, nranks=64, overlap=overlap,
+            nic_contention=nic_contention, tracer=t4,
         ).run(jobs=4)
         assert r1.elapsed_seconds == r4.elapsed_seconds
         assert np.array_equal(r1.rank_finish_seconds, r4.rank_finish_seconds)

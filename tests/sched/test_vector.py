@@ -1,15 +1,15 @@
-"""The vector tier: epoch queues, engine-tier bit-identity, sharding.
+"""The epoch engine: epoch queues, the generator reference, sharding.
 
 The million-rank contract has three layers, each pinned here:
 
-1. ``Engine(pop="batch")`` dispatches in exactly the scalar heap's
-   ``(time, seq)`` order under arbitrary Delay/Wait/Join schedules
-   (hypothesis-driven);
+1. the event engine dispatches same-time events FIFO and reports its
+   queue accounting;
 2. :func:`repro.sched.vector.simulate_epoch` reproduces a pure-Python
    reference recurrence bit for bit, and the epoch queue replays spans
    in heap dispatch order;
-3. all four ``VirtualWorkflow`` tiers — and ``jobs=1`` vs. sharded
-   ``jobs=8`` — agree on every modeled output (reductions, barrier
+3. ``VirtualWorkflow.run`` — inline at ``jobs=1`` and sharded at
+   ``jobs=4``/``jobs=8`` — agrees with the per-rank generators of
+   ``_run_serial`` on every modeled output (reductions, barrier
    recurrences, per-rank finish times, SIM span multisets), with
    ``events_processed`` the one documented exclusion.
 """
@@ -23,15 +23,13 @@ from repro.core.settings import GrayScottSettings
 from repro.core.virtual import VirtualWorkflow
 from repro.observe.trace import SIM, Tracer
 from repro.sched import (
-    Delay,
     Engine,
     EpochEventQueue,
     EpochSpec,
     EpochWrites,
-    Join,
     simulate_epoch,
 )
-from repro.util.errors import ConfigError, SchedError
+from repro.util.errors import SchedError
 
 
 def _settings(**kw):
@@ -49,84 +47,27 @@ def _sim_spans(tracer):
     )
 
 
-# -- 1. batch pops vs the scalar heap ----------------------------------------
+# -- 1. the event engine ------------------------------------------------------
 
 
-schedules = st.lists(
-    st.lists(
-        st.tuples(
-            st.floats(0.0, 16.0, allow_nan=False, allow_infinity=False),
-            st.booleans(),  # spawn a child and Join it?
-        ),
-        min_size=1,
-        max_size=5,
-    ),
-    min_size=1,
-    max_size=8,
-)
-
-
-def _run_schedule(schedule, pop):
-    """Run a random Delay/Join schedule; returns the full trajectory."""
-    engine = Engine(mirror=False, pop=pop)
-    fired = []
-
-    def child(seconds, tag):
-        yield Delay(seconds)
-        fired.append(("child", tag, engine.now))
-
-    def program(pid, steps):
-        for i, (seconds, overlap) in enumerate(steps):
-            if overlap:
-                spawned = engine.spawn(
-                    f"p{pid}.c{i}", child(seconds, (pid, i))
-                )
-                yield Delay(seconds / 2.0)
-                yield Join(spawned)
-            else:
-                yield Delay(seconds)
-            fired.append(("step", (pid, i), engine.now))
-
-    procs = [
-        engine.spawn(f"p{pid}", program(pid, steps))
-        for pid, steps in enumerate(schedule)
-    ]
-    end = engine.run()
-    engine.check_quiescent()
-    return end, fired, [p.finished_at for p in procs]
-
-
-class TestBatchPop:
-    @given(schedules)
-    @settings(max_examples=60, deadline=None)
-    def test_batch_and_scalar_trajectories_identical(self, schedule):
-        assert _run_schedule(schedule, "batch") == _run_schedule(
-            schedule, "scalar"
-        )
-
+class TestEngineDrain:
     def test_same_time_ties_fire_fifo(self):
-        engine = Engine(mirror=False, pop="batch")
+        engine = Engine(mirror=False)
         fired = []
         for i in range(100):
             engine.schedule(1.0, lambda i=i: fired.append(i))
         engine.run()
         assert fired == list(range(100))
 
-    def test_unknown_pop_rejected(self):
-        with pytest.raises(SchedError, match="pop strategy"):
-            Engine(pop="quantum")
-
     def test_counters_reach_the_metrics_registry(self):
         tracer = Tracer()
-        engine = Engine(name="counted", tracer=tracer, pop="batch")
+        engine = Engine(name="counted", tracer=tracer)
         for _ in range(10):
             engine.schedule(1.0, lambda: None)
         engine.run()
         pushes = tracer.metrics.counter("sched.heap_pushes", engine="counted")
-        pops = tracer.metrics.counter("sched.batch_pops", engine="counted")
         assert pushes.value == engine.heap_pushes == 10
-        # ten same-time events drain in one amortized batch
-        assert pops.value == engine.batch_pops == 1
+        assert engine.events_processed == 10
 
 
 # -- 2. the epoch queue and the vector recurrence ----------------------------
@@ -178,7 +119,7 @@ epoch_cases = st.tuples(
 
 def _reference_epoch(starts, kernel, comm, nsteps, overlap, jit_seconds,
                      write_index, write_seconds, final):
-    """The scalar engine's float recurrence, in pure Python floats."""
+    """The generator engine's float recurrence, in pure Python floats."""
     t = [float(v) for v in starts]
     if jit_seconds > 0.0:
         t = [v + jit_seconds for v in t]
@@ -250,16 +191,25 @@ class TestVectorEpoch:
         assert sorted(set(int(e["op"]) for e in events)) == [1, 2]
 
 
-# -- 3. engine tiers are bit-identical at the workflow level -----------------
+# -- 3. the production paths match the generator reference -----------------
 
 
-def _traced_run(engine, *, overlap, jobs=1, nranks=32, **settings_kw):
+def _traced(method, *, overlap, nranks=32, **settings_kw):
+    """Run ``VirtualWorkflow(...).<method>()`` under a fresh tracer."""
     tracer = Tracer()
-    result = VirtualWorkflow(
+    workflow = VirtualWorkflow(
         _settings(**settings_kw), nranks=nranks, overlap=overlap,
-        tracer=tracer, engine=engine,
-    ).run(jobs=jobs)
-    return result, tracer
+        tracer=tracer,
+    )
+    return method(workflow), tracer
+
+
+def _traced_run(*, jobs=1, **kw):
+    return _traced(lambda wf: wf.run(jobs=jobs), **kw)
+
+
+def _traced_serial(**kw):
+    return _traced(lambda wf: wf._run_serial(), **kw)
 
 
 def _assert_same_model(a, b):
@@ -271,60 +221,37 @@ def _assert_same_model(a, b):
     assert a.jit_seconds == b.jit_seconds
 
 
-class TestEngineTiers:
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(ConfigError, match="engine"):
-            VirtualWorkflow(_settings(), nranks=4, engine="warp")
-
-    def test_vector_refuses_nic_contention(self):
-        with pytest.raises(ConfigError, match="nic"):
-            VirtualWorkflow(
-                _settings(), nranks=4, nic_contention=True, engine="vector"
-            )
-
-    def test_vector_refuses_profiler(self):
-        from repro.sched import SimProfiler
-
-        with pytest.raises(ConfigError, match="profiler"):
-            VirtualWorkflow(
-                _settings(), nranks=4, profiler=SimProfiler(interval=0.1),
-                engine="vector",
-            )
-
-    def test_auto_resolves_vector_unless_coupled(self):
-        assert VirtualWorkflow(_settings(), nranks=4)._resolve_engine() == (
-            "vector"
+def _assert_matches_serial(*, overlap, nranks=32, **settings_kw):
+    """``run(jobs=1)`` and ``run(jobs=4)`` reproduce ``_run_serial``."""
+    serial, serial_tr = _traced_serial(
+        overlap=overlap, nranks=nranks, **settings_kw
+    )
+    reference = _sim_spans(serial_tr)
+    for jobs in (1, 4):
+        result, tracer = _traced_run(
+            overlap=overlap, jobs=jobs, nranks=nranks, **settings_kw
         )
-        assert VirtualWorkflow(
-            _settings(), nranks=4, nic_contention=True
-        )._resolve_engine() == "batch"
+        _assert_same_model(serial, result)
+        assert _sim_spans(tracer) == reference, f"jobs={jobs}"
 
+
+class TestEngineTiers:
     @pytest.mark.parametrize("overlap", [False, True])
     def test_all_tiers_bit_identical(self, overlap):
-        scalar, scalar_tr = _traced_run("scalar", overlap=overlap)
-        batch, batch_tr = _traced_run("batch", overlap=overlap)
-        vector, vector_tr = _traced_run("vector", overlap=overlap)
-        _assert_same_model(scalar, batch)
-        _assert_same_model(scalar, vector)
-        reference = _sim_spans(scalar_tr)
-        assert _sim_spans(batch_tr) == reference
-        assert _sim_spans(vector_tr) == reference
+        # the epoch path, inline and sharded, against the generators
+        _assert_matches_serial(overlap=overlap)
 
     def test_tail_steps_and_no_output_epochs(self):
         # steps % plotgap != 0 (tail segment) and steps < plotgap (the
-        # only output is the final one) both cross the tiers unchanged
-        for steps, plotgap in ((5, 2), (3, 5)):
-            scalar, scalar_tr = _traced_run(
-                "scalar", overlap=True, steps=steps, plotgap=plotgap
-            )
-            vector, vector_tr = _traced_run(
-                "vector", overlap=True, steps=steps, plotgap=plotgap
-            )
-            _assert_same_model(scalar, vector)
-            assert _sim_spans(vector_tr) == _sim_spans(scalar_tr)
+        # only output is the final one), with overlap on and off
+        for overlap in (False, True):
+            for steps, plotgap in ((5, 2), (3, 5)):
+                _assert_matches_serial(
+                    overlap=overlap, steps=steps, plotgap=plotgap
+                )
 
     def test_vector_events_counter_recorded(self):
-        _, tracer = _traced_run("vector", overlap=True)
+        _, tracer = _traced_run(overlap=True)
         counter = tracer.metrics.counter(
             "sched.vector_events", engine="virtual[32]"
         )
@@ -341,20 +268,16 @@ class TestEngineTiers:
 
 class TestShardedVector:
     def test_jobs_invariant_at_4096(self):
-        serial, serial_tr = _traced_run("vector", overlap=True, nranks=4096,
+        serial, serial_tr = _traced_run(overlap=True, nranks=4096,
                                         steps=4, plotgap=2)
-        sharded, sharded_tr = _traced_run("vector", overlap=True, jobs=8,
+        sharded, sharded_tr = _traced_run(overlap=True, jobs=8,
                                           nranks=4096, steps=4, plotgap=2)
         _assert_same_model(serial, sharded)
         assert _sim_spans(sharded_tr) == _sim_spans(serial_tr)
 
     def test_generator_and_vector_shards_agree(self):
-        batch, batch_tr = _traced_run("batch", overlap=True, jobs=4,
-                                      nranks=256)
-        vector, vector_tr = _traced_run("vector", overlap=True, jobs=4,
-                                        nranks=256)
-        _assert_same_model(batch, vector)
-        assert _sim_spans(vector_tr) == _sim_spans(batch_tr)
+        # 256 ranks = 32 nodes, so jobs=4 really splits into four shards
+        _assert_matches_serial(overlap=True, nranks=256)
 
     @pytest.mark.slow
     def test_jobs_invariant_at_262144(self):

@@ -161,6 +161,3 @@ class TestRunLoad:
         assert report.completed == 12
         assert report.failed == 0
         assert stats["cache_hits"] == report.cache_hits
-        # the contract the perfsuite gates: hits far faster than misses
-        if report.hit_miss_p99_ratio is not None:
-            assert report.hit_miss_p99_ratio < 0.1

@@ -366,36 +366,6 @@ class TestCliVirtual:
         assert main(["run", str(path), "--nic-contention"]) == 2
         assert "--virtual-ranks" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("engine", ["scalar", "batch", "vector"])
-    def test_engine_tiers_run(self, tmp_path, capsys, engine):
-        path = self._gpu_settings(tmp_path)
-        assert main([
-            "run", str(path), "--virtual-ranks", "16", "--overlap",
-            "--engine", engine,
-        ]) == 0
-        assert "virtual SPMD run: 16 ranks" in capsys.readouterr().out
-
-    def test_engine_requires_virtual_ranks(self, tmp_path, capsys):
-        path = self._gpu_settings(tmp_path)
-        assert main(["run", str(path), "--engine", "vector"]) == 2
-        assert "--virtual-ranks" in capsys.readouterr().err
-
-    def test_vector_engine_rejects_nic_contention(self, tmp_path, capsys):
-        path = self._gpu_settings(tmp_path)
-        assert main([
-            "run", str(path), "--virtual-ranks", "8",
-            "--engine", "vector", "--nic-contention",
-        ]) == 2
-        assert "--nic-contention" in capsys.readouterr().err
-
-    def test_vector_engine_rejects_sim_profile(self, tmp_path, capsys):
-        path = self._gpu_settings(tmp_path)
-        assert main([
-            "run", str(path), "--virtual-ranks", "8",
-            "--engine", "vector", "--sim-profile", str(tmp_path / "p.folded"),
-        ]) == 2
-        assert "--sim-profile" in capsys.readouterr().err
-
 
 class TestCliStreaming:
     def _gpu_settings(self, tmp_path):
