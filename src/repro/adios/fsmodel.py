@@ -24,6 +24,7 @@ additionally models BP5's deferred/async drain — the write of step
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,26 +60,38 @@ class LustreModel:
         )
 
     def write_seconds_per_node(
-        self, nnodes: int, bytes_per_node: float, *, sample: int | str = 0
-    ) -> float:
+        self,
+        nnodes: int,
+        bytes_per_node: float,
+        *,
+        sample: int | str | Sequence[int] | Sequence[str] = 0,
+    ) -> float | np.ndarray:
         """Wall-clock of one node's subfile write, with jitter.
 
-        ``sample`` keys the deterministic jitter draw (e.g. node id).
+        ``sample`` keys the deterministic jitter draw (e.g. node id): the
+        draw for ``sample`` is the normal of generator ``("lustre",
+        "write", nnodes, sample)``. A sequence of samples (all int or all
+        str) returns an array with one write time per sample, drawn in
+        one pass and bit-identical to per-sample calls.
         """
         if bytes_per_node < 0:
             raise ValueError("bytes_per_node must be non-negative")
-        gen = self.stream.generator("write", nnodes, sample)
-        jitter = float(np.exp(gen.normal(0.0, cal.LUSTRE_WRITE_SIGMA)))
+        single = isinstance(sample, (int, np.integer, str))
+        gauss = self.stream.normals(
+            "write", nnodes,
+            tails=[sample] if single else sample,
+            scale=cal.LUSTRE_WRITE_SIGMA,
+        )
         base = bytes_per_node / self.node_write_bandwidth(nnodes)
-        return cal.LUSTRE_METADATA_SECONDS + base * jitter
+        seconds = cal.LUSTRE_METADATA_SECONDS + base * np.exp(gauss)
+        return float(seconds[0]) if single else seconds
 
     def job_write_seconds(self, nnodes: int, bytes_per_node: float) -> float:
         """Slowest node's write time (the job waits on all subfiles)."""
-        times = [
-            self.write_seconds_per_node(nnodes, bytes_per_node, sample=node)
-            for node in range(nnodes)
-        ]
-        return max(times)
+        times = self.write_seconds_per_node(
+            nnodes, bytes_per_node, sample=range(nnodes)
+        )
+        return float(times.max())
 
 
 @dataclass(frozen=True)
@@ -155,12 +168,13 @@ class IoWeakScalingModel:
             "lustre-oss", capacity=nnodes, lane=("lustre-oss", "write")
         )
 
+        seconds = self.model.write_seconds_per_node(
+            nnodes, bytes_per_node, sample=range(nnodes)
+        ).tolist()
+
         def writer(node: int):
-            seconds = self.model.write_seconds_per_node(
-                nnodes, bytes_per_node, sample=node
-            )
             yield from use(
-                oss, seconds, label="bp5.write", cat="adios",
+                oss, seconds[node], label="bp5.write", cat="adios",
                 args={"node": node, "bytes": bytes_per_node},
             )
 
@@ -206,12 +220,18 @@ class IoWeakScalingModel:
             "lustre-oss", capacity=nnodes, lane=("lustre-oss", "write")
         )
 
+        # sample keys the deterministic jitter draw; fold the step in so
+        # every (step, node) write jitters independently
+        step_writes = [
+            self.model.write_seconds_per_node(
+                nnodes, bytes_per_node,
+                sample=range(step * 1_000_003, step * 1_000_003 + nnodes),
+            ).tolist()
+            for step in range(steps)
+        ]
+
         def write_seconds(node: int, step: int) -> float:
-            # sample keys the deterministic jitter draw; fold the step in
-            # so every (step, node) write jitters independently
-            return self.model.write_seconds_per_node(
-                nnodes, bytes_per_node, sample=step * 1_000_003 + node
-            )
+            return step_writes[step][node]
 
         def node_program(node: int, gcd):
             pending = None

@@ -567,12 +567,10 @@ class VirtualWorkflow:
                 )
             lustre = LustreModel(self.machine, seed=settings.seed)
             bytes_per_node = self._bytes_per_node()
-            seconds = np.array([
-                lustre.write_seconds_per_node(
-                    nnodes, bytes_per_node, sample=f"{out_prev}:{int(node)}"
-                )
-                for node in nodes
-            ])
+            seconds = lustre.write_seconds_per_node(
+                nnodes, bytes_per_node,
+                sample=[f"{out_prev}:{node}" for node in nodes.tolist()],
+            )
             writes = EpochWrites(
                 index=leader_ranks - lo, nodes=nodes, seconds=seconds,
                 output_step=out_prev,

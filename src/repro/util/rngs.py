@@ -11,10 +11,32 @@ number of ranks executing them (see ``RngStream.for_cells``).
 
 from __future__ import annotations
 
+import functools
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+
+
+# numpy.random.SeedSequence's pool size and hash constants. The mixing
+# helpers below take Python ints and uint32 arrays alike: products are
+# masked to 32 bits, a no-op where uint32 arithmetic already wraps.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _key_int(part) -> int:
+    """An int key component as a Python int, checked to fit two words."""
+    value = int(part)
+    if value < 0:
+        raise ValueError(f"negative key component: {part}")
+    if value >> 64:
+        raise ValueError(f"key component does not fit in 64 bits: {part}")
+    return value
 
 
 def _key_to_ints(key: tuple) -> tuple[int, ...]:
@@ -22,15 +44,116 @@ def _key_to_ints(key: tuple) -> tuple[int, ...]:
     words: list[int] = []
     for part in key:
         if isinstance(part, (int, np.integer)):
-            if part < 0:
-                raise ValueError(f"negative key component: {part}")
-            words.append(int(part) & 0xFFFFFFFF)
-            words.append((int(part) >> 32) & 0xFFFFFFFF)
+            value = _key_int(part)
+            words.append(value & _MASK32)
+            words.append(value >> 32)
         elif isinstance(part, str):
-            words.append(zlib.crc32(part.encode("utf-8")) & 0xFFFFFFFF)
+            words.append(zlib.crc32(part.encode("utf-8")) & _MASK32)
         else:
             raise TypeError(f"rng key components must be int or str, got {part!r}")
     return tuple(words)
+
+
+def _tail_words(tails: Sequence[int] | Sequence[str]) -> list[np.ndarray]:
+    """The key words of every tail, as one uint32 column per word.
+
+    Tails must be all int (two words each) or all str (one word each),
+    so that every tail has the same width.
+    """
+    n = len(tails)
+    if all(isinstance(t, str) for t in tails):
+        crcs = (zlib.crc32(t.encode("utf-8")) for t in tails)
+        return [np.fromiter(crcs, dtype=np.uint32, count=n)]
+    if all(isinstance(t, (int, np.integer)) for t in tails):
+        values = np.fromiter(map(_key_int, tails), dtype=np.uint64, count=n)
+        return [
+            (values & np.uint64(_MASK32)).astype(np.uint32),
+            (values >> np.uint64(32)).astype(np.uint32),
+        ]
+    raise TypeError("rng key tails must be all int or all str")
+
+
+def _hashmix(value, hash_const: int, mult: int = _MULT_A):
+    """SeedSequence's ``hashmix``; returns (hash, next hash constant)."""
+    value = value ^ hash_const
+    hash_const = (hash_const * mult) & _MASK32
+    value = (value * hash_const) & _MASK32
+    return value ^ (value >> 16), hash_const
+
+
+def _mix(x, y):
+    result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _absorb(pool: list, word, hash_const: int) -> int:
+    """Mix one entropy word past the pool into every pool word."""
+    for dst in range(_POOL_SIZE):
+        hashed, hash_const = _hashmix(word, hash_const)
+        pool[dst] = _mix(pool[dst], hashed)
+    return hash_const
+
+
+@functools.lru_cache(maxsize=64)
+def _mixed_prefix(root_seed: int, key: tuple) -> tuple[tuple[int, ...], int]:
+    """SeedSequence's pool and hash constant after the root seed and key.
+
+    The entropy is the root seed's words, zero-padded to the pool size
+    (numpy pads whenever there is a spawn key), then ``key``'s words.
+    """
+    if root_seed < 0:
+        raise ValueError(f"negative root seed: {root_seed}")
+    words = [
+        (root_seed >> shift) & _MASK32
+        for shift in range(0, max(root_seed.bit_length(), 1), 32)
+    ]
+    words += [0] * (_POOL_SIZE - len(words)) + list(_key_to_ints(key))
+    pool: list[int] = []
+    hash_const = _INIT_A
+    for word in words[:_POOL_SIZE]:
+        hashed, hash_const = _hashmix(word, hash_const)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in words[_POOL_SIZE:]:
+        hash_const = _absorb(pool, word, hash_const)
+    return tuple(pool), hash_const
+
+
+def _philox_keys(
+    root_seed: int, key: tuple, tails: Sequence[int] | Sequence[str]
+) -> np.ndarray:
+    """The Philox key of ``seed_for(root_seed, *key, tail)`` per tail.
+
+    Row ``i`` equals ``seed_for(root_seed, *key, tails[i])
+    .generate_state(2, np.uint64)``, the key ``Philox(seq)`` starts
+    from. Entropy words past the pool are absorbed in order under a hash
+    constant that does not depend on the data, so the shared prefix is
+    mixed once (:func:`_mixed_prefix`) and only the tail words need
+    array arithmetic.
+    """
+    columns = _tail_words(tails)
+    n = len(columns[0])
+    if n == 1:
+        # a single tail mixes faster as Python ints than as 1-element arrays
+        columns = [int(column[0]) for column in columns]
+    pool, hash_const = _mixed_prefix(int(root_seed), tuple(key))
+    pool = list(pool)
+    for column in columns:
+        hash_const = _absorb(pool, column, hash_const)
+    # generate_state(2, np.uint64): four words, paired little-endian
+    hash_const = _INIT_B
+    state = []
+    for word in pool:
+        word, hash_const = _hashmix(word, hash_const, _MULT_B)
+        state.append(np.asarray(word, dtype=np.uint64))
+    keys = np.empty((n, 2), dtype=np.uint64)
+    keys[:, 0] = state[0] | (state[1] << np.uint64(32))
+    keys[:, 1] = state[2] | (state[3] << np.uint64(32))
+    return keys
 
 
 def seed_for(root_seed: int, *key: int | str) -> np.random.SeedSequence:
@@ -93,3 +216,34 @@ class RngStream:
         """
         gen = self.generator(*key)
         return gen.uniform(low, high, size=shape)
+
+    def normals(
+        self, *key: int | str, tails: Sequence[int] | Sequence[str], scale: float
+    ) -> np.ndarray:
+        """One normal draw per tail, in a single pass over the tails.
+
+        Element ``i`` equals ``self.generator(*key, tails[i]).normal(0.0,
+        scale)`` bit for bit. The Philox keys come from
+        :func:`_philox_keys`; one reused ``Philox`` is reset to each key
+        with the counter and buffer a fresh one starts with, so no
+        per-tail ``SeedSequence`` or generator is built. Tails must be all
+        int or all str.
+        """
+        keys = _philox_keys(self.root_seed, self.key + tuple(key), tails)
+        bitgen = np.random.Philox(0)
+        state = bitgen.state
+        # plain ints: the state setter indexes these element by element,
+        # and indexing an array builds a NumPy scalar per element
+        fresh = state["state"]
+        fresh["counter"] = tuple(int(c) for c in fresh["counter"])
+        state["buffer"] = tuple(int(b) for b in state["buffer"])
+        draw = np.random.Generator(bitgen).standard_normal
+
+        def normal(philox_key) -> float:
+            fresh["key"] = philox_key
+            bitgen.state = state
+            return draw()
+
+        gauss = np.fromiter(map(normal, keys), dtype=np.float64, count=len(keys))
+        # Generator.normal(loc, scale) returns loc + scale * gauss
+        return 0.0 + scale * gauss

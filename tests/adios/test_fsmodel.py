@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from repro.adios.fsmodel import (
@@ -5,7 +6,19 @@ from repro.adios.fsmodel import (
     LustreModel,
     contention_efficiency,
 )
+from repro.bench import calibration as cal
+from repro.util.rngs import seed_for
 from repro.util.units import GB, TB
+
+
+def _per_sample_write_seconds(model, seed, nnodes, bytes_per_node, sample):
+    """One node's write time from its own SeedSequence and Philox."""
+    gen = np.random.Generator(
+        np.random.Philox(seed_for(seed, "lustre", "write", nnodes, sample))
+    )
+    jitter = float(np.exp(gen.normal(0.0, cal.LUSTRE_WRITE_SIGMA)))
+    base = bytes_per_node / model.node_write_bandwidth(nnodes)
+    return cal.LUSTRE_METADATA_SECONDS + base * jitter
 
 
 class TestContentionEfficiency:
@@ -53,6 +66,42 @@ class TestLustreModel:
             model.write_seconds_per_node(16, 10 * GB, sample=n) for n in range(16)
         ]
         assert job == max(singles)
+
+    def test_scalar_sample_matches_per_sample_generator(self):
+        model = LustreModel(seed=5)
+        for sample in (0, 7, 2**63, "2:11"):
+            got = model.write_seconds_per_node(64, 3 * GB, sample=sample)
+            assert isinstance(got, float)
+            assert got == _per_sample_write_seconds(model, 5, 64, 3 * GB, sample)
+
+    def test_batched_samples_equal_scalar_list_at_virtual_256k(self):
+        # the keys of a 262,144-rank virtual run: 32,768 node leaders,
+        # sample f"{output step}:{node}", bytes of 8 ranks of 48^3 x 2 x 8
+        nnodes, bytes_per_node, seed = 32768, 8 * 48**3 * 2 * 8, 42
+        model = LustreModel(seed=seed)
+        for out in (1, 4):
+            samples = [f"{out}:{node}" for node in range(nnodes)]
+            got = model.write_seconds_per_node(
+                nnodes, bytes_per_node, sample=samples
+            )
+            expected = [
+                _per_sample_write_seconds(model, seed, nnodes, bytes_per_node, s)
+                for s in samples
+            ]
+            assert got.tobytes() == np.array(expected).tobytes()
+        # a single sample returns the same float as its element of the batch
+        scalar = model.write_seconds_per_node(nnodes, bytes_per_node, sample="4:9")
+        assert scalar == got[9]
+
+    def test_batched_int_samples_and_mixed_kinds(self):
+        model = LustreModel(seed=2)
+        got = model.write_seconds_per_node(16, GB, sample=range(16))
+        assert got.tolist() == [
+            model.write_seconds_per_node(16, GB, sample=n) for n in range(16)
+        ]
+        assert model.write_seconds_per_node(16, GB, sample=[]).shape == (0,)
+        with pytest.raises(TypeError):
+            model.write_seconds_per_node(16, GB, sample=[0, "1"])
 
 
 class TestIoWeakScalingModel:

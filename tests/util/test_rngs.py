@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.util.rngs import RngStream, seed_for
+from repro.util.rngs import RngStream, _philox_keys, seed_for
 
 
 class TestSeedFor:
@@ -30,6 +32,14 @@ class TestSeedFor:
     def test_bad_key_type_rejected(self):
         with pytest.raises(TypeError):
             seed_for(0, 1.5)  # type: ignore[arg-type]
+
+    def test_int_key_wider_than_64_bits_rejected(self):
+        # masking to 64 bits made 0 and 2**64 the same stream
+        seed_for(0, 2**64 - 1)
+        with pytest.raises(ValueError, match="64 bits"):
+            seed_for(0, 2**64)
+        with pytest.raises(ValueError, match="64 bits"):
+            RngStream(1).generator(2**64)
 
 
 class TestRngStream:
@@ -66,6 +76,65 @@ class TestRngStream:
         s = RngStream(7)
         with pytest.raises(Exception):
             s.root_seed = 8  # type: ignore[misc]
+
+
+_ROOTS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63])
+_PART = st.one_of(
+    st.integers(0, 2**64 - 1), st.text(max_size=6),
+)
+# 0 to 8 key parts; ints are two words, so keys span 0 to 16 words
+_KEYS = st.lists(_PART, max_size=8).map(tuple)
+_TAILS = st.one_of(
+    st.lists(st.integers(0, 2**64 - 1), max_size=40),
+    st.lists(st.text(max_size=6), max_size=40),
+)
+
+
+class TestBatchedDraws:
+    """``RngStream.normals`` against per-tail ``SeedSequence`` builds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(root=_ROOTS, key=_KEYS, tails=_TAILS)
+    def test_philox_keys_equal_seed_sequence_state(self, root, key, tails):
+        keys = _philox_keys(root, key, tails)
+        assert keys.shape == (len(tails), 2)
+        for row, tail in zip(keys, tails):
+            expected = seed_for(root, *key, tail).generate_state(2, np.uint64)
+            assert row.tolist() == expected.tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(root=_ROOTS, key=_KEYS, tails=_TAILS)
+    def test_normals_equal_per_tail_generators(self, root, key, tails):
+        stream = RngStream(root, key[:2])
+        got = stream.normals(*key[2:], tails=tails, scale=0.25)
+        expected = [
+            stream.generator(*key[2:], tail).normal(0.0, 0.25) for tail in tails
+        ]
+        assert got.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize("count", [0, 1, 1000])
+    def test_tail_counts(self, count):
+        stream = RngStream(2023, ("lustre",))
+        tails = [f"3:{node}" for node in range(count)]
+        got = stream.normals("write", 32768, tails=tails, scale=0.1)
+        assert got.shape == (count,)
+        expected = [
+            np.random.Generator(
+                np.random.Philox(seed_for(2023, "lustre", "write", 32768, t))
+            ).normal(0.0, 0.1)
+            for t in tails
+        ]
+        assert got.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+    def test_mixed_tail_kinds_rejected(self):
+        with pytest.raises(TypeError, match="all int or all str"):
+            RngStream(1).normals(tails=[0, "1"], scale=1.0)
+
+    def test_tail_range_checked(self):
+        with pytest.raises(ValueError, match="negative"):
+            RngStream(1).normals(tails=[-1], scale=1.0)
+        with pytest.raises(ValueError, match="64 bits"):
+            RngStream(1).normals(tails=[1, 2**64], scale=1.0)
 
 
 def _draw_task(index):
