@@ -230,9 +230,6 @@ class IoWeakScalingModel:
             for step in range(steps)
         ]
 
-        def write_seconds(node: int, step: int) -> float:
-            return step_writes[step][node]
-
         def node_program(node: int, gcd):
             pending = None
             for step in range(steps):
@@ -241,7 +238,7 @@ class IoWeakScalingModel:
                     args={"step": step},
                 )
                 write = use(
-                    oss, write_seconds(node, step), label="bp5.write",
+                    oss, step_writes[step][node], label="bp5.write",
                     cat="adios", args={"node": node, "step": step},
                 )
                 if overlap:
@@ -271,7 +268,7 @@ class IoWeakScalingModel:
         engine.check_quiescent()
         serial = max(
             sum(
-                compute_seconds_per_step + write_seconds(node, step)
+                compute_seconds_per_step + step_writes[step][node]
                 for step in range(steps)
             )
             for node in range(nnodes)

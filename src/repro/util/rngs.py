@@ -11,7 +11,6 @@ number of ranks executing them (see ``RngStream.for_cells``).
 
 from __future__ import annotations
 
-import functools
 import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -19,14 +18,40 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# numpy.random.SeedSequence's pool size and hash constants. The mixing
-# helpers below take Python ints and uint32 arrays alike: products are
-# masked to 32 bits, a no-op where uint32 arithmetic already wraps.
+# numpy.random.SeedSequence's pool size and hash constants
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _MASK32 = 0xFFFFFFFF
+
+
+def _powers(mult: int) -> np.ndarray:
+    return np.array(
+        [pow(mult, k, 1 << 32) for k in range(_POOL_SIZE + 1)], dtype=np.uint32
+    )
+
+
+_POWERS_A = _powers(_MULT_A)
+# generate_state's hash constants: they start over from _INIT_B
+_STATE_CONSTS = np.uint32(_INIT_B) * _powers(_MULT_B)
+
+
+def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` for each pool word, one row per word.
+
+    hashmix xors with its hash constant, multiplies the constant by the
+    multiplier, then multiplies by the new constant. The constants do
+    not depend on the data, so the pool-size calls starting from
+    constant ``c`` use ``consts = c * mult**[0..pool size]`` at once.
+    """
+    value = (words ^ consts[:-1, None]) * consts[1:, None]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> 16)
 
 
 def _key_int(part) -> int:
@@ -73,56 +98,6 @@ def _tail_words(tails: Sequence[int] | Sequence[str]) -> list[np.ndarray]:
     raise TypeError("rng key tails must be all int or all str")
 
 
-def _hashmix(value, hash_const: int, mult: int = _MULT_A):
-    """SeedSequence's ``hashmix``; returns (hash, next hash constant)."""
-    value = value ^ hash_const
-    hash_const = (hash_const * mult) & _MASK32
-    value = (value * hash_const) & _MASK32
-    return value ^ (value >> 16), hash_const
-
-
-def _mix(x, y):
-    result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
-    return result ^ (result >> 16)
-
-
-def _absorb(pool: list, word, hash_const: int) -> int:
-    """Mix one entropy word past the pool into every pool word."""
-    for dst in range(_POOL_SIZE):
-        hashed, hash_const = _hashmix(word, hash_const)
-        pool[dst] = _mix(pool[dst], hashed)
-    return hash_const
-
-
-@functools.lru_cache(maxsize=64)
-def _mixed_prefix(root_seed: int, key: tuple) -> tuple[tuple[int, ...], int]:
-    """SeedSequence's pool and hash constant after the root seed and key.
-
-    The entropy is the root seed's words, zero-padded to the pool size
-    (numpy pads whenever there is a spawn key), then ``key``'s words.
-    """
-    if root_seed < 0:
-        raise ValueError(f"negative root seed: {root_seed}")
-    words = [
-        (root_seed >> shift) & _MASK32
-        for shift in range(0, max(root_seed.bit_length(), 1), 32)
-    ]
-    words += [0] * (_POOL_SIZE - len(words)) + list(_key_to_ints(key))
-    pool: list[int] = []
-    hash_const = _INIT_A
-    for word in words[:_POOL_SIZE]:
-        hashed, hash_const = _hashmix(word, hash_const)
-        pool.append(hashed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], hashed)
-    for word in words[_POOL_SIZE:]:
-        hash_const = _absorb(pool, word, hash_const)
-    return tuple(pool), hash_const
-
-
 def _philox_keys(
     root_seed: int, key: tuple, tails: Sequence[int] | Sequence[str]
 ) -> np.ndarray:
@@ -130,27 +105,25 @@ def _philox_keys(
 
     Row ``i`` equals ``seed_for(root_seed, *key, tails[i])
     .generate_state(2, np.uint64)``, the key ``Philox(seq)`` starts
-    from. Entropy words past the pool are absorbed in order under a hash
-    constant that does not depend on the data, so the shared prefix is
-    mixed once (:func:`_mixed_prefix`) and only the tail words need
-    array arithmetic.
+    from. SeedSequence spends pool-size hashmix calls per entropy word,
+    and words past the pool mix in order, so the pool of the shared
+    prefix ``seed_for(root_seed, *key)`` is mixed once and only the tail
+    words need array arithmetic, with the hash constant the prefix left.
     """
-    columns = _tail_words(tails)
-    n = len(columns[0])
-    if n == 1:
-        # a single tail mixes faster as Python ints than as 1-element arrays
-        columns = [int(column[0]) for column in columns]
-    pool, hash_const = _mixed_prefix(int(root_seed), tuple(key))
-    pool = list(pool)
-    for column in columns:
-        hash_const = _absorb(pool, column, hash_const)
+    prefix = seed_for(root_seed, *key)
+    # the root seed's words, zero-padded to the pool size (numpy pads
+    # whenever there is a spawn key), then the key's words
+    root_words = max(-(-int(root_seed).bit_length() // 32), _POOL_SIZE)
+    calls = _POOL_SIZE * (root_words + len(prefix.spawn_key))
+    hash_const = np.uint32(_INIT_A * pow(_MULT_A, calls, 1 << 32) & _MASK32)
+    pool = prefix.pool[:, None]
+    for column in _tail_words(tails):
+        consts = hash_const * _POWERS_A
+        pool = _mix(pool, _hashmix(column, consts))
+        hash_const = consts[-1]
     # generate_state(2, np.uint64): four words, paired little-endian
-    hash_const = _INIT_B
-    state = []
-    for word in pool:
-        word, hash_const = _hashmix(word, hash_const, _MULT_B)
-        state.append(np.asarray(word, dtype=np.uint64))
-    keys = np.empty((n, 2), dtype=np.uint64)
+    state = _hashmix(pool, _STATE_CONSTS).astype(np.uint64)
+    keys = np.empty((len(tails), 2), dtype=np.uint64)
     keys[:, 0] = state[0] | (state[1] << np.uint64(32))
     keys[:, 1] = state[2] | (state[3] << np.uint64(32))
     return keys

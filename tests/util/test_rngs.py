@@ -78,7 +78,8 @@ class TestRngStream:
             s.root_seed = 8  # type: ignore[misc]
 
 
-_ROOTS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63])
+# 2**160 spans six words, more than SeedSequence's four-word pool
+_ROOTS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**160])
 _PART = st.one_of(
     st.integers(0, 2**64 - 1), st.text(max_size=6),
 )
