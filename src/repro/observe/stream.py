@@ -34,6 +34,11 @@ the merged export byte-identical to the monolithic one. A directory
 target gets ``manifest.json``; a ``*.jsonl`` target is a single
 unrotated shard with no manifest.
 
+A :class:`~repro.observe.trace.SpanBatch` is serialized straight from
+its columns: each span kind becomes one ``%``-template whose constant
+parts are the ``json.dumps`` text of :func:`span_to_record`, so a batch
+writes exactly the lines per-span recording would.
+
 Process-parallel runs (:mod:`repro.par`) extend this: each worker
 writes its *own* shard files into the parent's stream directory and
 ships back only the manifest entries; the parent adopts them with
@@ -44,14 +49,26 @@ lists — the million-rank trace never materializes in any one process.
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
 from threading import Lock
 
+import numpy as np
+
 from repro.observe.metrics import MetricsRegistry
-from repro.observe.trace import SpanRecord, Tracer, TraceSink
+from repro.observe.trace import (
+    ID,
+    TAG,
+    BatchColumn,
+    SpanBatch,
+    SpanKind,
+    SpanRecord,
+    Tracer,
+    TraceSink,
+)
 from repro.util.errors import ObserveError
 
 #: schema identifier written to shard manifests
@@ -79,6 +96,84 @@ def span_to_record(span: SpanRecord) -> dict:
     record = {field: getattr(span, field) for field in _SPAN_FIELDS}
     record["args"] = span.args_dict()
     return record
+
+
+def _span_line(span: SpanRecord) -> str:
+    """One JSONL shard line: the compact JSON of :func:`span_to_record`."""
+    return json.dumps(span_to_record(span), separators=(",", ":"))
+
+
+def _template_json(value) -> str:
+    """``value`` as compact JSON, with ``%`` escaped for a %-template."""
+    return json.dumps(value, separators=(",", ":")).replace("%", "%%")
+
+
+def _kind_template(kind: SpanKind) -> tuple[str, tuple[str, ...]]:
+    """The %-template of one span kind's JSONL line, and its column names.
+
+    Walks :func:`span_to_record` of a span of the kind, with the
+    column markers as its id and tag, in field order: constant fields
+    become their JSON text, and each per-span field (``start``,
+    ``seconds``, an id process suffix, an :data:`ID` or :data:`TAG` arg)
+    becomes a ``%s`` filled from the named batch column. ``%s`` of a
+    Python int or finite float is its JSON text.
+    """
+    parts = []
+    columns: list[str] = []
+    record = span_to_record(kind.record(ID, 0.0, 0.0, TAG))
+    for key, value in record.items():
+        if key in ("start", "seconds"):
+            text = "%s"
+            columns.append(key)
+        elif key == "process" and kind.process_id:
+            # digits and "-" need no escaping: the id follows the prefix
+            text = _template_json(kind.process)[:-1] + '%s"'
+            columns.append("id")
+        elif key == "args":
+            fields = []
+            for arg, arg_value in value.items():
+                if isinstance(arg_value, BatchColumn):
+                    fields.append(f"{_template_json(arg)}:%s")
+                    columns.append(arg_value.name)
+                else:
+                    fields.append(
+                        f"{_template_json(arg)}:{_template_json(arg_value)}"
+                    )
+            text = "{" + ",".join(fields) + "}"
+        else:
+            text = _template_json(value)
+        parts.append(f"{_template_json(key)}:{text}")
+    return "{" + ",".join(parts) + "}", tuple(columns)
+
+
+def _json_values(column: np.ndarray) -> list:
+    """A column as Python values whose ``str`` is their JSON text."""
+    values = column.tolist()
+    if column.dtype.kind == "f" and not np.isfinite(column).all():
+        # json spells these NaN / Infinity / -Infinity, str nan / inf
+        values = [v if math.isfinite(v) else json.dumps(v) for v in values]
+    return values
+
+
+def _batch_lines(batch: SpanBatch, templates, lo: int, hi: int) -> list[str]:
+    """The JSONL lines of batch rows ``[lo, hi)``, in row order.
+
+    ``templates`` holds :func:`_kind_template` of each of the batch's
+    kinds; rows of one kind are formatted together and scattered back
+    into emission order.
+    """
+    kinds = batch.kind[lo:hi]
+    lines = np.empty(kinds.size, dtype=object)
+    for k, (template, columns) in enumerate(templates):
+        rows = np.flatnonzero(kinds == k)
+        if not rows.size:
+            continue
+        values = [
+            _json_values(getattr(batch, column)[lo:hi][rows])
+            for column in columns
+        ]
+        lines[rows] = [template % row for row in zip(*values)]
+    return lines.tolist()
 
 
 def record_to_span_kwargs(record: dict) -> dict:
@@ -149,7 +244,7 @@ class ShardedPerfettoWriter(TraceSink):
         self.max_buffered = 0
         self.closed = False
         self._lock = Lock()
-        self._buffer: list[SpanRecord] = []
+        self._buffer: list[str] = []  # serialized JSONL lines
         self._entries: list[dict] = []
         self._shard_index = 0
         self._shard_count = 0
@@ -166,30 +261,35 @@ class ShardedPerfettoWriter(TraceSink):
                 raise ObserveError(
                     f"span recorded on closed stream {self.target}"
                 )
-            self._buffer.append(span)
+            self._buffer.append(_span_line(span))
             if len(self._buffer) > self.max_buffered:
                 self.max_buffered = len(self._buffer)
             if len(self._buffer) >= self.flush_threshold:
                 self._flush_buffer()
 
-    def record_many(self, spans: list[SpanRecord]) -> None:
-        """Bulk :meth:`record` — one lock hold for a whole span batch.
+    def record_many(self, batch: SpanBatch) -> None:
+        """Bulk :meth:`record` of a :class:`~repro.observe.trace.SpanBatch`.
 
-        Fed by :meth:`Tracer.add_spans` (the vector engine tier emits
-        epochs as batches). The batch is folded into the buffer in
-        flush-threshold slices so shard rotation and the buffered
-        high-water mark behave exactly as per-span recording.
+        Fed by :meth:`Tracer.add_spans` (the epoch engine emits each
+        epoch as one batch). Lines are formatted from the columns in
+        slices that fill the buffer to the flush threshold, so shard
+        rotation, the buffered high-water mark and every written byte
+        match per-span recording, and at most one flush's worth of
+        lines is alive at a time.
         """
+        templates = [_kind_template(kind) for kind in batch.kinds]
         with self._lock:
             if self.closed:
                 raise ObserveError(
                     f"span recorded on closed stream {self.target}"
                 )
             threshold = self.flush_threshold
-            pos = 0
-            while pos < len(spans):
-                take = threshold - len(self._buffer)
-                self._buffer.extend(spans[pos:pos + take])
+            pos, n = 0, len(batch)
+            while pos < n:
+                take = min(threshold - len(self._buffer), n - pos)
+                self._buffer.extend(
+                    _batch_lines(batch, templates, pos, pos + take)
+                )
                 pos += take
                 if len(self._buffer) > self.max_buffered:
                     self.max_buffered = len(self._buffer)
@@ -264,12 +364,7 @@ class ShardedPerfettoWriter(TraceSink):
             return
         if self._handle is None:
             self._handle = open(self._shard_path(), "a")
-        dumps = json.dumps
-        lines = [
-            dumps(span_to_record(span), separators=(",", ":"))
-            for span in self._buffer
-        ]
-        self._handle.write("\n".join(lines) + "\n")
+        self._handle.write("\n".join(self._buffer) + "\n")
         self._handle.flush()
         self._shard_count += len(self._buffer)
         self.total_spans += len(self._buffer)

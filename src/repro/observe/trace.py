@@ -48,6 +48,16 @@ skipped entirely and the sinks are the only consumers: this is the
 bounded-memory streaming mode of :mod:`repro.observe.stream`, where a
 million-rank modeled run exports rotating shard files without ever
 materializing its span list.
+
+Columnar batches
+----------------
+
+Modeled runs emit spans by the tens of thousands per epoch, all of a
+few fixed shapes. A :class:`SpanBatch` stores such a batch as NumPy
+columns (kind, id, start, seconds, tag) next to a small tuple of
+:class:`SpanKind` constants, and :meth:`Tracer.add_spans` validates it
+with array operations. Sinks that implement ``record_many`` consume the
+columns directly; everything else gets :meth:`SpanBatch.records`.
 """
 
 from __future__ import annotations
@@ -56,6 +66,8 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.observe.metrics import MetricsRegistry
 from repro.util.errors import ObserveError
@@ -101,6 +113,121 @@ class SpanRecord:
 
     def args_dict(self) -> dict:
         return dict(self.args)
+
+
+@dataclass(frozen=True)
+class BatchColumn:
+    """Marks a :class:`SpanKind` arg whose value is a per-span column."""
+
+    name: str  # the SpanBatch column attribute: "id" or "tag"
+
+
+#: a :class:`SpanKind` arg value read from the batch's ``id`` column
+ID = BatchColumn("id")
+#: a :class:`SpanKind` arg value read from the batch's ``tag`` column
+TAG = BatchColumn("tag")
+
+
+@dataclass(frozen=True)
+class SpanKind:
+    """The fields shared by every span of one kind in a :class:`SpanBatch`.
+
+    ``process`` is the whole process name, or with ``process_id`` the
+    prefix each span's id is appended to (``"gcd"`` -> ``"gcd17"``).
+    ``args`` are ``(key, value)`` pairs in record order; a value of
+    :data:`ID` or :data:`TAG` is taken from that span's column.
+    """
+
+    name: str
+    cat: str
+    clock: str  # WALL | SIM
+    process: str
+    thread: str
+    process_id: bool = False
+    args: tuple = ()
+
+    def record(
+        self, id: int, start: float, seconds: float, tag: int
+    ) -> SpanRecord:
+        """The :class:`SpanRecord` of one span of this kind."""
+        columns = {"id": id, "tag": tag}
+        return SpanRecord(
+            name=self.name,
+            cat=self.cat,
+            clock=self.clock,
+            process=f"{self.process}{id}" if self.process_id else self.process,
+            thread=self.thread,
+            start=start,
+            seconds=seconds,
+            args=tuple(
+                (
+                    key,
+                    columns[value.name]
+                    if isinstance(value, BatchColumn)
+                    else value,
+                )
+                for key, value in self.args
+            ),
+        )
+
+
+class SpanBatch:
+    """Complete (``ph="X"``) spans of a few kinds, stored as columns.
+
+    Row ``i`` is one span of kind ``kinds[kind[i]]`` with integer
+    ``id[i]`` (the process suffix and/or an arg), timestamps
+    ``start[i]``/``seconds[i]``, and integer ``tag[i]`` (an arg). Rows
+    are in emission order. :meth:`records` is the reference meaning of
+    a batch; streaming sinks serialize the columns without it.
+    """
+
+    def __init__(self, kinds, *, kind, id, start, seconds, tag) -> None:
+        self.kinds: tuple[SpanKind, ...] = tuple(kinds)
+        self.kind = np.asarray(kind)
+        self.id = np.asarray(id, dtype=np.int64)
+        self.start = np.asarray(start, dtype=np.float64)
+        self.seconds = np.asarray(seconds, dtype=np.float64)
+        self.tag = np.asarray(tag, dtype=np.int64)
+        n = self.kind.size
+        columns = (self.kind, self.id, self.start, self.seconds, self.tag)
+        if any(column.shape != (n,) for column in columns):
+            raise ObserveError(
+                "span batch columns must be 1-D and of equal length: "
+                f"{[column.shape for column in columns]}"
+            )
+        if n and (self.kind.min() < 0 or self.kind.max() >= len(self.kinds)):
+            raise ObserveError(
+                f"span batch kind index outside 0..{len(self.kinds) - 1}"
+            )
+
+    def __len__(self) -> int:
+        return self.kind.size
+
+    def records(self, lo: int = 0, hi: int | None = None) -> list[SpanRecord]:
+        """Rows ``[lo, hi)`` as :class:`SpanRecord` entries."""
+        rows = slice(lo, hi)
+        kinds = self.kinds
+        return [
+            kinds[k].record(i, start, seconds, tag)
+            for k, i, start, seconds, tag in zip(
+                self.kind[rows].tolist(),
+                self.id[rows].tolist(),
+                self.start[rows].tolist(),
+                self.seconds[rows].tolist(),
+                self.tag[rows].tolist(),
+            )
+        ]
+
+    def lanes(self):
+        """Yield ``(lane, kind)`` once per distinct lane of each kind used."""
+        for k in np.unique(self.kind).tolist():
+            kind = self.kinds[k]
+            if kind.process_id:
+                ids = np.unique(self.id[self.kind == k]).tolist()
+                for i in ids:
+                    yield (f"{kind.process}{i}", kind.thread), kind
+            else:
+                yield (kind.process, kind.thread), kind
 
 
 class TraceSink:
@@ -202,49 +329,58 @@ class Tracer:
                 sink.record(record)
         return record
 
-    def add_spans(self, records: list[SpanRecord]) -> int:
-        """Record a batch of prebuilt :class:`SpanRecord` entries.
+    def add_spans(self, batch: SpanBatch) -> int:
+        """Record a columnar :class:`SpanBatch` of spans.
 
-        The bulk path of the vector engine tier (:mod:`repro.sched.
-        vector`): one lock acquisition for the whole batch, the same
-        per-record validation :meth:`add_span` performs, and a single
-        ``record_many`` call into every sink that implements it
-        (falling back to per-record ``record`` otherwise).
+        The bulk path of the epoch engine (:func:`repro.sched.vector.
+        emit_epoch_spans`). Durations are checked as one array, lane
+        clocks once per distinct lane, and every lane of the batch is
+        checked before any is registered, so a rejected batch leaves
+        the tracer unchanged. Sinks with ``record_many`` take the batch
+        itself; the retained list and other sinks get its records.
         """
-        records = list(records)
-        if not records:
+        if not len(batch):
             return 0
-        for record in records:
-            if record.clock not in _CLOCKS:
+        for kind in batch.kinds:
+            if kind.clock not in _CLOCKS:
                 raise ObserveError(
-                    f"unknown clock domain {record.clock!r}; use {_CLOCKS}"
+                    f"unknown clock domain {kind.clock!r}; use {_CLOCKS}"
                 )
-            if record.seconds < 0:
-                raise ObserveError(
-                    f"span {record.name!r} has negative duration "
-                    f"{record.seconds}"
-                )
+        negative = np.flatnonzero(batch.seconds < 0)
+        if negative.size:
+            row = int(negative[0])
+            raise ObserveError(
+                f"span {batch.kinds[batch.kind[row]].name!r} has negative "
+                f"duration {float(batch.seconds[row])}"
+            )
+        lanes = list(batch.lanes())
         with self._lock:
-            setdefault = self._lane_clocks.setdefault
-            for record in records:
-                known = setdefault(record.lane, record.clock)
-                if known != record.clock:
+            new_lanes: dict[tuple[str, str], str] = {}
+            for lane, kind in lanes:
+                known = self._lane_clocks.get(lane) or new_lanes.setdefault(
+                    lane, kind.clock
+                )
+                if known != kind.clock:
                     raise ObserveError(
-                        f"lane {record.lane} carries {known!r}-clock spans; "
-                        f"refusing to add {record.clock!r}-clock span "
-                        f"{record.name!r} (one lane, one clock domain)"
+                        f"lane {lane} carries {known!r}-clock spans; "
+                        f"refusing to add {kind.clock!r}-clock span "
+                        f"{kind.name!r} (one lane, one clock domain)"
                     )
+            self._lane_clocks.update(new_lanes)
+            records = None
             if self.retain:
+                records = batch.records()
                 self.spans.extend(records)
             for sink in self.sinks:
                 record_many = getattr(sink, "record_many", None)
                 if record_many is not None:
-                    record_many(records)
-                else:
-                    record_one = sink.record
-                    for record in records:
-                        record_one(record)
-        return len(records)
+                    record_many(batch)
+                    continue
+                if records is None:
+                    records = batch.records()
+                for record in records:
+                    sink.record(record)
+        return len(batch)
 
     def instant(
         self,

@@ -31,8 +31,8 @@ to the generator engine's, which the property tests in
 Tracing replays through an :class:`EpochEventQueue`: a structured array
 of ``(when, seq, rank, op)`` plus parallel seconds/tag columns, filled
 by the vector loops and drained in ``(when, seq)`` order — the same
-(time, FIFO) order the event heap dispatches in — into
-:class:`~repro.observe.trace.SpanRecord` batches
+(time, FIFO) order the event heap dispatches in — as one columnar
+:class:`~repro.observe.trace.SpanBatch` per epoch
 (:func:`emit_epoch_spans`). Untraced runs skip the queue entirely.
 """
 
@@ -106,7 +106,8 @@ class EpochEventQueue:
         events = np.concatenate([chunk[0] for chunk in self._chunks])
         seconds = np.concatenate([chunk[1] for chunk in self._chunks])
         tags = np.concatenate([chunk[2] for chunk in self._chunks])
-        order = np.argsort(events, order=("when", "seq"))
+        # seq is unique, so this is the (when, seq) order
+        order = np.lexsort((events["seq"], events["when"]))
         return events[order], seconds[order], tags[order]
 
 
@@ -218,75 +219,38 @@ def simulate_epoch(
 def emit_epoch_spans(
     queue: EpochEventQueue, tracer, *, kernel_name: str, backend: str
 ) -> int:
-    """Replay the queued epoch events into ``tracer`` as span records.
+    """Replay the queued epoch events into ``tracer`` as one span batch.
 
-    Records are emitted in ``(when, seq)`` order through the tracer's
-    bulk :meth:`~repro.observe.trace.Tracer.add_spans` path. The span
-    fields replicate the generator engine's mirroring exactly — same
+    Spans are emitted in ``(when, seq)`` order through the tracer's
+    columnar :meth:`~repro.observe.trace.Tracer.add_spans`. The span
+    kinds replicate the generator engine's mirroring exactly — same
     names, categories, lanes, and args as the ``Delay`` commands of
     :class:`~repro.gpu.proxy.VirtualGcd` and the BP5 write plan — so
-    the span *multiset* of a vector run equals the generator run's.
+    the span *multiset* of an epoch run equals the generator run's.
     """
-    from repro.observe.trace import SIM, SpanRecord
+    from repro.observe.trace import ID, SIM, TAG, SpanBatch, SpanKind
 
     events, seconds, tags = queue.sorted_events()
     if not events.size:
         return 0
-    whens = events["when"]
-    ranks = events["rank"]
-    ops = events["op"]
-    gcd_names: dict[int, str] = {}
-    vrank_names: dict[int, str] = {}
-    backend_args = (("backend", backend),)
-    records = []
-    append = records.append
-    for i in range(events.size):
-        op = ops[i]
-        rank = int(ranks[i])
-        start = float(whens[i])
-        span_seconds = float(seconds[i])
-        if op == OP_KERNEL:
-            process = gcd_names.get(rank)
-            if process is None:
-                process = gcd_names[rank] = f"gcd{rank}"
-            append(
-                SpanRecord(
-                    name=kernel_name, cat="gpu", clock=SIM, process=process,
-                    thread="kernel", start=start, seconds=span_seconds,
-                    args=(("gcd", rank),),
-                )
-            )
-        elif op == OP_HALO:
-            process = vrank_names.get(rank)
-            if process is None:
-                process = vrank_names[rank] = f"vrank{rank}"
-            append(
-                SpanRecord(
-                    name="halo", cat="mpi", clock=SIM, process=process,
-                    thread="mpi", start=start, seconds=span_seconds,
-                )
-            )
-        elif op == OP_WRITE:
-            append(
-                SpanRecord(
-                    name="bp5.write", cat="adios", clock=SIM,
-                    process="lustre-oss", thread="write", start=start,
-                    seconds=span_seconds,
-                    args=(("node", rank), ("output_step", int(tags[i]))),
-                )
-            )
-        elif op == OP_JIT:
-            process = gcd_names.get(rank)
-            if process is None:
-                process = gcd_names[rank] = f"gcd{rank}"
-            append(
-                SpanRecord(
-                    name="jit.compile", cat="gpu", clock=SIM, process=process,
-                    thread="kernel", start=start, seconds=span_seconds,
-                    args=backend_args,
-                )
-            )
-        else:  # pragma: no cover - push() only accepts OP_* opcodes
-            raise SchedError(f"unknown epoch opcode {op!r}")
-    tracer.add_spans(records)
-    return len(records)
+    kinds = [None] * 4
+    kinds[OP_JIT] = SpanKind(
+        "jit.compile", "gpu", SIM, "gcd", "kernel", process_id=True,
+        args=(("backend", backend),),
+    )
+    kinds[OP_KERNEL] = SpanKind(
+        kernel_name, "gpu", SIM, "gcd", "kernel", process_id=True,
+        args=(("gcd", ID),),
+    )
+    kinds[OP_HALO] = SpanKind(
+        "halo", "mpi", SIM, "vrank", "mpi", process_id=True
+    )
+    kinds[OP_WRITE] = SpanKind(
+        "bp5.write", "adios", SIM, "lustre-oss", "write",
+        args=(("node", ID), ("output_step", TAG)),
+    )
+    batch = SpanBatch(
+        kinds, kind=events["op"], id=events["rank"], start=events["when"],
+        seconds=seconds, tag=tags,
+    )
+    return tracer.add_spans(batch)

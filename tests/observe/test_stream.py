@@ -4,6 +4,8 @@ import json
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.observe.export import to_chrome_trace, write_chrome_trace
 from repro.observe.metrics import MetricsRegistry
@@ -27,7 +29,7 @@ from repro.observe.stream import (
     worker_shard_spec,
     write_merged,
 )
-from repro.observe.trace import SIM, WALL, Tracer
+from repro.observe.trace import ID, SIM, TAG, WALL, SpanBatch, SpanKind, Tracer
 from repro.util.errors import ObserveError
 
 
@@ -137,6 +139,138 @@ class TestShardedWriter:
         assert stream_sink(Tracer(sinks=[dirsink], retain=False)) is dirsink
         assert stream_sink(Tracer()) is None
         assert stream_sink(None) is None
+
+
+# ---------------------------------------------------------------------------
+# columnar batches
+# ---------------------------------------------------------------------------
+
+
+def oracle_lines(batch):
+    """Per-span serialization of the batch's reference records."""
+    return [
+        json.dumps(span_to_record(r), separators=(",", ":"))
+        for r in batch.records()
+    ]
+
+
+def written_lines(tmp_path, batch, name="batch.jsonl"):
+    sink = ShardedPerfettoWriter(tmp_path / name, flush_threshold=3)
+    sink.record_many(batch)
+    sink.close()
+    return (tmp_path / name).read_text().splitlines()
+
+
+AWKWARD = (
+    SpanKind('quo"te\\%s', "gpu", SIM, 'g"\\%d', "kernel", process_id=True,
+             args=(("gcd", ID), ('b"k\\', "jül%ia"), ("f", 0.1))),
+    SpanKind("bp5.\u00e9crit", "adios", SIM, "lustre\u2603", "w\tr",
+             args=(("node", ID), ("step", TAG), ("ok", True), ("n", None))),
+    SpanKind("halo", "mpi", SIM, "vrank", "mpi", process_id=True),
+)
+
+
+def awkward_batch(start, seconds):
+    n = len(start)
+    return SpanBatch(
+        AWKWARD,
+        kind=[i % 3 for i in range(n)],
+        id=[2 ** 31 + i if i % 2 else -i for i in range(n)],
+        start=start,
+        seconds=seconds,
+        tag=[2 ** 62 - i for i in range(n)],
+    )
+
+
+class TestBatchSerialization:
+    def test_lines_equal_per_span_json(self, tmp_path):
+        inf, nan = float("inf"), float("nan")
+        batch = awkward_batch(
+            [0.0, -0.0, 1e-300, 1e22, nan, inf, -inf, 0.1],
+            [inf, 0.5, nan, 5e-324, 0.0, 1.0 / 3, 123456789.0, inf],
+        )
+        lines = written_lines(tmp_path, batch)
+        assert lines == oracle_lines(batch)
+        assert "NaN" in lines[4] and "Infinity" in lines[0]
+
+    def test_empty_batch_writes_nothing(self, tmp_path):
+        assert written_lines(tmp_path, awkward_batch([], [])) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 1),
+                st.integers(-(2 ** 63), 2 ** 63 - 1),
+                st.floats(),
+                st.floats(),
+                st.integers(-(2 ** 63), 2 ** 63 - 1),
+            ),
+            max_size=40,
+        ),
+        names=st.lists(st.text(max_size=6), min_size=5, max_size=5),
+        constant=st.one_of(
+            st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+        ),
+    )
+    def test_lines_equal_per_span_json_property(
+        self, tmp_path_factory, rows, names, constant
+    ):
+        kinds = (
+            SpanKind(names[0], names[1], SIM, names[2], "t", process_id=True,
+                     args=((names[3], ID), (names[4] + "c", constant))),
+            SpanKind(names[1], "c", WALL, names[0], names[3],
+                     args=((names[2], TAG), ("id", ID))),
+        )
+        batch = SpanBatch(
+            kinds,
+            kind=[r[0] for r in rows],
+            id=[r[1] for r in rows],
+            start=[r[2] for r in rows],
+            seconds=[r[3] for r in rows],
+            tag=[r[4] for r in rows],
+        )
+        tmp_path = tmp_path_factory.mktemp("prop")
+        assert written_lines(tmp_path, batch) == oracle_lines(batch)
+
+    def test_rotation_mid_batch_matches_per_span_record(self, tmp_path):
+        batch = awkward_batch(
+            [float(i) for i in range(40)], [0.25 * i for i in range(40)]
+        )
+        by_batch = ShardedPerfettoWriter(
+            tmp_path / "batch", flush_threshold=5, shard_spans=13
+        )
+        by_span = ShardedPerfettoWriter(
+            tmp_path / "span", flush_threshold=5, shard_spans=13
+        )
+        # a few spans first, so the batch starts on a part-full buffer
+        for sink in (by_batch, by_span):
+            for record in batch.records(0, 3):
+                sink.record(record)
+        by_batch.record_many(batch)
+        for record in batch.records():
+            by_span.record(record)
+        by_batch.close()
+        by_span.close()
+        files = sorted(p.name for p in (tmp_path / "span").iterdir())
+        assert len(files) > 3  # rotated inside the batch
+        assert sorted(p.name for p in (tmp_path / "batch").iterdir()) == files
+        for name in files:
+            assert (tmp_path / "batch" / name).read_bytes() == (
+                tmp_path / "span" / name
+            ).read_bytes()
+        assert by_batch.max_buffered == by_span.max_buffered <= 5
+
+    def test_negative_duration_batch_records_nothing(self, tmp_path):
+        sink = ShardedPerfettoWriter(tmp_path / "s", flush_threshold=2)
+        tracer = Tracer(sinks=[sink])
+        batch = awkward_batch([0.0, 1.0, 2.0], [0.5, 0.5, -0.5])
+        with pytest.raises(ObserveError, match="negative duration"):
+            tracer.add_spans(batch)
+        tracer.close()
+        assert len(tracer) == 0
+        assert load_manifest(tmp_path / "s")["spans"] == 0
+        assert [p.name for p in (tmp_path / "s").iterdir()] == [MANIFEST_NAME]
 
 
 # ---------------------------------------------------------------------------

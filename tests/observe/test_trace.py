@@ -3,6 +3,8 @@ import threading
 import pytest
 
 from repro.observe import SIM, WALL, Tracer, trace
+from repro.observe.stream import FlightRecorder
+from repro.observe.trace import ID, TAG, SpanBatch, SpanKind, SpanRecord
 from repro.util.errors import ObserveError, ReproError
 
 
@@ -105,6 +107,91 @@ class TestTracer:
         for th in threads:
             th.join()
         assert len(t) == 400
+
+
+def batch(kinds, kind, *, ids=None, starts=None, seconds=None, tags=None):
+    n = len(kind)
+    return SpanBatch(
+        kinds,
+        kind=kind,
+        id=ids if ids is not None else [0] * n,
+        start=starts if starts is not None else [float(i) for i in range(n)],
+        seconds=seconds if seconds is not None else [0.5] * n,
+        tag=tags if tags is not None else [0] * n,
+    )
+
+
+KERNEL = SpanKind("k", "gpu", SIM, "gcd", "kernel", process_id=True,
+                  args=(("gcd", ID), ("backend", "julia")))
+WRITE = SpanKind("w", "adios", SIM, "oss", "write",
+                 args=(("node", ID), ("step", TAG)))
+
+
+class TestSpanBatch:
+    def test_records_resolve_id_and_tag_columns(self):
+        b = batch((KERNEL, WRITE), [0, 1, 0], ids=[3, 7, 2 ** 40],
+                  starts=[0.0, 1.0, 2.0], seconds=[0.5, 0.25, 0.0],
+                  tags=[9, 4, 9])
+        assert b.records() == [
+            SpanRecord("k", "gpu", SIM, "gcd3", "kernel", 0.0, 0.5,
+                       args=(("gcd", 3), ("backend", "julia"))),
+            SpanRecord("w", "adios", SIM, "oss", "write", 1.0, 0.25,
+                       args=(("node", 7), ("step", 4))),
+            SpanRecord("k", "gpu", SIM, f"gcd{2 ** 40}", "kernel", 2.0, 0.0,
+                       args=(("gcd", 2 ** 40), ("backend", "julia"))),
+        ]
+        assert b.records(1, 2) == b.records()[1:2]
+
+    def test_add_spans_retains_records_and_feeds_plain_sinks(self):
+        recorder = FlightRecorder()
+        t = Tracer(sinks=[recorder])
+        b = batch((KERNEL, WRITE), [0, 0, 1, 0], ids=[0, 1, 0, 0])
+        assert t.add_spans(b) == 4
+        assert t.spans == b.records()
+        assert recorder.spans() == b.records()
+        assert t.add_spans(batch((KERNEL,), [])) == 0
+
+    def test_rejected_batch_registers_no_lane(self):
+        t = Tracer()
+        t.add_span("wall", cat="core", clock=WALL, process="p", thread="x",
+                   start=0.0, seconds=1.0)
+        clash = SpanKind("x", "core", SIM, "p", "x")
+        with pytest.raises(ObserveError, match="one lane, one clock"):
+            t.add_spans(batch((KERNEL, clash), [0, 1]))
+        # gcd0/kernel came first in the rejected batch; it stays free
+        t.add_span("wall", cat="gpu", clock=WALL, process="gcd0",
+                   thread="kernel", start=0.0, seconds=1.0)
+        assert [r.process for r in t.spans] == ["p", "gcd0"]
+
+    def test_clock_mixing_within_one_batch_raises(self):
+        t = Tracer()
+        wall_kernel = SpanKind("h", "gpu", WALL, "gcd", "kernel",
+                               process_id=True)
+        with pytest.raises(ObserveError, match="one lane, one clock"):
+            t.add_spans(batch((KERNEL, wall_kernel), [0, 1], ids=[5, 5]))
+        # different ids are different lanes
+        t.add_spans(batch((KERNEL, wall_kernel), [0, 1], ids=[5, 6]))
+        assert len(t) == 2
+
+    def test_bad_clock_and_negative_duration_record_nothing(self):
+        t = Tracer()
+        tai = SpanKind("a", "core", "tai", "p", "t")
+        with pytest.raises(ObserveError, match="unknown clock"):
+            t.add_spans(batch((tai,), [0]))
+        with pytest.raises(ObserveError, match="'k' has negative duration -1.0"):
+            t.add_spans(batch((KERNEL,), [0, 0], seconds=[0.5, -1.0]))
+        assert len(t) == 0
+        # neither rejected batch bound its lanes to a clock
+        t.add_span("a", cat="core", clock=WALL, process="p", thread="t",
+                   start=0, seconds=0)
+        t.add_span("b", cat="gpu", clock=WALL, process="gcd0",
+                   thread="kernel", start=0, seconds=0)
+
+    def test_malformed_columns_rejected(self):
+        with pytest.raises(ObserveError, match="equal length"):
+            batch((KERNEL,), [0, 0], ids=[1])
+        with pytest.raises(ObserveError, match="kind index"):
+            batch((KERNEL,), [0, 1])
 
 
 class TestGlobalSwitch:

@@ -88,6 +88,21 @@ class TestEpochEventQueue:
         assert len(queue) == 6
         assert seconds.size == 6
 
+    def test_order_equals_structured_argsort_on_ties(self):
+        rng = np.random.default_rng(7)
+        queue = EpochEventQueue()
+        for op in (2, 1, 3, 2, 0):
+            # few distinct times, so most events tie on ``when``
+            when = rng.integers(0, 4, size=50).astype(np.float64) * 0.5
+            queue.push(op, when, rng.random(50), np.arange(50), tag=op)
+        events, seconds, tags = queue.sorted_events()
+        raw = np.concatenate([chunk[0] for chunk in queue._chunks])
+        expected = raw[np.argsort(raw, order=("when", "seq"))]
+        assert events.tobytes() == expected.tobytes()
+        raw_seconds = np.concatenate([chunk[1] for chunk in queue._chunks])
+        assert seconds.tolist() == raw_seconds[expected["seq"]].tolist()
+        assert tags.tolist() == expected["op"].tolist()
+
     def test_empty_push_ignored(self):
         queue = EpochEventQueue()
         queue.push(1, np.empty(0), 1.0, np.empty(0, dtype=np.int64))
