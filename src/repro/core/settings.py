@@ -48,7 +48,7 @@ class GrayScottSettings:
     checkpoint_freq: int = 700
     #: RNG seed for the noise term
     seed: int = 42
-    #: compute backend: "cpu" (vectorized NumPy) or a simulated GPU
+    #: compute backend: "cpu" (the lowered kernel) or a simulated GPU
     #: backend name ("julia", "hip")
     backend: str = "cpu"
     #: adios engine for output

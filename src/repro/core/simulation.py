@@ -7,7 +7,8 @@ passed; serial runs pass ``comm=None``.
 
 Backends (``settings.backend``):
 
-- ``"cpu"`` — vectorized NumPy stepping;
+- ``"cpu"`` — the kernel's lowered whole-array NumPy function, called
+  directly;
 - ``"julia"`` / ``"hip"`` — the simulated-GPU path: the same update
   runs through :class:`repro.gpu.memory.Device` kernel launches, which
   also produces modeled kernel timings, rocprof counters, and JIT
@@ -30,11 +31,7 @@ from repro.core.domain import LocalDomain, mirror_ghosts, serial_wrap_ghosts
 from repro.core.exchange import exchange_ghosts
 from repro.core.params import GrayScottParams
 from repro.core.settings import GrayScottSettings
-from repro.core.stencil import (
-    kernel_args,
-    make_gray_scott_kernel,
-    step_vectorized,
-)
+from repro.core.stencil import kernel_args, make_gray_scott_kernel
 from repro.gpu.kernel import LaunchConfig
 from repro.gpu.memory import Device, DeviceArray
 from repro.gpu.rocprof import Profiler
@@ -99,7 +96,7 @@ class Simulation:
         # --- backend ----------------------------------------------------------
         self.backend = settings.backend
         self.device: Device | None = None
-        self._kernel = None
+        self._kernel = make_gray_scott_kernel()
         self._dargs: tuple[DeviceArray, ...] | None = None
         if self.backend != "cpu":
             if self.dtype != np.float64:
@@ -110,7 +107,6 @@ class Simulation:
                 )
             name = f"gcd{comm.rank if comm else 0}"
             self.device = Device(name=name, backend=self.backend, profiler=profiler)
-            self._kernel = make_gray_scott_kernel()
             self._wrap_device_fields()
 
         self.initialize()
@@ -243,14 +239,7 @@ class Simulation:
         with self.wall.section("exchange"), self._observe_span("step.exchange"):
             self.exchange()
         with self.wall.section("compute"), self._observe_span("step.compute"):
-            if self.device is None:
-                step_vectorized(
-                    self.u, self.v, self.u_new, self.v_new, self.params,
-                    seed=self.seed, step=self.step_count,
-                    global_start=self.domain.start,
-                )
-            else:
-                self._launch_gpu_step()
+            self._launch_step()
         self.u, self.u_new = self.u_new, self.u
         self.v, self.v_new = self.v_new, self.v
         if self.device is not None:
@@ -261,18 +250,23 @@ class Simulation:
             rank = self.cart.rank if self.cart is not None else 0
             tracer.metrics.counter("core.steps", rank=rank).inc()
 
-    def _launch_gpu_step(self) -> None:
-        assert self.device is not None and self._kernel is not None
+    def _launch_step(self) -> None:
+        """One application-kernel launch: on the device, or on the host."""
         m0, m1, m2 = self.domain.ghosted_shape
-        wgs = self.device.backend.workgroup_size
+        wgs = self.device.backend.workgroup_size if self.device else m2
         config = LaunchConfig.for_domain((m2, m1, m0), (min(wgs, m2), 1, 1))
-        d = self._dfields
+        d = self._dfields if self.device is not None else {
+            "u": self.u, "v": self.v, "u_new": self.u_new, "v_new": self.v_new,
+        }
         args = kernel_args(
             d["u"], d["v"], d["u_new"], d["v_new"], self.params,
             seed=self.seed, step=self.step_count,
             global_start=self.domain.start,
         )
-        self.device.launch(self._kernel, config.grid, config.workgroup, args)
+        if self.device is None:
+            self._kernel.execute(config, args)
+        else:
+            self.device.launch(self._kernel, config.grid, config.workgroup, args)
 
     def run(self, steps: int | None = None, *, on_step=None) -> None:
         """Run ``steps`` steps (default: settings.steps), with a hook.

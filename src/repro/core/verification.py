@@ -15,7 +15,7 @@ so the *exact* discrete evolution of any initial field is
 :func:`exact_diffusion_evolution` computes that; the verification tests
 require the time-stepping solver to match it to machine precision over
 many steps — a correctness oracle independent of the solver's own code
-path, not merely reference-vs-vectorized self-consistency.
+path, not merely self-consistency between two implementations.
 """
 
 from __future__ import annotations

@@ -23,8 +23,10 @@ subscripts reveal their constant stencil offsets).
 
 from __future__ import annotations
 
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partialmethod
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -122,6 +124,15 @@ class Affine:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+#: symbol prefix of scalar launch parameters (seed, step, Du, ...) in
+#: parametric traces; launch axes are the bare symbols x, y, z
+PARAM_PREFIX = "$"
+
+
+def _has_param(expr: Affine) -> bool:
+    return any(sym.startswith(PARAM_PREFIX) for sym, _ in expr.linear_part)
+
+
 # ---------------------------------------------------------------------------
 # traced values
 # ---------------------------------------------------------------------------
@@ -138,10 +149,11 @@ class TracedInt:
         self.expr = expr
 
     def __int__(self) -> int:
+        if self.tracer.params is not None and self.expr.linear_part:
+            raise TraceError(f"traced index {self.expr} used as a concrete int")
         return self.value
 
-    def __index__(self) -> int:
-        return self.value
+    __index__ = __int__
 
     @staticmethod
     def _coerce(tracer: "Tracer", other) -> "TracedInt":
@@ -178,30 +190,30 @@ class TracedInt:
 
     __rmul__ = __mul__
 
-    # comparisons drive guards; they evaluate on the concrete value.
-    def __eq__(self, other):
-        try:
-            return self.value == int(other)
-        except (TypeError, ValueError):
-            return NotImplemented
+    # comparisons drive guards; they evaluate on the concrete value and
+    # are noted on the tracer, which is how lowering recovers the box
+    def _compare(self, op: str, other):
+        if isinstance(other, TracedInt):
+            value, expr = other.value, other.expr
+        else:
+            try:
+                value = int(other)
+            except (TypeError, ValueError):
+                return NotImplemented
+            expr = Affine.constant(value)
+        diff = self.expr - expr
+        if _has_param(diff):
+            raise TraceError(f"launch parameter decides control flow ({diff})")
+        result = _COMPARE[op](self.value, value)
+        self.tracer.guards.append((diff, op, result))
+        return result
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
-            return eq
-        return not eq
-
-    def __lt__(self, other):
-        return self.value < int(other)
-
-    def __le__(self, other):
-        return self.value <= int(other)
-
-    def __gt__(self, other):
-        return self.value > int(other)
-
-    def __ge__(self, other):
-        return self.value >= int(other)
+    __eq__ = partialmethod(_compare, "==")
+    __ne__ = partialmethod(_compare, "!=")
+    __lt__ = partialmethod(_compare, "<")
+    __le__ = partialmethod(_compare, "<=")
+    __gt__ = partialmethod(_compare, ">")
+    __ge__ = partialmethod(_compare, ">=")
 
     def __hash__(self) -> int:
         # consistent with __eq__, which compares concrete values: a
@@ -212,6 +224,9 @@ class TracedInt:
     def __repr__(self) -> str:  # pragma: no cover
         return f"TracedInt({self.value}, {self.expr})"
 
+
+_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 _BINOPS = {
     "fadd": lambda a, b: a + b,
@@ -287,7 +302,14 @@ class TracedFloat:
         return result
 
     def __float__(self) -> float:
+        if self.tracer.params is not None:
+            raise TraceError("a traced float leaves the traced dataflow")
         return self.value
+
+    def __bool__(self) -> bool:
+        if self.tracer.params is not None:
+            raise TraceError("a traced float decides control flow")
+        return True  # an object's default truth, as before
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"TracedFloat({self.value}, {self.ssa})"
@@ -449,11 +471,21 @@ class KernelTrace:
 
 
 class Tracer:
-    """Records one symbolic execution of a kernel body."""
+    """Records one symbolic execution of a kernel body.
 
-    def __init__(self, kernel_name: str):
+    ``params`` names the scalar launch arguments traced as symbols
+    (``$name``) rather than literals. It is set (possibly empty) only by
+    :mod:`repro.ir.lower`, whose parametric traces refuse any traced
+    value that leaves the dataflow: a float or index made concrete, or a
+    float deciding a branch. ``guards`` collects every index comparison
+    as ``(lhs - rhs, op, result)``.
+    """
+
+    def __init__(self, kernel_name: str, params: tuple[str, ...] | None = None):
         self.trace = KernelTrace(kernel_name)
         self._ssa_counter = 0
+        self.params = params
+        self.guards: list[tuple[Affine, str, bool]] = []
 
     def fresh_ssa(self) -> str:
         self._ssa_counter += 1
@@ -645,6 +677,9 @@ class TraceMemo:
         self.misses = 0
         self.bypasses = 0
         self.disk_hits = 0
+        #: launch signature -> its ``repro.ir.lower.LoweredKernel``, or
+        #: None for a launch that runs interpreted
+        self.lowered: OrderedDict[tuple, object] = OrderedDict()
         #: optional persistent tier — anything with ``lookup(key)`` /
         #: ``store(key, kernel, trace)``, in practice a
         #: :class:`repro.gpu.jitcache.JitDiskCache`
@@ -735,6 +770,7 @@ class TraceMemo:
 
     def clear(self) -> None:
         self._entries.clear()
+        self.lowered.clear()
 
     @property
     def tiers(self) -> dict:

@@ -5,23 +5,21 @@ a scalar body is invoked once per workitem, computes its global index
 from ``workgroup_idx``/``workgroup_dim``/``workitem_idx``, guards the
 domain boundary, and reads/writes device arrays.
 
-Each kernel carries two interchangeable implementations:
-
-- the **scalar body** — the ground truth, executed per-workitem by the
-  interpreter (exact but slow; used for small grids, for tests, and as
-  the input to the tracing JIT), and
-- an optional **vectorized** implementation — a whole-array NumPy
-  version used as the fast path for real simulation runs.
-
-``tests/gpu`` asserts the two agree bitwise on small grids (per-cell
-RNG keys make even the noisy Gray-Scott kernel deterministic).
+The scalar body is the only source of a kernel. The tracing JIT reads it
+for the cost model and lint, and :meth:`Kernel.execute` runs it lowered
+to fused whole-array NumPy (:mod:`repro.ir.lower`). A launch that cannot
+be lowered runs :meth:`Kernel._interpret`, one body call per workitem,
+which is also the oracle the tests compare the lowered path against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.cluster.frontier import GcdSpec
 from repro.util.errors import LaunchError
@@ -109,19 +107,16 @@ class KernelContext:
 
 
 class Kernel:
-    """A named GPU kernel with scalar and (optional) vectorized bodies.
+    """A named GPU kernel: one scalar body, lowered or interpreted.
 
     Parameters
     ----------
     name:
         Kernel symbol name; appears in IR listings and profiler output.
     body:
-        ``body(ctx: KernelContext, *args)`` — the scalar ground truth.
-        Array arguments arrive as raw ``numpy`` arrays (or traced
-        stand-ins during JIT tracing); scalar arguments pass through.
-    vectorized:
-        Optional ``vectorized(extent, *args)`` whole-array fast path,
-        where ``extent`` is the launch's global extent.
+        ``body(ctx: KernelContext, *args)``. Array arguments arrive as
+        raw ``numpy`` arrays (or traced stand-ins during JIT tracing);
+        scalar arguments pass through.
     uses_rand:
         Whether the body consumes per-workitem random numbers (the
         Gray-Scott noise term). Affects the codegen cost model.
@@ -134,42 +129,55 @@ class Kernel:
         name: str,
         body: Callable,
         *,
-        vectorized: Callable | None = None,
         uses_rand: bool = False,
         flops_per_workitem: int = 0,
     ) -> None:
         self.name = name
         self.body = body
-        self.vectorized = vectorized
         self.uses_rand = uses_rand
         self.flops_per_workitem = flops_per_workitem
 
-    def execute(self, config: LaunchConfig, args, *, force_interpreter: bool = False):
+    def execute(self, config: LaunchConfig, args) -> None:
         """Run the kernel functionally over the whole launch."""
         from repro.gpu.memory import DeviceArray
+        from repro.ir.lower import run
 
         raw = [a.data if isinstance(a, DeviceArray) else a for a in args]
-        if self.vectorized is not None and not force_interpreter:
-            self.vectorized(config.global_extent, *raw)
-            return
-        self._interpret(config, raw)
+        if not run(self, config, args, raw):
+            self._interpret(config, raw)
 
     def _interpret(self, config: LaunchConfig, raw_args) -> None:
-        """The exact per-workitem reference execution (slow path)."""
-        gx, gy, gz = config.grid
-        wx, wy, wz = config.workgroup
-        for bx in range(gx):
-            for by in range(gy):
-                for bz in range(gz):
-                    for tx in range(wx):
-                        for ty in range(wy):
-                            for tz in range(wz):
-                                ctx = KernelContext(
-                                    workgroup_idx=(bx, by, bz),
-                                    workgroup_dim=(wx, wy, wz),
-                                    workitem_idx=(tx, ty, tz),
-                                )
-                                self.body(ctx, *raw_args)
+        """The exact per-workitem reference execution (slow path).
+
+        Loads from float16/float32 arrays arrive as Python floats, so
+        the body computes in float64 and rounds once at the store, like
+        the lowered path.
+        """
+        raw_args = [
+            _Float64Loads(a) if isinstance(a, np.ndarray) and a.dtype.kind == "f"
+            and a.dtype.itemsize < 8 else a
+            for a in raw_args
+        ]
+        for wg in product(*map(range, config.grid)):
+            for wi in product(*map(range, config.workgroup)):
+                self.body(KernelContext(wg, config.workgroup, wi), *raw_args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Kernel({self.name!r}, uses_rand={self.uses_rand})"
+
+
+class _Float64Loads:
+    """A narrow float array whose element loads are Python floats."""
+
+    __slots__ = ("data", "shape")
+
+    def __init__(self, data: np.ndarray):
+        self.data = data
+        self.shape = data.shape
+
+    def __getitem__(self, index):
+        value = self.data[index]
+        return float(value) if isinstance(value, np.generic) else value
+
+    def __setitem__(self, index, value) -> None:
+        self.data[index] = value

@@ -4,8 +4,9 @@ Promotes the tracing JIT's :class:`~repro.gpu.jit.KernelTrace` to an
 SSA IR (:mod:`repro.ir.core`) shared by the kernel lint (analyses in
 :mod:`repro.ir.analysis` back the KRN-* rules) and the predictive
 performance models (rewrites in :mod:`repro.ir.passes` produce the
-post-optimization IR that :mod:`repro.ir.perfmodel` costs). See
-``docs/IR.md`` for the grammar, pass list, and legality conditions.
+post-optimization IR that :mod:`repro.ir.perfmodel` costs), and
+:mod:`repro.ir.lower` emits the NumPy function every kernel launch
+runs. See ``docs/IR.md`` for the grammar, passes, and lowering.
 """
 
 from repro.ir.analysis import (

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from repro.gpu.jit import Affine, MemoryAccess
+from repro.gpu.jit import PARAM_PREFIX, Affine, MemoryAccess
 from repro.util.errors import IrError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -121,6 +121,9 @@ class StencilFunc:
     tile: tuple[int, ...] | None = None
     #: source kernel names (more than one after fusion)
     provenance: tuple[str, ...] = ()
+    #: scalar launch parameters (``$name``) of a parametric trace; they
+    #: appear as arith operands and as symbols of rand keys
+    params: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.provenance:
@@ -219,12 +222,16 @@ class StencilFunc:
         """
         problems: list[str] = []
         defined: set[str] = set()
-        symbols = set(self.symbols)
+        symbols = set(self.symbols) | set(self.params)
 
         def check_operand(operand: str, where: str) -> None:
             if operand.startswith("%"):
                 if operand not in defined:
                     problems.append(f"{where}: use of undefined value {operand}")
+                return
+            if operand.startswith(PARAM_PREFIX):
+                if operand not in self.params:
+                    problems.append(f"{where}: undeclared parameter {operand}")
                 return
             try:
                 float(operand)
@@ -295,6 +302,8 @@ class StencilFunc:
             for name, dtype in self.array_dtypes.items()
         )
         head = f"stencil.func @{self.name}({params}) halo<{self.ghost}>"
+        if self.params:
+            head += f" params<{', '.join(self.params)}>"
         if self.tile is not None:
             head += f" tile<{' x '.join(str(t) for t in self.tile)}>"
         lines = [head + " {"]
@@ -468,11 +477,12 @@ def from_trace(
     """
     ops: list[Op] = []
     symbols: set[str] = set()
+    params: set[str] = set()
 
     def note_exprs(exprs) -> None:
         for expr in exprs:
             for sym, _ in expr.linear_part:
-                symbols.add(sym)
+                (params if sym.startswith(PARAM_PREFIX) else symbols).add(sym)
 
     for record in trace.ops:
         kind = record[0]
@@ -482,6 +492,7 @@ def from_trace(
             ops.append(LoadOp(ssa, array, tuple(exprs)))
         elif kind == "arith":
             _, ssa, op_name, lhs, rhs = record
+            params.update(o for o in (lhs, rhs) if o.startswith(PARAM_PREFIX))
             ops.append(ArithOp(ssa, op_name, lhs, rhs))
         elif kind == "rand":
             _, ssa, keys = record
@@ -507,6 +518,7 @@ def from_trace(
         array_dtypes=dict(trace.array_dtypes),
         array_shapes=dict(trace.array_shapes),
         type_escapes=tuple(trace.type_escapes),
+        params=tuple(sorted(params)),
     )
     problems = func.verify()
     if problems:

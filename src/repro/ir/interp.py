@@ -3,8 +3,8 @@
 Executes a :class:`~repro.ir.core.StencilFunc` cell by cell over the
 guarded interior, in op order — the same arithmetic, in the same order,
 as the scalar kernel body the func was traced from, so results are
-**bitwise identical** to :meth:`repro.gpu.kernel.Kernel.execute` with
-``force_interpreter=True``. The rewrite-pass property tests lean on
+**bitwise identical** to :meth:`repro.gpu.kernel.Kernel._interpret`
+and to the lowered kernel. The rewrite-pass property tests lean on
 this: any legal pipeline must leave the evaluated output bit-identical,
 because every pass only removes recomputation (CSE/RLE/DSE) or
 interleaves bodies whose cells are independent (fusion legality).

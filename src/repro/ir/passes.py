@@ -400,6 +400,7 @@ class StencilFusion(Pass):
             type_escapes=tuple([*a.type_escapes, *b.type_escapes]),
             tile=a.tile if a.tile is not None else b.tile,
             provenance=tuple([*a.provenance, *b.provenance]),
+            params=tuple(sorted({*a.params, *b.params})),
         )
         problems = fused.verify()
         if problems:  # pragma: no cover - guards future rewrite bugs

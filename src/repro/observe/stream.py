@@ -98,9 +98,13 @@ def span_to_record(span: SpanRecord) -> dict:
     return record
 
 
+#: ``json.dumps(..., separators=(",", ":"))`` without a new encoder per call
+_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def _span_line(span: SpanRecord) -> str:
     """One JSONL shard line: the compact JSON of :func:`span_to_record`."""
-    return json.dumps(span_to_record(span), separators=(",", ":"))
+    return _LINE_ENCODER.encode(span_to_record(span))
 
 
 def _template_json(value) -> str:

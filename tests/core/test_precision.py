@@ -5,8 +5,8 @@ import numpy as np
 from repro.core.params import GrayScottParams
 from repro.core.settings import GrayScottSettings
 from repro.core.simulation import Simulation
-from repro.core.stencil import step_reference, step_vectorized
 from repro.mpi.executor import run_spmd
+from tests.oracles.stencil import step_reference, step_vectorized
 
 INTERIOR = (slice(1, -1),) * 3
 

@@ -3,17 +3,19 @@ import pytest
 
 from repro.core.params import GrayScottParams
 from repro.core.stencil import (
-    check_ghosted,
     kernel_args,
     laplacian_at,
-    laplacian_field,
     make_gray_scott_kernel,
     make_laplacian_kernel,
+)
+from repro.gpu.kernel import KernelContext, LaunchConfig
+from repro.util.errors import ConfigError
+from tests.oracles.stencil import (
+    check_ghosted,
+    laplacian_field,
     step_reference,
     step_vectorized,
 )
-from repro.gpu.kernel import LaunchConfig
-from repro.util.errors import ConfigError
 
 
 def _fields(n=8, seed=0):
@@ -88,11 +90,44 @@ class TestStepImplementations:
         p = GrayScottParams()
         kernel = make_gray_scott_kernel()
         cfg = LaunchConfig.for_domain(tuple(reversed(u.shape)), (4, 4, 4))
-        kernel.execute(cfg, kernel_args(u, v, u1, v1, p, seed=1, step=0),
-                       force_interpreter=True)
+        kernel._interpret(cfg, kernel_args(u, v, u1, v1, p, seed=1, step=0))
         kernel.execute(cfg, kernel_args(u, v, u2, v2, p, seed=1, step=0))
         assert np.array_equal(u1[INTERIOR], u2[INTERIOR])
         assert np.array_equal(v1[INTERIOR], v2[INTERIOR])
+
+    def test_float32_interpreter_computes_in_float64(self):
+        """float32 fields: the interpreter, the lowered kernel and the
+        loop oracle all compute in float64 and round once at the store
+        (NumPy scalar promotion would otherwise keep float32 math)."""
+        shape = (6, 7, 8)  # a 4x5x6 interior
+        rng = np.random.default_rng(11)
+        u = np.asfortranarray(rng.random(shape, dtype=np.float32))
+        v = np.asfortranarray(rng.random(shape, dtype=np.float32))
+        out = {
+            name: (np.zeros(shape, np.float32, order="F"),
+                   np.zeros(shape, np.float32, order="F"))
+            for name in ("interp", "lowered", "oracle", "f32math")
+        }
+        p = GrayScottParams(noise=0.05)
+        kernel = make_gray_scott_kernel()
+        cfg = LaunchConfig.for_domain(tuple(reversed(shape)), (4, 4, 4))
+        kernel._interpret(cfg, kernel_args(u, v, *out["interp"], p, seed=3, step=1))
+        kernel.execute(cfg, kernel_args(u, v, *out["lowered"], p, seed=3, step=1))
+        step_reference(u, v, *out["oracle"], p, seed=3, step=1)
+        # the body called on raw float32 arrays computes in float32
+        f32_args = kernel_args(u, v, *out["f32math"], p, seed=3, step=1)
+        for k in range(1, shape[2] - 1):
+            for j in range(1, shape[1] - 1):
+                for i in range(1, shape[0] - 1):
+                    ctx = KernelContext((0, 0, 0), (1, 1, 1), (k, j, i))
+                    kernel.body(ctx, *f32_args)
+        for name in ("interp", "lowered"):
+            for got, want in zip(out[name], out["oracle"]):
+                assert np.array_equal(got, want), name
+        assert any(
+            not np.array_equal(got, want)
+            for got, want in zip(out["f32math"], out["oracle"])
+        )
 
     def test_boundary_untouched(self):
         u, v, u1, v1 = _fields()
@@ -164,7 +199,7 @@ class TestLaplacianKernel:
         out2 = np.zeros(shape, order="F")
         kernel = make_laplacian_kernel()
         cfg = LaunchConfig.for_domain(shape, (4, 4, 4))
-        kernel.execute(cfg, (var, out1, shape, 0.2, 1.0), force_interpreter=True)
+        kernel._interpret(cfg, (var, out1, shape, 0.2, 1.0))
         kernel.execute(cfg, (var, out2, shape, 0.2, 1.0))
         assert np.array_equal(out1[INTERIOR], out2[INTERIOR])
         expected = var[INTERIOR] + 0.2 * laplacian_field(var) * 1.0

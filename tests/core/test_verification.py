@@ -5,13 +5,14 @@ import pytest
 
 from repro.core.params import GrayScottParams
 from repro.core.domain import serial_wrap_ghosts
-from repro.core.stencil import step_vectorized
+from repro.core.stencil import kernel_args, make_gray_scott_kernel
 from repro.core.verification import (
     diffusion_error,
     exact_diffusion_evolution,
     laplacian_eigenvalues,
     max_stable_dt,
 )
+from repro.gpu.kernel import LaunchConfig
 from repro.util.errors import ConfigError
 
 
@@ -67,7 +68,7 @@ class TestSolverMatchesExactSolution:
     """The time-stepping solver vs. the Fourier oracle."""
 
     def _run_solver(self, field0, D, dt, steps):
-        """Drive step_vectorized in pure-diffusion mode (U channel)."""
+        """Drive the lowered kernel in pure-diffusion mode (U channel)."""
         n = field0.shape[0]
         shape = tuple(s + 2 for s in field0.shape)
         u = np.zeros(shape, order="F")
@@ -76,10 +77,14 @@ class TestSolverMatchesExactSolution:
         u_new = np.zeros_like(u)
         v_new = np.zeros_like(v)
         params = GrayScottParams(Du=D, Dv=0.0, F=0.0, k=0.0, noise=0.0, dt=dt)
+        kernel = make_gray_scott_kernel()
+        config = LaunchConfig.for_domain(shape[::-1], (shape[2], 1, 1))
         for step in range(steps):
             serial_wrap_ghosts(u)
             serial_wrap_ghosts(v)
-            step_vectorized(u, v, u_new, v_new, params, seed=0, step=step)
+            kernel.execute(
+                config, kernel_args(u, v, u_new, v_new, params, seed=0, step=step)
+            )
             u, u_new = u_new, u
             v, v_new = v_new, v
         return u[1:-1, 1:-1, 1:-1]

@@ -54,12 +54,12 @@ def _fill_body(ctx, out, value):
     out[x, y, z] = value + x + 10 * y + 100 * z
 
 
-def _fill_vectorized(extent, out, value):
+def _scale_body(ctx, src, out, value):
+    x, y, z = ctx.global_idx()
     n0, n1, n2 = out.shape
-    x = np.arange(n0)[:, None, None]
-    y = np.arange(n1)[None, :, None]
-    z = np.arange(n2)[None, None, :]
-    out[...] = value + x + 10 * y + 100 * z
+    if x >= n0 or y >= n1 or z >= n2:
+        return
+    out[x, y, z] = value * src[x, y, z] + 1.0
 
 
 class TestKernelExecution:
@@ -72,13 +72,31 @@ class TestKernelExecution:
         assert out[4, 4, 4] == 1.0 + 4 + 40 + 400
 
     def test_vectorized_matches_interpreter(self):
+        """The lowered whole-array path equals the per-workitem body."""
+        from repro.ir.lower import lower
+
+        src = np.asfortranarray(np.random.default_rng(1).random((6, 5, 4)))
         a = np.zeros((6, 5, 4), order="F")
         b = np.zeros((6, 5, 4), order="F")
-        kernel = Kernel("fill", _fill_body, vectorized=_fill_vectorized)
+        kernel = Kernel("scale", _scale_body)
         cfg = LaunchConfig.for_domain(a.shape, (4, 4, 4))
-        kernel.execute(cfg, (a, 2.0), force_interpreter=True)
-        kernel.execute(cfg, (b, 2.0))
+        assert lower(kernel, [src, b, 2.0], cfg).nbuf == 1
+        kernel._interpret(cfg, (src, a, 2.0))
+        kernel.execute(cfg, (src, b, 2.0))
         assert np.array_equal(a, b)
+
+    def test_type_escape_runs_the_interpreter(self):
+        """The fill body turns indices into floats, so it cannot lower."""
+        from repro.ir.lower import lower
+        from repro.util.errors import IrError
+
+        out = np.zeros((6, 5, 4), order="F")
+        cfg = LaunchConfig.for_domain(out.shape, (4, 4, 4))
+        kernel = Kernel("fill", _fill_body)
+        with pytest.raises(IrError, match="type escape"):
+            lower(kernel, [out, 2.0], cfg)
+        kernel.execute(cfg, (out, 2.0))
+        assert out[5, 4, 3] == 2.0 + 5 + 40 + 300
 
     def test_guard_prevents_out_of_bounds(self):
         # grid overshoots the array; the guard must absorb it

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from repro.gpu.rand import counter_hash, counter_uniform, uniform_field
+from repro.gpu.rand import counter_hash, counter_uniform
+from tests.oracles.stencil import uniform_field
 
 
 class TestCounterUniform:

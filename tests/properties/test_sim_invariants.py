@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.core.params import GrayScottParams
 from repro.core.settings import GrayScottSettings
 from repro.core.simulation import Simulation
-from repro.core.stencil import laplacian_field, step_vectorized
+from tests.oracles.stencil import laplacian_field, step_vectorized
 
 
 class TestLaplacianProperties:
@@ -41,7 +41,7 @@ class TestStepProperties:
     @given(st.integers(0, 2**31 - 1), st.integers(0, 100))
     @settings(max_examples=20, deadline=None)
     def test_reference_equals_vectorized_for_any_seed(self, seed, step):
-        from repro.core.stencil import step_reference
+        from tests.oracles.stencil import step_reference
 
         rng = np.random.default_rng(seed)
         shape = (6, 6, 6)
