@@ -129,10 +129,6 @@ class Affine:
 PARAM_PREFIX = "$"
 
 
-def _has_param(expr: Affine) -> bool:
-    return any(sym.startswith(PARAM_PREFIX) for sym, _ in expr.linear_part)
-
-
 # ---------------------------------------------------------------------------
 # traced values
 # ---------------------------------------------------------------------------
@@ -202,9 +198,9 @@ class TracedInt:
                 return NotImplemented
             expr = Affine.constant(value)
         diff = self.expr - expr
-        if _has_param(diff):
+        if any(sym.startswith(PARAM_PREFIX) for sym, _ in diff.linear_part):
             raise TraceError(f"launch parameter decides control flow ({diff})")
-        result = _COMPARE[op](self.value, value)
+        result = COMPARE[op](self.value, value)
         self.tracer.guards.append((diff, op, result))
         return result
 
@@ -214,6 +210,7 @@ class TracedInt:
     __le__ = partialmethod(_compare, "<=")
     __gt__ = partialmethod(_compare, ">")
     __ge__ = partialmethod(_compare, ">=")
+    __bool__ = partialmethod(_compare, "!=", 0)
 
     def __hash__(self) -> int:
         # consistent with __eq__, which compares concrete values: a
@@ -225,8 +222,8 @@ class TracedInt:
         return f"TracedInt({self.value}, {self.expr})"
 
 
-_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
-            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+           "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 _BINOPS = {
     "fadd": lambda a, b: a + b,
@@ -747,20 +744,29 @@ class TraceMemo:
             if trace is not None:
                 self.disk_hits += 1
                 self._count_tier("disk")
-                self._insert(key, kernel, trace)
+                self._insert(self._entries, key, (kernel, trace))
                 return trace
         self.misses += 1
         self._count_tier("trace")
         trace = trace_kernel(kernel, args)
-        self._insert(key, kernel, trace)
+        self._insert(self._entries, key, (kernel, trace))
         if self.disk is not None:
             self.disk.store(key, kernel, trace)
         return trace
 
-    def _insert(self, key: tuple, kernel, trace: KernelTrace) -> None:
-        self._entries[key] = (kernel, trace)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
+    def _insert(self, table: OrderedDict, key: tuple, value) -> None:
+        table[key] = value
+        while len(table) > self.maxsize:
+            table.popitem(last=False)
+
+    def lowering(self, key: tuple, build):
+        """The launch lowering cached under ``key``, or ``build()``'s."""
+        if key in self.lowered:
+            self.lowered.move_to_end(key)
+            return self.lowered[key]
+        value = build()
+        self._insert(self.lowered, key, value)
+        return value
 
     @staticmethod
     def _count_tier(tier: str) -> None:

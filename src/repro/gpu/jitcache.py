@@ -271,7 +271,7 @@ class JitDiskCache:
             if entry is None:
                 continue
             header, trace = entry
-            memo._insert(freeze_key(header["key"]), None, trace)
+            memo._insert(memo._entries, freeze_key(header["key"]), (None, trace))
             loaded += 1
         return loaded
 

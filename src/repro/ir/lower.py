@@ -13,7 +13,8 @@ the ``out=`` of the op defining its value. The iteration box comes from
 the guard comparisons the trace records, and cells outside it that a
 store window spans are saved and put back. The function sweeps the box
 in chunks of whole planes that fit in cache, with per-thread buffers.
-See ``docs/IR.md``, "Lowering", for the full rules.
+Only launches over 3-D Fortran-ordered arrays of one shape lower. See
+``docs/IR.md``, "Lowering", for the full rules.
 
 :func:`run` is how :meth:`repro.gpu.kernel.Kernel.execute` executes a
 launch; it returns False when the launch cannot be lowered and the
@@ -29,6 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from repro.gpu.jit import (
+    COMPARE,
     PARAM_PREFIX,
     Affine,
     TracedArray,
@@ -53,23 +55,20 @@ PASSES = ("rle", "cse", "dse")
 CHUNK = 1 << 16
 _UFUNCS = {"fadd": "add", "fsub": "subtract", "fmul": "multiply", "fdiv": "divide"}
 _PYOPS = {"fadd": "+", "fsub": "-", "fmul": "*", "fdiv": "/"}
-_NEGATE = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", ">": "<=", "<=": ">"}
-_MIRROR = {"==": "==", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
 
 def _arguments(kernel, raw) -> list[tuple[str, str, object]]:
     """(kind, name, value) per argument: array, float, int or const."""
-    try:
-        names = list(inspect.signature(kernel.body).parameters)[1:]
-    except (TypeError, ValueError):
-        names = []
+    names = list(inspect.signature(kernel.body).parameters)[1:]
     if len(names) != len(raw):
-        names = [f"arg{position}" for position in range(len(raw))]
+        raise IrError("the body does not name one parameter per argument")
     out = []
     for name, arg in zip(names, raw):
-        if isinstance(arg, np.ndarray) and arg.ndim >= 1:
-            if arg.dtype.name not in ("float16", "float32", "float64"):
-                raise IrError(f"array {name} of dtype {arg.dtype} is not float")
+        if isinstance(arg, np.ndarray):
+            if arg.ndim != 3 or not arg.flags.f_contiguous or arg.dtype.name not in (
+                "float16", "float32", "float64"
+            ):
+                raise IrError(f"array {name} is not a 3-D Fortran-ordered float array")
             out.append(("array", name, arg))
         elif isinstance(arg, tuple):  # keyed by value in the memo signature
             out.append(("const", name, arg))
@@ -107,38 +106,15 @@ def _trace(kernel, arguments, point) -> Tracer:
     return tracer
 
 
-def _box(guards, extent) -> tuple[list[int], list[int]]:
-    """The launch box [lo, hi) where every guard decides as traced."""
-    lo, hi = [0, 0, 0], list(extent)
-    for diff, op, result in guards:
-        terms = diff.linear_part
-        if not terms:
-            continue
-        if len(terms) != 1 or terms[0][0] not in AXES or abs(terms[0][1]) != 1:
-            raise IrError(f"guard on {diff} is not a per-axis bound")
-        (sym, coeff), a = terms[0], AXES.index(terms[0][0])
-        op = op if result else _NEGATE[op]
-        op = op if coeff == 1 else _MIRROR[op]
-        bound = -coeff * diff.const  # the guard reads: sym OP bound
-        if op in ("<", "<="):
-            hi[a] = min(hi[a], bound + (op == "<="))
-        elif op in (">", ">="):
-            lo[a] = max(lo[a], bound + (op == ">"))
-        elif op == "==":
-            lo[a], hi[a] = max(lo[a], bound), min(hi[a], bound + 1)
-        elif bound == lo[a]:  # a hole on an edge of the box shrinks it
-            lo[a] += 1
-        elif bound == hi[a] - 1:
-            hi[a] -= 1
-        elif lo[a] < bound < hi[a]:
-            raise IrError(f"guard excludes {sym} = {bound} inside the box")
-    if any(a >= b for a, b in zip(lo, hi)):
-        raise IrError("the guards admit no workitem")
-    return lo, hi
-
-
 def _trace_box(kernel, arguments, extent):
-    """The interior trace and its box, with one workitem past each face."""
+    """The interior trace and its launch box ``[(lo, hi)]`` per axis.
+
+    A workitem outside the box makes some guard decide differently from
+    the interior; the first such guard is the one it flips. So each guard
+    is probed at the nearest coordinate on each side that flips it, and
+    the probe must record the interior's guards up to that one, then
+    nothing: no op and no further comparison.
+    """
     for c in (2, 1, 0):
         point = tuple(min(c, e - 1) for e in extent)
         tracer = _trace(kernel, arguments, point)
@@ -146,23 +122,40 @@ def _trace_box(kernel, arguments, extent):
             break
     else:
         raise IrError("no traced workitem reaches the kernel body")
-    lo, hi = _box(tracer.guards, extent)
-    for a in range(3):
-        for outside in (lo[a] - 1, hi[a]):
-            probe = list(point)
-            probe[a] = outside
-            if 0 <= outside < extent[a] and _trace(kernel, arguments, probe).trace.ops:
-                raise IrError(f"workitem {tuple(probe)} outside the guarded box runs ops")
-    return tracer.trace, lo, hi
+    guards = tracer.guards
+    inside = [np.ones(e, bool) for e in extent]
+    for j, (diff, op, result) in enumerate(guards):
+        if not diff.linear_part:
+            continue
+        if len(diff.linear_part) != 1 or diff.linear_part[0][0] not in AXES:
+            raise IrError(f"guard on {diff} is not a per-axis bound")
+        (sym, coeff), a = diff.linear_part[0], AXES.index(diff.linear_part[0][0])
+        same = COMPARE[op](np.arange(extent[a]) * coeff + diff.const, 0) == result
+        inside[a] &= same
+        flips = np.flatnonzero(~same)
+        for probe in (flips[flips < point[a]][-1:], flips[flips > point[a]][:1]):
+            if probe.size:
+                at = list(point)
+                at[a] = int(probe[0])
+                seen = _trace(kernel, arguments, at)
+                if seen.trace.ops or seen.guards != [*guards[:j], (diff, op, not result)]:
+                    raise IrError(f"workitem {tuple(at)} outside the guarded box runs "
+                                  "ops or takes another branch")
+    box = []
+    for a, mask in enumerate(inside):
+        cells = np.flatnonzero(mask)
+        if cells[-1] - cells[0] + 1 != cells.size:
+            raise IrError(f"a guard excludes cells inside the box on axis {AXES[a]}")
+        box.append((int(cells[0]), int(cells[-1]) + 1))
+    return tracer.trace, box
 
 
 class LoweredKernel:
     """One launch signature's lowered function and its per-thread buffers."""
 
-    def __init__(self, func, source, namespace, nbuf, size, strides, stored):
+    def __init__(self, func, source, namespace, nbuf, size, arrays, stored):
         self.func, self.source, self.nbuf, self.size = func, source, nbuf, size
-        self._strides = strides  # position -> byte strides it was lowered for
-        self._stored = stored
+        self._arrays, self._stored = arrays, stored
         self._local = threading.local()
         namespace["scratch"] = self.scratch
         exec(compile(source, f"<lowered {func.name}>", "exec"), namespace)
@@ -176,10 +169,10 @@ class LoweredKernel:
         return bufs
 
     def __call__(self, raw) -> bool:
-        """Run over raw launch args; False (nothing written) when a layout
-        differs from the lowered one or a stored array overlaps another."""
-        for p, strides in self._strides.items():
-            if raw[p].strides != strides:
+        """Run over raw launch args; False (nothing written) when an array
+        is not Fortran-ordered or a stored array overlaps another."""
+        for p in self._arrays:
+            if not raw[p].flags.f_contiguous:
                 return False
             for s in self._stored:
                 if s != p and np.may_share_memory(raw[s], raw[p]):
@@ -195,30 +188,23 @@ def lower(kernel, raw, config, passes=PASSES) -> LoweredKernel:
     ``passes`` is the per-func pipeline run before emission.
     """
     arguments = _arguments(kernel, raw)
-    trace, lo, hi = _trace_box(kernel, arguments, config.global_extent)
+    trace, box = _trace_box(kernel, arguments, config.global_extent)
     func, _ = PassManager(passes).run_func(from_trace(trace))
     if func.type_escapes:
         raise IrError(f"type escape: {func.type_escapes[0][1]}")
     pos = {name: p for p, (_, name, _) in enumerate(arguments)}
-    arrays = [value for kind, _, value in arguments if kind == "array"]
-    if not arrays:
-        raise IrError("no array arguments")
-    first = arrays[0]
-    elems = tuple(s // first.itemsize for s in first.strides)
-    if not (first.flags.f_contiguous or first.flags.c_contiguous) or any(
-        a.shape != first.shape or tuple(s // a.itemsize for s in a.strides) != elems
-        for a in arrays
-    ):
-        raise IrError("arrays differ in shape or are not one contiguous layout")
+    shapes = {value.shape for kind, _, value in arguments if kind == "array"}
+    if len(shapes) != 1:
+        raise IrError("the array arguments differ in shape")
+    (shape,) = shapes
     stores = [op.array for op in func.ops if isinstance(op, StoreOp)]
     if {op.array for op in func.ops if isinstance(op, LoadOp)} & set(stores) or len(
         set(stores)
     ) != len(stores):
         raise IrError("an array is stored twice, or stored and loaded")
 
-    # every access is one launch symbol per array axis, the same everywhere
-    shape, ndim = first.shape, first.ndim
-    axis_sym: list[str | None] = [None] * ndim
+    # every access indexes array axis a by one launch symbol, axis_sym[a]
+    axis_sym: list[str | None] = [None, None, None]
     for op in func.ops:
         if isinstance(op, (LoadOp, StoreOp)):
             for a, expr in enumerate(op.exprs):
@@ -228,69 +214,77 @@ def lower(kernel, raw, config, passes=PASSES) -> LoweredKernel:
                 ):
                     raise IrError(f"{op.access} is not axis + const on a fixed axis")
                 axis_sym[a] = terms[0][0]
-    box = [AXES.index(s) if s else -1 for s in axis_sym]
-    if sorted(box) != [0, 1, 2]:
+    if sorted(map(str, axis_sym)) != sorted(AXES):
         raise IrError("the launch axes do not map one to one onto array axes")
-    alo, ahi = [lo[s] for s in box], [hi[s] for s in box]
+    lo, hi = zip(*(box[AXES.index(s)] for s in axis_sym))
+    namespace: dict = {"axis_keys": axis_keys, "uniform_into": uniform_into,
+                       "copyto": np.copyto, "f8": np.float64}
+    namespace.update((name, getattr(np, name)) for name in _UFUNCS.values())
 
-    def offset(op) -> int:
-        for a, expr in enumerate(op.exprs):
-            if alo[a] + expr.const < 0 or ahi[a] + expr.const > shape[a]:
-                raise IrError(f"{op.access} leaves the array")
-        return sum(expr.const * e for expr, e in zip(op.exprs, elems))
-
-    # flat range of the box, swept in chunks of whole planes of the
-    # outermost axis; buffer offset w maps flat c0 to 0 in its plane
-    f_lo = sum(a * e for a, e in zip(alo, elems))
-    f_hi = sum((b - 1) * e for b, e in zip(ahi, elems)) + 1
-    perm = sorted(range(ndim), key=lambda a: (shape[a] == 1, -elems[a]))
-    outer, plane = perm[0], elems[perm[0]]
-    depth = ahi[outer] - alo[outer]
+    # the box is the flat range [f_lo, f_hi) of the Fortran-ordered arrays,
+    # less the ghost cells between its rows; it is swept in chunks of whole
+    # planes of the last axis, and buffer slice w maps flat c0 to 0 in its plane
+    strides = (1, shape[0], shape[0] * shape[1])
+    f_lo = sum(l * e for l, e in zip(lo, strides))
+    f_hi = sum((h - 1) * e for h, e in zip(hi, strides)) + 1
+    plane, depth = strides[2], hi[2] - lo[2]
     planes = -(-depth // -(-depth // max(1, CHUNK // plane)))  # balanced chunks
-    inside = np.zeros_like(first, dtype=bool)
-    inside[tuple(slice(a, b) for a, b in zip(alo, ahi))] = True
-    ghosts = np.flatnonzero(~inside.ravel("K")[f_lo:f_hi]) + f_lo
-    chunks = []
-    for q in range(alo[outer], ahi[outer], planes):
+    inside = np.zeros(shape, bool, order="F")
+    inside[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = True
+    ghosts = np.flatnonzero(~inside.ravel("F")[f_lo:f_hi]) + f_lo
+    chunks = namespace["chunks"] = []
+    for q in range(lo[2], hi[2], planes):
         c0, c1 = max(f_lo, q * plane), min(f_hi, (q + planes) * plane)
-        k = min(planes, ahi[outer] - q)
+        k = min(planes, hi[2] - q)
         chunks.append((c0, c1, q, k, slice(c0 - q * plane, c1 - q * plane)))
+    head: list[str] = []  # once per call, before the sweep
+    body: list[str] = []  # once per chunk
+    tail: list[str] = []  # once per call, after the sweep
+
+    def window(op) -> str:
+        if any(l + e.const < 0 or h + e.const > n
+               for l, h, e, n in zip(lo, hi, op.exprs, shape)):
+            raise IrError(f"{op.access} leaves the array")
+        d = sum(e.const * s for e, s in zip(op.exprs, strides))
+        return f"f{pos[op.array]}[c0 + {d}:c1 + {d}]"
+
+    def store(op) -> str:
+        # the window spans ghost cells between box rows: keep them
+        p, d = pos[op.array], sum(e.const * s for e, s in zip(op.exprs, strides))
+        namespace[f"g{p}"] = ghosts + d
+        head.append(f"saved{p} = f{p}[g{p}]")
+        tail.append(f"f{p}[g{p}] = saved{p}")
+        return window(op)
 
     def key_code(key) -> str:
+        # the chunk's rand field is laid out (planes, rows, columns): the
+        # Fortran memory order, so array axis a is field axis 2 - a
         if not isinstance(key, Affine):
             return str(int(key))
-        syms = [s for s, _ in key.linear_part if not s.startswith(PARAM_PREFIX)]
+        axes = [s for s, _ in key.linear_part if not s.startswith(PARAM_PREFIX)]
         code = " + ".join([str(key.const)] + [
-            f"{c}*a{pos[s]}" for s, c in key.linear_part if s not in syms])
-        if syms and (len(syms) != 1 or syms[0] not in AXES
-                     or key.coefficient(syms[0]) != 1):
+            f"{c}*a{pos[s]}" for s, c in key.linear_part if s not in axes])
+        if not axes:
+            return code
+        if len(axes) != 1 or key.coefficient(axes[0]) != 1:
             raise IrError(f"rand key {key} is not axis + const")
-        if syms:
-            a = box.index(AXES.index(syms[0]))
-            if a == outer:
-                return f"axis_keys({code} + q, k, 0, {ndim})"
-            code = f"axis_keys({code}, {shape[a]}, {perm.index(a)}, {ndim})"
-        head.append(f"h{len(head)} = {code}")  # the same for every chunk
+        a = axis_sym.index(axes[0])
+        if a == 2:
+            return f"axis_keys({code} + q, k, 0, 3)"
+        head.append(f"h{len(head)} = axis_keys({code}, {shape[a]}, {2 - a}, 3)")
         return f"h{len(head) - 1}"
 
-    uses: dict[str, int] = {}
     last: dict[str, int] = {}  # operand -> index of the op that uses it last
+    uses: dict[str, int] = {}
     for i, op in enumerate(func.ops):
         for name in (op.lhs, op.rhs) if isinstance(op, ArithOp) else (
                 (op.value,) if isinstance(op, StoreOp) else ()):
             uses[name], last[name] = uses.get(name, 0) + 1, i
     direct = {op.value: op for op in func.ops
               if isinstance(op, StoreOp) and uses[op.value] == 1}
-
-    namespace: dict = {"axis_keys": axis_keys, "uniform_into": uniform_into,
-                       "copyto": np.copyto, "f8": np.float64, "chunks": chunks}
-    namespace.update((name, getattr(np, name)) for name in _UFUNCS.values())
     values: dict[str, tuple[str, str]] = {}  # ssa -> (kind, source)
     free: list[int] = []
     nbuf = 0
-    head: list[str] = []  # once per call, before the sweep
-    body: list[str] = []  # once per chunk
-    tail: list[str] = []  # once per call, after the sweep
 
     def take() -> int:
         nonlocal nbuf
@@ -304,9 +298,8 @@ def lower(kernel, raw, config, passes=PASSES) -> LoweredKernel:
             return values[name]
         if name.startswith(PARAM_PREFIX):
             return "scalar", f"a{pos[name]}"
-        const = f"k{len(namespace)}"
-        namespace[const] = float(name)
-        return "scalar", const
+        namespace[f"k{len(namespace)}"] = float(name)
+        return "scalar", f"k{len(namespace) - 1}"
 
     def release(names, i: int) -> None:
         for name in set(names):
@@ -314,26 +307,13 @@ def lower(kernel, raw, config, passes=PASSES) -> LoweredKernel:
             if kind == "buf" and last[name] == i:
                 free.append(int(source[1:source.index("[")]))
 
-    def window(op) -> str:
-        d = offset(op)
-        return f"f{pos[op.array]}[c0 + {d}:c1 + {d}]"
-
-    def store(op) -> str:
-        # the flat window also spans ghost cells between box rows: save
-        # them before the sweep and put them back after it
-        p, d = pos[op.array], offset(op)
-        namespace[f"g{p}"] = ghosts + d
-        head.append(f"saved{p} = f{p}[g{p}]")
-        tail.append(f"f{p}[g{p}] = saved{p}")
-        return window(op)
-
     for i, op in enumerate(func.ops):
         if isinstance(op, LoadOp):
             narrow = raw[pos[op.array]].dtype != np.float64
             values[op.result] = ("narrow" if narrow else "view", window(op))
         elif isinstance(op, ArithOp):
             (lk, lhs), (rk, rhs) = operand(op.lhs), operand(op.rhs)
-            if lk == rk == "scalar":
+            if lk == rk == "scalar":  # parameter-only math, once per call
                 values[op.result] = ("scalar", f"s{op.result[1:]}")
                 head.append(f"s{op.result[1:]} = {lhs} {_PYOPS[op.op]} {rhs}")
                 continue
@@ -350,9 +330,9 @@ def lower(kernel, raw, config, passes=PASSES) -> LoweredKernel:
             keys = ", ".join(key_code(key) for key in op.keys)
             out, tmp = take(), take()
             free.append(tmp)
-            rest = "".join(f", {shape[a]}" for a in perm[1:])
-            body.append(f"uniform_into(({keys},), b{out}[:k * {plane}].reshape(k{rest}), "
-                        f"b{tmp}[:k * {plane}].reshape(k{rest}))")
+            body.append(f"uniform_into(({keys},), b{out}[:k * {plane}].reshape(k, "
+                        f"{shape[1]}, {shape[0]}), b{tmp}[:k * {plane}].reshape(k, "
+                        f"{shape[1]}, {shape[0]}))")
             values[op.result] = ("buf", f"b{out}[w]")
         elif values.get(op.value, ("",))[0] != "stored":
             body.append(f"copyto({store(op)}, {operand(op.value)[1]})")
@@ -360,47 +340,39 @@ def lower(kernel, raw, config, passes=PASSES) -> LoweredKernel:
 
     params = ", ".join(f"a{p}" for p in range(len(arguments)))
     lines = [f"def lowered({params}):"]
-    lines += [f"    b{b} = scratch()[{b}]" for b in range(nbuf)]
-    lines += [f"    f{pos[name]} = a{pos[name]}.ravel('K')"
+    if nbuf:
+        lines.append(f"    {', '.join(f'b{b}' for b in range(nbuf))}, = scratch()")
+    lines += [f"    f{pos[name]} = a{pos[name]}.ravel('F')"
               for kind, name, _ in arguments if kind == "array"]
     lines += [f"    {line}" for line in head]
     lines.append("    for c0, c1, q, k, w in chunks:")
     lines += [f"        {line}" for line in body]
     lines += [f"    {line}" for line in tail]
-    strides = {p: arg.strides for p, (kind, _, arg) in enumerate(arguments)
-               if kind == "array"}
-    return LoweredKernel(func, "\n".join(lines) + "\n", namespace, nbuf,
-                         planes * plane, strides, tuple(pos[a] for a in stores))
-
-
-_LOCK = threading.Lock()
+    arrays = tuple(p for p, (kind, _, _) in enumerate(arguments) if kind == "array")
+    return LoweredKernel(func, "\n".join(lines) + "\n", namespace, nbuf, planes * plane,
+                         arrays, tuple(pos[a] for a in stores))
 
 
 def lowered_kernel(kernel, config, args, raw) -> LoweredKernel | None:
-    """The lowering of a launch, cached beside the trace memo under its
+    """The lowering of a launch, cached on the trace memo under its
     signature; None (cached too) when the launch cannot be lowered."""
     memo = trace_memo()
     key = memo.signature(kernel, args, config)
     if key is None:
         return None
-    with _LOCK:
-        if key in memo.lowered:
-            memo.lowered.move_to_end(key)
-            return memo.lowered[key]
-    try:
-        lowered = lower(kernel, raw, config)
-    except Exception as exc:  # the body runs interpreted, which reports its own errors
-        lowered = None
-        tracer = observe.active()
-        if tracer is not None:
-            tracer.metrics.counter(
-                "ir.lower.refused", kernel=kernel.name, reason=type(exc).__name__
-            ).inc()
-    with _LOCK:
-        memo.lowered[key] = lowered
-        while len(memo.lowered) > memo.maxsize:
-            memo.lowered.popitem(last=False)
-    return lowered
+
+    def build() -> LoweredKernel | None:
+        try:
+            return lower(kernel, raw, config)
+        except Exception as exc:  # the body runs interpreted, which reports its own errors
+            tracer = observe.active()
+            if tracer is not None:
+                tracer.metrics.counter(
+                    "ir.lower.refused", kernel=kernel.name, reason=type(exc).__name__
+                ).inc()
+            return None
+
+    return memo.lowering(key, build)
 
 
 def run(kernel, config, args, raw) -> bool:

@@ -55,11 +55,12 @@ class TestGrayScott:
         step_vectorized(u, v, ou, ov, p, seed=9, step=4, global_start=(3, 0, 7))
         assert np.array_equal(un, ou) and np.array_equal(vn, ov)
 
-    def test_c_ordered_fields_lower_too(self):
+    def test_c_ordered_fields_are_interpreted(self):
         u, v, un, vn = (np.ascontiguousarray(a) for a in _fields((5, 6, 4), seed=4))
         ou, ov = np.zeros_like(un), np.zeros_like(vn)
         p, kernel, cfg = GrayScottParams(), make_gray_scott_kernel(), _config(u.shape)
-        assert lower(kernel, list(kernel_args(u, v, un, vn, p, seed=2, step=1)), cfg)
+        with pytest.raises(IrError, match="Fortran-ordered"):
+            lower(kernel, list(kernel_args(u, v, un, vn, p, seed=2, step=1)), cfg)
         kernel.execute(cfg, kernel_args(u, v, un, vn, p, seed=2, step=1))
         kernel._interpret(cfg, kernel_args(u, v, ou, ov, p, seed=2, step=1))
         assert np.array_equal(un, ou) and np.array_equal(vn, ov)
@@ -98,6 +99,14 @@ def _box_body(ctx, src, out):
     out[x, y, z] = src[x - 1, y, z] * 0.5 + src[x + 1, y, z]
 
 
+def _truthy_body(ctx, src, out):
+    """``not x`` is the guard ``x != 0``."""
+    x, y, z = ctx.global_idx()
+    if not x or x >= out.shape[0] or y >= out.shape[1] or z >= out.shape[2]:
+        return
+    out[x, y, z] = src[x, y, z] * 2.0
+
+
 def _hole_body(ctx, src, out):
     x, y, z = ctx.global_idx()
     if x == 3 or x >= out.shape[0] or y >= out.shape[1] or z >= out.shape[2]:
@@ -111,6 +120,30 @@ def _boundary_body(ctx, src, out):
         return
     if x == 0:
         out[x, y, z] = 0.0
+        return
+    out[x, y, z] = src[x, y, z]
+
+
+def _nested_body(ctx, src, out):
+    """Writes the x = 0 plane from inside the branch the box excludes."""
+    x, y, z = ctx.global_idx()
+    if x >= out.shape[0] or y >= out.shape[1] or z >= out.shape[2]:
+        return
+    if x < 2:
+        if x == 0:
+            out[x, y, z] = 1.0
+        return
+    out[x, y, z] = src[x, y, z]
+
+
+def _corner_body(ctx, src, out):
+    """Writes only the (0, 0, z) edge beside the box."""
+    x, y, z = ctx.global_idx()
+    if x >= out.shape[0] or y >= out.shape[1] or z >= out.shape[2]:
+        return
+    if x == 0:
+        if y == 0:
+            out[x, y, z] = 1.0
         return
     out[x, y, z] = src[x, y, z]
 
@@ -151,9 +184,21 @@ class TestWhatLowers:
         kernel.execute(cfg, (src, out))
         assert np.array_equal(out, expect)
 
+    def test_index_truth_is_a_guard(self):
+        src, out = self._arrays()
+        kernel = Kernel("truthy", _truthy_body)
+        cfg = LaunchConfig.for_domain(out.shape, (1, 1, 1))
+        assert lower(kernel, [src, out], cfg).nbuf == 0
+        expect = np.zeros_like(out)
+        kernel._interpret(cfg, (src, expect))
+        kernel.execute(cfg, (src, out))
+        assert np.array_equal(out, expect) and not out[0].any()
+
     @pytest.mark.parametrize("body, reason", [
         (_hole_body, "inside the box"),
         (_boundary_body, "outside the guarded box runs ops"),
+        (_nested_body, "outside the guarded box runs ops"),
+        (_corner_body, "outside the guarded box runs ops"),
         (_unguarded_body, "leaves the array"),
     ])
     def test_refused_kernels_run_the_interpreter(self, body, reason):

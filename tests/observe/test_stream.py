@@ -29,7 +29,9 @@ from repro.observe.stream import (
     worker_shard_spec,
     write_merged,
 )
-from repro.observe.trace import ID, SIM, TAG, WALL, SpanBatch, SpanKind, Tracer
+from repro.observe.trace import (
+    ID, SIM, TAG, WALL, SpanBatch, SpanKind, SpanRecord, Tracer,
+)
 from repro.util.errors import ObserveError
 
 
@@ -180,6 +182,53 @@ def awkward_batch(start, seconds):
         seconds=seconds,
         tag=[2 ** 62 - i for i in range(n)],
     )
+
+
+def recorded_lines(tmp_path, spans):
+    sink = ShardedPerfettoWriter(tmp_path / "spans.jsonl", flush_threshold=3)
+    for span in spans:
+        sink.record(span)
+    sink.close()
+    return (tmp_path / "spans.jsonl").read_text().splitlines()
+
+
+class TestSpanSerialization:
+    """Single spans are buffered as records and formatted at flush."""
+
+    def test_lines_equal_per_span_json(self, tmp_path):
+        inf, nan = float("inf"), float("nan")
+        spans = [
+            SpanRecord("step.compute", "core", WALL, "rank0", "core", 0.1, 1 / 3,
+                       (("step", 3),)),
+            SpanRecord('q"u\\o%s', "c\u00e9", SIM, "p\u2603", "t\n", nan, inf,
+                       (("b", True), ("n", None), ("l", [1, 2.5]), ("x", -inf)), "i"),
+            SpanRecord("ints", "c", SIM, "p", "t", 3, 2 ** 70, ((1, "k"), ("s", 0))),
+            SpanRecord("dup", "c", SIM, "p", "t", -0.0, 5e-324, (("k", 1), ("k", 2))),
+            SpanRecord("empty", "c", WALL, "p", "t", 1e22, 0.0),
+        ]
+        assert recorded_lines(tmp_path, spans) == [
+            json.dumps(span_to_record(s), separators=(",", ":")) for s in spans
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        text=st.lists(st.text(max_size=6), min_size=6, max_size=6),
+        times=st.tuples(st.floats(), st.one_of(st.floats(), st.integers())),
+        args=st.dictionaries(
+            st.text(max_size=4),
+            st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                      st.text(max_size=4)),
+            max_size=4,
+        ),
+    )
+    def test_lines_equal_per_span_json_property(
+        self, tmp_path_factory, text, times, args
+    ):
+        span = SpanRecord(*text[:5], *times, tuple(sorted(args.items())), text[5])
+        tmp_path = tmp_path_factory.mktemp("span")
+        assert recorded_lines(tmp_path, [span]) == [
+            json.dumps(span_to_record(span), separators=(",", ":"))
+        ]
 
 
 class TestBatchSerialization:
