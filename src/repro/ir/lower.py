@@ -81,6 +81,20 @@ def _arguments(kernel, raw) -> list[tuple[str, str, object]]:
     return out
 
 
+class _LaunchPoint(KernelContext):
+    """The traced workitem: a global index and no workgroup, so a body
+    that reads workgroup or workitem ids does not lower."""
+
+    def __init__(self, index) -> None:
+        object.__setattr__(self, "index", index)
+
+    def global_idx(self):
+        return self.index
+
+    def __getattr__(self, name):
+        raise TraceError(f"the body reads ctx.{name}, which depends on the workgroup")
+
+
 def _trace(kernel, arguments, point) -> Tracer:
     """Trace ``kernel.body`` once at launch point ``point``."""
     params = tuple(n for kind, n, _ in arguments if kind in ("float", "int"))
@@ -100,7 +114,7 @@ def _trace(kernel, arguments, point) -> Tracer:
             args.append(value)
     index = tuple(TracedInt(tracer, p, Affine.symbol(a)) for p, a in zip(point, AXES))
     try:
-        kernel.body(KernelContext((0, 0, 0), (1, 1, 1), index), *args)
+        kernel.body(_LaunchPoint(index), *args)
     except TraceError as exc:
         raise IrError(f"cannot trace {kernel.name}: {exc}") from exc
     return tracer

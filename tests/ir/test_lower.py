@@ -148,6 +148,16 @@ def _corner_body(ctx, src, out):
     out[x, y, z] = src[x, y, z]
 
 
+def _workitem_body(ctx, src, out):
+    """Skips the first workitem of every workgroup: all of them at (1, 1, 1)."""
+    x, y, z = ctx.global_idx()
+    if ctx.workitem_idx[0] == 0 or x >= out.shape[0] or y >= out.shape[1] or (
+        z >= out.shape[2]
+    ):
+        return
+    out[x, y, z] = src[x, y, z]
+
+
 def _sqrt_body(ctx, src, out, D):
     x, y, z = ctx.global_idx()
     if x >= out.shape[0] or y >= out.shape[1] or z >= out.shape[2]:
@@ -200,6 +210,7 @@ class TestWhatLowers:
         (_nested_body, "outside the guarded box runs ops"),
         (_corner_body, "outside the guarded box runs ops"),
         (_unguarded_body, "leaves the array"),
+        (_workitem_body, "depends on the workgroup"),
     ])
     def test_refused_kernels_run_the_interpreter(self, body, reason):
         src, out = self._arrays()
