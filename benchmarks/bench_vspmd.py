@@ -19,7 +19,11 @@ Pass/fail contract (exit 1 on violation):
   inside the CI budget;
 - the shard manifest's declared span count matches the modeled event
   schedule (every rank's jit/kernel/halo span plus one write span per
-  node leader).
+  node leader);
+- on a fixed 2,048-rank overlap run (10 steps, output every 5), the
+  epoch engine's event rate is at least :data:`MIN_RATE_SPEEDUP` (5x)
+  that of the per-rank generator reference ``_run_serial``, best of 3
+  interleaved passes each.
 
 Results land in ``BENCH_vspmd.json``. CI runs this in the
 ``bench-vspmd`` job; locally::
@@ -35,6 +39,34 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+#: floor on the epoch engine's event rate over the generator reference
+MIN_RATE_SPEEDUP = 5.0
+
+#: virtual ranks of the event-rate comparison (independent of --ranks)
+RATE_CHECK_RANKS = 2048
+
+
+def measure_rate_speedup() -> float:
+    """Epoch-engine over generator-reference event rate, best of each."""
+    from repro.core.settings import GrayScottSettings
+    from repro.core.virtual import VirtualWorkflow
+
+    settings = GrayScottSettings(L=64, steps=10, plotgap=5, backend="julia")
+
+    def rate(method) -> float:
+        workflow = VirtualWorkflow(
+            settings, nranks=RATE_CHECK_RANKS, overlap=True
+        )
+        t0 = time.perf_counter()
+        result = method(workflow)
+        return result.events_processed / (time.perf_counter() - t0)
+
+    epoch = serial = 0.0
+    for _ in range(3):
+        epoch = max(epoch, rate(VirtualWorkflow.run))
+        serial = max(serial, rate(VirtualWorkflow._run_serial))
+    return epoch / serial
 
 
 def main(argv=None) -> int:
@@ -105,6 +137,13 @@ def main(argv=None) -> int:
                 f"manifest declares {declared} spans, schedule "
                 f"expected {expected}"
             )
+        rate_speedup = measure_rate_speedup()
+        if rate_speedup < MIN_RATE_SPEEDUP:
+            failures.append(
+                f"epoch-engine event rate is only {rate_speedup:.2f}x the "
+                f"generator reference at {RATE_CHECK_RANKS} ranks, below "
+                f"the {MIN_RATE_SPEEDUP:.1f}x floor"
+            )
 
         payload = {
             "schema": "repro.bench.vspmd/1",
@@ -123,6 +162,9 @@ def main(argv=None) -> int:
             "shard_files": len(manifest["shards"]),
             "validate_seconds": round(validate_wall, 3),
             "trace_valid": not problems,
+            "rate_check_ranks": RATE_CHECK_RANKS,
+            "rate_speedup": round(rate_speedup, 3),
+            "min_rate_speedup": MIN_RATE_SPEEDUP,
             "failures": failures,
         }
 
@@ -134,6 +176,10 @@ def main(argv=None) -> int:
         f"{wall:.1f}s wall, {payload['events_per_second']:.0f} events/s, "
         f"{declared} spans in {payload['shard_files']} shard files "
         f"(validated in {validate_wall:.1f}s)"
+    )
+    print(
+        f"event rate at {RATE_CHECK_RANKS} ranks: {rate_speedup:.1f}x the "
+        f"generator reference (floor {MIN_RATE_SPEEDUP:.1f}x)"
     )
     print(f"results written to {out}")
     if failures:

@@ -172,15 +172,6 @@ def read_index(path: str | os.PathLike) -> Bp5Index:
     return Bp5Index.from_json(raw)
 
 
-def append_block(path: Path, subfile: int, payload) -> int:
-    """Append one raw block to a subfile; returns the write offset."""
-    target = path / f"data.{subfile}"
-    with open(target, "ab") as fh:
-        offset = fh.tell()
-        fh.write(payload)
-    return offset
-
-
 #: max buffers per writev() call (POSIX guarantees >= 16; Linux: 1024)
 _IOV_MAX = min(getattr(os, "sysconf", lambda _: 1024)("SC_IOV_MAX")
                if hasattr(os, "sysconf") else 1024, 1024)

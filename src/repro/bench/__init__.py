@@ -12,9 +12,6 @@ Submodules (one per experiment; see DESIGN.md's per-experiment index):
 - :mod:`repro.bench.fig8` — parallel I/O weak scaling.
 - :mod:`repro.bench.listings` — Listing 1 (bpls provenance) and
   Listing 4 (kernel IR).
-- :mod:`repro.bench.perfsuite` — self-performance suite: times the
-  simulator's own hot paths against their retained reference
-  implementations (``benchmarks/bench_selfperf.py``, CI-gated).
 
 Each submodule exposes a ``run(...)`` returning a structured result and
 a ``render(result)`` producing the paper-format text block; the

@@ -321,21 +321,15 @@ class TraceCacheSim:
     (misses) and hits; ``fetch_bytes`` is misses x line size for load
     accesses.
 
-    Two sweep engines produce identical counters:
-
-    - ``engine="scalar"`` — the original per-access Python loop,
-      retained as the bit-exact reference for differential testing;
-    - ``engine="vector"`` — a NumPy plane-batched replay (address
-      streams generated per z-plane, grouped per cache set, simulated
-      as lockstep LRU rounds over a dense tag matrix) that is two
-      orders of magnitude faster and exact: per-set access order is
-      preserved, and the only accesses it elides are provably hits
-      whose LRU refresh is a no-op.
-
-    ``engine="auto"`` (the default) picks the vector engine whenever
-    the configuration is inside its envelope and falls back to the
-    scalar loop otherwise. Both engines share the same cache state, so
-    sweeps and :meth:`access` calls can be freely interleaved.
+    Sweeps run as a NumPy plane-batched replay (address streams
+    generated per z-plane, grouped per cache set, simulated as lockstep
+    LRU rounds over a dense tag matrix). It is exact: per-set access
+    order is preserved, and the only accesses it elides are provably
+    hits whose LRU refresh is a no-op. Geometries outside its envelope
+    (a negative base address, or more plane entries than its 31-bit
+    sequence packing holds) fall back to the per-access loop. Both
+    share the same cache state, so sweeps and :meth:`access` calls can
+    be freely interleaved.
     """
 
     def __init__(
@@ -409,7 +403,6 @@ class TraceCacheSim:
         base_address: int = 0,
         store: bool = True,
         store_base_address: int | None = None,
-        engine: str = "auto",
     ) -> None:
         """Replay one stencil sweep over an array of ``shape``.
 
@@ -417,8 +410,6 @@ class TraceCacheSim:
         (pass distinct, page-aligned bases). The sweep walks interior
         cells in Fortran storage order — i fastest — which is also the
         order wavefronts retire in the real kernel's x-fastest launch.
-        ``engine`` selects the vectorized or scalar replay (identical
-        counters; see the class docstring).
         """
         n0, n1, n2 = shape
         stride0 = itemsize
@@ -435,7 +426,7 @@ class TraceCacheSim:
         ]
         if store:
             plan.append((store_base, 0, 0, 0, False))
-        self._dispatch_sweep(shape, itemsize, plan, radius, engine)
+        self._dispatch_sweep(shape, itemsize, plan, radius)
 
     def multi_sweep(
         self,
@@ -443,8 +434,6 @@ class TraceCacheSim:
         itemsize: int,
         loads_by_array: dict[str, set[tuple[int, ...]]],
         stores_by_array: dict[str, set[tuple[int, ...]]],
-        *,
-        engine: str = "auto",
     ) -> TrafficEstimate:
         """Exact counters for one interleaved multi-array stencil sweep.
 
@@ -452,8 +441,7 @@ class TraceCacheSim:
         arrays' loads then all stores, arrays living at page-separated
         base addresses in the same cache. Returns a
         :class:`TrafficEstimate` directly comparable with
-        :meth:`StencilTrafficModel.estimate`. ``engine`` selects the
-        vectorized or scalar replay (identical counters).
+        :meth:`StencilTrafficModel.estimate`.
         """
         n0, n1, n2 = shape
         array_bytes = n0 * n1 * n2 * itemsize
@@ -484,7 +472,7 @@ class TraceCacheSim:
         requests = ncells * len(plan)
         write_accesses = ncells * (len(plan) - n_load_accesses)
         fetch_misses_before = self.load_misses
-        self._dispatch_sweep(shape, itemsize, plan, radius, engine)
+        self._dispatch_sweep(shape, itemsize, plan, radius)
         fetch = (self.load_misses - fetch_misses_before) * self.line_bytes
         return TrafficEstimate(
             fetch_bytes=float(fetch),
@@ -500,8 +488,6 @@ class TraceCacheSim:
         func,
         shape: tuple[int, int, int],
         itemsize: int | None = None,
-        *,
-        engine: str = "auto",
     ) -> TrafficEstimate:
         """Exact counters for one launch of a (post-rewrite) stencil func.
 
@@ -509,15 +495,13 @@ class TraceCacheSim:
         is derived from the func's (possibly rewritten) load/store
         offset sets, so simulating the same func before and after a
         pass pipeline measures exactly what the rewrite changed. A
-        tiled func replays a tile-blocked traversal (scalar engine).
+        tiled func replays a tile-blocked traversal (per-access loop).
         """
         itemsize = itemsize if itemsize is not None else func.itemsize
         loads = func.loads_by_array()
         stores = func.stores_by_array()
         if func.tile is None:
-            return self.multi_sweep(
-                shape, itemsize, loads, stores, engine=engine
-            )
+            return self.multi_sweep(shape, itemsize, loads, stores)
         return self._multi_sweep_tiled(
             shape, itemsize, loads, stores, tuple(func.tile)
         )
@@ -598,7 +582,7 @@ class TraceCacheSim:
         )
 
     # ------------------------------------------------------------------
-    # engine dispatch
+    # replay
 
     def _dispatch_sweep(
         self,
@@ -606,22 +590,10 @@ class TraceCacheSim:
         itemsize: int,
         plan: list[_PlanEntry],
         radius: int,
-        engine: str,
     ) -> None:
-        if engine not in ("auto", "vector", "scalar"):
-            raise GpuError(f"unknown sweep engine {engine!r}")
-        if engine == "scalar":
-            self._sweep_scalar(shape, itemsize, plan, radius)
-            return
         try:
             self._sweep_vector(shape, itemsize, plan, radius)
         except _VectorSweepUnsupported:
-            if engine == "vector":
-                raise GpuError(
-                    "sweep geometry is outside the vector engine envelope "
-                    "(negative addresses or oversized set index); use "
-                    "engine='scalar'"
-                ) from None
             self._sweep_scalar(shape, itemsize, plan, radius)
 
     def _sweep_scalar(
@@ -631,7 +603,7 @@ class TraceCacheSim:
         plan: list[_PlanEntry],
         radius: int,
     ) -> None:
-        """The original per-access triple loop (bit-exact reference)."""
+        """The per-access triple loop behind :meth:`_sweep_vector`."""
         if self._dense is not None:
             self._materialize()
         n0, n1, n2 = shape
@@ -890,61 +862,3 @@ def _run_skip_is_exact(
 def seven_point_offsets() -> set[tuple[int, int, int]]:
     """The paper's 7-point Laplacian stencil offsets (Eq. 3)."""
     return set(_SEVEN_POINT)
-
-
-# ---------------------------------------------------------------------------
-# grid sweeps (Table 2/3-style campaigns), optionally process-parallel
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepCase:
-    """One independent (shape, access-set) cell of a cache sweep grid."""
-
-    shape: tuple[int, int, int]
-    itemsize: int
-    loads_by_array: dict
-    stores_by_array: dict
-    capacity_bytes: int
-    line_bytes: int = 64
-    associativity: int = 16
-    engine: str = "auto"
-
-
-@dataclass(frozen=True)
-class SweepCellResult:
-    """A :class:`SweepCase`'s traffic estimate plus raw TCC counters."""
-
-    case: SweepCase
-    estimate: TrafficEstimate
-    hits: int
-    misses: int
-    load_misses: int
-
-
-def run_sweep_case(case: SweepCase) -> SweepCellResult:
-    """Simulate one grid cell on a fresh simulator (picklable task fn)."""
-    sim = TraceCacheSim(
-        case.capacity_bytes, case.line_bytes, case.associativity
-    )
-    estimate = sim.multi_sweep(
-        case.shape, case.itemsize, case.loads_by_array,
-        case.stores_by_array, engine=case.engine,
-    )
-    return SweepCellResult(case, estimate, sim.hits, sim.misses, sim.load_misses)
-
-
-def sweep_grid(cases, *, jobs: int = 1) -> list[SweepCellResult]:
-    """Simulate every cell of a sweep grid, optionally process-parallel.
-
-    Each cell gets a fresh simulator, so cells are independent and the
-    grid fans out over a :func:`repro.par.run_tasks` pool at ``jobs >
-    1``; results come back in input order and are bit-identical to a
-    serial evaluation (``jobs=0`` means one worker per core).
-    """
-    case_list = list(cases)
-    if jobs == 1:
-        return [run_sweep_case(case) for case in case_list]
-    from repro.par import run_tasks
-
-    return run_tasks(run_sweep_case, case_list, jobs=jobs, chunksize=1)

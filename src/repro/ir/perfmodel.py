@@ -126,7 +126,6 @@ def simulate_module(
     capacity_bytes: int | None = None,
     line_bytes: int = 64,
     associativity: int = 16,
-    engine: str = "auto",
     spec: GcdSpec | None = None,
 ) -> ModuleCost:
     """Exact LRU simulation of the module's launches, state carried over.
@@ -144,7 +143,7 @@ def simulate_module(
     costs = []
     for func in module.funcs:
         size = itemsize if itemsize is not None else func.itemsize
-        traffic = sim.multi_sweep_func(func, shape, size, engine=engine)
+        traffic = sim.multi_sweep_func(func, shape, size)
         seconds = traffic.total_bytes / spec.hbm_peak_bytes_per_s
         costs.append(FuncCost(
             name=func.name,

@@ -189,9 +189,6 @@ class VectorDatatype(Datatype):
         return None
 
 
-_PACK_MODES = ("auto", "strided", "gather")
-
-
 def _strided_window(
     flat: np.ndarray, datatype: Datatype, offset_elements: int
 ) -> np.ndarray | None:
@@ -232,44 +229,26 @@ def _check_base(flat: np.ndarray, datatype: Datatype) -> None:
         )
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in _PACK_MODES:
-        raise DatatypeError(
-            f"pack/unpack mode must be one of {_PACK_MODES}, got {mode!r}"
-        )
-
-
 def pack(
     arr: np.ndarray,
     datatype: Datatype,
     *,
     offset_elements: int = 0,
-    mode: str = "auto",
 ) -> np.ndarray:
     """Gather the datatype's elements from ``arr`` into a wire buffer.
 
-    ``mode`` selects the implementation: ``"auto"`` (default) copies
-    regular vector/contiguous types through a NumPy strided view — the
-    ghost-face hot path — and falls back to the general fancy-index
-    gather otherwise; ``"strided"`` and ``"gather"`` force one path
-    (``"strided"`` raises for types with no regular layout). Both
-    produce bit-identical wire buffers (asserted by the property
-    suite).
+    Regular vector/contiguous types (every ghost face) copy through a
+    NumPy strided view; types with no regular layout, such as nested
+    vectors, fall back to a fancy-index gather over
+    :meth:`Datatype.element_offsets`.
     """
-    _check_mode(mode)
     flat = flat_view(arr)
     _check_base(flat, datatype)
-    if mode != "gather":
-        window = _strided_window(flat, datatype, offset_elements)
-        if window is not None:
-            out = np.empty(window.size, dtype=flat.dtype)
-            out.reshape(window.shape)[...] = window
-            return out
-        if mode == "strided":
-            raise DatatypeError(
-                f"{type(datatype).__name__} has no regular strided layout; "
-                "use mode='auto' or 'gather'"
-            )
+    window = _strided_window(flat, datatype, offset_elements)
+    if window is not None:
+        out = np.empty(window.size, dtype=flat.dtype)
+        out.reshape(window.shape)[...] = window
+        return out
     offsets = datatype.element_offsets() + offset_elements
     if offsets.size and (offsets.min() < 0 or offsets.max() >= flat.size):
         raise DatatypeError(
@@ -285,32 +264,24 @@ def unpack(
     wire: np.ndarray,
     *,
     offset_elements: int = 0,
-    mode: str = "auto",
 ) -> None:
     """Scatter a wire buffer into ``arr`` through the datatype.
 
-    ``mode`` works as in :func:`pack`; the strided path scatters with
-    one strided assignment instead of a fancy-index store.
+    The inverse of :func:`pack`: one strided assignment for regular
+    types, a fancy-index store otherwise.
     """
-    _check_mode(mode)
     flat = flat_view(arr)
     _check_base(flat, datatype)
     wire = np.asarray(wire)
-    if mode != "gather":
-        window = _strided_window(flat, datatype, offset_elements)
-        if window is not None:
-            if wire.size != window.size:
-                raise DatatypeError(
-                    f"wire buffer has {wire.size} elements, datatype "
-                    f"describes {window.size}"
-                )
-            window[...] = wire.reshape(window.shape)
-            return
-        if mode == "strided":
+    window = _strided_window(flat, datatype, offset_elements)
+    if window is not None:
+        if wire.size != window.size:
             raise DatatypeError(
-                f"{type(datatype).__name__} has no regular strided layout; "
-                "use mode='auto' or 'gather'"
+                f"wire buffer has {wire.size} elements, datatype "
+                f"describes {window.size}"
             )
+        window[...] = wire.reshape(window.shape)
+        return
     offsets = datatype.element_offsets() + offset_elements
     if wire.size != offsets.size:
         raise DatatypeError(

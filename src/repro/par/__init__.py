@@ -1,10 +1,9 @@
 """repro.par — process-parallel fan-out with deterministic merge.
 
 The paper's evaluation is embarrassingly parallel at the campaign
-level: the fig6/fig8 weak-scaling ladders, the cache-model sweeps, and
-the virtual-SPMD runs are independent configurations. This package
-spreads them over worker processes while keeping every output
-bit-identical to a serial run:
+level: the fig6/fig8 weak-scaling ladders and the virtual-SPMD runs
+are independent configurations. This package spreads them over worker
+processes while keeping every output bit-identical to a serial run:
 
 - :func:`~repro.par.pool.run_tasks` — the worker pool (chunked
   work-stealing, results merged by task index, per-worker trace
@@ -16,7 +15,7 @@ bit-identical to a serial run:
 
 Entry points: ``--jobs N`` on the ``run`` and ``bench`` CLI commands,
 ``jobs=`` keywords on ``bench.sweep.run_ladder``, the fig6/fig8
-drivers, ``gpu.cache.sweep_grid``, and ``VirtualWorkflow.run``. See
+drivers, and ``VirtualWorkflow.run``. See
 ``docs/PARALLEL.md`` for the determinism contract.
 """
 

@@ -1,7 +1,7 @@
 """Atomic file writes: write-then-rename, shared by every on-disk artifact.
 
 Three subsystems used to hand-roll the same tmp-file-plus-rename dance
-(the BP5 metadata index, the selfperf ``BENCH_*.json`` writers, the
+(the BP5 metadata index, the benchmark ``BENCH_*.json`` writers, the
 SARIF reporter); the persistent JIT cache made a fourth. This module is
 the single implementation: the payload lands in a uniquely-named
 temporary file *in the destination directory* (same filesystem, so the

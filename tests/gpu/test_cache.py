@@ -10,6 +10,7 @@ from repro.gpu.cache import (
     seven_point_offsets,
 )
 from repro.util.errors import GpuError
+from tests.oracles.cache import scalar_cache_sim
 
 
 class TestEffectiveSizes:
@@ -168,6 +169,30 @@ class TestTraceCacheSim:
             assert abs(measured - analytic) < 0.75, (shape, capacity, measured, analytic)
 
 
+class TestVectorFallback:
+    """Geometries outside the vector engine fall back to the loop."""
+
+    SHAPE = (10, 9, 8)
+    OFFSETS = {(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1)}
+
+    def _counters(self, sim, base_address):
+        sim.sweep(self.SHAPE, 8, self.OFFSETS, base_address=base_address)
+        return sim.hits, sim.misses, sim.load_misses
+
+    def test_negative_base_address_matches_forced_loop(self):
+        base = -(1 << 20)
+        counters = self._counters(TraceCacheSim(16 * 1024), base)
+        assert counters == self._counters(scalar_cache_sim(16 * 1024), base)
+        # LRU counters are invariant under a shift by whole cache
+        # images (line x sets bytes); this one lands on a base the
+        # vector engine accepts
+        sim = TraceCacheSim(16 * 1024)
+        shift = 2 << 20
+        assert shift % (sim.line_bytes * sim.num_sets) == 0
+        assert counters == self._counters(sim, base + shift)
+        assert counters[1] > 0
+
+
 @pytest.mark.slow
 class TestPaperScaleSweeps:
     """Acceptance scale (marked slow; run with ``-m slow``)."""
@@ -193,11 +218,11 @@ class TestPaperScaleSweeps:
         loads, stores = kernel_access_pattern(2)
         vec = TraceCacheSim(8 * 1024 * 1024)
         t0 = time.perf_counter()
-        est_v = vec.multi_sweep((192,) * 3, 8, loads, stores, engine="vector")
+        est_v = vec.multi_sweep((192,) * 3, 8, loads, stores)
         vec_s = time.perf_counter() - t0
-        ref = TraceCacheSim(8 * 1024 * 1024)
+        ref = scalar_cache_sim(8 * 1024 * 1024)
         t0 = time.perf_counter()
-        est_s = ref.multi_sweep((192,) * 3, 8, loads, stores, engine="scalar")
+        est_s = ref.multi_sweep((192,) * 3, 8, loads, stores)
         ref_s = time.perf_counter() - t0
         assert est_v == est_s
         assert (vec.hits, vec.misses, vec.load_misses) == (

@@ -1,6 +1,6 @@
 """The determinism contract: --jobs N output is bit-identical to --jobs 1.
 
-Three fan-out hot paths, each compared serial vs. parallel on every
+Two fan-out hot paths, each compared serial vs. parallel on every
 payload field plus (for the virtual runs) the SIM-clock span multiset
 and the metrics registry. Excluded by contract (docs/PARALLEL.md): the
 ``sched.events_processed`` gauge / ``events_processed`` field, and
@@ -60,27 +60,6 @@ class TestLadderIdentity:
                     assert np.array_equal(value, other), name
                 else:
                     assert value == other, name
-
-
-class TestCacheSweepIdentity:
-    def test_sweep_grid_identical(self):
-        from repro.gpu.cache import SweepCase, sweep_grid
-        from repro.gpu.proxy import kernel_access_pattern
-
-        loads, stores = kernel_access_pattern(2)
-        cases = [
-            SweepCase((L, L, L), 8, loads, stores, capacity_bytes=cap)
-            for L in (12, 20, 28)
-            for cap in (1 << 16, 1 << 20)
-        ]
-        serial = sweep_grid(cases)
-        par = sweep_grid(cases, jobs=4)
-        for a, b in zip(serial, par):
-            assert a.case == b.case
-            assert a.estimate == b.estimate
-            assert (a.hits, a.misses, a.load_misses) == (
-                b.hits, b.misses, b.load_misses
-            )
 
 
 class TestVirtualIdentity:

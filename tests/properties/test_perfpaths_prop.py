@@ -1,15 +1,17 @@
-"""Differential properties: optimized hot paths vs retained references.
+"""Differential properties: production hot paths vs test oracles.
 
-Every optimization of the perf pass keeps its slow path; these
-properties drive randomized inputs through both and require
+Each hot path has one production implementation; these properties
+drive randomized inputs through it and through an oracle, and require
 bit-identical outputs:
 
-- the vectorized cache-sweep engine vs the scalar per-access loop
-  (same FETCH/WRITE/HIT/MISS counters and traffic estimate);
+- the cache simulator's vector sweep vs the same simulator forced onto
+  its per-access fallback (:mod:`tests.oracles.cache`): same
+  FETCH/WRITE/HIT/MISS counters and traffic estimate;
 - the memoized JIT launch trace vs a cold re-trace (same IR, flops,
   access records);
-- the strided-view pack/unpack vs the fancy-index gather/scatter
-  (same wire bytes, same scattered array).
+- :func:`~repro.mpi.datatypes.pack`/``unpack`` vs a gather/scatter over
+  the type's element offsets (:mod:`tests.oracles.datatypes`): same
+  wire bytes, same scattered array, for strided and nested types.
 """
 
 import numpy as np
@@ -19,7 +21,9 @@ from hypothesis import strategies as st
 from repro.core.stencil import make_laplacian_kernel
 from repro.gpu.cache import TraceCacheSim
 from repro.gpu.jit import TraceMemo, trace_kernel
-from repro.mpi.datatypes import VectorDatatype, pack, unpack
+from repro.mpi.datatypes import ContiguousDatatype, VectorDatatype, pack, unpack
+from tests.oracles.cache import scalar_cache_sim
+from tests.oracles.datatypes import pack_reference, unpack_reference
 
 # -- cache sweep ------------------------------------------------------------
 
@@ -50,9 +54,9 @@ class TestCacheSweepEngines:
     def test_vector_matches_scalar(self, case):
         shape, itemsize, loads, stores, capacity = case
         vec = TraceCacheSim(capacity)
-        est_v = vec.multi_sweep(shape, itemsize, loads, stores, engine="vector")
-        ref = TraceCacheSim(capacity)
-        est_s = ref.multi_sweep(shape, itemsize, loads, stores, engine="scalar")
+        est_v = vec.multi_sweep(shape, itemsize, loads, stores)
+        ref = scalar_cache_sim(capacity)
+        est_s = ref.multi_sweep(shape, itemsize, loads, stores)
         assert est_v == est_s
         assert (vec.hits, vec.misses, vec.load_misses) == (
             ref.hits, ref.misses, ref.load_misses
@@ -63,15 +67,15 @@ class TestCacheSweepEngines:
     def test_lazy_retention_survives_interleaving(self, case, seed):
         # consecutive vector sweeps keep the LRU state dense between
         # calls; scalar accesses in between force a materialization.
-        # Any interleaving must land on exactly the scalar engine's
+        # Any interleaving must land on exactly the per-access loop's
         # counters and final cache contents.
         shape, itemsize, loads, stores, capacity = case
         rng = np.random.default_rng(seed)
         vec = TraceCacheSim(capacity)
-        ref = TraceCacheSim(capacity)
+        ref = scalar_cache_sim(capacity)
         for round_ in range(3):
-            vec.multi_sweep(shape, itemsize, loads, stores, engine="vector")
-            ref.multi_sweep(shape, itemsize, loads, stores, engine="scalar")
+            vec.multi_sweep(shape, itemsize, loads, stores)
+            ref.multi_sweep(shape, itemsize, loads, stores)
             if round_ < 2:
                 lines = rng.integers(0, 4 * vec.num_sets, size=5)
                 for line in lines:
@@ -88,9 +92,9 @@ class TestCacheSweepEngines:
         shape, itemsize, loads, _, capacity = case
         offsets = next(iter(loads.values()))
         vec = TraceCacheSim(capacity)
-        vec.sweep(shape, itemsize, offsets, engine="vector")
-        ref = TraceCacheSim(capacity)
-        ref.sweep(shape, itemsize, offsets, engine="scalar")
+        vec.sweep(shape, itemsize, offsets)
+        ref = scalar_cache_sim(capacity)
+        ref.sweep(shape, itemsize, offsets)
         assert (vec.hits, vec.misses, vec.fetch_bytes) == (
             ref.hits, ref.misses, ref.fetch_bytes
         )
@@ -139,17 +143,31 @@ class TestTraceMemoProperties:
         assert memo.hits == 1 and memo.misses == 1
 
 
-# -- strided pack/unpack ----------------------------------------------------
+# -- pack/unpack -------------------------------------------------------------
+
+
+def _base_for(dtype):
+    from repro.mpi.datatypes import DOUBLE, FLOAT, INT32
+
+    return {np.float64: DOUBLE, np.float32: FLOAT, np.int32: INT32}[dtype]
 
 
 @st.composite
-def strided_case(draw):
+def pack_case(draw, nested=False):
+    """A committed vector type, an offset into a buffer, and the buffer.
+
+    ``nested`` builds the vector over ``ContiguousDatatype(2)``, a type
+    with no regular strided layout, so pack/unpack take the gather
+    fallback.
+    """
+    dtype = draw(st.sampled_from([np.float64, np.float32, np.int32]))
+    base = _base_for(dtype)
+    if nested:
+        base = ContiguousDatatype(2, base=base).commit()
     count = draw(st.integers(1, 8))
     blocklength = draw(st.integers(1, 6))
     stride = blocklength + draw(st.integers(0, 8))
-    dtype = draw(st.sampled_from([np.float64, np.float32, np.int32]))
-    dt = VectorDatatype(count, blocklength, stride, base=_base_for(dtype))
-    dt.commit()
+    dt = VectorDatatype(count, blocklength, stride, base=base).commit()
     offset = draw(st.integers(0, 5))
     size = offset + dt.extent_elements + draw(st.integers(0, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
@@ -160,40 +178,34 @@ def strided_case(draw):
     return dt, offset, buf
 
 
-def _base_for(dtype):
-    from repro.mpi.datatypes import DOUBLE, FLOAT, INT32
-
-    return {np.float64: DOUBLE, np.float32: FLOAT, np.int32: INT32}[dtype]
-
-
 class TestStridedPackUnpack:
-    @given(strided_case())
+    @given(st.booleans().flatmap(pack_case))
     @settings(max_examples=80, deadline=None)
     def test_pack_paths_bit_identical(self, case):
         dt, offset, buf = case
-        strided = pack(buf, dt, offset_elements=offset, mode="strided")
-        gather = pack(buf, dt, offset_elements=offset, mode="gather")
-        assert strided.dtype == gather.dtype
-        assert strided.tobytes() == gather.tobytes()
+        wire = pack(buf, dt, offset_elements=offset)
+        expected = pack_reference(buf, dt, offset)
+        assert wire.dtype == expected.dtype
+        assert wire.tobytes() == expected.tobytes()
 
-    @given(strided_case())
+    @given(st.booleans().flatmap(pack_case))
     @settings(max_examples=80, deadline=None)
     def test_unpack_paths_bit_identical(self, case):
         dt, offset, buf = case
-        wire = pack(buf, dt, offset_elements=offset)
-        out_s = np.zeros_like(buf)
-        out_g = np.zeros_like(buf)
-        unpack(out_s, dt, wire, offset_elements=offset, mode="strided")
-        unpack(out_g, dt, wire, offset_elements=offset, mode="gather")
-        assert out_s.tobytes() == out_g.tobytes()
-
-    @given(strided_case())
-    @settings(max_examples=40, deadline=None)
-    def test_auto_mode_roundtrip(self, case):
-        dt, offset, buf = case
-        wire = pack(buf, dt, offset_elements=offset)
+        wire = pack_reference(buf, dt, offset)
         out = np.zeros_like(buf)
+        expected = np.zeros_like(buf)
         unpack(out, dt, wire, offset_elements=offset)
-        flat = buf.reshape(-1)
+        unpack_reference(expected, dt, wire, offset)
+        assert out.tobytes() == expected.tobytes()
+
+    @given(pack_case(nested=True))
+    @settings(max_examples=20, deadline=None)
+    def test_nested_roundtrip_takes_gather_fallback(self, case):
+        dt, offset, buf = case
+        assert dt._strided_spec() is None
+        out = np.zeros_like(buf)
+        unpack(out, dt, pack(buf, dt, offset_elements=offset),
+               offset_elements=offset)
         sel = dt.element_offsets() + offset
-        assert np.array_equal(out.reshape(-1)[sel], flat[sel])
+        assert np.array_equal(out[sel], buf[sel])
