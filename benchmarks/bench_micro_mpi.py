@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.domain import LocalDomain
-from repro.core.exchange import exchange_ghosts
+from repro.core.exchange import exchange_ghosts, exchange_plan
 from repro.mpi.datatypes import VectorDatatype, pack, unpack
 from repro.mpi.executor import run_spmd
 
@@ -35,9 +35,9 @@ def test_ghost_exchange(benchmark, nranks):
             cart = comm.create_cart(dims, periods=(True,) * 3)
             domain = LocalDomain.for_coords(global_shape, dims, cart.coords())
             field = domain.allocate_field()
-            specs = domain.face_specs()
+            plan = exchange_plan(domain, cart.periods)
             for _ in range(3):
-                exchange_ghosts(cart, field, specs)
+                exchange_ghosts(cart, field, plan)
             return True
 
         return run_spmd(worker, nranks, timeout=60)

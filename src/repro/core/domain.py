@@ -157,47 +157,3 @@ class LocalDomain:
                 recv_offset=(extent - 1) * layer_stride,
             )
         return specs
-
-
-def mirror_ghosts(field: np.ndarray, *, axes=(0, 1, 2), sides=None) -> None:
-    """Fill ghost layers by mirroring the adjacent interior layer.
-
-    Zero-flux (Neumann) walls for the 7-point stencil: ghost = first
-    interior layer, so the boundary-normal difference vanishes.
-    ``sides`` optionally restricts which (axis, ±1) faces to fill —
-    parallel runs mirror only their *global*-boundary faces and
-    exchange the rest.
-    """
-    for axis in axes:
-        for direction in (-1, +1):
-            if sides is not None and (axis, direction) not in sides:
-                continue
-            ghost = [slice(None)] * 3
-            source = [slice(None)] * 3
-            if direction < 0:
-                ghost[axis] = slice(0, 1)
-                source[axis] = slice(1, 2)
-            else:
-                ghost[axis] = slice(-1, None)
-                source[axis] = slice(-2, -1)
-            field[tuple(ghost)] = field[tuple(source)]
-
-
-def serial_wrap_ghosts(field: np.ndarray) -> None:
-    """Fill ghost layers periodically from the field's own interior.
-
-    The single-rank (or per-axis single-block) boundary path: the
-    domain wraps onto itself, so ghosts copy the opposite interior
-    layer. Matches what a 1-block periodic Cartesian exchange does.
-    """
-    for axis in range(3):
-        src_hi = [slice(None)] * 3
-        src_hi[axis] = slice(-2, -1)
-        dst_lo = [slice(None)] * 3
-        dst_lo[axis] = slice(0, 1)
-        field[tuple(dst_lo)] = field[tuple(src_hi)]
-        src_lo = [slice(None)] * 3
-        src_lo[axis] = slice(1, 2)
-        dst_hi = [slice(None)] * 3
-        dst_hi[axis] = slice(-1, None)
-        field[tuple(dst_hi)] = field[tuple(src_lo)]

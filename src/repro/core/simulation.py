@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.domain import LocalDomain, mirror_ghosts, serial_wrap_ghosts
-from repro.core.exchange import exchange_ghosts
+from repro.core.domain import LocalDomain
+from repro.core.exchange import exchange_ghosts, exchange_plan
 from repro.core.params import GrayScottParams
 from repro.core.settings import GrayScottSettings
 from repro.core.stencil import kernel_args, make_gray_scott_kernel
@@ -85,7 +85,9 @@ class Simulation:
             self.cart = None
             coords = (0, 0, 0)
         self.domain = LocalDomain.for_coords(settings.shape, dims, coords)
-        self.face_specs = self.domain.face_specs(self.dtype)
+        self.exchange_plan = exchange_plan(
+            self.domain, (periodic,) * 3, settings.exchange
+        )
 
         # --- fields ----------------------------------------------------------
         self.u = self.domain.allocate_field(self.dtype)
@@ -166,7 +168,7 @@ class Simulation:
     # stepping
     # ------------------------------------------------------------------
     def exchange(self) -> None:
-        """Refresh ghost layers of both fields (periodic).
+        """Refresh ghost layers of both fields by running the exchange plan.
 
         On the GPU backends the exchange is staged through host memory
         (the paper did not use GPU-aware MPI, Section 3.3), so the face
@@ -174,43 +176,10 @@ class Simulation:
         """
         if self.device is not None:
             self._record_face_staging("D2H")
-        periodic = self.settings.boundary == "periodic"
-        if self.cart is None:
-            for field in (self.u, self.v):
-                if periodic:
-                    serial_wrap_ghosts(field)
-                else:
-                    mirror_ghosts(field)
-        else:
-            from repro.core.exchange import exchange_ghosts_nonblocking
-
-            do_exchange = (
-                exchange_ghosts_nonblocking
-                if self.settings.exchange == "overlapped"
-                else exchange_ghosts
-            )
-            do_exchange(self.cart, self.u, self.face_specs)
-            do_exchange(self.cart, self.v, self.face_specs)
-            if not periodic:
-                # faces on the global boundary got no message
-                # (PROC_NULL); zero-flux walls mirror locally instead
-                sides = self._global_boundary_faces()
-                if sides:
-                    mirror_ghosts(self.u, sides=sides)
-                    mirror_ghosts(self.v, sides=sides)
+        exchange_ghosts(self.cart, self.u, self.exchange_plan)
+        exchange_ghosts(self.cart, self.v, self.exchange_plan)
         if self.device is not None:
             self._record_face_staging("H2D")
-
-    def _global_boundary_faces(self) -> set[tuple[int, int]]:
-        coords = self.domain.coords
-        dims = self.domain.cart_dims
-        sides: set[tuple[int, int]] = set()
-        for axis in range(3):
-            if coords[axis] == 0:
-                sides.add((axis, -1))
-            if coords[axis] == dims[axis] - 1:
-                sides.add((axis, +1))
-        return sides
 
     def _record_face_staging(self, kind: str) -> None:
         """Model the GPU<->CPU copies around a host-memory MPI exchange."""

@@ -13,8 +13,8 @@ repo's *plans and traces*, none of which execute the workload.
   coalescing, and type-stability checks over the tracing JIT's
   :class:`~repro.gpu.jit.KernelTrace`;
 - :mod:`repro.lint.mpiplan` — deadlock and matching analysis of static
-  send/recv plans (:func:`halo_exchange_plan` builds the production
-  ghost-exchange plan from ``dims``/``periods`` alone);
+  send/recv plans (:func:`halo_exchange_plan` collects the ghost
+  exchange plans the ranks execute, from ``dims``/``periods`` alone);
 - :mod:`repro.lint.adiosproto` — symbolic execution of writer scripts
   against the begin_step/put/end_step state machine plus per-step
   selection coverage of the global shape.
@@ -50,12 +50,12 @@ from repro.lint.kernels import (
 from repro.lint.mpiplan import (
     CommPlan,
     PlanOp,
-    cart_shift,
     check_plan,
     halo_exchange_plan,
 )
 from repro.lint.report import exit_code, render_text, to_sarif
 from repro.lint.runner import lint_workflow
+from repro.mpi.cart import cart_shift
 
 __all__ = [
     "RULES",

@@ -29,11 +29,11 @@ order, before anything executes. The checker runs two analyses:
    :func:`repro.sched.record_plan`, which symbolically executes a
    virtual-SPMD rank program.
 
-:func:`halo_exchange_plan` builds the plan of the built-in Cartesian
-ghost exchange (:mod:`repro.core.exchange`) from ``dims``/``periods``
-alone, using the same rank ordering as :class:`repro.mpi.cart.CartComm`
-and the same tag map as the runtime exchange — so ``grayscott lint``
-verifies the actual production plan, not a copy of it.
+:func:`halo_exchange_plan` collects the per-rank plans that
+:func:`repro.core.exchange.exchange_ghosts` executes, built from
+``dims``/``periods`` by :func:`repro.core.exchange.exchange_plan` — so
+``grayscott lint`` verifies the production plan itself, not a copy of
+it.
 """
 
 from __future__ import annotations
@@ -41,9 +41,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.core.exchange import _face_tag
+from repro.core.domain import LocalDomain
+from repro.core.exchange import MODES, exchange_plan
 from repro.lint import diagnostics as D
 from repro.lint.diagnostics import LintReport
+from repro.mpi.cart import cart_coords
 from repro.mpi.comm import ANY_SOURCE, ANY_TAG, PROC_NULL
 from repro.util.errors import LintError
 
@@ -83,6 +85,8 @@ class CommPlan:
 
     nranks: int
     ops: list[PlanOp] = field(default_factory=list)
+    #: faces filled by a local copy instead of a message (self-neighbours)
+    local_copies: int = 0
 
     def add(self, op: PlanOp) -> "CommPlan":
         if not 0 <= op.rank < self.nranks:
@@ -123,85 +127,50 @@ class CommPlan:
         return [op for op in self.ops if op.rank == rank]
 
 
-# -- Cartesian helpers (mirror repro.mpi.cart's row-major convention) -------
-
-
-def _cart_coords(rank: int, dims: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for dim in reversed(dims):
-        out.append(rank % dim)
-        rank //= dim
-    return tuple(reversed(out))
-
-
-def _cart_rank(coords, dims, periods) -> int:
-    coords = list(coords)
-    for axis, (c, dim, periodic) in enumerate(zip(coords, dims, periods)):
-        if 0 <= c < dim:
-            continue
-        if not periodic:
-            return PROC_NULL
-        coords[axis] = c % dim
-    rank = 0
-    for c, dim in zip(coords, dims):
-        rank = rank * dim + c
-    return rank
-
-
-def cart_shift(rank, dims, periods, axis, disp=1) -> tuple[int, int]:
-    """(source, dest) of ``MPI_Cart_shift`` without a communicator."""
-    here = _cart_coords(rank, dims)
-    up = list(here)
-    up[axis] += disp
-    down = list(here)
-    down[axis] -= disp
-    return _cart_rank(down, dims, periods), _cart_rank(up, dims, periods)
-
-
 def halo_exchange_plan(
     dims,
     periods=None,
     *,
     mode: str = "sequential",
 ) -> CommPlan:
-    """The static plan of the built-in ghost exchange.
+    """The ghost exchange every rank runs, as one plan.
 
-    ``mode="sequential"`` mirrors :func:`~repro.core.exchange.
-    exchange_ghosts` (blocking, buffered, axis-by-axis);
-    ``mode="overlapped"`` mirrors :func:`~repro.core.exchange.
-    exchange_ghosts_nonblocking` (post all receives, then all sends).
+    Collects each rank's :func:`repro.core.exchange.exchange_plan` (the
+    plan :func:`~repro.core.exchange.exchange_ghosts` executes) and keeps
+    its message ops: ``isend`` is a nonblocking buffered send, ``irecv``
+    a nonblocking receive, ``recv`` a blocking one. Self-neighbour
+    faces are local copies, counted in ``local_copies``; walls send
+    nothing. Message sizes do not matter here, so every rank owns one
+    cell per axis.
     """
     dims = tuple(int(d) for d in dims)
-    if not dims or any(d <= 0 for d in dims):
-        raise LintError(f"cartesian dims must be positive: {dims}")
+    if len(dims) != 3 or any(d <= 0 for d in dims):
+        raise LintError(f"cartesian dims must be 3 positive extents: {dims}")
     periods = tuple(bool(p) for p in (periods or (True,) * len(dims)))
     if len(periods) != len(dims):
         raise LintError(f"periods {periods} do not match dims {dims}")
-    if mode not in ("sequential", "overlapped"):
+    if mode not in MODES:
         raise LintError(f"exchange mode must be sequential|overlapped, got {mode!r}")
-    nranks = math.prod(dims)
-    plan = CommPlan(nranks)
-    blocking = mode == "sequential"
-    for rank in range(nranks):
-        if not blocking:
-            for axis in range(len(dims)):
-                source_down, dest_up = cart_shift(rank, dims, periods, axis)
-                plan.recv(rank, source_down, _face_tag(axis, +1),
-                          blocking=False, where=f"axis{axis}/-1")
-                plan.recv(rank, dest_up, _face_tag(axis, -1),
-                          blocking=False, where=f"axis{axis}/+1")
-        for axis in range(len(dims)):
-            source_down, dest_up = cart_shift(rank, dims, periods, axis)
-            plan.send(rank, dest_up, _face_tag(axis, +1),
-                      blocking=blocking, where=f"axis{axis}/+1")
-            plan.send(rank, source_down, _face_tag(axis, -1),
-                      blocking=blocking, where=f"axis{axis}/-1")
-            if blocking:
-                plan.recv(rank, source_down, _face_tag(axis, +1),
-                          where=f"axis{axis}/-1")
-                plan.recv(rank, dest_up, _face_tag(axis, -1),
-                          where=f"axis{axis}/+1")
+    plan = CommPlan(math.prod(dims))
+    for rank in range(plan.nranks):
+        domain = LocalDomain.for_coords(dims, dims, cart_coords(rank, dims))
+        for op in exchange_plan(domain, periods, mode):
+            if op.kind in _MESSAGE_KINDS:
+                kind, blocking = _MESSAGE_KINDS[op.kind]
+                plan.add(PlanOp(kind, rank, op.peer, op.tag,
+                                blocking=blocking,
+                                where=f"axis{op.axis}/{op.side:+d}"))
+            elif op.kind == "copy":
+                plan.local_copies += 1
     return plan
+
+
+#: runtime exchange op -> (plan op kind, blocking)
+_MESSAGE_KINDS = {
+    "isend": ("send", False),
+    "irecv": ("recv", False),
+    "recv": ("recv", True),
+}
 
 
 # -- the checker ------------------------------------------------------------
@@ -220,6 +189,7 @@ def check_plan(plan: CommPlan, *, report: LintReport | None = None) -> LintRepor
     report.record_fact("mpi.plan.collectives", sum(
         1 for op in plan.ops if op.kind == "coll"
     ))
+    report.record_fact("mpi.plan.local_copies", plan.local_copies)
     return report
 
 

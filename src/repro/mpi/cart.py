@@ -3,7 +3,10 @@
 The paper decomposes the 3D Gray-Scott domain with "an MPI Cartesian
 communicator" (Section 3.3); each subdomain exchanges ghost faces with
 the neighbours ``shift`` reports. Rank ordering is row-major with the
-last dimension varying fastest, matching MPI's convention.
+last dimension varying fastest, matching MPI's convention. The pure
+helpers :func:`cart_coords`, :func:`cart_rank` and :func:`cart_shift`
+state that convention once; :class:`CartComm`, the ghost-exchange plan
+builder and :mod:`repro.lint` all use them.
 """
 
 from __future__ import annotations
@@ -65,6 +68,47 @@ def dims_create(nnodes: int, ndims: int, dims=None) -> tuple[int, ...]:
     return tuple(dims)
 
 
+def cart_coords(rank: int, dims) -> tuple[int, ...]:
+    """Cartesian coordinates of ``rank`` in a row-major grid of ``dims``."""
+    out = []
+    for dim in reversed(dims):
+        out.append(rank % dim)
+        rank //= dim
+    return tuple(reversed(out))
+
+
+def cart_rank(coords, dims, periods) -> int:
+    """Rank at ``coords``; periodic wrap where allowed.
+
+    Returns PROC_NULL for out-of-range coordinates on non-periodic
+    dimensions (MPI would error; PROC_NULL composes better with
+    shift-based exchange loops).
+    """
+    rank = 0
+    for c, dim, periodic in zip(coords, dims, periods):
+        if not 0 <= c < dim:
+            if not periodic:
+                return PROC_NULL
+            c %= dim
+        rank = rank * dim + c
+    return rank
+
+
+def cart_shift(rank: int, dims, periods, axis: int, disp: int = 1) -> tuple[int, int]:
+    """(source, dest) for a shift along ``axis`` (MPI_Cart_shift).
+
+    ``dest`` is the rank ``disp`` steps up the axis, ``source`` the
+    rank the same distance down; PROC_NULL past non-periodic
+    boundaries.
+    """
+    here = cart_coords(rank, dims)
+    up = list(here)
+    up[axis] += disp
+    down = list(here)
+    down[axis] -= disp
+    return cart_rank(down, dims, periods), cart_rank(up, dims, periods)
+
+
 class CartComm(Comm):
     """A communicator with an attached Cartesian topology."""
 
@@ -96,50 +140,22 @@ class CartComm(Comm):
         rank = self.rank if rank is None else rank
         if not 0 <= rank < self.size:
             raise MPIError(f"rank {rank} outside communicator of size {self.size}")
-        out = []
-        for dim in reversed(self.dims):
-            out.append(rank % dim)
-            rank //= dim
-        return tuple(reversed(out))
+        return cart_coords(rank, self.dims)
 
     def rank_of(self, coords) -> int:
-        """Rank at Cartesian ``coords``; periodic wrap where allowed.
-
-        Returns PROC_NULL for out-of-range coordinates on non-periodic
-        dimensions (MPI would error; PROC_NULL composes better with
-        shift-based exchange loops).
-        """
+        """Rank at Cartesian ``coords`` (:func:`cart_rank`)."""
         coords = list(coords)
         if len(coords) != self.ndims:
             raise MPIError(f"coords {coords} have wrong dimensionality")
-        for axis, (c, dim, periodic) in enumerate(zip(coords, self.dims, self.periods)):
-            if 0 <= c < dim:
-                continue
-            if not periodic:
-                return PROC_NULL
-            coords[axis] = c % dim
-        rank = 0
-        for c, dim in zip(coords, self.dims):
-            rank = rank * dim + c
-        return rank
+        return cart_rank(coords, self.dims, self.periods)
 
     def shift(self, direction: int, disp: int = 1) -> tuple[int, int]:
-        """(source, dest) for a shift along ``direction`` (MPI_Cart_shift).
-
-        ``dest`` is the rank ``disp`` steps up this dimension, ``source``
-        the rank the same distance down; PROC_NULL past non-periodic
-        boundaries.
-        """
+        """(source, dest) for a shift along ``direction`` (:func:`cart_shift`)."""
         if not 0 <= direction < self.ndims:
             raise MPIError(
                 f"shift direction {direction} outside {self.ndims} dimensions"
             )
-        here = list(self.coords())
-        up = list(here)
-        up[direction] += disp
-        down = list(here)
-        down[direction] -= disp
-        return self.rank_of(down), self.rank_of(up)
+        return cart_shift(self.rank, self.dims, self.periods, direction, disp)
 
     def neighbors(self) -> dict[tuple[int, int], int]:
         """All face neighbours: {(direction, ±1): rank-or-PROC_NULL}."""

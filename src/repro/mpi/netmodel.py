@@ -42,7 +42,8 @@ import numpy as np
 from repro.bench import calibration as cal
 from repro.cluster.frontier import FRONTIER, MachineSpec
 from repro.cluster.placement import Placement
-from repro.mpi.cart import dims_create
+from repro.mpi.cart import cart_shift, dims_create
+from repro.mpi.comm import PROC_NULL
 from repro.util.rngs import RngStream
 
 
@@ -121,35 +122,14 @@ class HaloExchangeModel:
         other = [s for axis, s in enumerate(self.local_shape) if axis != direction]
         return other[0] * other[1] * self.itemsize
 
-    def _cart_coords(self, rank: int) -> tuple[int, ...]:
-        coords = []
-        r = rank
-        for dim in reversed(self.cart_dims):
-            coords.append(r % dim)
-            r //= dim
-        return tuple(reversed(coords))
-
-    def _cart_rank(self, coords) -> int | None:
-        rank = 0
-        for c, dim in zip(coords, self.cart_dims):
-            if not 0 <= c < dim:
-                if not self.periodic:
-                    return None
-                c %= dim
-            rank = rank * dim + c
-        return rank
-
     def rank_step_seconds(self, rank: int) -> HaloCostBreakdown:
         """Modeled exchange time for one rank, one step."""
-        coords = self._cart_coords(rank)
+        periods = (self.periodic,) * len(self.cart_dims)
         pack = transfer = staging = 0.0
         for direction in range(3):
             nbytes = self.face_bytes(direction) * self.nvars
-            for disp in (-1, +1):
-                neighbor_coords = list(coords)
-                neighbor_coords[direction] += disp
-                neighbor = self._cart_rank(neighbor_coords)
-                if neighbor is None:
+            for neighbor in cart_shift(rank, self.cart_dims, periods, direction):
+                if neighbor == PROC_NULL:
                     continue
                 if not self.gpu_aware:
                     # pack + unpack on the host (strided Type_vector copies)
@@ -181,7 +161,7 @@ class HaloExchangeModel:
         n = ranks.size
         if n == 0:
             return np.empty(0)
-        # cartesian coordinates via the same divmod chain as _cart_coords
+        # cartesian coordinates via the same divmod chain as cart_coords
         coords = []
         rest = ranks.copy()
         for dim in reversed(self.cart_dims):
@@ -207,7 +187,7 @@ class HaloExchangeModel:
                 else:
                     valid = (shifted >= 0) & (shifted < dim)
                 shifted = shifted % dim
-                # _cart_rank's horner recurrence over the full coordinate
+                # cart_rank's horner recurrence over the full coordinate
                 neighbor = np.zeros(n, dtype=np.int64)
                 for axis, adim in enumerate(self.cart_dims):
                     c = shifted if axis == direction else coords[axis]

@@ -4,29 +4,41 @@ paper's periodic-only GrayScott.jl."""
 import numpy as np
 import pytest
 
-from repro.core.domain import mirror_ghosts
+from repro.core.domain import LocalDomain
+from repro.core.exchange import exchange_ghosts, exchange_plan
 from repro.core.settings import GrayScottSettings
 from repro.core.simulation import Simulation
 from repro.mpi.executor import run_spmd
 from repro.util.errors import ConfigError
 
 
+def _wall_plan(dims, coords, shape=(3, 3, 3)):
+    domain = LocalDomain.for_coords(shape, dims, coords)
+    return exchange_plan(domain, (False,) * 3)
+
+
 class TestMirrorGhosts:
     def test_all_faces(self):
         field = np.asfortranarray(np.random.default_rng(0).random((5, 5, 5)))
-        mirror_ghosts(field)
+        exchange_ghosts(None, field, _wall_plan((1, 1, 1), (0, 0, 0)))
         assert np.array_equal(field[0], field[1])
         assert np.array_equal(field[-1], field[-2])
         assert np.array_equal(field[:, 0, :], field[:, 1, :])
         assert np.array_equal(field[:, :, -1], field[:, :, -2])
 
     def test_restricted_sides(self):
+        """A block mirrors only its faces on the global boundary."""
+        plan = _wall_plan((2, 1, 1), (0, 0, 0), shape=(4, 2, 2))
+        mirrors = tuple(op for op in plan if op.kind == "mirror")
+        assert {(op.axis, op.side) for op in mirrors} == {
+            (0, -1), (1, -1), (1, +1), (2, -1), (2, +1)
+        }
         field = np.zeros((4, 4, 4), order="F")
         field[1, :, :] = 7.0
         field[-2, :, :] = 9.0
-        mirror_ghosts(field, sides={(0, -1)})
+        exchange_ghosts(None, field, mirrors)
         assert (field[0] == 7.0).all()
-        assert (field[-1] == 0.0).all()  # untouched
+        assert (field[-1] == 0.0).all()  # untouched: a neighbour fills it
 
 
 class TestNeumannSimulation:

@@ -5,8 +5,8 @@ from repro.core.domain import (
     FaceSpec,
     LocalDomain,
     block_range,
-    serial_wrap_ghosts,
 )
+from repro.core.exchange import exchange_ghosts, exchange_plan
 from repro.mpi.datatypes import pack
 from repro.util.errors import ConfigError
 
@@ -112,6 +112,13 @@ class TestFaceSpecs:
         assert specs[(0, -1)].recv_offset == 0
         assert specs[(0, +1)].recv_offset == m[0] - 1
         assert specs[(2, +1)].recv_offset == (m[2] - 1) * m[0] * m[1]
+
+
+def serial_wrap_ghosts(field):
+    """The serial periodic exchange: the (1, 1, 1) plan, no communicator."""
+    interior = tuple(m - 2 for m in field.shape)
+    domain = LocalDomain.for_coords(interior, (1, 1, 1), (0, 0, 0))
+    exchange_ghosts(None, field, exchange_plan(domain, (True,) * 3))
 
 
 class TestSerialWrapGhosts:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.params import GrayScottParams
-from repro.core.domain import serial_wrap_ghosts
+from repro.core.domain import LocalDomain
+from repro.core.exchange import exchange_ghosts, exchange_plan
 from repro.core.stencil import kernel_args, make_gray_scott_kernel
 from repro.core.verification import (
     diffusion_error,
@@ -79,9 +80,11 @@ class TestSolverMatchesExactSolution:
         params = GrayScottParams(Du=D, Dv=0.0, F=0.0, k=0.0, noise=0.0, dt=dt)
         kernel = make_gray_scott_kernel()
         config = LaunchConfig.for_domain(shape[::-1], (shape[2], 1, 1))
+        domain = LocalDomain.for_coords(field0.shape, (1, 1, 1), (0, 0, 0))
+        plan = exchange_plan(domain, (True,) * 3)
         for step in range(steps):
-            serial_wrap_ghosts(u)
-            serial_wrap_ghosts(v)
+            exchange_ghosts(None, u, plan)
+            exchange_ghosts(None, v, plan)
             kernel.execute(
                 config, kernel_args(u, v, u_new, v_new, params, seed=0, step=step)
             )

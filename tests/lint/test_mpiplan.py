@@ -43,8 +43,10 @@ class TestHaloExchangePlan:
         plan = halo_exchange_plan(dims, mode=mode)
         report = check_plan(plan)
         assert report.clean, [d.render() for d in report.diagnostics]
-        # 2 sends per axis per rank, none dropped under full periodicity
-        assert report.facts["mpi.plan.messages"] == 4 * 3 * 2
+        # dims (2, 2, 1): 2 sends on each of the two split axes per rank;
+        # the extent-1 axis is a self-neighbour, filled by 2 local copies
+        assert report.facts["mpi.plan.messages"] == 4 * 2 * 2
+        assert report.facts["mpi.plan.local_copies"] == 4 * 1 * 2
 
     def test_nonperiodic_plan_is_clean(self):
         plan = halo_exchange_plan((2, 2, 1), periods=(False, False, False))
@@ -57,6 +59,27 @@ class TestHaloExchangePlan:
         report = check_plan(halo_exchange_plan((1, 1, 1),
                                                periods=(False,) * 3))
         assert not report.diagnostics
+        assert report.facts["mpi.plan.messages"] == 0
+        assert report.facts["mpi.plan.local_copies"] == 0
+
+    @pytest.mark.parametrize("mode", ["sequential", "overlapped"])
+    def test_plan_is_what_the_ranks_execute(self, mode):
+        """Each rank's program is its runtime plan's message ops."""
+        from repro.core.domain import LocalDomain
+        from repro.core.exchange import exchange_plan
+        from repro.mpi.cart import cart_coords
+
+        dims, periods = (3, 2, 1), (True, False, True)
+        plan = halo_exchange_plan(dims, periods, mode=mode)
+        for rank in range(6):
+            domain = LocalDomain.for_coords((6, 6, 6), dims, cart_coords(rank, dims))
+            runtime = [
+                (op.peer, op.tag, op.kind == "recv")
+                for op in exchange_plan(domain, periods, mode)
+                if op.kind in ("isend", "irecv", "recv")
+            ]
+            assert [(op.peer, op.tag, op.blocking)
+                    for op in plan.program(rank)] == runtime
 
     def test_bad_mode_rejected(self):
         with pytest.raises(LintError, match="mode"):

@@ -49,7 +49,7 @@ class TestP2pAccounting:
     def test_halo_exchange_volume_matches_analysis(self):
         """Measured exchange traffic equals the Section 3.3 face math."""
         from repro.core.domain import LocalDomain
-        from repro.core.exchange import exchange_ghosts
+        from repro.core.exchange import exchange_ghosts, exchange_plan
 
         global_shape = (8, 8, 8)
         dims = (2, 2, 2)
@@ -58,7 +58,7 @@ class TestP2pAccounting:
             cart = comm.create_cart(dims, periods=(True,) * 3)
             domain = LocalDomain.for_coords(global_shape, dims, cart.coords())
             field = domain.allocate_field()
-            exchange_ghosts(cart, field, domain.face_specs())
+            exchange_ghosts(cart, field, exchange_plan(domain, cart.periods))
             return True
 
         _, stats = _run_with_stats(body, 8)
@@ -131,7 +131,7 @@ class TestMetricsExport:
         """Satellite: the per-pair byte matrix equals the p2p span payloads
         collected by the tracer on an 8-rank ghost exchange."""
         from repro.core.domain import LocalDomain
-        from repro.core.exchange import exchange_ghosts
+        from repro.core.exchange import exchange_ghosts, exchange_plan
         from repro.observe import trace
 
         global_shape = (8, 8, 8)
@@ -141,7 +141,7 @@ class TestMetricsExport:
             cart = comm.create_cart(dims, periods=(True,) * 3)
             domain = LocalDomain.for_coords(global_shape, dims, cart.coords())
             field = domain.allocate_field()
-            exchange_ghosts(cart, field, domain.face_specs())
+            exchange_ghosts(cart, field, exchange_plan(domain, cart.periods))
             return True
 
         with trace.session() as tracer:

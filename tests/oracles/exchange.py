@@ -1,0 +1,141 @@
+"""Exchange oracles: the ghost exchange written out face by face.
+
+Production runs :func:`repro.core.exchange.exchange_ghosts` over a plan
+built once per rank. These are the loops it replaced: every face goes
+through the Listing 3 datatypes (``pack``/``unpack``) and the
+communicator, self-neighbour faces included, and the serial and wall
+fills are plain per-axis slice copies.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.domain import FaceSpec
+from repro.mpi.cart import CartComm
+from repro.mpi.comm import PROC_NULL
+from repro.mpi.datatypes import pack, unpack
+
+
+def _face_tag(axis: int, direction: int) -> int:
+    return 100 + axis * 2 + (0 if direction < 0 else 1)
+
+
+def exchange_ghosts_nonblocking(
+    cart: CartComm,
+    field: np.ndarray,
+    face_specs: dict[tuple[int, int], FaceSpec],
+) -> None:
+    """Overlapped exchange: post all receives, send all faces, then wait.
+
+    All six faces are packed from the pre-exchange state, so edge and
+    corner ghosts are not made consistent.
+    """
+    requests = []
+    for axis in range(3):
+        source_down, dest_up = cart.shift(axis, 1)
+        if source_down != PROC_NULL:
+            requests.append(
+                (axis, -1, cart.irecv(source_down, _face_tag(axis, +1)))
+            )
+        if dest_up != PROC_NULL:
+            requests.append(
+                (axis, +1, cart.irecv(dest_up, _face_tag(axis, -1)))
+            )
+    for axis in range(3):
+        source_down, dest_up = cart.shift(axis, 1)
+        low = face_specs[(axis, -1)]
+        high = face_specs[(axis, +1)]
+        if dest_up != PROC_NULL:
+            cart.isend(
+                pack(field, high.datatype, offset_elements=high.send_offset),
+                dest_up,
+                _face_tag(axis, +1),
+            )
+        if source_down != PROC_NULL:
+            cart.isend(
+                pack(field, low.datatype, offset_elements=low.send_offset),
+                source_down,
+                _face_tag(axis, -1),
+            )
+    for axis, direction, request in requests:
+        msg = request.wait(cart.job.timeout)
+        spec = face_specs[(axis, direction)]
+        unpack(field, spec.datatype, msg.payload, offset_elements=spec.recv_offset)
+
+
+def exchange_ghosts(
+    cart: CartComm,
+    field: np.ndarray,
+    face_specs: dict[tuple[int, int], FaceSpec],
+) -> None:
+    """Axis-sequential blocking exchange (self-neighbours by message)."""
+    for axis in range(3):
+        source_down, dest_up = cart.shift(axis, 1)
+        low = face_specs[(axis, -1)]
+        high = face_specs[(axis, +1)]
+        if dest_up != PROC_NULL:
+            cart.send(
+                pack(field, high.datatype, offset_elements=high.send_offset),
+                dest_up,
+                _face_tag(axis, +1),
+            )
+        if source_down != PROC_NULL:
+            cart.send(
+                pack(field, low.datatype, offset_elements=low.send_offset),
+                source_down,
+                _face_tag(axis, -1),
+            )
+        if source_down != PROC_NULL:
+            wire, _ = cart.recv(source_down, _face_tag(axis, +1))
+            unpack(field, low.datatype, wire, offset_elements=low.recv_offset)
+        if dest_up != PROC_NULL:
+            wire, _ = cart.recv(dest_up, _face_tag(axis, -1))
+            unpack(field, high.datatype, wire, offset_elements=high.recv_offset)
+
+
+def mirror_ghosts(field: np.ndarray, *, axes=(0, 1, 2), sides=None) -> None:
+    """Fill ghost layers by mirroring the adjacent interior layer.
+
+    Zero-flux (Neumann) walls: ghost = first interior layer. ``sides``
+    optionally restricts which (axis, ±1) faces to fill.
+    """
+    for axis in axes:
+        for direction in (-1, +1):
+            if sides is not None and (axis, direction) not in sides:
+                continue
+            ghost = [slice(None)] * 3
+            source = [slice(None)] * 3
+            if direction < 0:
+                ghost[axis] = slice(0, 1)
+                source[axis] = slice(1, 2)
+            else:
+                ghost[axis] = slice(-1, None)
+                source[axis] = slice(-2, -1)
+            field[tuple(ghost)] = field[tuple(source)]
+
+
+def serial_wrap_ghosts(field: np.ndarray) -> None:
+    """Fill ghost layers periodically from the field's own interior."""
+    for axis in range(3):
+        src_hi = [slice(None)] * 3
+        src_hi[axis] = slice(-2, -1)
+        dst_lo = [slice(None)] * 3
+        dst_lo[axis] = slice(0, 1)
+        field[tuple(dst_lo)] = field[tuple(src_hi)]
+        src_lo = [slice(None)] * 3
+        src_lo[axis] = slice(1, 2)
+        dst_hi = [slice(None)] * 3
+        dst_hi[axis] = slice(-1, None)
+        field[tuple(dst_hi)] = field[tuple(src_lo)]
+
+
+def wall_sides(coords, dims) -> set[tuple[int, int]]:
+    """Faces of the block at ``coords`` on the global boundary."""
+    sides: set[tuple[int, int]] = set()
+    for axis in range(3):
+        if coords[axis] == 0:
+            sides.add((axis, -1))
+        if coords[axis] == dims[axis] - 1:
+            sides.add((axis, +1))
+    return sides
