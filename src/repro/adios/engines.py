@@ -362,7 +362,9 @@ class BP5Writer:
             return
         if self._in_step:
             raise EngineStateError("close() inside an open step; call end_step first")
-        if self.rank == 0 and self._index is not None:
+        if self.rank == 0 and self._index is not None and not self.stats.steps:
+            # end_step writes the index of every step; only a writer
+            # that ran none has one left to write
             bp5.write_index(self.path, self._index)
         if self.comm is not None:
             self.comm.barrier()

@@ -10,7 +10,6 @@ spot and labyrinth regimes in the pattern-gallery example.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from repro.util.errors import ReproError
 
@@ -45,6 +44,8 @@ def pattern_metrics(v_field: np.ndarray, *, threshold: float = 0.1) -> dict:
     - ``largest_component_fraction``: size of the biggest structure
       relative to all active cells.
     """
+    from scipy import ndimage  # only here: the run path stays scipy-free
+
     v = np.asarray(v_field, dtype=np.float64)
     active = v > threshold
     total = active.size

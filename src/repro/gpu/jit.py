@@ -26,7 +26,7 @@ from __future__ import annotations
 import operator
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import partialmethod
+from functools import lru_cache, partialmethod
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -598,31 +598,46 @@ def kernel_fingerprint(kernel: "Kernel") -> str | None:
     fall back to the process-local ``id()`` spelling, which memoizes
     fine but can never be persisted.
 
-    The result is memoized on the kernel instance: tracing-hot paths
-    call this once per launch.
+    The result is memoized per body and flags, not per kernel object:
+    every job builds a fresh kernel for the same body, and only the
+    first one reads the source.
     """
-    cached = getattr(kernel, "_fingerprint", None)
-    if cached is not None:
-        return cached or None  # "" caches a failed source lookup
+    flops = int(getattr(kernel, "flops_per_workitem", 0) or 0)
+    fingerprint = _source_fingerprint(
+        kernel.body, kernel.name, bool(kernel.uses_rand), flops
+    )
+    return fingerprint or None  # "" caches a failed source lookup
+
+
+@lru_cache(maxsize=256)
+def _source_fingerprint(body, name: str, uses_rand: bool, flops: int) -> str:
     import hashlib
     import inspect
 
     try:
-        source = inspect.getsource(kernel.body)
+        source = inspect.getsource(body)
     except (OSError, TypeError):
-        kernel._fingerprint = ""
-        return None
+        return ""
     digest = hashlib.sha256()
-    for part in (
-        kernel.name,
-        str(bool(kernel.uses_rand)),
-        str(int(getattr(kernel, "flops_per_workitem", 0) or 0)),
-        source,
-    ):
+    for part in (name, str(uses_rand), str(flops), source):
         digest.update(part.encode("utf-8"))
         digest.update(b"\x00")
-    kernel._fingerprint = digest.hexdigest()
-    return kernel._fingerprint
+    return digest.hexdigest()
+
+
+#: ``MemoEntry.lowered`` of a launch not lowered yet
+PENDING = object()
+
+
+@dataclass
+class MemoEntry:
+    """One launch signature's trace and :class:`repro.ir.lower.LoweredKernel`
+    (None: runs interpreted). ``kernel`` keeps an ``id()``-keyed kernel
+    alive; it is None for plans preloaded from disk."""
+
+    kernel: "Kernel | None"
+    trace: KernelTrace | None = None
+    lowered: object = PENDING
 
 
 class TraceMemo:
@@ -667,16 +682,12 @@ class TraceMemo:
 
     def __init__(self, maxsize: int = 256):
         self.maxsize = int(maxsize)
-        # key -> (kernel, trace); the kernel reference keeps the entry's
-        # kernel alive (it may be None for plans preloaded from disk)
-        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
+        #: launch signature -> its :class:`MemoEntry` (trace and lowering)
+        self._entries: OrderedDict[tuple, MemoEntry] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.bypasses = 0
         self.disk_hits = 0
-        #: launch signature -> its ``repro.ir.lower.LoweredKernel``, or
-        #: None for a launch that runs interpreted
-        self.lowered: OrderedDict[tuple, object] = OrderedDict()
         #: optional persistent tier — anything with ``lookup(key)`` /
         #: ``store(key, kernel, trace)``, in practice a
         #: :class:`repro.gpu.jitcache.JitDiskCache`
@@ -717,56 +728,54 @@ class TraceMemo:
             return None
         return key
 
-    def trace(self, kernel: "Kernel", args, config=None) -> KernelTrace:
+    def trace(self, kernel: "Kernel", args, config=None, key=None) -> KernelTrace:
         """Memoized :func:`trace_kernel` (the launch fast path).
 
         Walks the tiers in cost order: memo hit, persisted plan, fresh
         trace (with promotion into both caches), or — for unkeyable
-        launches — the plain interpreter-style bypass.
+        launches — the plain interpreter-style bypass. ``key`` is the
+        launch's :meth:`signature` when the caller already has it.
         """
-        key = self.signature(kernel, args, config)
+        if key is None:
+            key = self.signature(kernel, args, config)
         if key is None:
             self.bypasses += 1
             self._count_tier("interpret")
             return trace_kernel(kernel, args)
-        entry = self._entries.get(key)
-        if entry is not None:
+        entry = self.entry(key, kernel)
+        if entry.trace is not None:
             self.hits += 1
-            self._entries.move_to_end(key)
             self._count_tier("memo")
             if self.disk is not None:
                 # backfill: a memo warm before the disk tier was
                 # configured still populates the cache directory
-                self.disk.ensure(key, entry[0], entry[1])
-            return entry[1]
+                self.disk.ensure(key, entry.kernel, entry.trace)
+            return entry.trace
         if self.disk is not None:
-            trace = self.disk.lookup(key)
-            if trace is not None:
+            entry.trace = self.disk.lookup(key)
+            if entry.trace is not None:
                 self.disk_hits += 1
                 self._count_tier("disk")
-                self._insert(self._entries, key, (kernel, trace))
-                return trace
+                return entry.trace
         self.misses += 1
         self._count_tier("trace")
-        trace = trace_kernel(kernel, args)
-        self._insert(self._entries, key, (kernel, trace))
+        entry.trace = trace_kernel(kernel, args)
         if self.disk is not None:
-            self.disk.store(key, kernel, trace)
-        return trace
+            self.disk.store(key, kernel, entry.trace)
+        return entry.trace
 
-    def _insert(self, table: OrderedDict, key: tuple, value) -> None:
-        table[key] = value
-        while len(table) > self.maxsize:
-            table.popitem(last=False)
-
-    def lowering(self, key: tuple, build):
-        """The launch lowering cached under ``key``, or ``build()``'s."""
-        if key in self.lowered:
-            self.lowered.move_to_end(key)
-            return self.lowered[key]
-        value = build()
-        self._insert(self.lowered, key, value)
-        return value
+    def entry(self, key: tuple, kernel: "Kernel | None" = None) -> "MemoEntry":
+        """The entry of launch signature ``key`` (made if missing), moved
+        to the LRU end; inserts evict beyond ``maxsize``."""
+        entry = self._entries.get(key)
+        if entry is None:  # setdefault: rank threads missing at once share one
+            entry = self._entries.setdefault(key, MemoEntry(kernel))
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+        else:
+            self._entries.move_to_end(key)
+        entry.kernel = entry.kernel or kernel
+        return entry
 
     @staticmethod
     def _count_tier(tier: str) -> None:
@@ -776,7 +785,6 @@ class TraceMemo:
 
     def clear(self) -> None:
         self._entries.clear()
-        self.lowered.clear()
 
     @property
     def tiers(self) -> dict:
@@ -870,7 +878,7 @@ class JitCompiler:
         return kernel.name in self._by_name
 
     def compile(
-        self, kernel: "Kernel", args, config=None
+        self, kernel: "Kernel", args, config=None, key=None
     ) -> tuple[CompiledKernel, float]:
         """Return (compiled, compile_seconds); seconds is 0 on cache hit.
 
@@ -879,9 +887,11 @@ class JitCompiler:
         shape change recompiles (the old name-only key replayed stale
         traces). The modeled compile *seconds* are charged per compiler
         (each device JITs for itself), but the trace work itself is
-        shared through the process-wide memo.
+        shared through the process-wide memo. ``key`` is the launch's
+        :meth:`TraceMemo.signature` when the caller already has it.
         """
-        key = self.memo.signature(kernel, args, config)
+        if key is None:
+            key = self.memo.signature(kernel, args, config)
         cached = self._cache.get(key) if key is not None else None
         if cached is not None:
             return cached, 0.0
@@ -890,7 +900,7 @@ class JitCompiler:
             # profiler's codegen-attach path): no specialization is
             # being requested, so return the last compilation by name
             return self._by_name[kernel.name], 0.0
-        trace = self.memo.trace(kernel, args, config)
+        trace = self.memo.trace(kernel, args, config, key)
         compiled = CompiledKernel(
             kernel=kernel,
             trace=trace,

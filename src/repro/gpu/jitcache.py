@@ -261,7 +261,7 @@ class JitDiskCache:
     def preload(self, memo: TraceMemo) -> int:
         """Promote every valid persisted plan into ``memo``; returns count.
 
-        Preloaded entries carry no kernel object (``(None, trace)``);
+        Preloaded entries carry no kernel object (``kernel`` is None);
         the memo only ever hands back the trace, so a warm process's
         first launch of a cached kernel is already an in-memory hit.
         """
@@ -271,7 +271,7 @@ class JitDiskCache:
             if entry is None:
                 continue
             header, trace = entry
-            memo._insert(memo._entries, freeze_key(header["key"]), (None, trace))
+            memo.entry(freeze_key(header["key"])).trace = trace
             loaded += 1
         return loaded
 

@@ -137,13 +137,17 @@ class Kernel:
         self.uses_rand = uses_rand
         self.flops_per_workitem = flops_per_workitem
 
-    def execute(self, config: LaunchConfig, args) -> None:
-        """Run the kernel functionally over the whole launch."""
+    def execute(self, config: LaunchConfig, args, key=None) -> None:
+        """Run the kernel functionally over the whole launch; ``key`` is
+        its :meth:`repro.gpu.jit.TraceMemo.signature` if already known."""
+        from repro.gpu.jit import TraceMemo
         from repro.gpu.memory import DeviceArray
         from repro.ir.lower import run
 
+        if key is None:
+            key = TraceMemo.signature(self, args, config)
         raw = [a.data if isinstance(a, DeviceArray) else a for a in args]
-        if not run(self, config, args, raw):
+        if not run(self, config, raw, key):
             self._interpret(config, raw)
 
     def _interpret(self, config: LaunchConfig, raw_args) -> None:

@@ -19,7 +19,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cluster.frontier import GcdSpec
+from repro.cluster.frontier import GcdSpec, NodeSpec
+from repro.gpu.backends import get_backend
+from repro.gpu.jit import JitCompiler, TraceMemo
+from repro.gpu.kernel import LaunchConfig
+from repro.gpu.perf import RooflineModel
 from repro.observe import trace as observe
 from repro.util.errors import DeviceMemoryError, GpuError
 from repro.util.timers import SimClock
@@ -97,10 +101,6 @@ class Device:
         aot: bool = False,
         counter_mode: str = "analytic",
     ) -> None:
-        from repro.gpu.backends import get_backend
-        from repro.gpu.jit import JitCompiler
-        from repro.gpu.perf import RooflineModel
-
         self.spec = spec or GcdSpec()
         self.name = name
         self.backend = get_backend(backend)
@@ -121,6 +121,8 @@ class Device:
         self.roofline = RooflineModel(
             self.spec, self.backend, counter_mode=counter_mode
         )
+        # Table 1: GPU-to-CPU Infinity Fabric at 36 GB/s.
+        self.copy_bytes_per_s = NodeSpec().gpu_cpu_bytes_per_s
 
     # ------------------------------------------------------------------
     # memory management
@@ -164,10 +166,7 @@ class Device:
         darr.data = np.empty(0, order="F")
 
     def record_transfer(self, kind: str, nbytes: int) -> None:
-        # Table 1: GPU-to-CPU Infinity Fabric at 36 GB/s.
-        from repro.cluster.frontier import NodeSpec
-
-        seconds = nbytes / NodeSpec().gpu_cpu_bytes_per_s
+        seconds = nbytes / self.copy_bytes_per_s
         start = self.clock.now
         self.clock.advance(seconds)
         if self.profiler is not None:
@@ -200,14 +199,14 @@ class Device:
         Executes the kernel functionally (unless ``exact_execution`` is
         off), charges the modeled duration — including one-time JIT
         compilation on the first launch of each kernel — and returns the
-        :class:`~repro.gpu.perf.LaunchCost`.
+        :class:`~repro.gpu.perf.LaunchCost`. The launch's signature keys
+        the compiled kernel, its lowering and its cost, computed once.
         """
-        from repro.gpu.kernel import LaunchConfig
-
         config = LaunchConfig(grid=grid, workgroup=workgroup)
         config.validate(self.spec)
 
-        compiled, compile_seconds = self.jit.compile(kernel, args, config)
+        key = TraceMemo.signature(kernel, args, config)
+        compiled, compile_seconds = self.jit.compile(kernel, args, config, key)
         if self.aot:
             compile_seconds = 0.0
         tracer = observe.active()
@@ -237,9 +236,9 @@ class Device:
                 )
 
         if self.exact_execution:
-            kernel.execute(config, args)
+            kernel.execute(config, args, key)
 
-        cost = self.roofline.launch_cost(compiled, config, args)
+        cost = self.roofline.launch_cost(compiled, config, args, key)
         start = self.clock.now
         self.clock.advance(cost.seconds)
         if self.profiler is not None:

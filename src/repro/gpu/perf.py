@@ -98,6 +98,8 @@ class RooflineModel:
         self.backend = backend
         self.counter_mode = counter_mode
         self.traffic_model = StencilTrafficModel(spec)
+        #: launch signature -> its LaunchCost under this model
+        self._costs: dict[tuple, LaunchCost] = {}
 
     def _array_shapes(self, compiled: CompiledKernel, args) -> dict[str, tuple]:
         """Map trace array names to the shapes/itemsizes of launch args."""
@@ -182,15 +184,23 @@ class RooflineModel:
         return fetch, write
 
     def launch_cost(
-        self, compiled: CompiledKernel, config: LaunchConfig, args
+        self, compiled: CompiledKernel, config: LaunchConfig, args, key=None
     ) -> LaunchCost:
+        """The modeled cost of one launch, priced once per ``key``.
+
+        ``key`` is the launch's :meth:`~repro.gpu.jit.TraceMemo.signature`,
+        which fixes every input the cost reads: kernel source and flags,
+        per-argument dtype and shape, and the launch config.
+        """
+        if key in self._costs:
+            return self._costs[key]
         traffic = self.traffic(compiled, args)
         eff_fetch, eff_write = self.effective_sizes(compiled, args)
         efficiency = self.backend.effective_efficiency(compiled.kernel.uses_rand)
         achieved = self.spec.hbm_peak_bytes_per_s * efficiency
         seconds = traffic.total_bytes / achieved
         flops = compiled.trace.flops * config.total_workitems
-        return LaunchCost(
+        cost = LaunchCost(
             kernel_name=compiled.name,
             seconds=seconds,
             fetch_bytes=traffic.fetch_bytes,
@@ -201,3 +211,6 @@ class RooflineModel:
             tcc_misses=traffic.tcc_misses,
             flops=flops,
         )
+        if key is not None:
+            self._costs[key] = cost
+        return cost

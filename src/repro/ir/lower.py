@@ -32,6 +32,7 @@ from numpy.lib.stride_tricks import as_strided
 from repro.gpu.jit import (
     COMPARE,
     PARAM_PREFIX,
+    PENDING,
     Affine,
     TracedArray,
     TracedFloat,
@@ -367,29 +368,28 @@ def lower(kernel, raw, config, passes=PASSES) -> LoweredKernel:
                          arrays, tuple(pos[a] for a in stores))
 
 
-def lowered_kernel(kernel, config, args, raw) -> LoweredKernel | None:
-    """The lowering of a launch, cached on the trace memo under its
-    signature; None (cached too) when the launch cannot be lowered."""
-    memo = trace_memo()
-    key = memo.signature(kernel, args, config)
+def lowered_kernel(kernel, config, raw, key) -> LoweredKernel | None:
+    """The lowering of a launch, cached in the trace memo's entry of its
+    signature ``key``; None (cached too) when the launch cannot be
+    lowered or ``key`` is None (an unkeyable launch)."""
     if key is None:
         return None
-
-    def build() -> LoweredKernel | None:
+    entry = trace_memo().entry(key, kernel)
+    if entry.lowered is PENDING:
         try:
-            return lower(kernel, raw, config)
+            entry.lowered = lower(kernel, raw, config)
         except Exception as exc:  # the body runs interpreted, which reports its own errors
+            entry.lowered = None
             tracer = observe.active()
             if tracer is not None:
                 tracer.metrics.counter(
                     "ir.lower.refused", kernel=kernel.name, reason=type(exc).__name__
                 ).inc()
-            return None
-
-    return memo.lowering(key, build)
+    return entry.lowered
 
 
-def run(kernel, config, args, raw) -> bool:
-    """Execute one launch through its lowered function, if it has one."""
-    lowered = lowered_kernel(kernel, config, args, raw)
+def run(kernel, config, raw, key) -> bool:
+    """Execute one launch (device arrays unwrapped in ``raw``, signature
+    ``key``) through its lowered function, if it has one."""
+    lowered = lowered_kernel(kernel, config, raw, key)
     return lowered is not None and lowered(raw)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.adios import bp5
 from repro.adios.api import Adios
 from repro.adios.bp5 import INDEX_FILE, dataset_path, read_index
 from repro.mpi.executor import run_spmd
@@ -185,6 +186,71 @@ class TestAppendMode:
         io = Adios().declare_io("a")
         with pytest.raises(EngineStateError):
             io.open(tmp_path / "x.bp", "rw")
+
+
+class TestIndexWrites:
+    """md.idx.json is written once per step, and at close only if it lags."""
+
+    @staticmethod
+    def _write(path, steps, *, rewrite_at_close=False):
+        io = Adios().declare_io("idx")
+        io.define_attribute("Du", 0.2)
+        u = io.define_variable("U", np.float64, shape=(4, 4, 4), count=(4, 4, 4))
+        engine = io.open(path, "w")
+        for s in range(steps):
+            engine.begin_step()
+            engine.put(u, np.full((4, 4, 4), float(s)))
+            engine.end_step()
+        if rewrite_at_close:
+            engine.stats.steps = 0  # close then rewrites the index, as it once always did
+        engine.close()
+
+    @staticmethod
+    def _record_index_writes(monkeypatch) -> list[int]:
+        """The step count of every index written from now on."""
+        written = []
+        write_index = bp5.write_index
+
+        def recorded(path, index):
+            written.append(index.nsteps)
+            write_index(path, index)
+
+        monkeypatch.setattr(bp5, "write_index", recorded)
+        return written
+
+    @pytest.mark.parametrize("steps", [0, 1, 3])
+    def test_one_index_write_per_step(self, tmp_path, monkeypatch, steps):
+        written = self._record_index_writes(monkeypatch)
+        self._write(tmp_path / "x.bp", steps)
+        assert written == (list(range(1, steps + 1)) or [0])
+        assert read_index(tmp_path / "x.bp").nsteps == steps
+
+    def test_parallel_writer_writes_once_per_step(self, tmp_path, monkeypatch):
+        written = self._record_index_writes(monkeypatch)
+
+        def worker(comm):
+            io = Adios().declare_io("par")
+            u = io.define_variable("U", np.float64, shape=(4, 4, 8),
+                                   start=(0, 0, 4 * comm.rank), count=(4, 4, 4))
+            with io.open(str(tmp_path / "p.bp"), "w", comm=comm) as engine:
+                for s in range(2):
+                    engine.begin_step()
+                    engine.put(u, np.full((4, 4, 4), float(s + comm.rank)))
+                    engine.end_step()
+
+        run_spmd(worker, 2, timeout=60)
+        assert written == [1, 2]
+
+    @pytest.mark.parametrize("steps", [0, 2])
+    def test_bytes_match_a_close_that_rewrites(self, tmp_path, steps):
+        self._write(tmp_path / "a.bp", steps)
+        self._write(tmp_path / "b.bp", steps, rewrite_at_close=True)
+        a, b = dataset_path(tmp_path / "a.bp"), dataset_path(tmp_path / "b.bp")
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        assert INDEX_FILE in names
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 class TestReaderSelections:

@@ -1,3 +1,8 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -83,3 +88,25 @@ class TestClassifyPattern:
         v = np.zeros((32, 32))
         v[8:24, 8:24] = 0.5
         assert classify_pattern(v) == "blob"
+
+
+class TestRunPathIsScipyFree:
+    """Only ``pattern_metrics`` needs scipy; a run and its analysis do not."""
+
+    def test_serial_julia_run_with_analysis_loads_no_scipy(self, tmp_path):
+        settings = dict(L=8, steps=2, plotgap=1, seed=1, backend="julia",
+                        ranks=0, output="tiny.bp")
+        (tmp_path / "settings.json").write_text(json.dumps(settings))
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).parents[2] / 'src')!r})\n"
+            "from repro.cli import main\n"
+            "rc = main(['run', 'settings.json'])\n"
+            "print('scipy loaded' if 'scipy' in sys.modules else 'scipy-free')\n"
+            "sys.exit(rc)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "analysis.V_max" in proc.stdout  # the analysis stage ran
+        assert proc.stdout.splitlines()[-1] == "scipy-free"

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.params import GrayScottParams
 from repro.core.stencil import kernel_args, make_gray_scott_kernel
+from repro.gpu.jit import TraceMemo
 from repro.gpu.kernel import Kernel, LaunchConfig
 from repro.ir.lower import lower, lowered_kernel
 from repro.util.errors import IrError
@@ -270,7 +271,8 @@ class TestThreads:
                 ou, ov = np.zeros_like(un), np.zeros_like(vn)
                 step_vectorized(u, v, ou, ov, p, seed=t, step=step)
                 ok &= np.array_equal(un, ou) and np.array_equal(vn, ov)
-            scratch = lowered_kernel(kernel, cfg, args, list(args)).scratch()
+            key = TraceMemo.signature(kernel, args, cfg)
+            scratch = lowered_kernel(kernel, cfg, list(args), key).scratch()
             outcome[t] = (ok, scratch)
 
         interval = sys.getswitchinterval()
