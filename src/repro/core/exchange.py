@@ -13,7 +13,8 @@ slice face windows are resolved when the plan is built.
 :func:`exchange_ghosts` runs a plan, and ``repro.lint`` checks the same
 plans. A face whose neighbour is
 
-- another rank travels as ``field[layer].ravel("F")`` and lands as
+- another rank travels as the window ``field[layer]`` itself, which the
+  buffered send copies once in its memory order, and lands as
   ``field[ghost] = wire.reshape(face, order="F")``: the element order of
   the Listing 3 ``MPI_Type_vector`` face types of
   :meth:`~repro.core.domain.LocalDomain.face_specs`, which stay the
@@ -201,7 +202,7 @@ def exchange_ghosts(
     for op in plan:
         kind = op.kind
         if kind == "isend":
-            cart.isend(field[op.layer].ravel("F"), op.peer, op.tag)
+            cart.isend(field[op.layer], op.peer, op.tag)
         elif kind == "recv":
             op.land(field, cart.recv(op.peer, op.tag)[0])
         elif kind == "irecv":

@@ -24,6 +24,7 @@ subscripts reveal their constant stencil offsets).
 from __future__ import annotations
 
 import operator
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache, partialmethod
@@ -633,11 +634,14 @@ PENDING = object()
 class MemoEntry:
     """One launch signature's trace and :class:`repro.ir.lower.LoweredKernel`
     (None: runs interpreted). ``kernel`` keeps an ``id()``-keyed kernel
-    alive; it is None for plans preloaded from disk."""
+    alive; it is None for plans preloaded from disk. Both are filled
+    under ``lock``, so rank threads that miss at once trace and lower
+    once."""
 
     kernel: "Kernel | None"
     trace: KernelTrace | None = None
     lowered: object = PENDING
+    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
 
 class TraceMemo:
@@ -743,26 +747,27 @@ class TraceMemo:
             self._count_tier("interpret")
             return trace_kernel(kernel, args)
         entry = self.entry(key, kernel)
-        if entry.trace is not None:
-            self.hits += 1
-            self._count_tier("memo")
-            if self.disk is not None:
-                # backfill: a memo warm before the disk tier was
-                # configured still populates the cache directory
-                self.disk.ensure(key, entry.kernel, entry.trace)
-            return entry.trace
-        if self.disk is not None:
-            entry.trace = self.disk.lookup(key)
+        with entry.lock:
             if entry.trace is not None:
-                self.disk_hits += 1
-                self._count_tier("disk")
+                self.hits += 1
+                self._count_tier("memo")
+                if self.disk is not None:
+                    # backfill: a memo warm before the disk tier was
+                    # configured still populates the cache directory
+                    self.disk.ensure(key, entry.kernel, entry.trace)
                 return entry.trace
-        self.misses += 1
-        self._count_tier("trace")
-        entry.trace = trace_kernel(kernel, args)
-        if self.disk is not None:
-            self.disk.store(key, kernel, entry.trace)
-        return entry.trace
+            if self.disk is not None:
+                entry.trace = self.disk.lookup(key)
+                if entry.trace is not None:
+                    self.disk_hits += 1
+                    self._count_tier("disk")
+                    return entry.trace
+            self.misses += 1
+            self._count_tier("trace")
+            entry.trace = trace_kernel(kernel, args)
+            if self.disk is not None:
+                self.disk.store(key, kernel, entry.trace)
+            return entry.trace
 
     def entry(self, key: tuple, kernel: "Kernel | None" = None) -> "MemoEntry":
         """The entry of launch signature ``key`` (made if missing), moved

@@ -375,17 +375,18 @@ def lowered_kernel(kernel, config, raw, key) -> LoweredKernel | None:
     if key is None:
         return None
     entry = trace_memo().entry(key, kernel)
-    if entry.lowered is PENDING:
-        try:
-            entry.lowered = lower(kernel, raw, config)
-        except Exception as exc:  # the body runs interpreted, which reports its own errors
-            entry.lowered = None
-            tracer = observe.active()
-            if tracer is not None:
-                tracer.metrics.counter(
-                    "ir.lower.refused", kernel=kernel.name, reason=type(exc).__name__
-                ).inc()
-    return entry.lowered
+    with entry.lock:
+        if entry.lowered is PENDING:
+            try:
+                entry.lowered = lower(kernel, raw, config)
+            except Exception as exc:  # the body runs interpreted, which reports its own errors
+                entry.lowered = None
+                tracer = observe.active()
+                if tracer is not None:
+                    tracer.metrics.counter(
+                        "ir.lower.refused", kernel=kernel.name, reason=type(exc).__name__
+                    ).inc()
+        return entry.lowered
 
 
 def run(kernel, config, raw, key) -> bool:

@@ -22,7 +22,8 @@ statically, before any byte is written:
 :func:`writer_script_for` derives the script the Gray-Scott workflow
 would execute from a settings object alone (decomposition via
 ``dims_create`` + :class:`~repro.core.domain.LocalDomain`, one
-``U``/``V``/``step`` put per output step), so ``grayscott lint``
+``U``/``V``/``step`` put per output step, the step-0 snapshot
+included), so ``grayscott lint``
 verifies the real writer plan end-to-end.
 """
 
@@ -100,7 +101,7 @@ class WriterScript:
 def writer_script_for(settings) -> WriterScript:
     """The script the Gray-Scott workflow would run for ``settings``."""
     from repro.core.domain import LocalDomain
-    from repro.mpi.cart import dims_create
+    from repro.mpi.cart import cart_coords, dims_create
 
     nranks = max(int(settings.ranks), 1)
     dims = dims_create(nranks, 3) if nranks > 1 else (1, 1, 1)
@@ -109,10 +110,10 @@ def writer_script_for(settings) -> WriterScript:
         nranks=nranks,
         shapes={"U": shape, "V": shape, "step": ()},
     )
-    nsteps_out = settings.steps // settings.plotgap
+    # the step-0 snapshot, then one output every plotgap steps
+    nsteps_out = 1 + settings.steps // settings.plotgap
     for rank in range(nranks):
-        coords = _coords_rowmajor(rank, dims)
-        domain = LocalDomain.for_coords(shape, dims, coords)
+        domain = LocalDomain.for_coords(shape, dims, cart_coords(rank, dims))
         for _ in range(nsteps_out):
             script.begin_step(rank)
             script.put(rank, "U", domain.start, domain.count)
@@ -121,14 +122,6 @@ def writer_script_for(settings) -> WriterScript:
             script.end_step(rank)
         script.close(rank)
     return script
-
-
-def _coords_rowmajor(rank: int, dims) -> tuple[int, ...]:
-    out = []
-    for dim in reversed(dims):
-        out.append(rank % dim)
-        rank //= dim
-    return tuple(reversed(out))
 
 
 # -- the checker ------------------------------------------------------------

@@ -161,9 +161,10 @@ def _coll_span(comm: "Comm", name: str):
 
 
 def _freeze_payload(data: Any) -> tuple[Any, int]:
-    """Copy a payload at send time (buffered send semantics)."""
+    """Copy a payload at send time (buffered send semantics); an array
+    keeps its memory order, so a halo face keeps the Listing 3 order."""
     if isinstance(data, np.ndarray):
-        copy = data.copy()
+        copy = data.copy(order="K")
         return copy, copy.nbytes
     # generic objects ride through pickle — catches unpicklables and
     # prevents sender/receiver sharing mutable state.

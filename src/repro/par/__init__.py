@@ -5,9 +5,13 @@ level: the fig6/fig8 weak-scaling ladders and the virtual-SPMD runs
 are independent configurations. This package spreads them over worker
 processes while keeping every output bit-identical to a serial run:
 
-- :func:`~repro.par.pool.run_tasks` — the worker pool (chunked
-  work-stealing, results merged by task index, per-worker trace
-  capture);
+- :class:`~repro.par.pool.WorkerPool` — the package's one
+  worker-process pool (persistent workers, ``submit() -> Future``,
+  shm transport both ways), which the service's ``process`` backend
+  uses too;
+- :func:`~repro.par.pool.run_tasks` — ordered fan-out on a
+  ``WorkerPool`` (chunked work-stealing, results merged by task index,
+  per-chunk trace capture);
 - :mod:`repro.par.shm` — shared-memory zero-copy transport for large
   NumPy payloads (pickle below :data:`~repro.par.shm.SHM_THRESHOLD`);
 - :mod:`repro.par.tracemerge` — folding per-worker span/metric capture
@@ -19,7 +23,7 @@ drivers, and ``VirtualWorkflow.run``. See
 ``docs/PARALLEL.md`` for the determinism contract.
 """
 
-from repro.par.pool import default_chunksize, resolve_jobs, run_tasks
+from repro.par.pool import WorkerPool, default_chunksize, resolve_jobs, run_tasks
 from repro.par.shm import SHM_THRESHOLD, ShmRef, decode, encode
 from repro.util.errors import ParError
 
@@ -27,6 +31,7 @@ __all__ = [
     "SHM_THRESHOLD",
     "ParError",
     "ShmRef",
+    "WorkerPool",
     "decode",
     "default_chunksize",
     "encode",

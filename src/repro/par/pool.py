@@ -1,19 +1,20 @@
-"""A spawn-safe process pool with deterministic result merging.
+"""The package's one worker-process pool, and ordered fan-out on it.
 
-:func:`run_tasks` is the package's one parallel primitive: evaluate
-``fn`` over a task list on ``jobs`` worker processes and return the
-results **ordered by task index** — never by completion order — so
-every caller's downstream reduction (rank-ordered sums, golden-file
-renders, trace multisets) is bit-identical to a serial run. ``jobs=1``
-is a plain list comprehension in the calling process: the parallel path
-is opt-in and the serial path is untouched.
+:class:`WorkerPool` is ``workers`` persistent processes evaluating one
+function behind a ``submit() -> Future`` interface; payloads and
+results cross through :mod:`repro.par.shm`, so large NumPy arrays ride
+shared-memory segments instead of the pipes. :func:`run_tasks` and
+:class:`repro.serve.SimService`'s ``process`` backend both use it.
 
-Scheduling is chunked work-stealing: the task list is cut into chunks
-on a shared queue and idle workers pull the next chunk, so a straggler
-config (a 4,096-rank ladder point next to a 1-rank point) does not
-serialize the sweep. Large NumPy results return through
-:mod:`repro.par.shm` shared-memory segments instead of the result pipe;
-everything else rides pickle.
+:func:`run_tasks` evaluates ``fn`` over a task list on ``jobs`` worker
+processes and returns the results **ordered by task index** — never by
+completion order — so every caller's downstream reduction
+(rank-ordered sums, golden-file renders, trace multisets) is
+bit-identical to a serial run. ``jobs=1`` is a plain list
+comprehension in the calling process. The task list is cut into
+chunks, one ``submit`` each, and idle workers pull the next chunk, so
+a straggler config (a 4,096-rank ladder point next to a 1-rank point)
+does not serialize the sweep.
 
 Workers default to the ``fork`` start method where available (task
 functions may then be closures). "Spawn-safe" means the pool itself
@@ -23,23 +24,35 @@ module-level or a bound method of a picklable model — and the pool
 behaves identically.
 
 When an :mod:`repro.observe` tracer is active in the parent, each
-worker records its own private tracer (one wall span per task) and the
-pool merges the captures back: per-worker wall lanes land under a
-``par.w<N>`` PID prefix, modeled SIM spans merge verbatim, metrics fold
-with counter/gauge/histogram semantics. See ``docs/PARALLEL.md``.
+chunk records into a private tracer in its worker (one wall span per
+task) and ships the capture back with its results; the parent merges
+the captures in chunk order: worker wall lanes land under a
+``par.w<N>`` PID prefix, modeled SIM spans merge verbatim, metrics
+fold with counter/gauge/histogram semantics. See ``docs/PARALLEL.md``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as queue_mod
+import pickle
+import threading
 import traceback
-from typing import Callable, Iterable, Sequence
+from contextlib import nullcontext
+from functools import partial
+from typing import Callable, Iterable
 
 from repro.observe import trace as observe
 from repro.par import shm, tracemerge
 from repro.util.errors import ParError
+
+#: index of the pool worker this process is; None outside a pool
+_WORKER: int | None = None
+
+
+def current_worker() -> int | None:
+    """The index of the :class:`WorkerPool` worker running the caller."""
+    return _WORKER
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -59,11 +72,11 @@ def default_chunksize(ntasks: int, jobs: int) -> int:
     return max(1, -(-ntasks // (jobs * 4)))
 
 
-def _worker_main(worker_id, fn, task_q, result_q, capture, jit_cache=None):
+def _worker(worker_id, fn, jit_cache, task_q, results, results_lock) -> None:
+    global _WORKER
+    _WORKER = worker_id
     # A forked worker inherits the parent's installed tracer object;
-    # recording into that copy would be silently discarded. Detach it
-    # and (when the parent is tracing) install a private one whose
-    # capture ships back with the results.
+    # recording into that copy would be silently discarded.
     observe.deactivate()
     if jit_cache is not None:
         # Warm-start the tracing JIT from the parent's persistent cache.
@@ -72,39 +85,200 @@ def _worker_main(worker_id, fn, task_q, result_q, capture, jit_cache=None):
         from repro.gpu import jitcache
 
         jitcache.warm_start(jit_cache)
-    tracer = None
-    if capture:
-        tracer = observe.activate(observe.Tracer())
-    try:
+    while (item := task_q.get()) is not None:
+        task_id, payload = item
+        try:
+            blob = pickle.dumps((task_id, True, shm.encode(fn(shm.decode(payload)))))
+        except Exception:
+            blob = pickle.dumps((task_id, False, traceback.format_exc()))
+        # sent synchronously, so a task that kills its worker cannot leave
+        # the results lock held (a queue's feeder thread could)
+        with results_lock:
+            results.send_bytes(blob)
+
+
+class WorkerPool:
+    """``workers`` persistent processes evaluating one function.
+
+    >>> pool = WorkerPool(execute_and_render, workers=4)
+    >>> future = pool.submit(spec)     # concurrent.futures.Future
+    >>> result = future.result()
+    >>> pool.close()
+
+    A collector thread resolves the futures. A task whose function
+    raised fails with :class:`ParError` carrying the worker's traceback.
+    A worker that dies with tasks in flight fails every pending future
+    once and is replaced. Failing or closing over a pending task
+    discards its payload's shared-memory segments.
+    """
+
+    def __init__(
+        self,
+        fn: Callable,
+        *,
+        workers: int = 2,
+        context: str | None = None,
+        jit_cache: str | None = None,
+    ):
+        if workers < 1:
+            raise ParError(f"worker pool needs >= 1 worker, got {workers}")
+        if context is None:
+            methods = multiprocessing.get_all_start_methods()
+            context = "fork" if "fork" in methods else methods[0]
+        if jit_cache is None:
+            from repro.gpu import jitcache
+
+            jit_cache = jitcache.configured_path()
+        self._ctx = multiprocessing.get_context(context)
+        self._args = (fn, jit_cache)
+        self._task_q = self._ctx.Queue()
+        self._results, self._results_w = self._ctx.Pipe(duplex=False)
+        self._results_lock = self._ctx.Lock()
+        self._procs = [self._start(w) for w in range(workers)]
+        self._lock = threading.Lock()
+        #: task id -> (concurrent.futures.Future, encoded payload)
+        self._pending: dict[int, tuple] = {}
+        self._next_id = 0
+        self._closed = False
+        self.submitted = 0
+        self.completed = 0
+        self._collector = threading.Thread(
+            target=self._collect, name="par-pool-collector", daemon=True
+        )
+        self._collector.start()
+
+    def _start(self, worker_id: int):
+        proc = self._ctx.Process(target=_worker, daemon=True, args=(
+            worker_id, *self._args, self._task_q, self._results_w, self._results_lock,
+        ))
+        proc.start()
+        return proc
+
+    def submit(self, payload):
+        """Queue one task; the returned ``concurrent.futures.Future``
+        resolves from the collector thread."""
+        from concurrent.futures import Future  # it imports logging: on use
+
+        future = Future()
+        with self._lock:
+            if self._closed:
+                raise ParError("submit() on a closed worker pool")
+            encoded = shm.encode(payload)
+            task_id = self._next_id
+            self._next_id += 1
+            self._pending[task_id] = (future, encoded)
+            self.submitted += 1
+        self._task_q.put((task_id, encoded))
+        return future
+
+    @property
+    def in_flight(self) -> int:
+        with self._lock:
+            return len(self._pending)
+
+    def _collect(self) -> None:
         while True:
-            chunk = task_q.get()
-            if chunk is None:
-                break
-            # outbound chunks are shm-encoded by the parent: million-rank
-            # shard payloads (starts/scale/comm vectors) ride segments,
-            # not the task pipe
-            chunk = shm.decode(chunk)
-            out = []
-            for index, task in chunk:
-                try:
-                    if tracer is not None:
-                        with tracer.span(
-                            f"task[{index}]", cat="core",
-                            process="pool", thread="tasks",
-                        ):
-                            value = fn(task)
-                    else:
-                        value = fn(task)
-                    out.append((index, True, shm.encode(value)))
-                except Exception:
-                    out.append((index, False, traceback.format_exc()))
-            result_q.put(("chunk", worker_id, out))
-    finally:
-        captured = None
-        if tracer is not None:
-            observe.deactivate()
-            captured = tracemerge.capture(tracer)
-        result_q.put(("done", worker_id, captured))
+            if not self._results.poll(0.5):
+                self._check_workers()
+                continue
+            msg = pickle.loads(self._results.recv_bytes())
+            if msg is None:
+                return
+            task_id, ok, payload = msg
+            with self._lock:
+                future, _ = self._pending.pop(task_id, (None, None))
+            if future is None or future.cancelled():  # failed or cancelled
+                if ok:
+                    shm.discard(payload)
+                continue
+            self.completed += 1
+            if ok:
+                future.set_result(shm.decode(payload))
+            else:
+                future.set_exception(ParError(
+                    f"task failed in a pool worker:\n{payload.rstrip()}"
+                ))
+
+    def _check_workers(self) -> None:
+        with self._lock:
+            if self._closed or not self._pending:
+                return
+            dead = [(w, p.exitcode) for w, p in enumerate(self._procs)
+                    if p.exitcode is not None]
+            for w, _ in dead:
+                self._procs[w] = self._start(w)
+        if dead:
+            self._fail_pending(ParError("; ".join(
+                f"pool worker {w} died with exit code {code}" for w, code in dead
+            ) + " with tasks in flight"))
+
+    def _fail_pending(self, error: ParError) -> None:
+        """Fail every pending future once and discard its payload."""
+        with self._lock:
+            pending = list(self._pending.values())
+            self._pending.clear()
+        for future, encoded in pending:
+            shm.discard(encoded)
+            if not future.cancelled():
+                future.set_exception(error)
+
+    def close(self, *, timeout: float = 10.0) -> None:
+        """Stop accepting work, fail what is pending, join everything
+        (idempotent)."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+        self._fail_pending(ParError("worker pool closed"))
+        for _ in self._procs:
+            self._task_q.put(None)
+        for proc in self._procs:
+            proc.join(timeout)
+            if proc.is_alive():  # pragma: no cover - stuck worker
+                proc.terminate()
+                proc.join(1.0)
+        # a worker killed mid-send holds the lock for good; the daemon
+        # collector is then left polling
+        if self._results_lock.acquire(timeout=1.0):
+            self._results_w.send_bytes(pickle.dumps(None))
+            self._results_lock.release()
+            self._collector.join(timeout)
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def _run_chunk(fn, epoch, chunk) -> tuple:
+    """Run one chunk of ``(index, task)`` pairs in a pool worker.
+
+    Returns the worker's index, one ``(index, ok, value or traceback)``
+    per task, and — when the parent traces (``epoch`` is its tracer's
+    wall epoch) — the capture of a private tracer that recorded one
+    wall span per task.
+    """
+    tracer = None
+    if epoch is not None:
+        tracer = observe.activate(observe.Tracer())
+        # perf_counter is system-wide: the parent's epoch puts the
+        # worker's wall spans on the parent's timeline
+        tracer._wall_epoch = epoch
+    outcomes = []
+    for index, task in chunk:
+        try:
+            with nullcontext() if tracer is None else tracer.span(
+                f"task[{index}]", cat="core", process="pool", thread="tasks"
+            ):
+                value = fn(task)
+            outcomes.append((index, True, value))
+        except Exception:
+            outcomes.append((index, False, traceback.format_exc()))
+    if tracer is None:
+        return current_worker(), outcomes, None
+    observe.deactivate()
+    return current_worker(), outcomes, tracemerge.capture(tracer)
 
 
 def run_tasks(
@@ -118,123 +292,46 @@ def run_tasks(
     """Evaluate ``fn`` over ``tasks`` on ``jobs`` processes, in order.
 
     Returns ``[fn(t) for t in tasks]`` — same values, same order — with
-    the work spread over a process pool when ``jobs > 1``. ``jobs=0``
-    means ``os.cpu_count()``. The serial path (``jobs<=1`` or fewer
-    than two tasks) runs inline with zero pool machinery.
+    the work spread over a :class:`WorkerPool` when ``jobs > 1``.
+    ``jobs=0`` means ``os.cpu_count()``. The serial path (``jobs<=1`` or
+    fewer than two tasks) runs inline with zero pool machinery.
     """
-    task_list: Sequence = list(tasks)
+    indexed = list(enumerate(tasks))
     jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(task_list) <= 1:
-        return [fn(task) for task in task_list]
-    jobs = min(jobs, len(task_list))
+    if jobs <= 1 or len(indexed) <= 1:
+        return [fn(task) for _, task in indexed]
+    jobs = min(jobs, len(indexed))
     if chunksize is None:
-        chunksize = default_chunksize(len(task_list), jobs)
+        chunksize = default_chunksize(len(indexed), jobs)
 
     tracer = observe.active()
-    if tracer is None:
-        return _run_pool(fn, task_list, jobs, chunksize, context, None)
-    with tracer.span(
+    span = nullcontext() if tracer is None else tracer.span(
         "par.run_tasks", cat="core", process="par", thread="pool",
-        args={"tasks": len(task_list), "jobs": jobs, "chunksize": chunksize},
-    ):
-        return _run_pool(fn, task_list, jobs, chunksize, context, tracer)
-
-
-def _run_pool(fn, task_list, jobs, chunksize, context, tracer):
-    from repro.gpu import jitcache
-
-    jit_cache = jitcache.configured_path()
-    if context is None:
-        methods = multiprocessing.get_all_start_methods()
-        context = "fork" if "fork" in methods else methods[0]
-    ctx = multiprocessing.get_context(context)
-    task_q = ctx.Queue()
-    result_q = ctx.Queue()
-    indexed = list(enumerate(task_list))
-    for start in range(0, len(indexed), chunksize):
-        task_q.put(shm.encode(indexed[start:start + chunksize]))
-    for _ in range(jobs):
-        task_q.put(None)
-
-    workers = [
-        ctx.Process(
-            target=_worker_main,
-            args=(w, fn, task_q, result_q, tracer is not None, jit_cache),
-            daemon=True,
-        )
-        for w in range(jobs)
-    ]
-    for proc in workers:
-        proc.start()
-
-    results: dict[int, object] = {}
-    failures: list[tuple[int, str]] = []
-    done = [False] * jobs
-    try:
-        while not all(done):
-            try:
-                msg = result_q.get(timeout=1.0)
-            except queue_mod.Empty:
-                _check_workers_alive(workers, done)
-                continue
-            kind = msg[0]
-            if kind == "chunk":
-                for index, ok, payload in msg[2]:
-                    if ok:
-                        results[index] = payload
-                    else:
-                        failures.append((index, payload))
-            elif kind == "done":
-                done[msg[1]] = True
-                if msg[2] is not None and tracer is not None:
-                    tracemerge.merge_capture(tracer, msg[2], worker=msg[1])
-        for proc in workers:
-            proc.join()
-    except BaseException:
-        for encoded in results.values():
-            shm.discard(encoded)
-        _drain_tasks(task_q)
-        raise
-    finally:
-        for proc in workers:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
-
+        args={"tasks": len(indexed), "jobs": jobs, "chunksize": chunksize},
+    )
+    epoch = None if tracer is None else tracer._wall_epoch
+    values, failures = [], []
+    # encoded before the workers fork (submit passes the tokens through):
+    # encoding while they start made 2-worker virtual runs ~15% slower
+    chunks = [shm.encode(indexed[start:start + chunksize])
+              for start in range(0, len(indexed), chunksize)]
+    with span, WorkerPool(
+        partial(_run_chunk, fn, epoch), workers=jobs, context=context
+    ) as pool:
+        futures = [pool.submit(chunk) for chunk in chunks]
+        for future in futures:
+            worker, outcomes, captured = future.result()
+            if captured:
+                tracemerge.merge_capture(tracer, captured, worker=worker)
+            for index, ok, value in outcomes:
+                if ok:
+                    values.append(value)
+                else:
+                    failures.append((index, value))
     if failures:
-        for encoded in results.values():
-            shm.discard(encoded)
-        _drain_tasks(task_q)
-        failures.sort()
         index, tb = failures[0]
         more = f" (+{len(failures) - 1} more)" if len(failures) > 1 else ""
         raise ParError(
             f"task {index} raised in a worker{more}:\n{tb.rstrip()}"
         )
-    return [shm.decode(results[i]) for i in range(len(task_list))]
-
-
-def _drain_tasks(task_q) -> None:
-    """Discard undelivered task chunks — and their shm segments.
-
-    On an abandoned run (worker death, interrupt, task failure) chunks
-    still sitting on the task queue hold shared-memory segments no
-    worker will ever decode; unlink them so a failed million-rank run
-    cannot leak /dev/shm.
-    """
-    while True:
-        try:
-            chunk = task_q.get_nowait()
-        except (queue_mod.Empty, OSError, ValueError):
-            return
-        if chunk is not None:
-            shm.discard(chunk)
-
-
-def _check_workers_alive(workers, done) -> None:
-    for w, proc in enumerate(workers):
-        if not done[w] and not proc.is_alive() and proc.exitcode != 0:
-            raise ParError(
-                f"pool worker {w} died with exit code {proc.exitcode} "
-                "before finishing its tasks"
-            )
+    return values

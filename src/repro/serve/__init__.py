@@ -6,14 +6,14 @@ long-running asyncio service accepts :class:`~repro.core.execute.
 JobSpec` requests, answers repeats from a :class:`ResultStore` keyed on
 the spec's canonical content hash (byte-identical reports, never
 recomputed), coalesces identical in-flight requests, applies admission
-control with bounded backpressure, executes misses on a
-:mod:`repro.par`-style worker pool, and streams job lifecycle /metrics
-events to attached clients over the :mod:`repro.adios.sst` broker.
+control with bounded backpressure, executes misses on threads or on
+the :class:`repro.par.WorkerPool` worker processes, and streams job
+lifecycle /metrics events to attached clients over the
+:mod:`repro.adios.sst` broker.
 
 Layers:
 
 - :mod:`repro.serve.store` — the canonical-hash result cache;
-- :mod:`repro.serve.pool` — the persistent process worker pool;
 - :mod:`repro.serve.service` — the asyncio front end;
 - :mod:`repro.serve.loadgen` — synthetic clients for the
   ``bench_serve`` load benchmark and the CI smoke job.
@@ -23,7 +23,6 @@ backpressure policy.
 """
 
 from repro.serve.loadgen import LoadReport, generate_specs, run_load
-from repro.serve.pool import WorkerPool
 from repro.serve.service import JobRecord, ServiceStats, SimService
 from repro.serve.store import CacheEntry, ResultStore
 from repro.util.errors import AdmissionError, ServeError
@@ -37,7 +36,6 @@ __all__ = [
     "ServeError",
     "ServiceStats",
     "SimService",
-    "WorkerPool",
     "generate_specs",
     "run_load",
 ]

@@ -158,9 +158,8 @@ class SimService:
 
     ``backend``:
 
-    - ``"process"`` — a persistent :class:`repro.serve.pool.WorkerPool`
-      of worker processes (the :mod:`repro.par` compute pool; real
-      concurrency, production shape);
+    - ``"process"`` — a persistent :class:`repro.par.WorkerPool` of
+      worker processes (real concurrency, production shape);
     - ``"thread"`` — an executor thread per worker (cheap startup;
       NumPy releases the GIL for the solve inner loops);
     - ``"inline"`` — execute on the event loop (deterministic tests).
@@ -223,7 +222,7 @@ class SimService:
 
             jitcache.warm_start(self.jit_cache)
         if self.backend == "process":
-            from repro.serve.pool import WorkerPool
+            from repro.par import WorkerPool
 
             self._pool = WorkerPool(
                 execute_and_render,

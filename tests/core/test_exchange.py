@@ -334,3 +334,28 @@ class TestBadFaceMessage:
         # the right element count (10 x 10 face), the wrong element type
         with pytest.raises(DatatypeError, match="axis 0 side -1.*float32"):
             self._receive_from_liar(np.zeros(100, dtype=np.float32))
+
+
+class TestSendIsBuffered:
+    def test_field_change_after_isend_leaves_received_face(self):
+        """A face is sent as its window of the field: the buffered send's
+        copy, not the window, is what the peer receives."""
+        shape, dims = (8, 8, 8), (2, 1, 1)
+        reference, results = _parallel_exchange(shape, dims, 2, seed=7)
+
+        def worker(comm):
+            cart = comm.create_cart(dims, periods=(True,) * 3)
+            domain = LocalDomain.for_coords(shape, dims, cart.coords())
+            field = domain.allocate_field()
+            domain.interior(field)[...] = reference[domain.global_slices()]
+            plan = exchange_plan(domain, cart.periods)
+            if cart.rank == 1:
+                exchange_ghosts(cart, field, [op for op in plan if op.kind == "isend"])
+                field[...] = -1.0
+                cart.barrier()
+                return None
+            cart.barrier()  # the sender has overwritten its field
+            exchange_ghosts(cart, field, plan)
+            return field
+
+        assert np.array_equal(run_spmd(worker, 2, timeout=30)[0], results[0][1])

@@ -426,9 +426,9 @@ class TestFleetBitIdentity:
         reason="fork start method unavailable",
     )
     def test_worker_pool_workers_warm_start(self, tmp_path):
-        # serve-pool workers preload the configured cache on spawn: a
+        # pool workers preload the configured cache on spawn: a
         # worker's first launch returns the persisted plan's bytes
-        from repro.serve.pool import WorkerPool
+        from repro.par import WorkerPool
 
         kernel, args = _gs_setup(9)
         seed = TraceMemo()

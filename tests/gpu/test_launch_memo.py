@@ -2,6 +2,9 @@
 modeled cost are looked up under it, and the cost memo is exact."""
 
 import inspect
+import json
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -10,7 +13,9 @@ import pytest
 from repro.core.params import GrayScottParams
 from repro.core.settings import GrayScottSettings
 from repro.core.simulation import Simulation
+from repro.cli import main
 from repro.core.stencil import kernel_args, make_gray_scott_kernel, make_laplacian_kernel
+from repro.gpu import jit
 from repro.gpu.jit import TraceMemo
 from repro.gpu.kernel import Kernel, LaunchConfig
 from repro.gpu.memory import Device
@@ -141,3 +146,53 @@ class TestFreshCost:
         traced = self._launch(device, kernel, (8, 8, 8))
         assert calls == {"traffic": 1}
         assert traced != analytic
+
+
+class TestConcurrentMiss:
+    """Rank threads that miss one cold signature at once trace it and
+    lower it once; the others answer from the memo tier."""
+
+    def test_threads_trace_and_lower_once(self, monkeypatch):
+        monkeypatch.setattr(jit, "_TRACE_MEMO", TraceMemo())
+        calls = Counter()
+        _counting(monkeypatch, calls, jit, "trace_kernel")
+        _counting(monkeypatch, calls, lower, "lower")
+        kernel = make_gray_scott_kernel()
+        config = LaunchConfig.for_domain((10, 10, 10), (10, 1, 1))
+        nthreads = 4
+        devices = [Device(backend="julia") for _ in range(nthreads)]
+        launches = [_gs_args(device) for device in devices]
+        barrier = threading.Barrier(nthreads)
+
+        def rank(t):
+            barrier.wait()
+            devices[t].launch(kernel, config.grid, config.workgroup, launches[t])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=rank, args=(t,)) for t in range(nthreads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == {"trace_kernel": 1, "lower": 1}
+        assert jit.trace_memo().tiers == {"interpret": 0, "trace": 1, "memo": 3, "disk": 0}
+
+    def test_four_rank_run_reads_one_trace(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "s.json"
+        GrayScottSettings(
+            L=12, steps=4, plotgap=2, backend="julia", ranks=4,
+            output=str(tmp_path / "o.bp"),
+        ).save(path)
+        for attempt in range(3):
+            monkeypatch.setattr(jit, "_TRACE_MEMO", TraceMemo())
+            out = tmp_path / f"m{attempt}.json"
+            assert main(["run", str(path), "--metrics-out", str(out)]) == 0
+            tiers = {c["labels"]["tier"]: c["value"]
+                     for c in json.loads(out.read_text())["counters"]
+                     if c["name"] == "gpu.jit.tier"}
+            assert tiers == {"trace": 1, "memo": 3}
+        capsys.readouterr()

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.adios.engines import BP5Writer
+from repro.core.execute import JobSpec, execute_job
 from repro.core.settings import GrayScottSettings
 from repro.lint import WriterScript, check_writer_script, writer_script_for
+from repro.lint.adiosproto import PUT, WriterOp
 from repro.util.errors import LintError
 
 
@@ -122,10 +125,36 @@ class TestWriterScriptFor:
         report = check_writer_script(script)
         assert report.clean, [d.render() for d in report.diagnostics]
         assert report.facts["adios.script.nranks"] == 1
-        assert report.facts["adios.script.steps"] == 2
+        # the step-0 snapshot and steps 10 and 20
+        assert report.facts["adios.script.steps"] == 3
 
     def test_parallel_settings_tile_exactly(self):
         settings = GrayScottSettings(L=8, steps=20, plotgap=10, ranks=4)
         report = check_writer_script(writer_script_for(settings))
         assert report.clean, [d.render() for d in report.diagnostics]
         assert report.facts["adios.script.nranks"] == 4
+
+    @pytest.mark.parametrize("ranks", [0, 4])
+    def test_script_is_what_the_workflow_writes(self, ranks, tmp_path, monkeypatch):
+        settings = GrayScottSettings(
+            L=8, steps=4, plotgap=2, ranks=ranks, output=str(tmp_path / "o.bp")
+        )
+        recorded: dict[int, list[WriterOp]] = {}
+
+        def recording(name):
+            call = getattr(BP5Writer, name)
+
+            def wrapper(self, *args):
+                op = WriterOp(name)
+                if name == PUT:
+                    var = args[0]
+                    op = WriterOp(PUT, var.name, var.start, var.count)
+                recorded.setdefault(self.rank, []).append(op)
+                return call(self, *args)
+
+            monkeypatch.setattr(BP5Writer, name, wrapper)
+
+        for name in ("begin_step", "put", "end_step", "close"):
+            recording(name)
+        execute_job(JobSpec(settings=settings, analyze=False))
+        assert recorded == writer_script_for(settings).ops

@@ -1,4 +1,4 @@
-"""Worker pool: ordered merges, chunking, errors, trace capture."""
+"""Worker pool: futures, ordered merges, chunking, errors, trace capture."""
 
 import os
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import observe
-from repro.par import default_chunksize, resolve_jobs, run_tasks
+from repro.par import WorkerPool, default_chunksize, resolve_jobs, run_tasks
 from repro.util.errors import ParError
 
 
@@ -26,6 +26,57 @@ def _fail_on_three(x):
 
 def _pid_task(_):
     return os.getpid()
+
+
+def _fail(x):
+    raise ValueError(f"boom on {x}")
+
+
+def _array(n):
+    return np.full((n,), float(n), order="F")
+
+
+class TestWorkerPool:
+    def test_submit_resolves_future(self):
+        with WorkerPool(_square, workers=2) as pool:
+            assert pool.submit(7).result(timeout=30) == 49
+
+    def test_many_tasks_all_complete(self):
+        with WorkerPool(_square, workers=2) as pool:
+            futures = [pool.submit(i) for i in range(20)]
+            assert [f.result(timeout=30) for f in futures] == [
+                i * i for i in range(20)
+            ]
+            assert pool.submitted == 20
+            assert pool.completed == 20
+            assert pool.in_flight == 0
+
+    def test_numpy_results_cross_the_boundary(self):
+        with WorkerPool(_array, workers=2) as pool:
+            out = pool.submit(64).result(timeout=30)
+        assert isinstance(out, np.ndarray)
+        np.testing.assert_array_equal(out, np.full((64,), 64.0))
+
+    def test_worker_exception_fails_only_that_future(self):
+        with WorkerPool(_fail, workers=1) as pool:
+            future = pool.submit(3)
+            with pytest.raises(ParError, match="boom on 3"):
+                future.result(timeout=30)
+
+    def test_submit_after_close_raises(self):
+        pool = WorkerPool(_square, workers=1)
+        pool.close()
+        with pytest.raises(ParError, match="closed"):
+            pool.submit(1)
+
+    def test_close_is_idempotent(self):
+        pool = WorkerPool(_square, workers=1)
+        pool.close()
+        pool.close()  # second close is a no-op, not an error
+
+    def test_workers_validated(self):
+        with pytest.raises(ParError, match="worker"):
+            WorkerPool(_square, workers=0)
 
 
 class TestResolveJobs:
