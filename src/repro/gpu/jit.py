@@ -629,6 +629,9 @@ def _source_fingerprint(body, name: str, uses_rand: bool, flops: int) -> str:
 #: ``MemoEntry.lowered`` of a launch not lowered yet
 PENDING = object()
 
+#: ``dtype.name`` memoized per dtype (NumPy computes it in Python on each read)
+_dtype_name = lru_cache(maxsize=None)(operator.attrgetter("name"))
+
 
 @dataclass
 class MemoEntry:
@@ -717,7 +720,7 @@ class TraceMemo:
             if isinstance(data, np.ndarray) and data.ndim >= 1:
                 name = getattr(arg, "name", None) or f"arg{position}"
                 parts.append(
-                    ("array", position, name, data.dtype.name, tuple(data.shape))
+                    ("array", position, name, _dtype_name(data.dtype), tuple(data.shape))
                 )
             elif isinstance(arg, tuple):
                 parts.append(("tuple", position, arg))

@@ -49,6 +49,7 @@ def to_chrome_trace(tracer: Tracer) -> dict:
     # wall-clock ranks come first, then the modeled device processes
     processes: dict[str, int] = {}
     threads: dict[tuple[str, str], int] = {}
+    thread_counts: dict[str, int] = {}  # process label -> threads numbered
     # every span in a lane shares the clock domain by construction
     lane_clock = {lane: records[0].clock for lane, records in lanes.items()}
     ordered = sorted(lanes, key=lambda ln: (lane_clock[ln], ln))
@@ -70,8 +71,8 @@ def to_chrome_trace(tracer: Tracer) -> dict:
             )
         pid = processes[label]
         if (label, thread) not in threads:
-            threads[(label, thread)] = (
-                len([t for t in threads if t[0] == label]) + 1
+            threads[(label, thread)] = thread_counts[label] = (
+                thread_counts.get(label, 0) + 1
             )
             events.append(
                 {

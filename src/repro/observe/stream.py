@@ -168,13 +168,20 @@ def _kind_template(kind: SpanKind) -> tuple[str, tuple[str, ...]]:
     return "{" + ",".join(parts) + "}", tuple(columns)
 
 
-def _json_values(column: np.ndarray) -> list:
-    """A column as Python values whose ``str`` is their JSON text."""
-    values = column.tolist()
-    if column.dtype.kind == "f" and not np.isfinite(column).all():
-        # json spells these NaN / Infinity / -Infinity, str nan / inf
-        values = [v if math.isfinite(v) else json.dumps(v) for v in values]
-    return values
+def _json_values(column: np.ndarray) -> list[str]:
+    """The JSON text of each value of an int64 or float64 column.
+
+    Each distinct value is formatted once. Values are told apart by
+    their bits, so ``-0.0`` and ``0.0`` (which compare equal) keep their
+    own texts; every NaN prints ``NaN`` whatever its bits.
+    """
+    distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    # json spells nan / inf as NaN / Infinity, where repr would not
+    texts = [
+        repr(v) if math.isfinite(v) else json.dumps(v)
+        for v in distinct.view(column.dtype).tolist()
+    ]
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
 def _batch_lines(batch: SpanBatch, templates, lo: int, hi: int) -> list[str]:
@@ -269,6 +276,7 @@ class ShardedPerfettoWriter(TraceSink):
         # spans to write: JSONL lines of batches, records of single spans
         # (serialized at flush, off the traced code's hot path)
         self._buffer: list[str | SpanRecord] = []
+        self._buffered_records = False  # whether _buffer holds a SpanRecord
         self._entries: list[dict] = []
         self._shard_index = 0
         self._shard_count = 0
@@ -286,6 +294,7 @@ class ShardedPerfettoWriter(TraceSink):
                     f"span recorded on closed stream {self.target}"
                 )
             self._buffer.append(span)
+            self._buffered_records = True
             if len(self._buffer) > self.max_buffered:
                 self.max_buffered = len(self._buffer)
             if len(self._buffer) >= self.flush_threshold:
@@ -388,10 +397,11 @@ class ShardedPerfettoWriter(TraceSink):
             return
         if self._handle is None:
             self._handle = open(self._shard_path(), "a")
-        self._handle.write("\n".join([
-            line if isinstance(line, str) else _span_line(line)
-            for line in self._buffer
-        ]) + "\n")
+        lines = self._buffer
+        if self._buffered_records:
+            lines = [x if isinstance(x, str) else _span_line(x) for x in lines]
+            self._buffered_records = False
+        self._handle.write("\n".join(lines) + "\n")
         self._handle.flush()
         self._shard_count += len(self._buffer)
         self.total_spans += len(self._buffer)

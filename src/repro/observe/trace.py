@@ -146,17 +146,28 @@ class SpanKind:
     process_id: bool = False
     args: tuple = ()
 
+    @property
+    def lane_family(self) -> tuple:
+        """The fields that, with an id, fix a span's lane and its clock."""
+        return (self.clock, self.process, self.thread, self.process_id)
+
+    def lane(self, id) -> tuple[str, str]:
+        """The ``(process, thread)`` lane of this kind's span with ``id``."""
+        return (f"{self.process}{id}" if self.process_id else self.process,
+                self.thread)
+
     def record(
         self, id: int, start: float, seconds: float, tag: int
     ) -> SpanRecord:
         """The :class:`SpanRecord` of one span of this kind."""
         columns = {"id": id, "tag": tag}
+        process, thread = self.lane(id)
         return SpanRecord(
             name=self.name,
             cat=self.cat,
             clock=self.clock,
-            process=f"{self.process}{id}" if self.process_id else self.process,
-            thread=self.thread,
+            process=process,
+            thread=thread,
             start=start,
             seconds=seconds,
             args=tuple(
@@ -218,16 +229,15 @@ class SpanBatch:
             )
         ]
 
-    def lanes(self):
-        """Yield ``(lane, kind)`` once per distinct lane of each kind used."""
+    def lane_ids(self):
+        """Yield ``(kind, ids)`` per kind used: the distinct ids naming its
+        lanes, or ``[None]`` when its one lane does not depend on the id."""
         for k in np.unique(self.kind).tolist():
             kind = self.kinds[k]
             if kind.process_id:
-                ids = np.unique(self.id[self.kind == k]).tolist()
-                for i in ids:
-                    yield (f"{kind.process}{i}", kind.thread), kind
+                yield kind, np.unique(self.id[self.kind == k]).tolist()
             else:
-                yield (kind.process, kind.thread), kind
+                yield kind, [None]
 
 
 class TraceSink:
@@ -273,6 +283,8 @@ class Tracer:
             )
         #: lane -> clock domain, for the never-mix invariant
         self._lane_clocks: dict[tuple[str, str], str] = {}
+        #: SpanKind.lane_family -> ids whose lanes add_spans registered
+        self._family_ids: dict[tuple, set] = {}
         self._wall_epoch = time.perf_counter()
 
     # -- time --------------------------------------------------------------
@@ -326,11 +338,13 @@ class Tracer:
         """Record a columnar :class:`SpanBatch` of spans.
 
         The bulk path of the epoch engine (:func:`repro.sched.vector.
-        emit_epoch_spans`). Durations are checked as one array, lane
-        clocks once per distinct lane, and every lane of the batch is
-        checked before any is registered, so a rejected batch leaves
-        the tracer unchanged. Sinks with ``record_many`` take the batch
-        itself; the retained list and other sinks get its records.
+        emit_epoch_spans`). Durations are checked as one array, and
+        lane clocks once per lane that the kind's lane family has not
+        registered before: such a lane carries the family's clock by
+        construction. Every new lane of the batch is checked before any
+        is registered, so a rejected batch leaves the tracer unchanged.
+        Sinks with ``record_many`` take the batch itself; the retained
+        list and other sinks get its records.
         """
         if not len(batch):
             return 0
@@ -346,20 +360,27 @@ class Tracer:
                 f"span {batch.kinds[batch.kind[row]].name!r} has negative "
                 f"duration {float(batch.seconds[row])}"
             )
-        lanes = list(batch.lanes())
+        kind_ids = list(batch.lane_ids())
         with self._lock:
             new_lanes: dict[tuple[str, str], str] = {}
-            for lane, kind in lanes:
-                known = self._lane_clocks.get(lane) or new_lanes.setdefault(
-                    lane, kind.clock
-                )
-                if known != kind.clock:
-                    raise ObserveError(
-                        f"lane {lane} carries {known!r}-clock spans; "
-                        f"refusing to add {kind.clock!r}-clock span "
-                        f"{kind.name!r} (one lane, one clock domain)"
+            new_ids = []
+            for kind, ids in kind_ids:
+                registered = self._family_ids.get(kind.lane_family, ())
+                ids = [i for i in ids if i not in registered]
+                for lane in map(kind.lane, ids):
+                    known = self._lane_clocks.get(lane) or new_lanes.setdefault(
+                        lane, kind.clock
                     )
+                    if known != kind.clock:
+                        raise ObserveError(
+                            f"lane {lane} carries {known!r}-clock spans; "
+                            f"refusing to add {kind.clock!r}-clock span "
+                            f"{kind.name!r} (one lane, one clock domain)"
+                        )
+                new_ids.append((kind.lane_family, ids))
             self._lane_clocks.update(new_lanes)
+            for family, ids in new_ids:
+                self._family_ids.setdefault(family, set()).update(ids)
             records = None
             if self.retain:
                 records = batch.records()

@@ -301,6 +301,32 @@ class TestTraceMemo:
         memo.trace(kernel, self._args(dtype=np.float32))
         assert memo.misses == 2
 
+    @pytest.mark.parametrize(
+        "dtype", ["float16", "float32", "float64", "int32", ">f8"]
+    )
+    def test_signature_spells_the_dtype_name(self, dtype):
+        from repro.gpu.jit import TraceMemo, kernel_fingerprint
+        from repro.gpu.jitcache import canonical_key
+
+        kernel = make_laplacian_kernel()
+        name, shape = np.dtype(dtype).name, (8, 8, 8)
+        expected = (
+            ("kernel", kernel.name, kernel_fingerprint(kernel)),
+            ("array", 0, "arg0", name, shape),
+            ("array", 1, "arg1", name, shape),
+            ("tuple", 2, shape), ("float", 3), ("float", 4),
+        )
+        memo = TraceMemo()
+        for _ in range(2):  # the second launch reads the cached name
+            key = memo.signature(kernel, self._args(dtype=np.dtype(dtype)))
+            assert key == expected
+            assert canonical_key(key) == canonical_key(expected)
+            memo.trace(kernel, self._args(dtype=np.dtype(dtype)), key=key)
+        assert (memo.misses, memo.hits) == (1, 1)
+        # byte order is not part of the name: >f8 keys as native float64
+        native = self._args(dtype=np.dtype(dtype).newbyteorder("="))
+        assert memo.signature(kernel, native) == expected
+
     def test_eviction_respects_maxsize(self):
         from repro.gpu.jit import TraceMemo
 

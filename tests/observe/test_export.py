@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.observe.export import (
     write_metrics_json,
 )
 from repro.util.errors import ObserveError
+from tests.oracles.chrome_trace import to_chrome_trace_scan
 
 
 @pytest.fixture(autouse=True)
@@ -69,6 +71,23 @@ class TestChromeExport:
             e for e in obj["traceEvents"] if e.get("name") == "mark"
         )
         assert mark["ph"] == "i"
+
+    def test_many_lane_numbering_matches_scan_oracle(self):
+        # 300 processes x 3 threads in shuffled order, on both clocks
+        lanes = [(p, th) for p in range(300) for th in ("mpi", "core", "io")]
+        random.Random(5).shuffle(lanes)
+        t = Tracer()
+        for i, (p, thread) in enumerate(lanes):
+            t.add_span("s", cat="core", clock=SIM if p % 3 else WALL,
+                       process=f"p{p}", thread=thread, start=float(i),
+                       seconds=0.5, args={"i": i})
+        # a wall process whose label is also a modeled process's label
+        for thread in ("io", "extra"):
+            t.add_span("w", cat="core", clock=WALL, process="p1 [modeled]",
+                       thread=thread, start=0.0, seconds=1.0)
+        assert json.dumps(to_chrome_trace(t), indent=1) == json.dumps(
+            to_chrome_trace_scan(t), indent=1
+        )
 
     def test_load_rejects_garbage(self, tmp_path):
         with pytest.raises(ObserveError, match="not found"):

@@ -1,10 +1,11 @@
 """Streaming telemetry: shard writer, merge, flight recorder, live metrics."""
 
 import json
+import struct
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.observe.export import to_chrome_trace, write_chrome_trace
@@ -184,6 +185,16 @@ def awkward_batch(start, seconds):
     )
 
 
+#: column values that collide: equal floats with other bits, NaNs with
+#: other payloads, and ints at the int64 limits
+FLOAT_POOL = (
+    0.0, -0.0, float("nan"), -float("nan"),
+    struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0001))[0],
+    float("inf"), -float("inf"), 5e-324, 1 / 3, float(2 ** 63), 2 ** 53 + 1,
+)
+INT_POOL = (0, -1, 2 ** 31, 2 ** 63 - 1, -(2 ** 63))
+
+
 def recorded_lines(tmp_path, spans):
     sink = ShardedPerfettoWriter(tmp_path / "spans.jsonl", flush_threshold=3)
     for span in spans:
@@ -281,6 +292,36 @@ class TestBatchSerialization:
         )
         tmp_path = tmp_path_factory.mktemp("prop")
         assert written_lines(tmp_path, batch) == oracle_lines(batch)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.sampled_from(INT_POOL),
+                st.sampled_from(FLOAT_POOL),
+                st.sampled_from(FLOAT_POOL),
+                st.sampled_from(INT_POOL),
+            ),
+            max_size=30,
+        ),
+        threshold=st.integers(3, 5),
+    )
+    @example(  # one flush slice, one kind: -0.0 / 0.0 and NaN / -NaN
+        rows=[(0, 2 ** 31, x, -x, 0) for x in (0.0, -0.0, *FLOAT_POOL[2:4])],
+        threshold=4,
+    )
+    def test_duplicate_values_keep_their_texts_property(
+        self, tmp_path_factory, rows, threshold
+    ):
+        kind, id, start, seconds, tag = ([r[i] for r in rows] for i in range(5))
+        batch = SpanBatch(AWKWARD, kind=kind, id=id, start=start,
+                          seconds=seconds, tag=tag)
+        path = tmp_path_factory.mktemp("dup") / "batch.jsonl"
+        sink = ShardedPerfettoWriter(path, flush_threshold=threshold)
+        sink.record_many(batch)
+        sink.close()
+        assert path.read_text().splitlines() == oracle_lines(batch)
 
     def test_rotation_mid_batch_matches_per_span_record(self, tmp_path):
         batch = awkward_batch(

@@ -173,6 +173,32 @@ class TestSpanBatch:
         t.add_spans(batch((KERNEL, wall_kernel), [0, 1], ids=[5, 6]))
         assert len(t) == 2
 
+    def test_lane_memo_still_checks_other_kinds(self):
+        t = Tracer()
+        t.add_spans(batch((KERNEL,), [0], ids=[4]))  # gcd4/kernel is sim
+        wall_kernel = SpanKind("h", "gpu", WALL, "gcd", "kernel",
+                               process_id=True)
+        clash = batch((wall_kernel,), [0], ids=[4])
+        for _ in range(2):  # a rejection memoizes nothing: checked again
+            with pytest.raises(ObserveError, match="one lane, one clock"):
+                t.add_spans(clash)
+        t.add_spans(batch((KERNEL,), [0, 0], ids=[4, 4]))
+        t.add_spans(batch((wall_kernel,), [0], ids=[5]))
+        assert [r.process for r in t.spans] == ["gcd4"] * 3 + ["gcd5"]
+
+    def test_rejected_batch_memoizes_no_lane(self):
+        t = Tracer()
+        clash = SpanKind("x", "core", SIM, "p", "x")
+        t.add_span("wall", cat="core", clock=WALL, process="p", thread="x",
+                   start=0.0, seconds=1.0)
+        with pytest.raises(ObserveError, match="one lane, one clock"):
+            t.add_spans(batch((KERNEL, clash), [0, 1]))
+        t.add_span("wall", cat="gpu", clock=WALL, process="gcd0",
+                   thread="kernel", start=0.0, seconds=1.0)
+        # KERNEL's gcd0 was checked, not registered, in the rejected batch
+        with pytest.raises(ObserveError, match="one lane, one clock"):
+            t.add_spans(batch((KERNEL,), [0]))
+
     def test_bad_clock_and_negative_duration_record_nothing(self):
         t = Tracer()
         tai = SpanKind("a", "core", "tai", "p", "t")
