@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +72,7 @@ class VariableIndexEntry:
 
 @dataclass
 class Bp5Index:
-    """The whole metadata index of a dataset."""
+    """The whole metadata index of a dataset (``blocks`` is append-only)."""
 
     nsteps: int = 0
     nsubfiles: int = 0
@@ -80,6 +80,7 @@ class Bp5Index:
     attributes: dict[str, Attribute] = field(default_factory=dict)
     blocks: list[BlockInfo] = field(default_factory=list)
     engine: str = "BP5"
+    _block_texts: list[str] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -93,6 +94,22 @@ class Bp5Index:
             "attributes": {k: _attr_to_json(a) for k, a in self.attributes.items()},
             "blocks": [b.to_json() for b in self.blocks],
         }
+
+    def to_text(self) -> str:
+        """``json.dumps(self.to_json(), indent=1)``, encoding each block once.
+
+        A block nests two levels deep, so its cached text is its
+        standalone ``indent=1`` dump with two more spaces on every line
+        after the first; the header is encoded afresh each time.
+        """
+        texts = self._block_texts
+        for block in self.blocks[len(texts):]:
+            texts.append(json.dumps(block.to_json(), indent=1).replace("\n", "\n  "))
+        head = json.dumps(replace(self, blocks=[]).to_json(), indent=1)
+        if not texts:
+            return head
+        # head ends with the empty list: '"blocks": []\n}'
+        return head[:-4] + "[\n  " + ",\n  ".join(texts) + "\n ]\n}"
 
     @classmethod
     def from_json(cls, data: dict) -> "Bp5Index":
@@ -157,7 +174,7 @@ def create_dataset(path: Path, nsubfiles: int) -> None:
 
 def write_index(path: Path, index: Bp5Index) -> None:
     # atomic write-then-rename: readers never see a torn index
-    atomic_write_text(path / INDEX_FILE, json.dumps(index.to_json(), indent=1))
+    atomic_write_text(path / INDEX_FILE, index.to_text())
 
 
 def read_index(path: str | os.PathLike) -> Bp5Index:

@@ -71,8 +71,9 @@ class LustreModel:
         ``sample`` keys the deterministic jitter draw (e.g. node id): the
         draw for ``sample`` is the normal of generator ``("lustre",
         "write", nnodes, sample)``. A sequence of samples (all int or all
-        str) returns an array with one write time per sample, drawn in
-        one pass and bit-identical to per-sample calls.
+        str, e.g. a :class:`~repro.util.rngs.DecimalTails`) returns an
+        array with one write time per sample, drawn in one pass and
+        bit-identical to per-sample calls.
         """
         if bytes_per_node < 0:
             raise ValueError("bytes_per_node must be non-negative")

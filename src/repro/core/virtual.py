@@ -71,6 +71,10 @@ class VirtualRunResult:
 class VirtualWorkflow:
     """Event-driven "virtual SPMD" execution of a settings file.
 
+    Ranks are placed block-wise (the ``Placement`` default): node ``n``
+    holds ranks ``[n * rpn, (n + 1) * rpn)``, its lowest rank leading
+    the node's BP5 writes.
+
     >>> from repro.core.settings import GrayScottSettings
     >>> s = GrayScottSettings(L=64, steps=4, plotgap=2, backend="julia")
     >>> result = VirtualWorkflow(s, nranks=16).run()
@@ -187,19 +191,8 @@ class VirtualWorkflow:
         in the same shard, so a shard can simulate its BP5 writes
         without cross-shard traffic.
         """
-        # node boundaries: ranks are placed on nodes in contiguous runs
-        if self.placement.strategy == "block":
-            bounds = list(range(0, self.nranks, self.placement.ranks_per_node))
-            bounds.append(self.nranks)
-        else:
-            bounds = [0]
-            for r in range(1, self.nranks):
-                if (
-                    self.placement.location(r).node
-                    != self.placement.location(r - 1).node
-                ):
-                    bounds.append(r)
-            bounds.append(self.nranks)
+        bounds = list(range(0, self.nranks, self.placement.ranks_per_node))
+        bounds.append(self.nranks)
         nnodes = len(bounds) - 1
         nshards = min(jobs, nnodes)
         shards = []
@@ -407,18 +400,11 @@ class VirtualWorkflow:
             "final": True,
         })
 
-        if self.placement.strategy == "block":
-            # the leader of a node is its lowest rank (node * rpn)
-            rpn = self.placement.ranks_per_node
-            leaders = {node: node * rpn for node in range(nnodes)}
-        else:
-            leaders = {
-                self.placement.location(r).node: r
-                for r in range(nranks - 1, -1, -1)
-            }
+        leaders = np.arange(nnodes) * self.placement.ranks_per_node
         starts = np.zeros(nranks)
         arrivals = np.empty(nranks)
-        write_ends: dict[int, float] = {}
+        #: each node's latest write end; NaN until its first write
+        write_end = np.full(nnodes, np.nan)
         comm_slices: list[np.ndarray | None] = [None] * len(shards)
         total_events = 0
         for seg_idx, seg in enumerate(segments):
@@ -452,7 +438,9 @@ class VirtualWorkflow:
                 )
             for s, ((lo, hi), out) in enumerate(zip(shards, outs)):
                 arrivals[lo:hi] = out["arrivals"]
-                write_ends.update(out["write_ends"])
+                if out["write_ends"] is not None:
+                    nodes, ends = out["write_ends"]
+                    write_end[nodes] = ends
                 if comm_slices[s] is None:
                     comm_slices[s] = out["comm"]
                 total_events += out["events"]
@@ -469,10 +457,8 @@ class VirtualWorkflow:
                 if self.overlap:
                     # Join(previous write): the leader resumes at the
                     # later of the barrier and its node's drain finishing
-                    for node, leader in leaders.items():
-                        prev_end = write_ends.get(node)
-                        if prev_end is not None and prev_end > barrier:
-                            starts[leader] = prev_end
+                    later = write_end > barrier
+                    starts[leaders[later]] = write_end[later]
 
         elapsed = float(arrivals.max())
         comm = np.concatenate(comm_slices)
@@ -521,6 +507,7 @@ class VirtualWorkflow:
             emit_epoch_spans,
             simulate_epoch,
         )
+        from repro.util.rngs import DecimalTails
 
         settings = self.settings
         lo, hi = payload["lo"], payload["hi"]
@@ -552,24 +539,13 @@ class VirtualWorkflow:
         out_prev = seg["out_prev"]
         writes = None
         if out_prev is not None:
-            nnodes = self.placement.nnodes
-            if self.placement.strategy == "block":
-                rpn = self.placement.ranks_per_node
-                leader_ranks = np.arange(lo, hi, rpn, dtype=np.int64)
-                nodes = leader_ranks // rpn
-            else:
-                by_node: dict[int, int] = {}
-                for r in range(hi - 1, lo - 1, -1):
-                    by_node[self.placement.location(r).node] = r
-                nodes = np.array(sorted(by_node), dtype=np.int64)
-                leader_ranks = np.array(
-                    [by_node[int(n)] for n in nodes], dtype=np.int64
-                )
+            rpn = self.placement.ranks_per_node
+            leader_ranks = np.arange(lo, hi, rpn, dtype=np.int64)
+            nodes = leader_ranks // rpn
             lustre = LustreModel(self.machine, seed=settings.seed)
-            bytes_per_node = self._bytes_per_node()
             seconds = lustre.write_seconds_per_node(
-                nnodes, bytes_per_node,
-                sample=[f"{out_prev}:{node}" for node in nodes.tolist()],
+                self.placement.nnodes, self._bytes_per_node(),
+                sample=DecimalTails(f"{out_prev}:", nodes),
             )
             writes = EpochWrites(
                 index=leader_ranks - lo, nodes=nodes, seconds=seconds,
@@ -596,12 +572,9 @@ class VirtualWorkflow:
                 kernel_name=launch_cost.kernel_name,
                 backend=get_backend(settings.backend).name,
             )
-        ends: dict[int, float] = {}
+        ends = None
         if overlap and writes is not None and result.write_ends is not None:
-            ends = {
-                int(node): float(end)
-                for node, end in zip(writes.nodes, result.write_ends)
-            }
+            ends = (writes.nodes, result.write_ends)
         return {
             "arrivals": result.arrivals,
             "write_ends": ends,

@@ -31,6 +31,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Generator
 
+import numpy as np
+
 from repro.sched.engine import Barrier, Engine, Signal, Wait, use
 from repro.util.errors import SchedError
 
@@ -57,7 +59,7 @@ def replay_allreduce(values, op: str = "sum"):
         raise SchedError(
             f"unknown reduction {op!r}; supported: {sorted(REDUCE_OPS)}"
         )
-    return REDUCE_OPS[op]([float(v) for v in values])
+    return REDUCE_OPS[op](np.asarray(values, dtype=np.float64).tolist())
 
 
 @dataclass(frozen=True)

@@ -79,12 +79,57 @@ def _key_to_ints(key: tuple) -> tuple[int, ...]:
     return tuple(words)
 
 
+#: zlib's CRC-32 table: from a zero register, byte ``b`` leaves ``table[b]``
+_CRC_TABLE = np.array(
+    [zlib.crc32(bytes([b]), _MASK32) ^ _MASK32 for b in range(256)], dtype=np.uint32
+)
+#: 10**1 .. 10**19: a uint64 below 10**d has at most d decimal digits
+_DECIMAL_POWERS = np.array([10**d for d in range(1, 20)], dtype=np.uint64)
+
+
+class DecimalTails(Sequence):
+    """The str tails ``f"{prefix}{n}"`` for each ``n`` of an int array.
+
+    Indexing or iterating yields exactly those strings, but
+    :func:`_tail_words` hashes them a decimal digit at a time across
+    the whole array instead of one string at a time.
+    """
+
+    def __init__(self, prefix: str, numbers) -> None:
+        numbers = np.asarray(numbers)
+        if numbers.dtype.kind not in "iu" or (numbers.size and numbers.min() < 0):
+            raise ValueError("decimal tails need nonnegative ints")
+        self.prefix = prefix
+        self.numbers = numbers.astype(np.uint64)
+
+    def __len__(self) -> int:
+        return len(self.numbers)
+
+    def __getitem__(self, i: int) -> str:
+        return f"{self.prefix}{int(self.numbers[i])}"
+
+    def crc32(self) -> np.ndarray:
+        """``zlib.crc32`` of every tail's UTF-8 bytes, as uint32."""
+        # the CRC register after the shared prefix, before the final xor
+        prefix = np.uint32(zlib.crc32(self.prefix.encode("utf-8")) ^ _MASK32)
+        ndigits = 1 + np.searchsorted(_DECIMAL_POWERS, self.numbers, side="right")
+        crc = np.full(len(self.numbers), prefix, dtype=np.uint32)
+        for place in range(int(ndigits.max(initial=1)) - 1, -1, -1):
+            digit = (self.numbers // np.uint64(10**place) % np.uint64(10)).astype(np.uint32)
+            step = _CRC_TABLE[(crc ^ (digit + np.uint32(48))) & 0xFF] ^ (crc >> 8)
+            # a number shorter than ``place + 1`` digits has no byte here
+            crc = np.where(ndigits > place, step, crc)
+        return crc ^ np.uint32(_MASK32)
+
+
 def _tail_words(tails: Sequence[int] | Sequence[str]) -> list[np.ndarray]:
     """The key words of every tail, as one uint32 column per word.
 
     Tails must be all int (two words each) or all str (one word each),
     so that every tail has the same width.
     """
+    if isinstance(tails, DecimalTails):
+        return [tails.crc32()]
     n = len(tails)
     if all(isinstance(t, str) for t in tails):
         crcs = (zlib.crc32(t.encode("utf-8")) for t in tails)

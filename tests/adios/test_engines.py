@@ -253,6 +253,72 @@ class TestIndexWrites:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+class TestIndexText:
+    """md.idx.json reuses each block's text, byte for byte a full encode."""
+
+    @staticmethod
+    def _check_every_write(monkeypatch) -> list[int]:
+        """After each index write, compare the file with a full encode."""
+        checked = []
+        write_index = bp5.write_index
+
+        def compared(path, index):
+            write_index(path, index)
+            text = (path / INDEX_FILE).read_text()
+            assert text == json.dumps(index.to_json(), indent=1)
+            checked.append(len(index.blocks))
+
+        monkeypatch.setattr(bp5, "write_index", compared)
+        return checked
+
+    @staticmethod
+    def _define(io, nranks=1, rank=0):
+        io.define_attribute("Du", 0.2)
+        io.define_attribute("schemas", ["FIDES", "VTX"])
+        u = io.define_variable("U", np.float64, shape=(4, 4, 4 * nranks),
+                               start=(0, 0, 4 * rank), count=(4, 4, 4))
+        v = io.define_variable("V", np.float64, shape=(4, 4, 4 * nranks),
+                               start=(0, 0, 4 * rank), count=(4, 4, 4))
+        v.add_operation("zlib", {"level": 4})
+        return u, v, io.define_variable("step", np.int32)
+
+    @staticmethod
+    def _put_steps(engine, variables, steps, offset=0.0):
+        u, v, step = variables
+        for s in range(steps):
+            engine.begin_step()
+            engine.put(u, np.full((4, 4, 4), s + offset))
+            engine.put(v, np.full((4, 4, 4), -s - offset))
+            engine.put(step, np.int32(s))
+            engine.end_step()
+
+    def test_serial_and_append(self, tmp_path, monkeypatch):
+        checked = self._check_every_write(monkeypatch)
+        io = Adios().declare_io("txt")
+        variables = self._define(io)
+        with io.open(tmp_path / "x.bp", "w") as engine:
+            self._put_steps(engine, variables, 3)
+        io2 = Adios().declare_io("txt")
+        variables = self._define(io2)
+        with io2.open(tmp_path / "x.bp", "a") as engine:
+            self._put_steps(engine, variables, 2)
+        assert checked == [3, 6, 9, 12, 15]
+        assert read_index(tmp_path / "x.bp").blocks[4].codec == "zlib"
+
+    def test_two_rank_writer(self, tmp_path, monkeypatch):
+        checked = self._check_every_write(monkeypatch)
+
+        def worker(comm):
+            io = Adios().declare_io("txt")
+            variables = self._define(io, comm.size, comm.rank)
+            with io.open(str(tmp_path / "p.bp"), "w", comm=comm) as engine:
+                self._put_steps(engine, variables, 3, offset=comm.rank)
+
+        run_spmd(worker, 2, timeout=60)
+        # rank 0 alone writes the scalar
+        assert checked == [5, 10, 15]
+
+
 class TestReaderSelections:
     @pytest.fixture
     def dataset(self, tmp_path):

@@ -14,6 +14,8 @@ The million-rank contract has three layers, each pinned here:
    ``events_processed`` the one documented exclusion.
 """
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,8 +42,6 @@ def _settings(**kw):
 
 def _sim_spans(tracer):
     """The SIM-clock span multiset (pool wall spans are jobs-dependent)."""
-    import collections
-
     return collections.Counter(
         s for s in tracer.spans if s.clock == SIM
     )
@@ -265,6 +265,25 @@ class TestEngineTiers:
                     overlap=overlap, steps=steps, plotgap=plotgap
                 )
 
+    def test_overlap_join_holds_leaders_past_the_barrier(self):
+        # plotgap=1 and a 128^3 block: each output's write outlasts the
+        # next step, so after the next barrier every node leader resumes
+        # at its write end (the Join) while its followers resume at the
+        # barrier
+        kw = dict(overlap=True, nranks=32, L=128, steps=4, plotgap=1)
+        _, tracer = _traced_run(**kw)
+        kernels = collections.defaultdict(list)
+        for span in tracer.spans:
+            if span.clock == SIM and span.name.startswith("gray_scott"):
+                kernels[int(span.process.removeprefix("gcd"))].append(span.start)
+        held = 0
+        for step in range(kw["steps"]):
+            released = {kernels[r][step] for r in range(32) if r % 8}
+            assert len(released) == 1  # followers all resume at one instant
+            held += sum(kernels[r][step] > min(released) for r in range(0, 32, 8))
+        assert held >= 1
+        _assert_matches_serial(**kw)
+
     def test_vector_events_counter_recorded(self):
         _, tracer = _traced_run(overlap=True)
         counter = tracer.metrics.counter(
@@ -296,18 +315,20 @@ class TestShardedVector:
 
     @pytest.mark.slow
     def test_jobs_invariant_at_262144(self):
-        """ISSUE acceptance: jobs=1 vs jobs=8 at 262,144 ranks.
+        """jobs=1 vs jobs=8 at 262,144 ranks.
 
+        Three outputs, so two epochs carry writes and the overlapped
+        leaders Join them at the next barrier across all eight shards.
         Untraced (the span multiset equality is pinned at 4,096 above)
         and compared on modeled outputs only — the par.shm transport
         counters legitimately differ with jobs.
         """
         nranks = 262_144
         serial = VirtualWorkflow(
-            _settings(steps=2, plotgap=2), nranks=nranks, overlap=True,
+            _settings(steps=6, plotgap=2), nranks=nranks, overlap=True,
         ).run()
         sharded = VirtualWorkflow(
-            _settings(steps=2, plotgap=2), nranks=nranks, overlap=True,
+            _settings(steps=6, plotgap=2), nranks=nranks, overlap=True,
         ).run(jobs=8)
         _assert_same_model(serial, sharded)
 

@@ -1,9 +1,17 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.rngs import RngStream, _philox_keys, seed_for
+from repro.util.rngs import (
+    DecimalTails,
+    RngStream,
+    _philox_keys,
+    _tail_words,
+    seed_for,
+)
 
 
 class TestSeedFor:
@@ -136,6 +144,53 @@ class TestBatchedDraws:
             RngStream(1).normals(tails=[-1], scale=1.0)
         with pytest.raises(ValueError, match="64 bits"):
             RngStream(1).normals(tails=[1, 2**64], scale=1.0)
+
+
+# every digit-count boundary 9 | 10, 99 | 100, ... up to 2**40, plus
+# arbitrary values below 2**63
+_BOUNDARIES = [0] + [b for d in range(1, 13) for b in (10**d - 1, 10**d)] + [2**40]
+_NUMBERS = st.one_of(st.sampled_from(_BOUNDARIES), st.integers(0, 2**63 - 1))
+_PREFIXES = st.sampled_from(["", "0:", "17:", "write/", "é"])
+
+
+class TestDecimalTails:
+    """Int arrays standing in for the str tails ``f"{prefix}{n}"``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(prefix=_PREFIXES, numbers=st.lists(_NUMBERS, max_size=60))
+    def test_crc_words_equal_zlib(self, prefix, numbers):
+        tails = DecimalTails(prefix, np.array(numbers, dtype=np.int64))
+        strings = [f"{prefix}{n}" for n in numbers]
+        assert list(tails) == strings
+        (words,) = _tail_words(tails)
+        expected = [zlib.crc32(t.encode("utf-8")) for t in strings]
+        assert words.dtype == np.uint32
+        assert words.tolist() == expected
+
+    def test_every_boundary_at_once(self):
+        numbers = np.array(_BOUNDARIES + [2**63 - 1], dtype=np.int64)
+        for prefix in ("", "3:", "123456789:"):
+            (words,) = _tail_words(DecimalTails(prefix, numbers))
+            expected = [zlib.crc32(f"{prefix}{n}".encode()) for n in numbers.tolist()]
+            assert words.tolist() == expected
+
+    @pytest.mark.parametrize("count", [0, 1, 1000])
+    def test_normals_equal_string_tails(self, count):
+        stream = RngStream(2023, ("lustre",))
+        nodes = np.arange(count) * 7
+        got = stream.normals(
+            "write", 32768, tails=DecimalTails("3:", nodes), scale=0.1
+        )
+        expected = stream.normals(
+            "write", 32768, tails=[f"3:{n}" for n in nodes.tolist()], scale=0.1
+        )
+        assert got.tobytes() == expected.tobytes()
+
+    def test_negative_or_non_int_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            DecimalTails("", np.array([0, -1]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            DecimalTails("", np.array([1.0]))
 
 
 def _draw_task(index):
