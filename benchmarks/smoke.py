@@ -1,7 +1,7 @@
 """Fast-mode benchmark smoke: fig5/fig6/fig8 run end-to-end, format-checked.
 
 CI runs this (`python benchmarks/smoke.py`) on every push: each
-engine-backed figure driver is executed at a small, seconds-fast scale
+model-backed figure is run at a small, seconds-fast scale
 and its rendered block is matched against the expected format. A
 failing regex means the *shape of the output* drifted — a renamed
 column, a dropped row, a changed unit — which the numeric test suite
@@ -13,24 +13,18 @@ from __future__ import annotations
 import re
 import sys
 
-#: worker processes for the ladder drivers (``--jobs N``); the rendered
-#: output is byte-identical at any value, so the format checks are
-#: unchanged — CI's bench-parallel job runs the smoke at --jobs 2
-JOBS = 1
-
-
 def _fig6() -> str:
     from repro.bench import fig6
 
     return fig6.render_frontier(
-        fig6.run_frontier(ranks=(1, 8, 64), steps=5, jobs=JOBS)
+        fig6.run_frontier(ranks=(1, 8, 64), steps=5)
     )
 
 
 def _fig8() -> str:
     from repro.bench import fig8
 
-    return fig8.render_frontier(fig8.run_frontier(ranks=(1, 8, 64), jobs=JOBS))
+    return fig8.render_frontier(fig8.run_frontier(ranks=(1, 8, 64)))
 
 
 def _fig8_pipeline() -> str:
@@ -119,6 +113,4 @@ def run_smoke(out=sys.stdout) -> int:
 
 
 if __name__ == "__main__":
-    if "--jobs" in sys.argv:
-        JOBS = int(sys.argv[sys.argv.index("--jobs") + 1])
     sys.exit(run_smoke())

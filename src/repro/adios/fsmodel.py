@@ -13,12 +13,10 @@ lognormal jitter ("real-time file system usage"). The aggregate is
 capped by the file system peak. Constants live in
 :mod:`repro.bench.calibration`.
 
-The weak-scaling sweep posts each node's write as a timed event on the
-discrete-event engine (:mod:`repro.sched`): node aggregators occupy a
-shared Lustre OSS resource, the job's write time is the virtual instant
-the last subfile lands, and :func:`IoWeakScalingModel.run_pipeline`
-additionally models BP5's deferred/async drain — the write of step
-``k`` rides the OSS while the solve of step ``k+1`` runs on the GCDs.
+The job's write time is the instant the slowest node's subfile lands,
+and :func:`IoWeakScalingModel.run_pipeline` additionally models BP5's
+deferred/async drain — the write of step ``k`` rides the OSS while the
+solve of step ``k+1`` runs on the GCDs — as a per-node clock recurrence.
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bench import calibration as cal
+from repro.bench.sweep import RANK_LADDER
 from repro.cluster.frontier import FRONTIER, MachineSpec
 from repro.util.rngs import RngStream
 
@@ -142,54 +141,27 @@ class IoWeakScalingModel:
         local_shape: tuple[int, int, int] = (1024, 1024, 1024),
         nvars: int = 2,
         itemsize: int = 8,
-        ranks_per_node: int = 8,
         machine: MachineSpec = FRONTIER,
         seed: int = 2023,
     ):
         self.machine = machine
         self.local_shape = local_shape
-        self.ranks_per_node = ranks_per_node
         self.bytes_per_rank = int(np.prod(local_shape)) * nvars * itemsize
         self.model = LustreModel(machine, seed=seed)
 
     def _layout(self, nranks: int) -> tuple[int, float]:
-        nnodes = -(-nranks // self.ranks_per_node)
-        ranks_on_full_node = min(nranks, self.ranks_per_node)
+        """(nodes, bytes per node subfile) of an ``nranks`` job."""
+        nnodes = self.machine.nodes_for_ranks(nranks)
+        ranks_on_full_node = min(nranks, self.machine.node.gcds_per_node)
         return nnodes, self.bytes_per_rank * ranks_on_full_node
 
     def run_point(self, nranks: int) -> IoScalingPoint:
-        from repro.sched import Engine, use
-
         nnodes, bytes_per_node = self._layout(nranks)
-        engine = Engine(name=f"fig8[{nranks}]")
-        # capacity == nnodes: every aggregator streams concurrently; the
-        # contention cost of sharing the OSS pool is already inside
-        # node_write_bandwidth's derating factor
-        oss = engine.resource(
-            "lustre-oss", capacity=nnodes, lane=("lustre-oss", "write")
-        )
-
-        seconds = self.model.write_seconds_per_node(
-            nnodes, bytes_per_node, sample=range(nnodes)
-        ).tolist()
-
-        def writer(node: int):
-            yield from use(
-                oss, seconds[node], label="bp5.write", cat="adios",
-                args={"node": node, "bytes": bytes_per_node},
-            )
-
-        for node in range(nnodes):
-            engine.spawn(f"node{node}", writer(node), lane=(f"node{node}", "adios"))
-        # the job waits on the slowest subfile: virtual end time == the
-        # max over nodes, bitwise identical to job_write_seconds()
-        seconds = engine.run()
-        engine.check_quiescent()
         return IoScalingPoint(
             nnodes=nnodes,
             nranks=nranks,
             bytes_per_node=bytes_per_node,
-            write_seconds=seconds,
+            write_seconds=self.model.job_write_seconds(nnodes, bytes_per_node),
         )
 
     def run_pipeline(
@@ -200,92 +172,54 @@ class IoWeakScalingModel:
         compute_seconds_per_step: float | None = None,
         overlap: bool = False,
     ) -> IoPipelinePoint:
-        """Schedule ``steps`` x (solve, output) on the engine.
+        """Schedule ``steps`` x (solve, output) on every node.
 
         ``overlap=True`` models BP5's deferred-put drain: the write of
         step ``k`` streams to the OSS while step ``k+1`` computes; each
         node joins its outstanding write before posting the next one
         (one in-flight output step, like an async double buffer).
         """
-        from repro.sched import Engine, Join, use
-
         if compute_seconds_per_step is None:
             from repro.gpu.proxy import grayscott_launch_cost
 
             compute_seconds_per_step = grayscott_launch_cost(
                 self.local_shape, "julia"
             ).seconds
+        compute = compute_seconds_per_step
         nnodes, bytes_per_node = self._layout(nranks)
-        engine = Engine(name=f"fig8.pipeline[{nranks}]")
-        oss = engine.resource(
-            "lustre-oss", capacity=nnodes, lane=("lustre-oss", "write")
-        )
-
         # sample keys the deterministic jitter draw; fold the step in so
         # every (step, node) write jitters independently
         step_writes = [
             self.model.write_seconds_per_node(
                 nnodes, bytes_per_node,
                 sample=range(step * 1_000_003, step * 1_000_003 + nnodes),
-            ).tolist()
+            )
             for step in range(steps)
         ]
-
-        def node_program(node: int, gcd):
-            pending = None
-            for step in range(steps):
-                yield from use(
-                    gcd, compute_seconds_per_step, label="solve", cat="gpu",
-                    args={"step": step},
-                )
-                write = use(
-                    oss, step_writes[step][node], label="bp5.write",
-                    cat="adios", args={"node": node, "step": step},
-                )
-                if overlap:
-                    if pending is not None:
-                        yield Join(pending)
-                    pending = engine.spawn(
-                        f"node{node}.write{step}", write,
-                        lane=(f"node{node}", "adios"),
-                    )
-                else:
-                    yield from write
-            if pending is not None:
-                yield Join(pending)
-
-        processes = []
-        for node in range(nnodes):
-            gcd = engine.resource(
-                f"node{node}-gcds", lane=(f"node{node}", "solve")
-            )
-            processes.append(
-                engine.spawn(
-                    f"node{node}", node_program(node, gcd),
-                    lane=(f"node{node}", "core"),
-                )
-            )
-        elapsed = engine.run()
-        engine.check_quiescent()
-        serial = max(
-            sum(
-                compute_seconds_per_step + step_writes[step][node]
-                for step in range(steps)
-            )
-            for node in range(nnodes)
-        )
+        # per-node virtual clocks; `pending` is the end of the node's
+        # in-flight write (0.0 before the first, which no clock precedes)
+        t = np.zeros(nnodes)
+        pending = np.zeros(nnodes)
+        serial = np.zeros(nnodes)
+        for write in step_writes:
+            t += compute
+            if overlap:
+                np.maximum(t, pending, out=t)
+                pending = t + write
+            else:
+                t += write
+            serial += compute + write
+        np.maximum(t, pending, out=t)
         return IoPipelinePoint(
             nranks=nranks,
             nnodes=nnodes,
             steps=steps,
             bytes_per_node=bytes_per_node,
-            compute_seconds_per_step=compute_seconds_per_step,
-            serial_seconds=serial,
-            elapsed_seconds=elapsed,
+            compute_seconds_per_step=compute,
+            serial_seconds=float(serial.max()),
+            elapsed_seconds=float(t.max()),
             overlap=overlap,
         )
 
-    def run(self, nranks_list=None, *, jobs: int = 1) -> list[IoScalingPoint]:
-        from repro.bench.sweep import run_ladder
-
-        return run_ladder(self.run_point, nranks_list, jobs=jobs)
+    def run(self, nranks_list=RANK_LADDER) -> list[IoScalingPoint]:
+        return [self.run_point(n) for n in nranks_list]

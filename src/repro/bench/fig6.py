@@ -30,13 +30,12 @@ def run_frontier(
     ranks=RANK_LADDER,
     seed: int = 2023,
     overlap: bool = False,
-    jobs: int = 1,
 ) -> list[WeakScalingPoint]:
     model = WeakScalingModel(
         local_shape=(local_cells,) * 3, steps=steps, backend="julia",
         seed=seed, overlap=overlap,
     )
-    return model.run(list(ranks), jobs=jobs)
+    return model.run(ranks)
 
 
 def render_frontier(points: list[WeakScalingPoint]) -> str:

@@ -27,10 +27,9 @@ from repro.util.units import GB, TB
 
 def run_frontier(
     *, ranks=RANK_LADDER, local_cells: int = 1024, seed: int = 2023,
-    jobs: int = 1,
 ) -> list[IoScalingPoint]:
     model = IoWeakScalingModel(local_shape=(local_cells,) * 3, seed=seed)
-    return model.run(list(ranks), jobs=jobs)
+    return model.run(ranks)
 
 
 def run_pipeline(

@@ -1,43 +1,15 @@
-"""Shared scaling-sweep scaffolding for the Frontier-scale models.
+"""The job-size ladder shared by the Frontier-scale models.
 
 The paper runs every weak-scaling experiment over the same factor-of-8
 job-size ladder (Section 4.1): 1 -> 8 -> 64 -> 512 -> 4,096 GPUs. Both
 :class:`repro.mpi.netmodel.WeakScalingModel` (Fig. 6) and
 :class:`repro.adios.fsmodel.IoWeakScalingModel` (Fig. 8) — and the
 figure drivers in :mod:`repro.bench.fig6` / :mod:`repro.bench.fig8` —
-take their ladder from here instead of each hard-coding it.
+take their default ladder from here instead of each hard-coding it.
+Each ladder point is a few array passes, so the ladders run serially.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence, TypeVar
-
 #: the paper's factor-of-8 job-size ladder (ranks == GCDs)
 RANK_LADDER: tuple[int, ...] = (1, 8, 64, 512, 4096)
-
-P = TypeVar("P")
-
-
-def run_ladder(
-    run_point: Callable[[int], P],
-    nranks_list: Iterable[int] | None = None,
-    *,
-    jobs: int = 1,
-) -> list[P]:
-    """Evaluate ``run_point`` at every job size of the ladder.
-
-    ``nranks_list=None`` means the paper's :data:`RANK_LADDER`; any
-    iterable of rank counts substitutes a custom sweep. ``jobs > 1``
-    evaluates the points on a :func:`repro.par.run_tasks` process pool
-    — every point's model derives its randomness purely from the seed,
-    so the returned list is bit-identical to the serial one (``jobs=0``
-    means one worker per core).
-    """
-    sizes: Sequence[int] = (
-        RANK_LADDER if nranks_list is None else tuple(nranks_list)
-    )
-    if jobs == 1:
-        return [run_point(n) for n in sizes]
-    from repro.par import run_tasks
-
-    return run_tasks(run_point, sizes, jobs=jobs, chunksize=1)

@@ -124,16 +124,31 @@ def _streaming_tracer(trace_out: str):
     return Tracer(sinks=[writer], retain=False), writer
 
 
-def _finish_stream(tracer, writer, trace_out: str) -> None:
-    tracer.close()
-    kind = (
-        "shard" if writer.single_file
-        else f"shards in {trace_out.rstrip('/')}/"
-    )
-    print(
-        f"streamed {writer.total_spans} spans to {writer.target} ({kind}; "
-        f"merge with 'grayscott observe merge-shards {trace_out}')"
-    )
+def _finish_observe_outputs(args, tracer, stream_writer) -> None:
+    """Finish ``--trace-out`` (streamed or monolithic), write ``--metrics-out``."""
+    trace_out = args.trace_out
+    if stream_writer is not None:
+        tracer.close()
+        kind = (
+            "shard" if stream_writer.single_file
+            else f"shards in {trace_out.rstrip('/')}/"
+        )
+        print(
+            f"streamed {stream_writer.total_spans} spans to "
+            f"{stream_writer.target} ({kind}; merge with "
+            f"'grayscott observe merge-shards {trace_out}')"
+        )
+    elif trace_out:
+        from repro.observe.export import write_chrome_trace
+
+        write_chrome_trace(tracer, trace_out)
+        print(f"chrome trace written to {trace_out} "
+              "(load it at https://ui.perfetto.dev)")
+    if args.metrics_out:
+        from repro.observe.export import write_metrics_json
+
+        write_metrics_json(tracer.metrics, args.metrics_out)
+        print(f"metrics written to {args.metrics_out}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -192,7 +207,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     spec = JobSpec(settings=settings)
 
-    stream_writer = None
+    tracer = stream_writer = None
     if tracing:
         if args.trace_out and trace_mode != "mono":
             session_tracer, stream_writer = _streaming_tracer(args.trace_out)
@@ -200,14 +215,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             session_tracer = None
         with observe.session(session_tracer) as tracer:
             result = execute_job(spec, gpu_profiler=profiler)
-            if args.trace_out and stream_writer is None:
-                from repro.observe.export import write_chrome_trace
-
-                write_chrome_trace(tracer, args.trace_out)
-            if args.metrics_out:
-                from repro.observe.export import write_metrics_json
-
-                write_metrics_json(tracer.metrics, args.metrics_out)
     else:
         result = execute_job(spec, gpu_profiler=profiler)
     print(result.render())
@@ -216,13 +223,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.trace:
         profiler.report().write_csv(args.trace)
         print(f"rocprof-style trace written to {args.trace}")
-    if stream_writer is not None:
-        _finish_stream(tracer, stream_writer, args.trace_out)
-    elif args.trace_out:
-        print(f"chrome trace written to {args.trace_out} "
-              "(load it at https://ui.perfetto.dev)")
-    if args.metrics_out:
-        print(f"metrics written to {args.metrics_out}")
+    _finish_observe_outputs(args, tracer, stream_writer)
     return 0
 
 
@@ -257,19 +258,7 @@ def _run_virtual(args: argparse.Namespace, settings, trace_mode=None) -> int:
         spec, jobs=args.jobs, tracer=tracer, profiler=profiler
     )
     print(result.render())
-    if stream_writer is not None:
-        _finish_stream(tracer, stream_writer, args.trace_out)
-    elif args.trace_out:
-        from repro.observe.export import write_chrome_trace
-
-        write_chrome_trace(tracer, args.trace_out)
-        print(f"chrome trace written to {args.trace_out} "
-              "(load it at https://ui.perfetto.dev)")
-    if args.metrics_out:
-        from repro.observe.export import write_metrics_json
-
-        write_metrics_json(tracer.metrics, args.metrics_out)
-        print(f"metrics written to {args.metrics_out}")
+    _finish_observe_outputs(args, tracer, stream_writer)
     if profiler is not None:
         profiler.write_folded(args.sim_profile)
         print(f"sim profile ({profiler.samples_taken} samples) written to "
@@ -796,7 +785,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     elif target == "fig6":
         from repro.bench import fig6
 
-        print(fig6.render_frontier(fig6.run_frontier(jobs=args.jobs)))
+        print(fig6.render_frontier(fig6.run_frontier()))
         print()
         print(fig6.render_mini(fig6.run_mini()))
     elif target == "fig7":
@@ -808,7 +797,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     elif target == "fig8":
         from repro.bench import fig8
 
-        print(fig8.render_frontier(fig8.run_frontier(jobs=args.jobs)))
+        print(fig8.render_frontier(fig8.run_frontier()))
         print()
         print(fig8.render_mini(fig8.run_mini()))
     elif target == "listing1":
@@ -1165,11 +1154,6 @@ def build_parser() -> argparse.ArgumentParser:
             "fig5", "fig6", "fig7", "fig8",
             "listing1", "listing4", "report", "strong",
         ],
-    )
-    p_bench.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run the fig6/fig8 rank ladders across N worker processes "
-             "(0 = all cores); other targets ignore it",
     )
     p_bench.set_defaults(func=_cmd_bench)
     return parser

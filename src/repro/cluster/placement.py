@@ -88,6 +88,12 @@ class Placement:
             gcd = rank // self.nnodes
         return RankLocation(rank=rank, node=node, gcd=gcd)
 
+    def nodes_of(self, ranks):
+        """Node of each rank in an int array (no range check)."""
+        if self.strategy == "block":
+            return ranks // self.ranks_per_node
+        return ranks % self.nnodes
+
     def same_node(self, rank_a: int, rank_b: int) -> bool:
         return self.location(rank_a).node == self.location(rank_b).node
 

@@ -19,14 +19,12 @@ substitution table):
   step time is the max over ranks ("the overall communication overhead
   is dictated by the slowest time-to-solution processes").
 
-Each sampled rank runs as a virtual process on the discrete-event
-engine (:mod:`repro.sched`): kernel time occupies the rank's GCD
-resource and halo time its NIC resource, so ``overlap=True`` models the
-nonblocking exchange (comm proceeds while the next kernel runs, per
-step cost ~max(kernel, comm)) and the run exports a Perfetto timeline
-whenever an :mod:`repro.observe` tracer is active. With ``overlap``
-disabled the virtual schedule degenerates to the serial sum the scalar
-model used to compute.
+Every rank's ``steps`` x (kernel, halo exchange) run is one barrier-free
+epoch of the NumPy recurrences in :mod:`repro.sched.vector`, the same
+ones the virtual SPMD run advances on: ``overlap=True`` models the
+nonblocking exchange (comm proceeds while the next kernel runs, so a
+step costs ``max(kernel, comm)``), and with ``overlap`` disabled a
+step is the serial sum ``kernel + comm``.
 
 All randomness flows from a :class:`~repro.util.rngs.RngStream`, so a
 given seed reproduces the figure exactly.
@@ -40,10 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bench import calibration as cal
+from repro.bench.sweep import RANK_LADDER
 from repro.cluster.frontier import FRONTIER, MachineSpec
 from repro.cluster.placement import Placement
-from repro.mpi.cart import cart_shift, dims_create
-from repro.mpi.comm import PROC_NULL
+from repro.mpi.cart import cart_coords, dims_create
 from repro.util.rngs import RngStream
 
 
@@ -124,81 +122,60 @@ class HaloExchangeModel:
 
     def rank_step_seconds(self, rank: int) -> HaloCostBreakdown:
         """Modeled exchange time for one rank, one step."""
-        periods = (self.periodic,) * len(self.cart_dims)
-        pack = transfer = staging = 0.0
-        for direction in range(3):
-            nbytes = self.face_bytes(direction) * self.nvars
-            for neighbor in cart_shift(rank, self.cart_dims, periods, direction):
-                if neighbor == PROC_NULL:
-                    continue
-                if not self.gpu_aware:
-                    # pack + unpack on the host (strided Type_vector copies)
-                    pack += 2 * nbytes / cal.PACK_BYTES_PER_S
-                    # GPU->CPU before send, CPU->GPU after receive
-                    staging += 2 * nbytes / self.machine.node.gpu_cpu_bytes_per_s
-                transfer += self.net.p2p_seconds(rank, neighbor, nbytes)
-        return HaloCostBreakdown(pack, transfer, staging)
+        pack, transfer, staging = self._step_terms(rank, rank + 1)
+        return HaloCostBreakdown(
+            float(pack[0]), float(transfer[0]), float(staging[0])
+        )
 
     def slice_step_seconds(self, lo: int, hi: int) -> np.ndarray:
-        """Vectorized ``rank_step_seconds(r).total_seconds`` for ``[lo, hi)``.
+        """``rank_step_seconds(r).total_seconds`` for every rank in ``[lo, hi)``."""
+        pack, transfer, staging = self._step_terms(lo, hi)
+        return (pack + transfer) + staging
 
-        Bit-identical to the scalar loop: per (direction, displacement)
-        the cost added to each accumulator is a constant (the face size
-        is fixed per direction and link parameters depend only on the
-        intra/inter/self class of the neighbor), so the vector path
-        performs the same IEEE-754 additions in the same order — masked
-        terms add ``+0.0``, which cannot change a nonnegative
-        accumulator. Million-rank halo sampling drops from minutes of
-        Python-loop time to a few array passes.
+    def _step_terms(self, lo: int, hi: int):
+        """Per-rank (pack, transfer, staging) seconds for ``[lo, hi)``.
+
+        Each rank sends both faces of each direction, down then up
+        (``cart_shift``'s source/dest order). Per (direction,
+        displacement) the cost added to each accumulator is a constant:
+        the face size is fixed per direction, and the link parameters
+        depend only on whether the neighbour is the rank itself, on its
+        node, or elsewhere. Masked terms add ``+0.0``, which leaves a
+        nonnegative accumulator unchanged, so every rank's sums are the
+        IEEE-754 additions of a per-face loop, in the same order
+        (``tests/oracles/netmodel.py`` is that loop).
         """
-        if self.placement.strategy != "block":
-            # same_node() is placement-defined; only the block layout
-            # has the closed form the vector path uses
-            return np.array(
-                [self.rank_step_seconds(r).total_seconds for r in range(lo, hi)]
-            )
         ranks = np.arange(lo, hi, dtype=np.int64)
         n = ranks.size
-        if n == 0:
-            return np.empty(0)
-        # cartesian coordinates via the same divmod chain as cart_coords
-        coords = []
-        rest = ranks.copy()
-        for dim in reversed(self.cart_dims):
-            coords.append(rest % dim)
-            rest //= dim
-        coords = coords[::-1]
-        rpn = self.placement.ranks_per_node
-        home = ranks // rpn
+        coords = cart_coords(ranks.copy(), self.cart_dims)
+        home = self.placement.nodes_of(ranks)
         pack = np.zeros(n)
         transfer = np.zeros(n)
         staging = np.zeros(n)
-        for direction in range(3):
+        for direction, dim in enumerate(self.cart_dims):
             nbytes = self.face_bytes(direction) * self.nvars
             pack_s = 2 * nbytes / cal.PACK_BYTES_PER_S
             staging_s = 2 * nbytes / self.machine.node.gpu_cpu_bytes_per_s
             intra_s = self.net.intra.seconds(nbytes)
             inter_s = self.net.inter.seconds(nbytes)
+            stride = math.prod(self.cart_dims[direction + 1:])
             for disp in (-1, +1):
-                dim = self.cart_dims[direction]
                 shifted = coords[direction] + disp
                 if self.periodic:
                     valid = np.ones(n, dtype=bool)
                 else:
                     valid = (shifted >= 0) & (shifted < dim)
-                shifted = shifted % dim
-                # cart_rank's horner recurrence over the full coordinate
-                neighbor = np.zeros(n, dtype=np.int64)
-                for axis, adim in enumerate(self.cart_dims):
-                    c = shifted if axis == direction else coords[axis]
-                    neighbor = neighbor * adim + c
+                neighbor = ranks + (shifted % dim - coords[direction]) * stride
                 if not self.gpu_aware:
+                    # pack + unpack on the host (strided Type_vector
+                    # copies); GPU->CPU before send, CPU->GPU after receive
                     pack += np.where(valid, pack_s, 0.0)
                     staging += np.where(valid, staging_s, 0.0)
-                link = np.where(neighbor // rpn == home, intra_s, inter_s)
-                link = np.where(valid & (neighbor != ranks), link, 0.0)
-                transfer += link
-        return (pack + transfer) + staging
+                link = np.where(
+                    self.placement.nodes_of(neighbor) == home, intra_s, inter_s
+                )
+                transfer += np.where(valid & (neighbor != ranks), link, 0.0)
+        return pack, transfer, staging
 
 
 @dataclass(frozen=True)
@@ -278,7 +255,6 @@ class WeakScalingModel:
         overlap: bool = False,
         machine: MachineSpec = FRONTIER,
         seed: int = 2023,
-        sample_cap: int | None = 65536,
     ):
         self.local_shape = local_shape
         self.steps = steps
@@ -291,69 +267,10 @@ class WeakScalingModel:
         self.overlap = overlap
         self.machine = machine
         self.stream = RngStream(seed, ("fig6",))
-        #: cap on the virtual processes spawned per point; ``None``
-        #: samples every rank. Truncation that changes the comm estimate
-        #: is detected against the (cheap, vectorized) full-range mean
-        #: and reported with a warning + observe counter.
-        self.sample_cap = sample_cap
-
-    def _rank_program(self, engine, rank: int, kernel_s: float, comm_s: float):
-        """One virtual rank: ``steps`` x (kernel on GCD, halo on NIC)."""
-        from repro.sched import Join, use
-
-        gcd = engine.resource(f"gcd{rank}", lane=(f"gcd{rank}", "kernel"))
-        nic = engine.resource(f"nic{rank}", lane=(f"vrank{rank}", "mpi"))
-        for step in range(self.steps):
-            if self.overlap:
-                halo = engine.spawn(
-                    f"vrank{rank}.halo{step}",
-                    use(nic, comm_s, label="halo", cat="mpi"),
-                    lane=(f"vrank{rank}", "mpi"),
-                )
-                yield from use(gcd, kernel_s, label="kernel", cat="gpu")
-                yield Join(halo)
-            else:
-                yield from use(gcd, kernel_s, label="kernel", cat="gpu")
-                yield from use(nic, comm_s, label="halo", cat="mpi")
-
-    def _check_truncation(self, halo, comm: np.ndarray, nranks: int) -> None:
-        """Warn when ``sample_cap`` truncation skews the p2p estimate.
-
-        The cap bounds the number of virtual processes spawned on the
-        engine, but the halo-cost *estimate* it implies is checked
-        against the full rank range (cheap with the vectorized slice):
-        if the truncated mean disagrees, the silent-truncation bug the
-        cap used to hide becomes a visible warning and an observe
-        counter (``netmodel.sample_truncations``).
-        """
-        import warnings
-
-        from repro import observe
-
-        full_mean = float(halo.slice_step_seconds(0, nranks).mean())
-        sampled_mean = float(comm.mean())
-        if full_mean == 0.0:
-            return
-        skew = abs(sampled_mean - full_mean) / full_mean
-        if skew <= 1e-12:
-            return
-        tracer = observe.active()
-        if tracer is not None:
-            tracer.metrics.counter(
-                "netmodel.sample_truncations", model="fig6"
-            ).inc()
-        warnings.warn(
-            f"sample_cap={self.sample_cap} truncates halo sampling to "
-            f"{comm.size} of {nranks} ranks and shifts the mean p2p "
-            f"estimate by {100 * skew:.2f}%; pass sample_cap=None (or a "
-            "larger cap) for the full-range estimate",
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
     def run_point(self, nranks: int) -> WeakScalingPoint:
         from repro.gpu.proxy import grayscott_launch_cost
-        from repro.sched import Engine
+        from repro.sched import vector
 
         placement = Placement(nranks, self.machine)
         cart_dims = dims_create(nranks, 3)
@@ -361,12 +278,7 @@ class WeakScalingModel:
         halo = HaloExchangeModel(
             placement, cart_dims, self.local_shape, gpu_aware=self.gpu_aware
         )
-
-        cap = self.sample_cap if self.sample_cap is not None else nranks
-        nsample = min(nranks, cap)
-        comm = halo.slice_step_seconds(0, nsample)
-        if nsample < nranks:
-            self._check_truncation(halo, comm, nranks)
+        comm = halo.slice_step_seconds(0, nranks)
 
         sigma = noise_sigma(nranks)
         gen = self.stream.generator("point", nranks)
@@ -377,42 +289,30 @@ class WeakScalingModel:
         # range of N(0, sigma) over P ranks is ~ 2*sigma*sqrt(2 ln P),
         # which with noise_sigma() lands on the paper's 2-3% (<=512) and
         # 12-15% (4,096) variability bands.
-        jitter = gen.normal(0.0, sigma, size=nsample)
-        kernel_seconds = kernel.seconds * (1.0 + jitter)
-
-        engine = Engine(name=f"fig6[{nranks}]")
-        processes = [
-            engine.spawn(
-                f"vrank{rank}",
-                self._rank_program(
-                    engine, rank, float(kernel_seconds[rank]), float(comm[rank])
-                ),
-                lane=(f"vrank{rank}", "core"),
+        jitter = gen.normal(0.0, sigma, size=nranks)
+        # every rank runs `steps` x (kernel, halo) from t=0 with no
+        # barrier in between: one epoch of the vector recurrences
+        epoch = vector.simulate_epoch(
+            vector.EpochSpec(
+                ranks=np.arange(nranks),
+                starts=np.zeros(nranks),
+                kernel=kernel.seconds * (1.0 + jitter),
+                comm=comm,
+                nsteps=self.steps,
+                overlap=self.overlap,
             )
-            for rank in range(nsample)
-        ]
-        engine.run()
-        engine.check_quiescent()
-        rank_seconds = np.array([p.finished_at for p in processes])
+        )
         return WeakScalingPoint(
             nranks=nranks,
             nnodes=placement.nnodes,
             cart_dims=cart_dims,
             steps=self.steps,
-            rank_seconds=rank_seconds,
+            rank_seconds=epoch.arrivals,
             kernel_seconds_per_step=kernel.seconds,
             comm_seconds_mean=float(comm.mean()),
             overlap=self.overlap,
         )
 
-    def run(self, nranks_list=None, *, jobs: int = 1) -> list[WeakScalingPoint]:
-        """The paper's factor-of-8 job-size ladder (Section 4.1).
-
-        ``jobs > 1`` runs the ladder points on a process pool (the model
-        instance is picklable, so ``run_point`` ships to spawn-context
-        workers too); results are merged in ladder order and are
-        bit-identical to a serial run.
-        """
-        from repro.bench.sweep import run_ladder
-
-        return run_ladder(self.run_point, nranks_list, jobs=jobs)
+    def run(self, nranks_list=RANK_LADDER) -> list[WeakScalingPoint]:
+        """The paper's factor-of-8 job-size ladder (Section 4.1)."""
+        return [self.run_point(n) for n in nranks_list]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
 from repro.cluster.frontier import FRONTIER, MachineSpec
 from repro.cluster.placement import Placement
 from repro.mpi.cart import dims_create
@@ -88,10 +87,7 @@ class StrongScalingModel:
         halo = HaloExchangeModel(
             placement, cart_dims, local_shape, gpu_aware=self.gpu_aware
         )
-        comm = max(
-            halo.rank_step_seconds(rank).total_seconds
-            for rank in range(min(nranks, 64))
-        )
+        comm = float(halo.slice_step_seconds(0, min(nranks, 64)).max())
         return StrongScalingPoint(
             nranks=nranks,
             local_shape=local_shape,

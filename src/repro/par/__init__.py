@@ -1,8 +1,8 @@
 """repro.par — process-parallel fan-out with deterministic merge.
 
 The paper's evaluation is embarrassingly parallel at the campaign
-level: the fig6/fig8 weak-scaling ladders and the virtual-SPMD runs
-are independent configurations. This package spreads them over worker
+level: campaign members and the shards of a virtual-SPMD run are
+independent computations. This package spreads them over worker
 processes while keeping every output bit-identical to a serial run:
 
 - :class:`~repro.par.pool.WorkerPool` — the package's one
@@ -17,10 +17,10 @@ processes while keeping every output bit-identical to a serial run:
 - :mod:`repro.par.tracemerge` — folding per-worker span/metric capture
   into one Perfetto timeline with per-worker PID lanes.
 
-Entry points: ``--jobs N`` on the ``run`` and ``bench`` CLI commands,
-``jobs=`` keywords on ``bench.sweep.run_ladder``, the fig6/fig8
-drivers, and ``VirtualWorkflow.run``. See
-``docs/PARALLEL.md`` for the determinism contract.
+Entry points: ``--jobs N`` on the ``run`` and ``campaign`` CLI
+commands, and ``jobs=`` on ``VirtualWorkflow.run`` and
+``Campaign.run``. See ``docs/PARALLEL.md`` for the determinism
+contract.
 """
 
 from repro.par.pool import WorkerPool, default_chunksize, resolve_jobs, run_tasks

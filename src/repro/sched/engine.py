@@ -2,10 +2,13 @@
 
 The three calibrated performance models (``gpu.perf`` roofline,
 ``mpi.netmodel`` LogGP, ``adios.fsmodel`` Lustre) each predict seconds.
-Before this module existed the drivers summed those scalars serially,
-which cannot express the compute/comm/I/O *overlap* that dominates real
-Frontier runs. :class:`Engine` gives the models one shared virtual
-clock to post timed events onto instead:
+Schedules in which ranks never wait on each other (the Fig. 6 ladder,
+the epochs of a virtual SPMD run) advance as the NumPy recurrences of
+:mod:`repro.sched.vector`. :class:`Engine` runs the schedules that
+need an event queue — ranks contending for a shared NIC
+(``VirtualWorkflow._run_serial``, also the reference the vector path is
+tested against) and arbitrary rank programs
+(:func:`repro.sched.vspmd.run_virtual_spmd`) — on one virtual clock:
 
 - the **event queue** is keyed on :class:`~repro.util.timers.SimClock`
   time with a monotonically increasing sequence number as tie-break,
@@ -343,11 +346,12 @@ class Process:
             return
         self._dispatch(command)
 
-    def _dispatch(self, command) -> None:
-        # exact-class dispatch: the five command dataclasses are final
-        # in practice, and `is` beats isinstance chains on the hot path
+    def _dispatch(self, command, cls=None) -> None:
+        # exact-class dispatch: `is` beats isinstance chains on the hot
+        # path; a subclassed command comes back with its base class
         engine = self.engine
-        cls = command.__class__
+        if cls is None:
+            cls = command.__class__
         if cls is Delay:
             seconds = command.seconds
             # `0 <= s < inf` is False for NaN too
@@ -371,38 +375,14 @@ class Process:
         elif cls is Join:
             self._blocked_on = command
             command.process.done._wait(self)
-        elif isinstance(command, _COMMANDS):  # a subclassed command
-            self._dispatch_slow(command)
         else:
+            for base in _COMMANDS:
+                if isinstance(command, base):
+                    return self._dispatch(command, base)
             raise SchedError(
                 f"process {self.name!r} yielded {command!r}; expected one "
                 f"of {[c.__name__ for c in _COMMANDS]}"
             )
-
-    def _dispatch_slow(self, command) -> None:
-        """isinstance-based dispatch for subclassed commands (rare)."""
-        engine = self.engine
-        if isinstance(command, Delay):
-            if not math.isfinite(command.seconds) or command.seconds < 0:
-                raise SchedError(
-                    f"process {self.name!r} yielded invalid delay "
-                    f"{command.seconds!r}"
-                )
-            self._blocked_on = command
-            self._delay_start = engine.clock.now
-            engine.schedule(command.seconds, self._after_delay, command)
-        elif isinstance(command, Acquire):
-            self._blocked_on = command
-            command.resource._acquire(self, command.tokens)
-        elif isinstance(command, Release):
-            command.resource._release(command.tokens)
-            engine._resume_fast(self)
-        elif isinstance(command, Wait):
-            self._blocked_on = command
-            command.signal._wait(self)
-        else:  # Join
-            self._blocked_on = command
-            command.process.done._wait(self)
 
     def _after_delay(self, command: Delay) -> None:
         if command.label is not None:

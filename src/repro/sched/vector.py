@@ -168,7 +168,7 @@ def simulate_epoch(
     if spec.jit_seconds > 0.0:
         if queue is not None:
             queue.push(OP_JIT, t, spec.jit_seconds, spec.ranks)
-        t = t + spec.jit_seconds
+        t += spec.jit_seconds
         events += n
     writes = spec.writes
     write_ends = None
@@ -191,7 +191,9 @@ def simulate_epoch(
             events += int(writes.index.size)
     kernel = spec.kernel
     comm = spec.comm
+    # `t` advances in place (a queue push copies the times it is given)
     if spec.overlap:
+        halo_end = np.empty_like(t)
         for _ in range(spec.nsteps):
             if queue is not None:
                 queue.push(OP_HALO, t, comm, spec.ranks)
@@ -199,15 +201,18 @@ def simulate_epoch(
             # Join(halo): resume at whichever finishes later; both ends
             # are single additions from the common step start, exactly
             # as the engine schedules them
-            t = np.maximum(t + kernel, t + comm)
+            np.add(t, comm, out=halo_end)
+            t += kernel
+            np.maximum(t, halo_end, out=t)
         events += 4 * n * spec.nsteps
     else:
         for _ in range(spec.nsteps):
-            kernel_end = t + kernel
             if queue is not None:
                 queue.push(OP_KERNEL, t, kernel, spec.ranks)
-                queue.push(OP_HALO, kernel_end, comm, spec.ranks)
-            t = kernel_end + comm
+            t += kernel
+            if queue is not None:
+                queue.push(OP_HALO, t, comm, spec.ranks)
+            t += comm
         events += 2 * n * spec.nsteps
     if spec.final and spec.overlap and write_ends is not None:
         # Join(pending write) before the allreduce arrival

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.mpi.netmodel import (
     WeakScalingModel,
     noise_sigma,
 )
+from tests.oracles import netmodel as oracle
 
 
 class TestNetModel:
@@ -75,9 +78,39 @@ class TestHaloExchangeModel:
         )
         vector = model.slice_step_seconds(0, 128)
         scalar = np.array(
-            [model.rank_step_seconds(r).total_seconds for r in range(128)]
+            [oracle.rank_step_breakdown(model, r).total_seconds
+             for r in range(128)]
         )
         assert (vector == scalar).all()  # bitwise, not approx
+
+    @pytest.mark.parametrize("gpu_aware", [False, True], ids=["host", "aware"])
+    @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "open"])
+    @pytest.mark.parametrize("strategy", ["block", "roundrobin"])
+    @pytest.mark.parametrize("ranks_per_node", [8, 3])
+    @pytest.mark.parametrize(
+        "cart_dims",
+        [(1, 1, 1), (2, 1, 1), (1, 2, 3), (3, 1, 5), (4, 2, 2), (2, 5, 3)],
+        ids=lambda dims: "x".join(map(str, dims)),
+    )
+    def test_matches_per_face_oracle(
+        self, cart_dims, ranks_per_node, strategy, periodic, gpu_aware
+    ):
+        """Every rank's breakdown and total, bitwise, against the
+        per-face loop: extents of 1 (self-neighbour faces), 2 (both
+        faces reach the same rank) and more, on both placements."""
+        nranks = math.prod(cart_dims)
+        placement = Placement(
+            nranks, ranks_per_node=ranks_per_node, strategy=strategy
+        )
+        model = HaloExchangeModel(
+            placement, cart_dims, (24, 40, 56),
+            periodic=periodic, gpu_aware=gpu_aware,
+        )
+        expected = [oracle.rank_step_breakdown(model, r) for r in range(nranks)]
+        totals = model.slice_step_seconds(0, nranks)
+        assert totals.tolist() == [e.total_seconds for e in expected]
+        for rank, want in enumerate(expected):
+            assert model.rank_step_seconds(rank) == want, rank
 
     def test_slice_subrange_and_empty(self):
         model = HaloExchangeModel(Placement(64), (4, 4, 4), (64, 64, 64))
@@ -133,59 +166,8 @@ class TestWeakScalingModel:
     def test_nodes_accounting(self, points):
         assert [p.nnodes for p in points] == [1, 1, 8, 64, 512]
 
-
-class TestSampleCapTruncation:
-    """Satellite: the 65,536-rank sample cap no longer truncates silently."""
-
-    def _open_bc_halo(self, nranks):
-        # non-periodic boundaries make the sampled prefix (corner-heavy)
-        # visibly cheaper than the full range — the skew the check must
-        # catch; the periodic production domain is homogeneous and
-        # stays warning-free (tested below)
-        from repro.mpi.cart import dims_create
-
-        return HaloExchangeModel(
-            Placement(nranks), dims_create(nranks, 3), (64, 64, 64),
-            periodic=False,
-        )
-
-    def test_truncation_that_shifts_the_mean_warns(self):
-        model = WeakScalingModel(sample_cap=8)
-        halo = self._open_bc_halo(128)
-        comm = halo.slice_step_seconds(0, 8)
-        with pytest.warns(RuntimeWarning, match="sample_cap=8 truncates"):
-            model._check_truncation(halo, comm, 128)
-
-    def test_truncation_counter_reaches_registry(self):
-        from repro.observe import trace as observe
-
-        model = WeakScalingModel(sample_cap=8)
-        halo = self._open_bc_halo(128)
-        comm = halo.slice_step_seconds(0, 8)
-        tracer = observe.activate(observe.Tracer())
-        try:
-            with pytest.warns(RuntimeWarning):
-                model._check_truncation(halo, comm, 128)
-        finally:
-            observe.deactivate()
-        counter = tracer.metrics.counter(
-            "netmodel.sample_truncations", model="fig6"
-        )
-        assert counter.value == 1
-
-    def test_periodic_ladder_point_is_warning_free(self):
-        import warnings
-
-        model = WeakScalingModel(sample_cap=64)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            point = model.run_point(512)
-        assert point.nranks == 512
-        assert point.rank_seconds.size == 64  # still capped
-
-    def test_sample_cap_none_samples_every_rank(self):
-        point = WeakScalingModel(sample_cap=None).run_point(512)
-        assert point.rank_seconds.size == 512
+    def test_every_rank_is_simulated(self, points):
+        assert [p.rank_seconds.size for p in points] == [1, 8, 64, 512, 4096]
 
 
 class TestGhostExchangeFailureModel:

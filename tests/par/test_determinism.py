@@ -1,8 +1,8 @@
 """The determinism contract: --jobs N output is bit-identical to --jobs 1.
 
-Two fan-out hot paths, each compared serial vs. parallel on every
-payload field plus (for the virtual runs) the SIM-clock span multiset
-and the metrics registry. Excluded by contract (docs/PARALLEL.md): the
+The sharded virtual run, compared serial vs. parallel on every
+payload field plus the SIM-clock span multiset and the metrics
+registry. Excluded by contract (docs/PARALLEL.md): the
 ``sched.events_processed`` gauge / ``events_processed`` field, and
 WALL-clock pool-harness lanes.
 """
@@ -30,36 +30,6 @@ def _metrics_items(tracer):
         for e in snapshot_metrics(tracer.metrics)
         if e["name"] != "sched.events_processed"
     )
-
-
-class TestLadderIdentity:
-    def test_fig6_points_identical(self):
-        from repro.bench import fig6
-
-        ranks = (1, 8, 64, 512)
-        serial = fig6.run_frontier(steps=5, ranks=ranks)
-        par = fig6.run_frontier(steps=5, ranks=ranks, jobs=4)
-        assert len(serial) == len(par)
-        for a, b in zip(serial, par):
-            assert a.nranks == b.nranks
-            assert a.cart_dims == b.cart_dims
-            assert np.array_equal(a.rank_seconds, b.rank_seconds)
-            assert a.kernel_seconds_per_step == b.kernel_seconds_per_step
-            assert a.comm_seconds_mean == b.comm_seconds_mean
-
-    def test_fig8_points_identical(self):
-        from repro.bench import fig8
-
-        serial = fig8.run_frontier(ranks=(8, 64, 512))
-        par = fig8.run_frontier(ranks=(8, 64, 512), jobs=4)
-        for a, b in zip(serial, par):
-            assert a.__class__ is b.__class__
-            for name, value in vars(a).items():
-                other = vars(b)[name]
-                if isinstance(value, np.ndarray):
-                    assert np.array_equal(value, other), name
-                else:
-                    assert value == other, name
 
 
 class TestVirtualIdentity:

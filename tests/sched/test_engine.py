@@ -3,7 +3,9 @@
 import pytest
 
 from repro.observe.trace import SIM, Tracer
-from repro.sched import Delay, Engine, Join, Release, Wait, delay, series, use
+from repro.sched import (
+    Acquire, Delay, Engine, Join, Release, Wait, delay, series, use,
+)
 from repro.util.errors import SchedError
 
 
@@ -156,6 +158,76 @@ class TestProcesses:
         engine.run()
         with pytest.raises(SchedError, match="stuck-proc"):
             engine.check_quiescent()
+
+
+class _SubDelay(Delay):
+    pass
+
+
+class _SubAcquire(Acquire):
+    pass
+
+
+class _SubJoin(Join):
+    pass
+
+
+class TestSubclassedCommands:
+    """A subclassed command takes its base class's dispatch branch."""
+
+    @staticmethod
+    def _schedule(delay_cls, acquire_cls, join_cls):
+        tracer = Tracer()
+        engine = Engine(tracer=tracer)
+        gcd = engine.resource("gcd")
+
+        def kernel(seconds):
+            yield acquire_cls(gcd)
+            yield delay_cls(seconds, label="kernel", cat="gpu")
+            yield Release(gcd)
+            return seconds
+
+        def host():
+            kernels = [
+                engine.spawn(f"k{i}", kernel(s))
+                for i, s in enumerate((2.0, 0.5, 1.25))
+            ]
+            yield delay_cls(0.75, label="setup")
+            results = []
+            for process in kernels:
+                results.append((yield join_cls(process)))
+            yield delay_cls(0.0)
+            return results, [process.finished_at for process in kernels]
+
+        root = engine.spawn("host", host())
+        end = engine.run()
+        engine.check_quiescent()
+        stats = gcd.stats
+        spans = [
+            (s.name, s.cat, s.process, s.thread, s.start, s.seconds)
+            for s in tracer.spans if s.clock == SIM
+        ]
+        return (
+            end, root.result, root.finished_at, engine.events_processed,
+            (stats.acquires, stats.waits, stats.wait_seconds,
+             stats.busy_seconds),
+            spans,
+        )
+
+    def test_subclasses_schedule_as_their_bases(self):
+        base = self._schedule(Delay, Acquire, Join)
+        assert base[1] == ([2.0, 0.5, 1.25], [2.0, 2.5, 3.75])
+        assert self._schedule(_SubDelay, _SubAcquire, _SubJoin) == base
+
+    def test_subclassed_delay_is_validated(self):
+        engine = Engine(mirror=False)
+
+        def program():
+            yield _SubDelay(-1.0)
+
+        engine.spawn("p", program())
+        with pytest.raises(SchedError, match="invalid delay"):
+            engine.run()
 
 
 class TestResources:

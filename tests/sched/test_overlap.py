@@ -1,12 +1,11 @@
-"""Overlap semantics and golden regression for the engine-backed models.
+"""Overlap semantics and golden regression for the Frontier-scale models.
 
-The ISSUE's bit-for-bit contract: with overlap disabled, the
-discrete-event schedules must reproduce the serial-sum numbers the
-closed-form models produced before the refactor — rank times for
-Fig. 6 exactly equal the step-loop accumulation of kernel + comm, and
-Fig. 8 write times bitwise equal ``LustreModel.job_write_seconds``.
-With overlap enabled, virtual time must drop below the serial sum but
-never below the physical floor max(compute, comm).
+With overlap disabled, Fig. 6 rank times equal the step-loop
+accumulation of kernel + comm bitwise, and Fig. 8 write times bitwise
+equal ``LustreModel.job_write_seconds``. With overlap enabled, virtual
+time drops below the serial sum but never below the physical floor
+max(compute, comm). The BP5 drain pipeline equals a per-node Python
+loop of the same schedule bitwise.
 """
 
 import numpy as np
@@ -14,6 +13,7 @@ import pytest
 
 from repro.adios.fsmodel import IoWeakScalingModel
 from repro.mpi.netmodel import WeakScalingModel
+from tests.oracles import netmodel as oracle
 
 SHAPE = (256, 256, 256)  # small local block: fast ladder points
 
@@ -77,7 +77,8 @@ class TestFig6Golden:
         cart_dims = dims_create(nranks, 3)
         halo = HaloExchangeModel(placement, cart_dims, model.local_shape)
         comm = np.array(
-            [halo.rank_step_seconds(r).total_seconds for r in range(nranks)]
+            [oracle.rank_step_breakdown(halo, r).total_seconds
+             for r in range(nranks)]
         )
         gen = model.stream.generator("point", nranks)
         jitter = gen.normal(0.0, noise_sigma(nranks), size=nranks)
@@ -119,6 +120,54 @@ class TestFig8Golden:
         # the bytes of the slowest node
         assert point.elapsed_seconds >= point.steps * point.compute_seconds_per_step
         assert point.overlap_speedup > 1.0
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    @pytest.mark.parametrize("steps", [1, 3, 6])
+    @pytest.mark.parametrize("nranks", [1, 8, 64, 4096])
+    def test_pipeline_bitwise_equals_per_node_loop(self, nranks, steps, overlap):
+        model = IoWeakScalingModel(local_shape=SHAPE)
+        nnodes, bytes_per_node = model._layout(nranks)
+        # compute == write too: the Join ties then resolve both ways
+        for compute in (None, model.model.write_seconds_per_node(
+                nnodes, bytes_per_node, sample=0)):
+            point = model.run_pipeline(
+                nranks, steps=steps, compute_seconds_per_step=compute,
+                overlap=overlap,
+            )
+            elapsed, serial = self._per_node_loop(
+                model, nranks, steps, point.compute_seconds_per_step, overlap
+            )
+            assert point.elapsed_seconds == elapsed
+            assert point.serial_seconds == serial
+
+    @staticmethod
+    def _per_node_loop(model, nranks, steps, compute, overlap):
+        """Each node's solve/write schedule as plain float arithmetic."""
+        nnodes, bytes_per_node = model._layout(nranks)
+        writes = [
+            model.model.write_seconds_per_node(
+                nnodes, bytes_per_node,
+                sample=range(step * 1_000_003, step * 1_000_003 + nnodes),
+            ).tolist()
+            for step in range(steps)
+        ]
+        ends, serials = [], []
+        for node in range(nnodes):
+            t, pending = 0.0, None
+            for step in range(steps):
+                t = t + compute
+                write = writes[step][node]
+                if overlap:
+                    if pending is not None:
+                        t = max(t, pending)  # join the in-flight write
+                    pending = t + write
+                else:
+                    t = t + write
+            if pending is not None:
+                t = max(t, pending)
+            ends.append(t)
+            serials.append(sum(compute + writes[s][node] for s in range(steps)))
+        return max(ends), max(serials)
 
     def test_pipeline_is_deterministic(self):
         model = IoWeakScalingModel(local_shape=SHAPE)
