@@ -13,10 +13,9 @@ Pass/fail contract (exit 1 on violation):
 
 - the run completes inside ``--budget`` wall seconds;
 - :func:`repro.observe.export.validate_chrome_trace` passes on the
-  shard directory — above
-  :data:`repro.observe.stream.VALIDATE_STREAM_THRESHOLD` spans this
-  takes the bounded-memory streaming path, so the check itself stays
-  inside the CI budget;
+  shard directory — it checks shards record by record in bounded
+  memory (:func:`repro.observe.stream.validate_shard_stream`), so the
+  check itself stays inside the CI budget;
 - the shard manifest's declared span count matches the modeled event
   schedule (every rank's jit/kernel/halo span plus one write span per
   node leader);

@@ -208,7 +208,10 @@ class IoWeakScalingModel:
                 pending = t + write
             else:
                 t += write
-            serial += compute + write
+            # the blocking schedule's sums, in its order, so the two
+            # agree bitwise when overlap is off
+            serial += compute
+            serial += write
         np.maximum(t, pending, out=t)
         return IoPipelinePoint(
             nranks=nranks,

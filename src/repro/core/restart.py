@@ -11,10 +11,13 @@ identically to an uninterrupted one — asserted by
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from repro.adios.api import Adios
 from repro.adios.engines import BP5Reader
+from repro.core.settings import GrayScottSettings
 from repro.core.simulation import Simulation
 from repro.util.errors import ConfigError
 
@@ -55,9 +58,7 @@ def restore_checkpoint(sim: Simulation, path: str | None = None) -> int:
     reader = BP5Reader(None, source)
     attrs = reader.attributes
     if "settings_json" in attrs:
-        from repro.core.settings import GrayScottSettings
-
-        saved = GrayScottSettings.from_json(attrs["settings_json"].value)
+        saved = _saved_settings(attrs["settings_json"].value)
         if saved.shape != sim.settings.shape:
             raise ConfigError(
                 f"checkpoint is for global shape {saved.shape}, "
@@ -70,3 +71,19 @@ def restore_checkpoint(sim: Simulation, path: str | None = None) -> int:
     reader.close()
     sim.exchange()
     return sim.step_count
+
+
+def _saved_settings(text: str) -> GrayScottSettings:
+    """A checkpoint's settings, strictly validated.
+
+    Checkpoints written before the ghost exchange had one schedule carry
+    an ``"exchange"`` key the schema has since dropped; only that key is
+    forgiven.
+    """
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError:
+        return GrayScottSettings.from_json(text)  # reports the bad JSON
+    if isinstance(raw, dict):
+        raw.pop("exchange", None)
+    return GrayScottSettings.from_json(json.dumps(raw))

@@ -6,7 +6,9 @@ keys like ``L``, ``Du``, ``Dv``, ``F``, ``k``, ``dt``, ``steps``,
 ``plotgap``, ``noise``, ``output``, ``checkpoint``. This module reads
 and writes that schema and adds the knobs our reproduction introduces
 (backend, decomposition) under the same flat-JSON style; unknown keys
-are rejected so typos fail loudly.
+are rejected so typos fail loudly. That includes the retired
+``exchange`` key (the ghost exchange has one schedule, Listing 3's),
+which only :func:`repro.core.restart.restore_checkpoint` forgives.
 """
 
 from __future__ import annotations
@@ -58,10 +60,6 @@ class GrayScottSettings:
     #: boundary conditions: "periodic" (the paper's) or "neumann"
     #: (zero-flux walls)
     boundary: str = "periodic"
-    #: ghost exchange strategy: "sequential" (axis-by-axis blocking,
-    #: Listing 3) or "overlapped" (post-all-then-wait; valid because the
-    #: 7-point stencil reads face ghosts only)
-    exchange: str = "sequential"
     #: simulated MPI ranks for CLI runs; 0/1 means serial
     ranks: int = 0
 
@@ -101,10 +99,6 @@ class GrayScottSettings:
         if self.boundary not in ("periodic", "neumann"):
             raise ConfigError(
                 f"boundary must be periodic|neumann (got {self.boundary!r})"
-            )
-        if self.exchange not in ("sequential", "overlapped"):
-            raise ConfigError(
-                f"exchange must be sequential|overlapped (got {self.exchange!r})"
             )
         if self.ranks < 0:
             raise ConfigError(f"ranks must be >= 0 (got {self.ranks})")

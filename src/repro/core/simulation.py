@@ -85,9 +85,7 @@ class Simulation:
             self.cart = None
             coords = (0, 0, 0)
         self.domain = LocalDomain.for_coords(settings.shape, dims, coords)
-        self.exchange_plan = exchange_plan(
-            self.domain, (periodic,) * 3, settings.exchange
-        )
+        self.exchange_plan = exchange_plan(self.domain, (periodic,) * 3)
 
         # --- fields ----------------------------------------------------------
         self.u = self.domain.allocate_field(self.dtype)

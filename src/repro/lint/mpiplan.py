@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.core.domain import LocalDomain
-from repro.core.exchange import MODES, exchange_plan
+from repro.core.exchange import exchange_plan
 from repro.lint import diagnostics as D
 from repro.lint.diagnostics import LintReport
 from repro.mpi.cart import cart_coords
@@ -127,21 +127,15 @@ class CommPlan:
         return [op for op in self.ops if op.rank == rank]
 
 
-def halo_exchange_plan(
-    dims,
-    periods=None,
-    *,
-    mode: str = "sequential",
-) -> CommPlan:
+def halo_exchange_plan(dims, periods=None) -> CommPlan:
     """The ghost exchange every rank runs, as one plan.
 
     Collects each rank's :func:`repro.core.exchange.exchange_plan` (the
     plan :func:`~repro.core.exchange.exchange_ghosts` executes) and keeps
-    its message ops: ``isend`` is a nonblocking buffered send, ``irecv``
-    a nonblocking receive, ``recv`` a blocking one. Self-neighbour
-    faces are local copies, counted in ``local_copies``; walls send
-    nothing. Message sizes do not matter here, so every rank owns one
-    cell per axis.
+    its message ops: ``isend`` is a nonblocking buffered send, ``recv``
+    a blocking receive. Self-neighbour faces are local copies, counted
+    in ``local_copies``; walls send nothing. Message sizes do not matter
+    here, so every rank owns one cell per axis.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or any(d <= 0 for d in dims):
@@ -149,12 +143,10 @@ def halo_exchange_plan(
     periods = tuple(bool(p) for p in (periods or (True,) * len(dims)))
     if len(periods) != len(dims):
         raise LintError(f"periods {periods} do not match dims {dims}")
-    if mode not in MODES:
-        raise LintError(f"exchange mode must be sequential|overlapped, got {mode!r}")
     plan = CommPlan(math.prod(dims))
     for rank in range(plan.nranks):
         domain = LocalDomain.for_coords(dims, dims, cart_coords(rank, dims))
-        for op in exchange_plan(domain, periods, mode):
+        for op in exchange_plan(domain, periods):
             if op.kind in _MESSAGE_KINDS:
                 kind, blocking = _MESSAGE_KINDS[op.kind]
                 plan.add(PlanOp(kind, rank, op.peer, op.tag,
@@ -168,7 +160,6 @@ def halo_exchange_plan(
 #: runtime exchange op -> (plan op kind, blocking)
 _MESSAGE_KINDS = {
     "isend": ("send", False),
-    "irecv": ("recv", False),
     "recv": ("recv", True),
 }
 
@@ -354,7 +345,7 @@ def _check_deadlock(plan: CommPlan, report: LintReport) -> None:
         D.MPI_DEADLOCK, f"ranks {sorted(stuck)}",
         f"{len(stuck)} rank(s) block forever: {chain}",
         hint="break the cycle: post receives before blocking sends, or "
-             "use the nonblocking overlapped exchange",
+             "send nonblocking (isend) as the Listing 3 exchange does",
     )
 
 

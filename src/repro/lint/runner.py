@@ -7,9 +7,8 @@ object alone it lints
   through the JIT exactly as a run would compile them — including the
   paper's Listing 4 invariant, recorded as facts
   (``kernel:_kernel_gray_scott.unique_loads = 14`` / ``…stores = 2``);
-- the ghost-exchange plan the settings select (decomposition from
-  ``ranks``, periodicity from ``boundary``, sequential vs overlapped
-  from ``exchange``);
+- the Listing 3 ghost-exchange plan of the settings' decomposition
+  (from ``ranks``) and periodicity (from ``boundary``);
 - the ADIOS writer script of the output phase (one ``U``/``V``/``step``
   put per output step per rank, coverage-checked over the global
   shape).
@@ -135,9 +134,7 @@ def lint_workflow(settings, *, rules=None, passes=None) -> LintReport:
     else:
         dims = (1, 1, 1)
     periodic = settings.boundary == "periodic"
-    plan = halo_exchange_plan(
-        dims, periods=(periodic,) * 3, mode=settings.exchange
-    )
+    plan = halo_exchange_plan(dims, periods=(periodic,) * 3)
     check_plan(plan, report=report)
 
     check_writer_script(writer_script_for(settings), report=report)

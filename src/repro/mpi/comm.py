@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import pickle
 import threading
+import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any
@@ -479,30 +480,18 @@ class Comm:
         MPI_Probe: the returned status lets the caller size a receive
         buffer before posting the actual receive.
         """
-        deadline_timeout = timeout if timeout is not None else self.job.timeout
-        import time as _time
-
-        deadline = _time.monotonic() + deadline_timeout
-        mailbox = self._my_mailbox()
-        context = self._context(("p2p",))
-        probe_posted = _PostedRecv(source, tag, context, Request("probe"), 0)
+        limit = timeout if timeout is not None else self.job.timeout
+        deadline = time.monotonic() + limit
         while True:
             self.job.check_abort()
-            with mailbox.lock:
-                for msg in mailbox.messages:
-                    if probe_posted.matches(msg):
-                        nbytes = (
-                            msg.payload.nbytes
-                            if isinstance(msg.payload, np.ndarray)
-                            else 0
-                        )
-                        return Status(msg.source, msg.tag, nbytes)
-            if _time.monotonic() > deadline:
+            status = self.iprobe(source, tag)
+            if status is not None:
+                return status
+            if time.monotonic() > deadline:
                 raise MPIError(
-                    f"probe(source={source}, tag={tag}) timed out after "
-                    f"{deadline_timeout}s"
+                    f"probe(source={source}, tag={tag}) timed out after {limit}s"
                 )
-            _time.sleep(0.0005)
+            time.sleep(0.0005)
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status | None:
         """Nonblocking probe: a matching pending message's status, or None."""

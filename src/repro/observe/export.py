@@ -152,43 +152,24 @@ def validate_chrome_trace(obj) -> list[str]:
     """Schema-check a Chrome trace; returns a list of problems.
 
     ``obj`` may be the trace object itself, or a path — monolithic
-    JSON, a ``.jsonl`` shard, a shard directory, or a manifest (the
-    streamed forms are merged before checking). Checks the required
-    fields per event phase, that per-lane ``ts`` values are
-    monotonically non-decreasing, and that no (pid, tid) lane mixes
-    the two clock domains.
+    JSON, a ``.jsonl`` shard, a shard directory, or a manifest. Checks
+    the required fields per event phase, that per-lane ``ts`` values are
+    monotonically non-decreasing, and that no (pid, tid) lane mixes the
+    two clock domains. Streamed forms are checked record by record, in
+    bounded memory, by :func:`repro.observe.stream.validate_shard_stream`.
     """
     if isinstance(obj, (str, Path)):
-        from repro.observe.stream import (
-            VALIDATE_STREAM_THRESHOLD,
-            is_shard_source,
-            load_manifest,
-            merge_shards,
-            validate_shard_stream,
-        )
+        from repro.observe.stream import is_shard_source, validate_shard_stream
 
         target = Path(obj)
         if is_shard_source(target):
-            if target.suffix != ".jsonl":
-                # million-span shard directories are schema-checked by
-                # streaming instead of materializing the merged trace
-                try:
-                    declared = int(load_manifest(target).get("spans", 0))
-                except ObserveError as exc:
-                    return [str(exc)]
-                if declared > VALIDATE_STREAM_THRESHOLD:
-                    return validate_shard_stream(target)
-            try:
-                obj = merge_shards(target)
-            except ObserveError as exc:
-                return [str(exc)]
-        else:
-            try:
-                obj = json.loads(target.read_text())
-            except OSError as exc:
-                return [f"cannot read {target}: {exc}"]
-            except json.JSONDecodeError as exc:
-                return [f"{target} is not valid JSON: {exc}"]
+            return validate_shard_stream(target)
+        try:
+            obj = json.loads(target.read_text())
+        except OSError as exc:
+            return [f"cannot read {target}: {exc}"]
+        except json.JSONDecodeError as exc:
+            return [f"{target} is not valid JSON: {exc}"]
     problems: list[str] = []
     if not isinstance(obj, dict) or "traceEvents" not in obj:
         return ["top level must be an object with a 'traceEvents' list"]

@@ -575,10 +575,6 @@ def write_merged(source, out) -> Path:
     return target
 
 
-#: above this many manifest spans, :func:`repro.observe.export.
-#: validate_chrome_trace` streams the shards instead of merging them
-VALIDATE_STREAM_THRESHOLD = 1_000_000
-
 #: stop a streaming validation after this many problems
 _MAX_STREAM_PROBLEMS = 50
 
@@ -586,14 +582,15 @@ _MAX_STREAM_PROBLEMS = 50
 def validate_shard_stream(source) -> list[str]:
     """Schema-check streamed shards without materializing the trace.
 
-    The bounded-memory complement of :func:`repro.observe.export.
-    validate_chrome_trace` for million-span shard directories: every
-    line must decode to a full span record, durations must be
-    nonnegative, clock domains must be known and never mixed within a
-    lane, and the shard span counts must add up to the manifest's
-    total. Per-lane timestamp monotonicity needs no separate check
-    here — the merged exporter sorts each lane by start time, so any
-    stream with valid timestamps merges to a monotonic trace.
+    What :func:`repro.observe.export.validate_chrome_trace` runs on
+    every shard source, in bounded memory: every line must decode to a
+    full span record with a string ``name``, an ``X`` or ``i`` phase and
+    an object ``args``; durations must be nonnegative; clock domains
+    must be known and never mixed within a lane; and the shard span
+    counts must add up to the manifest's total. Per-lane timestamp
+    monotonicity needs no separate check here — the merged exporter
+    sorts each lane by start time, so any stream with valid timestamps
+    merges to a monotonic trace.
     """
     from repro.observe.trace import _CLOCKS
 
@@ -611,10 +608,21 @@ def validate_shard_stream(source) -> list[str]:
     try:
         for kwargs in iter_span_records(target):
             count += 1
+            if not isinstance(kwargs["name"], str):
+                problems.append(f"span {count} missing string 'name'")
+            if kwargs["ph"] not in ("X", "i"):
+                problems.append(
+                    f"span {count} ({kwargs['name']!r}) has unsupported "
+                    f"phase {kwargs['ph']!r}"
+                )
+            if not isinstance(kwargs["args"], dict):
+                problems.append(
+                    f"span {count} ({kwargs['name']!r}) 'args' is not an object"
+                )
             clock = kwargs["clock"]
             if clock not in _CLOCKS:
                 problems.append(
-                    f"span {count} ({kwargs.get('name')!r}) has unknown "
+                    f"span {count} ({kwargs['name']!r}) has unknown "
                     f"clock {clock!r}"
                 )
             if not isinstance(kwargs["start"], (int, float)):
@@ -624,7 +632,7 @@ def validate_shard_stream(source) -> list[str]:
                 not isinstance(seconds, (int, float)) or seconds < 0
             ):
                 problems.append(
-                    f"span {count} ({kwargs.get('name')!r}) missing "
+                    f"span {count} ({kwargs['name']!r}) missing "
                     "nonnegative 'seconds'"
                 )
             lane = (kwargs["process"], kwargs["thread"])

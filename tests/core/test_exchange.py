@@ -98,76 +98,21 @@ class TestExchangeSpecialCases:
             assert np.array_equal(field, expected)
 
 
-class TestNonblockingExchange:
-    def test_faces_match_blocking_variant(self):
-        """Face ghosts agree with the sequential plan; the Gray-Scott
-        stencil never reads the edge/corner ghosts where they differ."""
-        shape = (8, 8, 8)
-        dims, nranks = (2, 2, 2), 8
-        reference = _global_field(shape, seed=11)
-
-        def worker(comm):
-            cart = comm.create_cart(dims, periods=(True,) * 3)
-            domain = LocalDomain.for_coords(shape, dims, cart.coords())
-            blocking = domain.allocate_field()
-            overlapped = domain.allocate_field()
-            for field in (blocking, overlapped):
-                domain.interior(field)[...] = reference[domain.global_slices()]
-            exchange_ghosts(cart, blocking, exchange_plan(domain, cart.periods))
-            exchange_ghosts(
-                cart, overlapped, exchange_plan(domain, cart.periods, "overlapped")
-            )
-            # compare face ghosts only (strip the 12 edges + 8 corners)
-            same = True
-            same &= np.array_equal(blocking[0, 1:-1, 1:-1], overlapped[0, 1:-1, 1:-1])
-            same &= np.array_equal(blocking[-1, 1:-1, 1:-1], overlapped[-1, 1:-1, 1:-1])
-            same &= np.array_equal(blocking[1:-1, 0, 1:-1], overlapped[1:-1, 0, 1:-1])
-            same &= np.array_equal(blocking[1:-1, -1, 1:-1], overlapped[1:-1, -1, 1:-1])
-            same &= np.array_equal(blocking[1:-1, 1:-1, 0], overlapped[1:-1, 1:-1, 0])
-            same &= np.array_equal(blocking[1:-1, 1:-1, -1], overlapped[1:-1, 1:-1, -1])
-            return same
-
-        assert all(run_spmd(worker, nranks, timeout=60))
-
-    def test_simulation_correct_with_nonblocking_faces(self):
-        """A solver stepping with the overlapped exchange matches the
-        serial solution bitwise (the kernel only reads face ghosts)."""
-        from repro.core.settings import GrayScottSettings
-        from repro.core.simulation import Simulation
-
-        settings = GrayScottSettings(L=12, steps=0, noise=0.05)
-        serial = Simulation(settings)
-        serial.run(5)
-        expected = serial.gather_global("u")
-
-        def worker(comm):
-            sim = Simulation(settings.with_overrides(exchange="overlapped"), comm)
-            assert any(op.kind == "wait" for op in sim.exchange_plan)
-            sim.run(5)
-            return sim.gather_global("u")
-
-        got = run_spmd(worker, 8, timeout=120)[0]
-        assert np.array_equal(expected, got)
-
-
 # -- the plan against the face-by-face exchange it replaced --------------
 
 MATRIX_DIMS = [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1), (2, 2, 2), (3, 1, 1)]
 #: uneven on every axis, and not divisible by 2 or 3 everywhere
 UNEVEN_SHAPE = (7, 6, 5)
-MESSAGE_KINDS = ("isend", "irecv", "recv")
+MESSAGE_KINDS = ("isend", "recv")
 
 
 def _logging(cart, log):
     """Record every point-to-point call ``cart`` makes, in call order.
 
-    Entries are ``[op, peer, tag, elements]``; an ``irecv`` gets its
-    element count when its request completes. Calls made inside a
-    logged call (``send`` -> ``isend``, ``recv`` -> ``irecv``) are not
-    logged again.
+    Entries are ``[op, peer, tag, elements]``. Calls made inside a
+    logged call (``send`` -> ``isend``) are not logged again.
     """
-    inner = {"send": cart.send, "isend": cart.isend,
-             "recv": cart.recv, "irecv": cart.irecv}
+    inner = {"send": cart.send, "isend": cart.isend, "recv": cart.recv}
     nested = []
 
     def logged(op):
@@ -182,19 +127,7 @@ def _logging(cart, log):
                 result = inner[op](*args, **kwargs)
             finally:
                 nested.pop()
-            if op.endswith("send"):
-                entry[3] = args[0].size
-            elif op == "recv":
-                entry[3] = result[0].size
-            else:
-                wait = result.wait
-
-                def counted_wait(timeout=None):
-                    msg = wait(timeout)
-                    entry[3] = msg.payload.size
-                    return msg
-
-                result.wait = counted_wait
+            entry[3] = args[0].size if op.endswith("send") else result[0].size
             return result
         return call
 
@@ -209,14 +142,10 @@ def _stale_ghosts(domain, reference, seed):
     return field
 
 
-def _matrix_case(dims, periodic, mode, seed=0):
+def _matrix_case(dims, periodic, oracle_exchange, seed=0):
     """Per rank: (plan, plan field, oracle field, message log)."""
     nranks = int(np.prod(dims))
     reference = _global_field(UNEVEN_SHAPE, seed)
-    oracle_exchange = {
-        "sequential": oracle.exchange_ghosts,
-        "overlapped": oracle.exchange_ghosts_nonblocking,
-    }[mode]
 
     def worker(comm):
         periods = (periodic,) * 3
@@ -233,20 +162,27 @@ def _matrix_case(dims, periodic, mode, seed=0):
             )
         log = []
         _logging(cart, log)
-        plan = exchange_plan(domain, periods, mode)
+        plan = exchange_plan(domain, periods)
         exchange_ghosts(cart, got, plan)
         return plan, got, expected, log
 
     return run_spmd(worker, nranks, timeout=60)
 
 
-@pytest.mark.parametrize("mode", ["sequential", "overlapped"])
+#: the face-by-face loop the plans are checked against, named by the
+#: schedule it runs (Listing 3's axis-by-axis blocking exchange)
+ORACLE = pytest.mark.parametrize(
+    "oracle_exchange", [oracle.exchange_ghosts], ids=["sequential"]
+)
+
+
+@ORACLE
 @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "walls"])
 @pytest.mark.parametrize("dims", MATRIX_DIMS, ids=lambda d: "x".join(map(str, d)))
 class TestPlanMatchesOracle:
-    def test_ghosted_bytes_and_message_log(self, dims, periodic, mode):
+    def test_ghosted_bytes_and_message_log(self, dims, periodic, oracle_exchange):
         for rank, (plan, got, expected, log) in enumerate(
-            _matrix_case(dims, periodic, mode)
+            _matrix_case(dims, periodic, oracle_exchange)
         ):
             # every byte, ghost edges and corners included
             assert got.tobytes(order="F") == expected.tobytes(order="F"), rank
@@ -256,23 +192,22 @@ class TestPlanMatchesOracle:
             ], rank
 
 
-@pytest.mark.parametrize("mode", ["sequential", "overlapped"])
+@ORACLE
 @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "walls"])
-def test_serial_plan_needs_no_communicator(periodic, mode):
+def test_serial_plan_needs_no_communicator(periodic, oracle_exchange):
     """A serial run is the (1, 1, 1) plan: local fills only, no cart."""
     dims = (1, 1, 1)
     domain = LocalDomain.for_coords(UNEVEN_SHAPE, dims, (0, 0, 0))
-    plan = exchange_plan(domain, (periodic,) * 3, mode)
+    plan = exchange_plan(domain, (periodic,) * 3)
     assert {op.kind for op in plan} == {"copy" if periodic else "mirror"}
     field = _stale_ghosts(domain, _global_field(UNEVEN_SHAPE), seed=1)
     exchange_ghosts(None, field, plan)
-    [(_, _, expected, _)] = _matrix_case(dims, periodic, mode)
+    [(_, _, expected, _)] = _matrix_case(dims, periodic, oracle_exchange)
     assert np.array_equal(field, expected)
-    if mode == "sequential":
-        fill = oracle.serial_wrap_ghosts if periodic else oracle.mirror_ghosts
-        serial = _stale_ghosts(domain, _global_field(UNEVEN_SHAPE), seed=1)
-        fill(serial)
-        assert np.array_equal(field, serial)
+    fill = oracle.serial_wrap_ghosts if periodic else oracle.mirror_ghosts
+    serial = _stale_ghosts(domain, _global_field(UNEVEN_SHAPE), seed=1)
+    fill(serial)
+    assert np.array_equal(field, serial)
 
 
 @pytest.mark.parametrize("dims", MATRIX_DIMS, ids=lambda d: "x".join(map(str, d)))

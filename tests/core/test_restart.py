@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,37 @@ class TestSerialRestart:
         other = Simulation(_settings(tmp_path, L=16))
         with pytest.raises(ConfigError, match="shape"):
             restore_checkpoint(other, path)
+
+    def _write_with_settings_json(self, tmp_path, monkeypatch, **extra):
+        """A checkpoint whose ``settings_json`` carries ``extra`` keys."""
+        settings = _settings(tmp_path)
+        sim = Simulation(settings)
+        sim.run(3)
+        text = json.dumps({**asdict(settings), **extra}, indent=2)
+        with monkeypatch.context() as patch:
+            patch.setattr(GrayScottSettings, "to_json", lambda self: text)
+            path = write_checkpoint(sim)
+        return settings, sim, path
+
+    def test_retired_exchange_key_restores(self, tmp_path, monkeypatch):
+        """Checkpoints from before the one exchange schedule carry
+        ``"exchange": "sequential"``; they restore and continue bitwise."""
+        settings, written, path = self._write_with_settings_json(
+            tmp_path, monkeypatch, exchange="sequential"
+        )
+        resumed = Simulation(settings)
+        assert restore_checkpoint(resumed, path) == 3
+        written.run(2)
+        resumed.run(2)
+        assert np.array_equal(written.u, resumed.u)
+        assert np.array_equal(written.v, resumed.v)
+
+    def test_other_unknown_keys_still_rejected(self, tmp_path, monkeypatch):
+        settings, _, path = self._write_with_settings_json(
+            tmp_path, monkeypatch, exchange="sequential", typo_key=1
+        )
+        with pytest.raises(ConfigError, match=r"unknown settings keys: \['typo_key'\]"):
+            restore_checkpoint(Simulation(settings), path)
 
     def test_no_checkpoint_configured(self, tmp_path):
         settings = _settings(tmp_path, checkpoint="")

@@ -29,6 +29,12 @@ class TestSettings:
         with pytest.raises(ConfigError, match="unknown settings keys"):
             GrayScottSettings.from_json('{"L": 32, "typo_key": 1}')
 
+    def test_retired_exchange_key_rejected(self):
+        """The ghost exchange has one schedule; its old knob is a typo now."""
+        with pytest.raises(ConfigError, match=r"unknown settings keys: \['exchange'\]"):
+            GrayScottSettings.from_json('{"L": 32, "exchange": "sequential"}')
+        assert "exchange" not in GrayScottSettings.__dataclass_fields__
+
     def test_invalid_json_rejected(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
             GrayScottSettings.from_json("{bad")

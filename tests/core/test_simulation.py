@@ -168,28 +168,6 @@ class TestGpuBackends:
         assert np.array_equal(expected, got)
 
 
-class TestExchangeModes:
-    def test_overlapped_matches_sequential_bitwise(self):
-        base = _settings(steps=6)
-        overlapped = base.with_overrides(exchange="overlapped")
-
-        def worker_factory(settings):
-            def worker(comm):
-                sim = Simulation(settings, comm)
-                sim.run(6)
-                return sim.gather_global("u")
-
-            return worker
-
-        a = run_spmd(worker_factory(base), 8, timeout=120)[0]
-        b = run_spmd(worker_factory(overlapped), 8, timeout=120)[0]
-        assert np.array_equal(a, b)
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            _settings(exchange="magic")
-
-
 class TestNonPowerOfTwoDecompositions:
     @pytest.mark.parametrize("nranks,dims", [
         (3, (1, 1, 3)),

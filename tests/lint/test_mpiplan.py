@@ -37,10 +37,9 @@ class TestCartShift:
 
 
 class TestHaloExchangePlan:
-    @pytest.mark.parametrize("mode", ["sequential", "overlapped"])
-    def test_default_plan_is_clean(self, mode):
+    def test_default_plan_is_clean(self):
         dims = dims_create(4, 3)
-        plan = halo_exchange_plan(dims, mode=mode)
+        plan = halo_exchange_plan(dims)
         report = check_plan(plan)
         assert report.clean, [d.render() for d in report.diagnostics]
         # dims (2, 2, 1): 2 sends on each of the two split axes per rank;
@@ -62,28 +61,23 @@ class TestHaloExchangePlan:
         assert report.facts["mpi.plan.messages"] == 0
         assert report.facts["mpi.plan.local_copies"] == 0
 
-    @pytest.mark.parametrize("mode", ["sequential", "overlapped"])
-    def test_plan_is_what_the_ranks_execute(self, mode):
+    def test_plan_is_what_the_ranks_execute(self):
         """Each rank's program is its runtime plan's message ops."""
         from repro.core.domain import LocalDomain
         from repro.core.exchange import exchange_plan
         from repro.mpi.cart import cart_coords
 
         dims, periods = (3, 2, 1), (True, False, True)
-        plan = halo_exchange_plan(dims, periods, mode=mode)
+        plan = halo_exchange_plan(dims, periods)
         for rank in range(6):
             domain = LocalDomain.for_coords((6, 6, 6), dims, cart_coords(rank, dims))
             runtime = [
                 (op.peer, op.tag, op.kind == "recv")
-                for op in exchange_plan(domain, periods, mode)
-                if op.kind in ("isend", "irecv", "recv")
+                for op in exchange_plan(domain, periods)
+                if op.kind in ("isend", "recv")
             ]
             assert [(op.peer, op.tag, op.blocking)
                     for op in plan.program(rank)] == runtime
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(LintError, match="mode"):
-            halo_exchange_plan((2, 1, 1), mode="eager")
 
 
 class TestMatching:

@@ -21,49 +21,6 @@ def _face_tag(axis: int, direction: int) -> int:
     return 100 + axis * 2 + (0 if direction < 0 else 1)
 
 
-def exchange_ghosts_nonblocking(
-    cart: CartComm,
-    field: np.ndarray,
-    face_specs: dict[tuple[int, int], FaceSpec],
-) -> None:
-    """Overlapped exchange: post all receives, send all faces, then wait.
-
-    All six faces are packed from the pre-exchange state, so edge and
-    corner ghosts are not made consistent.
-    """
-    requests = []
-    for axis in range(3):
-        source_down, dest_up = cart.shift(axis, 1)
-        if source_down != PROC_NULL:
-            requests.append(
-                (axis, -1, cart.irecv(source_down, _face_tag(axis, +1)))
-            )
-        if dest_up != PROC_NULL:
-            requests.append(
-                (axis, +1, cart.irecv(dest_up, _face_tag(axis, -1)))
-            )
-    for axis in range(3):
-        source_down, dest_up = cart.shift(axis, 1)
-        low = face_specs[(axis, -1)]
-        high = face_specs[(axis, +1)]
-        if dest_up != PROC_NULL:
-            cart.isend(
-                pack(field, high.datatype, offset_elements=high.send_offset),
-                dest_up,
-                _face_tag(axis, +1),
-            )
-        if source_down != PROC_NULL:
-            cart.isend(
-                pack(field, low.datatype, offset_elements=low.send_offset),
-                source_down,
-                _face_tag(axis, -1),
-            )
-    for axis, direction, request in requests:
-        msg = request.wait(cart.job.timeout)
-        spec = face_specs[(axis, direction)]
-        unpack(field, spec.datatype, msg.payload, offset_elements=spec.recv_offset)
-
-
 def exchange_ghosts(
     cart: CartComm,
     field: np.ndarray,

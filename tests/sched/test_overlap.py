@@ -102,10 +102,16 @@ class TestFig8Golden:
             )
 
     def test_pipeline_serial_matches_analytic_sum(self):
-        model = IoWeakScalingModel(local_shape=SHAPE)
-        point = model.run_pipeline(64, steps=4, overlap=False)
-        assert point.elapsed_seconds == point.serial_seconds
-        assert point.overlap_speedup == pytest.approx(1.0)
+        """Overlap off, the schedule is the serial sum bitwise: every job
+        size 1, 2, 4, ..., 4,096 ranks x 1-8 output steps, small and default
+        blocks."""
+        for model in (IoWeakScalingModel(local_shape=SHAPE), IoWeakScalingModel()):
+            for nranks in (2 ** k for k in range(13)):
+                for steps in range(1, 9):
+                    point = model.run_pipeline(nranks, steps=steps, overlap=False)
+                    assert point.elapsed_seconds == point.serial_seconds, (
+                        model.local_shape, nranks, steps)
+                    assert point.overlap_speedup == 1.0
 
     def test_pipeline_overlap_beats_serial_with_floor(self):
         # equal-ish compute and write give the pipeline room to overlap
@@ -166,7 +172,10 @@ class TestFig8Golden:
             if pending is not None:
                 t = max(t, pending)
             ends.append(t)
-            serials.append(sum(compute + writes[s][node] for s in range(steps)))
+            serial = 0.0
+            for step in range(steps):
+                serial = serial + compute + writes[step][node]
+            serials.append(serial)
         return max(ends), max(serials)
 
     def test_pipeline_is_deterministic(self):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from repro.cli import main
@@ -86,6 +88,14 @@ class TestCliLintExitCodes:
             ["lint", str(settings_file), "--out", "/nonexistent/d/x"]
         ) == 2
         capsys.readouterr()
+
+    def test_retired_exchange_key_is_an_unknown_key(self, tmp_path, capsys):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"L": 16, "exchange": "sequential"}))
+        assert main(["lint", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown settings keys: ['exchange']" in err
+        assert "Traceback" not in err
 
 
 class TestCliIr:
