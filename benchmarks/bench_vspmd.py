@@ -21,7 +21,8 @@ Pass/fail contract (exit 1 on violation):
   node leader);
 - on a fixed 2,048-rank overlap run (10 steps, output every 5), the
   epoch engine's event rate is at least :data:`MIN_RATE_SPEEDUP` (5x)
-  that of the per-rank generator reference ``_run_serial``, best of 3
+  that of the per-rank generator oracle
+  (``tests/oracles/virtual.py``'s ``run_serial``), best of 3
   interleaved passes each.
 
 Results land in ``BENCH_vspmd.json``. CI runs this in the
@@ -51,6 +52,10 @@ def measure_rate_speedup() -> float:
     from repro.core.settings import GrayScottSettings
     from repro.core.virtual import VirtualWorkflow
 
+    # the oracle lives with the tests, at the repository root
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from tests.oracles.virtual import run_serial
+
     settings = GrayScottSettings(L=64, steps=10, plotgap=5, backend="julia")
 
     def rate(method) -> float:
@@ -64,7 +69,7 @@ def measure_rate_speedup() -> float:
     epoch = serial = 0.0
     for _ in range(3):
         epoch = max(epoch, rate(VirtualWorkflow.run))
-        serial = max(serial, rate(VirtualWorkflow._run_serial))
+        serial = max(serial, rate(run_serial))
     return epoch / serial
 
 

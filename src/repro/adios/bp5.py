@@ -186,7 +186,31 @@ def read_index(path: str | os.PathLike) -> Bp5Index:
         raw = json.loads(index_file.read_text())
     except json.JSONDecodeError as exc:
         raise CorruptFileError(f"{index_file}: unparseable index: {exc}") from exc
-    return Bp5Index.from_json(raw)
+    try:
+        return Bp5Index.from_json(raw)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CorruptFileError(
+            f"{index_file}: malformed index ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
+def check_subfiles(path: str | os.PathLike, index: Bp5Index) -> None:
+    """Raise if a data subfile is missing or shorter than its blocks."""
+    p = dataset_path(path)
+    ends: dict[int, int] = {}
+    for block in index.blocks:
+        end = block.offset + block.nbytes
+        ends[block.subfile] = max(ends.get(block.subfile, 0), end)
+    for subfile, end in sorted(ends.items()):
+        target = p / f"data.{subfile}"
+        if not target.exists():
+            raise CorruptFileError(f"{target}: missing data subfile")
+        size = target.stat().st_size
+        if size < end:
+            raise CorruptFileError(
+                f"{target}: truncated (index declares {end} B, file holds "
+                f"{size} B)"
+            )
 
 
 #: max buffers per writev() call (POSIX guarantees >= 16; Linux: 1024)

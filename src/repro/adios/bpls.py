@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.adios.bp5 import read_index
+from repro.adios.bp5 import check_subfiles, read_index
 from repro.adios.variable import dtype_display_name
 
 #: attribute names treated as visualization schemas in the trailer line
@@ -22,8 +22,13 @@ SCHEMA_ATTRIBUTES = ("visualization_schemas", "schemas")
 
 
 def bpls(path, *, show_schema_line: bool = True) -> str:
-    """Render the Listing-1-style provenance record of a dataset."""
+    """Render the Listing-1-style provenance record of a dataset.
+
+    Raises :class:`~repro.util.errors.CorruptFileError` on a damaged
+    index or a data subfile shorter than the blocks it indexes.
+    """
     index = read_index(path)
+    check_subfiles(path, index)
     rows: list[tuple[str, str, str]] = []
 
     schema_values: list[str] = []

@@ -116,9 +116,6 @@ class BP5Writer:
             self.comm.barrier()  # dataset dir exists before anyone proceeds
 
     # -- aggregation geometry -------------------------------------------
-    def _is_aggregator(self) -> bool:
-        return self.size == 1 or self.rank == self._aggregator_rank(self._subfile)
-
     def _aggregator_rank(self, subfile: int) -> int:
         """Lowest rank mapped to ``subfile``."""
         return -(-subfile * self.size // self.nsubfiles)

@@ -6,9 +6,9 @@ Commands:
   file (the artifact's usage pattern) and print the provenance report;
   ``--trace-out``/``--metrics-out`` capture a Chrome/Perfetto trace and
   a metrics JSON through :mod:`repro.observe`; ``--virtual-ranks N``
-  [``--overlap``] switches to the event-driven modeled SPMD mode
-  (:mod:`repro.core.virtual` on :mod:`repro.sched` — thousands of
-  ranks, no threads);
+  [``--overlap``] switches to the modeled SPMD mode
+  (:mod:`repro.core.virtual` on the epoch recurrences of
+  :mod:`repro.sched`: thousands of ranks, no threads);
 - ``trace <trace.json>`` — summarize a trace written by
   ``run --trace-out`` (per-category totals, lanes, ASCII timeline);
 - ``observe <tail|summary|merge-shards|flamegraph>`` — work with
@@ -155,10 +155,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.core.execute import JobSpec, execute_job
     from repro.core.settings import GrayScottSettings
     from repro.observe import trace as observe
+    from repro.util.errors import ConfigError
 
-    settings = GrayScottSettings.load(args.settings)
-    if args.ranks is not None:
-        settings = settings.with_overrides(ranks=args.ranks)
+    try:
+        settings = GrayScottSettings.load(args.settings)
+        if args.ranks is not None:
+            settings = settings.with_overrides(ranks=args.ranks)
+    except (ConfigError, OSError) as exc:
+        print(f"grayscott: {exc}", file=sys.stderr)
+        return 2
 
     trace_mode = _trace_mode(args.trace_out) if args.trace_out else None
     if args.trace_out:
@@ -179,20 +184,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     if args.virtual_ranks is not None:
         return _run_virtual(args, settings, trace_mode)
-    if args.sim_profile:
-        print("grayscott: --sim-profile requires --virtual-ranks",
-              file=sys.stderr)
-        return 2
-    if args.overlap:
-        print("grayscott: --overlap requires --virtual-ranks", file=sys.stderr)
-        return 2
-    if args.nic_contention:
-        print("grayscott: --nic-contention requires --virtual-ranks",
-              file=sys.stderr)
-        return 2
-    if args.jobs != 1:
-        print("grayscott: --jobs requires --virtual-ranks", file=sys.stderr)
-        return 2
+    for flag, given in (
+        ("--sim-profile", args.sim_profile), ("--overlap", args.overlap),
+        ("--nic-contention", args.nic_contention), ("--jobs", args.jobs != 1),
+    ):
+        if given:
+            print(f"grayscott: {flag} requires --virtual-ranks",
+                  file=sys.stderr)
+            return 2
 
     profiler = None
     if args.trace:
@@ -244,9 +243,6 @@ def _run_virtual(args: argparse.Namespace, settings, trace_mode=None) -> int:
         from repro.sched import SimProfiler
 
         profiler = SimProfiler(args.sim_profile_interval)
-        if args.jobs != 1:
-            print("grayscott: --sim-profile samples one engine; "
-                  "running serially (--jobs ignored)", file=sys.stderr)
     spec = JobSpec(
         settings=settings,
         mode="virtual",
@@ -853,7 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--virtual-ranks", type=int, metavar="N",
-        help="run N *modeled* ranks on the discrete-event engine instead "
+        help="run N *modeled* ranks on the epoch recurrences instead "
              "of executing the solver (thousands of ranks, no threads)",
     )
     p_run.add_argument(
@@ -883,8 +879,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--sim-profile", metavar="FOLDED",
-        help="with --virtual-ranks: sample the rank states at virtual-time "
-             "intervals and write flame-graph folded stacks here",
+        help="with --virtual-ranks: count the rank states at virtual-time "
+             "samples and write flame-graph folded stacks here",
     )
     p_run.add_argument(
         "--sim-profile-interval", type=float, default=1e-3, metavar="SEC",

@@ -56,7 +56,7 @@ class NodeSpec:
     nic_bytes_per_s: float = 100 * GB
     #: Slingshot NICs per node (the 100 GB/s above is their aggregate);
     #: 8 ranks share these 4 ports, the contention the virtual-SPMD
-    #: ``nic_contention`` mode models as a capacity-4 resource.
+    #: ``nic_contention`` mode models as a 4-server FIFO queue per node.
     nics_per_node: int = 4
 
 

@@ -97,9 +97,6 @@ class Placement:
     def same_node(self, rank_a: int, rank_b: int) -> bool:
         return self.location(rank_a).node == self.location(rank_b).node
 
-    def node_of(self, rank: int) -> int:
-        return self.location(rank).node
-
     def ranks_on_node(self, node: int) -> list[int]:
         if not 0 <= node < self.nnodes:
             raise ValueError(f"node {node} out of range [0, {self.nnodes})")

@@ -4,26 +4,27 @@ The thread-backed executor (:mod:`repro.mpi.executor`) runs the *real*
 solver but tops out at a few dozen ranks. This module runs the same
 workflow shape — JIT, then ``steps`` x (kernel, halo exchange), with a
 barrier + BP5 node-aggregated write every ``plotgap`` steps — as
-**virtual processes** on the discrete-event engine (:mod:`repro.sched`),
+**virtual ranks** advanced as NumPy recurrences (:mod:`repro.sched`),
 with every duration drawn from the calibrated performance models:
 
-- kernel launches from :func:`repro.gpu.proxy.grayscott_launch_cost`
-  (via :class:`~repro.gpu.proxy.VirtualGcd`), with the persistent
-  per-rank jitter of :mod:`repro.mpi.netmodel`;
+- kernel launches from :func:`repro.gpu.proxy.grayscott_launch_cost`,
+  with the persistent per-rank jitter of :mod:`repro.mpi.netmodel`;
 - halo-exchange costs from
-  :class:`~repro.mpi.netmodel.HaloExchangeModel`;
+  :class:`~repro.mpi.netmodel.HaloExchangeModel`, on a private link
+  per rank or (``nic_contention``) queued on the node's shared NICs;
 - subfile writes from :class:`~repro.adios.fsmodel.LustreModel`, one
-  aggregator per node on a shared OSS resource.
+  aggregator per node.
 
 The settings' grid is the **per-rank local block** (the paper's weak
 scaling: 1024^3 cells per GCD at every job size). ``overlap=True``
 models the nonblocking exchange and BP5 async drain: halo traffic rides
 the NIC while the kernel occupies the GCD, and the write of one output
 step streams while the next solve steps run. Ranks advance epoch by
-epoch as NumPy arrays (:mod:`repro.sched.vector`), falling back to one
-generator per rank where ranks couple within a step; when an
-:mod:`repro.observe` tracer is active every modeled event lands in the
-exported Perfetto timeline.
+epoch as NumPy arrays (:mod:`repro.sched.vector`); when an
+:mod:`repro.observe` tracer is active every modeled interval lands in
+the exported Perfetto timeline, and a
+:class:`~repro.sched.profiler.SimProfiler` counts folded-stack samples
+from the same intervals.
 """
 
 from __future__ import annotations
@@ -119,9 +120,8 @@ class VirtualWorkflow:
             machine = extrapolated_machine(machine, nodes=nodes_needed)
         self.machine = machine
         self.tracer = tracer
-        #: a :class:`repro.sched.SimProfiler` sampling the rank states
-        #: at virtual-time intervals; forces the generator engine (one
-        #: process table to sample)
+        #: a :class:`repro.sched.SimProfiler` counting the rank states
+        #: at virtual-time intervals (any ``jobs``)
         self.profiler = profiler
         self.placement = Placement(self.nranks, machine)
         self.cart_dims = dims_create(self.nranks, 3)
@@ -166,21 +166,16 @@ class VirtualWorkflow:
         """Run the virtual workflow; ``jobs > 1`` shards ranks over workers.
 
         Ranks couple only at output-step barriers and the final
-        allreduce, so the run advances epoch by epoch (the steps between
-        two output barriers) through the NumPy epoch engine
-        (:mod:`repro.sched.vector`): inline for one shard, or — with
-        ``jobs > 1`` — over node-aligned contiguous shards in
-        :mod:`repro.par` pool workers (see docs/PARALLEL.md). Either way
-        the result is bit-identical to :meth:`_run_serial`.
-        ``nic_contention`` couples ranks within every step and the
-        profiler samples a per-rank process table, so either one runs
-        the per-rank generators of :meth:`_run_serial` instead.
+        allreduce (and, with ``nic_contention``, within a node), so the
+        run advances epoch by epoch (the steps between two output
+        barriers) as the NumPy recurrences of :mod:`repro.sched.vector`:
+        inline for one shard, or, with ``jobs > 1``, over node-aligned
+        contiguous shards in :mod:`repro.par` pool workers (see
+        docs/PARALLEL.md). The result does not depend on ``jobs``.
         """
         from repro.par import resolve_jobs
 
         jobs = resolve_jobs(jobs)
-        if self.nic_contention or self.profiler is not None:
-            return self._run_serial()
         shards = self._shards(jobs) if jobs > 1 else [(0, self.nranks)]
         return self._run_epochs(jobs, shards)
 
@@ -204,165 +199,30 @@ class VirtualWorkflow:
             node += take
         return shards
 
-    def _run_serial(self) -> VirtualRunResult:
-        """Per-rank generators on one discrete-event engine.
-
-        The path for ``nic_contention`` and profiled runs, and the
-        reference the epoch engine of :meth:`run` is tested against.
-        """
-        from repro.adios.fsmodel import LustreModel
-        from repro.gpu.proxy import (
-            VirtualGcd,
-            grayscott_launch_cost,
-            jit_compile_seconds,
-        )
-        from repro.mpi.netmodel import NetModel
-        from repro.sched import Engine, Join, UsePlan, run_virtual_spmd, use
-
-        settings = self.settings
-        nranks, nnodes = self.nranks, self.placement.nnodes
-        engine = Engine(
-            name=f"virtual[{nranks}]", tracer=self.tracer,
-            profiler=self.profiler,
-        )
-        jitter = self._kernel_jitter()
-        comm = self._comm_seconds()
-        lustre = LustreModel(self.machine, seed=settings.seed)
-        bytes_per_node = self._bytes_per_node()
-        oss = engine.resource(
-            "lustre-oss", capacity=nnodes, lane=("lustre-oss", "write")
-        )
-        output_steps = settings.steps // settings.plotgap
-        overlap = self.overlap
-        leaders = {
-            self.placement.location(r).node: r for r in range(nranks - 1, -1, -1)
-        }
-        # weak scaling: every GCD runs the same local block, so the
-        # launch cost is computed once, not once per rank
-        launch_cost = grayscott_launch_cost(
-            self.local_shape, settings.backend
-        )
-
-        def program(vcomm):
-            rank = vcomm.rank
-            node = self.placement.location(rank).node
-            gcd = VirtualGcd(
-                engine, rank, shape=self.local_shape,
-                backend=settings.backend, machine=self.machine,
-                launch_cost=launch_cost,
-            )
-            if self.nic_contention:
-                nic = engine.resource(
-                    f"node{node}.nic",
-                    capacity=self.machine.node.nics_per_node,
-                    lane=(f"node{node}", "mpi"),
-                )
-            else:
-                nic = engine.resource(
-                    f"nic{rank}", lane=(f"vrank{rank}", "mpi")
-                )
-            scale = float(1.0 + jitter[rank])
-            comm_s = float(comm[rank])
-            halo_plan = UsePlan(nic, comm_s, label="halo", cat="mpi")
-            halo_name = f"vrank{rank}.halo"
-            halo_lane = (f"vrank{rank}", "mpi")
-            yield from gcd.jit()
-            pending_write = None
-            for step in range(1, settings.steps + 1):
-                if overlap:
-                    halo = engine.spawn(
-                        halo_name, halo_plan.use(), lane=halo_lane
-                    )
-                    yield from gcd.kernel(scale)
-                    yield Join(halo)
-                else:
-                    yield from gcd.kernel(scale)
-                    yield from halo_plan.use()
-                if step % settings.plotgap == 0:
-                    # output step: all ranks synchronize (BP5 end_step is
-                    # collective), then each node's leader aggregates its
-                    # ranks' blocks into one subfile
-                    yield from vcomm.barrier()
-                    if leaders[node] == rank:
-                        out = step // settings.plotgap
-                        seconds = lustre.write_seconds_per_node(
-                            nnodes, bytes_per_node, sample=f"{out}:{node}"
-                        )
-                        write = use(
-                            oss, seconds, label="bp5.write", cat="adios",
-                            args={"node": node, "output_step": out},
-                        )
-                        if overlap:
-                            if pending_write is not None:
-                                yield Join(pending_write)
-                            pending_write = engine.spawn(
-                                f"node{node}.write{out}", write,
-                                lane=(f"node{node}", "adios"),
-                            )
-                        else:
-                            yield from write
-            if pending_write is not None:
-                yield Join(pending_write)
-            checksum = yield from vcomm.allreduce(scale, op="sum")
-            return checksum
-
-        # point-to-point sends inside rank programs (none in the stock
-        # Gray-Scott program, which models halo cost in aggregate) are
-        # charged by the placement-aware LogGP model instead of the
-        # bare VirtualJob's zero-latency default
-        net = NetModel(self.placement)
-        spmd = run_virtual_spmd(
-            program, nranks, engine=engine, p2p_seconds=net.p2p_seconds
-        )
-        return VirtualRunResult(
-            nranks=nranks,
-            nnodes=nnodes,
-            steps=settings.steps,
-            output_steps=output_steps,
-            backend=settings.backend,
-            overlap=overlap,
-            elapsed_seconds=spmd.elapsed_seconds,
-            rank_finish_seconds=np.array(spmd.rank_finish_seconds),
-            kernel_seconds_per_step=launch_cost.seconds,
-            comm_seconds_mean=float(comm.mean()),
-            jit_seconds=jit_compile_seconds(settings.backend),
-            events_processed=engine.events_processed,
-            collectives_per_rank=sum(
-                1 for op in spmd.job.op_log[0]
-                if op.kind in ("barrier", "allreduce")
-            ),
-            results=spmd.results,
-        )
-
     # -- epoch execution ----------------------------------------------------
     def _run_epochs(
         self, jobs: int, shards: list[tuple[int, int]]
     ) -> VirtualRunResult:
-        """Epoch-synchronized virtual run on the NumPy epoch engine.
+        """Epoch-synchronized virtual run on the NumPy recurrences.
 
-        Ranks couple only at output-step barriers and the final
-        allreduce, and the shared OSS resource (capacity == nnodes,
-        one leader per node) never queues — so each *epoch* (the
-        ``plotgap`` steps ending at a barrier, plus the write of the
-        previous output on the node leader) of each shard is an
-        independent simulation. The parent replays the couplings
-        exactly: a barrier releases at ``max(arrivals)`` (the same
-        float max the serial engine computes), and an overlapped
-        leader resumes at ``max(barrier, previous write end)`` (the
-        serial ``Join`` semantics). Worker SIM-clock spans merge
-        verbatim into the parent tracer, so the Perfetto timeline is
-        span-identical to the serial run.
-
-        Each epoch of each shard advances with
-        :func:`repro.sched.vector.simulate_epoch`; a single shard runs
-        inline in this process, otherwise each shard ships to a
-        :mod:`repro.par` pool worker.
+        Ranks couple only at output barriers and the final allreduce
+        (NIC queues are per node; the OSS, one writer per node, never
+        queues), so each epoch of each shard is an independent
+        :func:`repro.sched.vector.simulate_epoch`, inline for one shard
+        or in :mod:`repro.par` pool workers. The parent replays the
+        couplings: a barrier releases at ``max(arrivals)``, an
+        overlapped leader resumes at ``max(barrier, previous write
+        end)``, and with contention the next epoch's ranks resume in
+        the barrier's release order
+        (:func:`repro.sched.vector.arrival_order`). It sums the shards'
+        profile counts and adds the barrier-wait and write-join gaps.
+        Worker SIM-clock spans merge verbatim into the parent tracer.
         """
         from repro import observe
         from repro.gpu.proxy import grayscott_launch_cost, jit_compile_seconds
         from repro.observe.stream import stream_sink, worker_shard_spec
         from repro.par import run_tasks, tracemerge
-        from repro.sched import replay_allreduce
+        from repro.sched import vector
 
         settings = self.settings
         nranks, nnodes = self.nranks, self.placement.nnodes
@@ -383,37 +243,57 @@ class VirtualWorkflow:
         # epoch k = [write of output k-1 on each leader] + plotgap steps,
         # ending at barrier k; the final segment is the write of the last
         # output + the tail steps + the allreduce arrival
-        segments = []
-        for k in range(1, output_steps + 1):
-            segments.append({
+        segments = [
+            {
                 "step_lo": (k - 1) * plotgap + 1,
-                "step_hi": k * plotgap,
+                "step_hi": min(k * plotgap, settings.steps),
                 "do_jit": k == 1,
-                "out_prev": k - 1 if k >= 2 else None,
-                "final": False,
-            })
-        segments.append({
-            "step_lo": output_steps * plotgap + 1,
-            "step_hi": settings.steps,
-            "do_jit": output_steps == 0,
-            "out_prev": output_steps if output_steps >= 1 else None,
-            "final": True,
-        })
+                "out_prev": k - 1 or None,
+                "final": k > output_steps,
+            }
+            for k in range(1, output_steps + 2)
+        ]
 
-        leaders = np.arange(nnodes) * self.placement.ranks_per_node
+        rpn = self.placement.ranks_per_node
+        leaders = np.arange(nnodes) * rpn
+        profile = self.profiler
+        contended = self.nic_contention
+        #: contention: each rank's place in the barrier's release order
+        #: (-1 = the last arrival), the release time, the held leaders
+        roots = release = None
+        held = np.zeros(nranks, dtype=bool)
         starts = np.zeros(nranks)
         arrivals = np.empty(nranks)
         #: each node's latest write end; NaN until its first write
         write_end = np.full(nnodes, np.nan)
         comm_slices: list[np.ndarray | None] = [None] * len(shards)
         total_events = 0
+
+        def chains_of(ranks):
+            """Re-run the epoch of ``ranks``' nodes for their chains."""
+            comm = np.concatenate(comm_slices)
+            chains = []
+            for rank in ranks.tolist():
+                lo = rank - rank % rpn
+                hi = min(lo + rpn, nranks)
+                spec = self._epoch_spec({
+                    "seg": seg, "lo": lo, "hi": hi,
+                    "starts": starts[lo:hi], "scale": scale_full[lo:hi],
+                    "roots": None if roots is None else roots[lo:hi],
+                    "held": held[lo:hi], "release": release,
+                }, comm[lo:hi])
+                epoch = vector._contended_epoch(spec, None, None, chains=True)
+                chains.append(epoch.chains[rank - lo])
+            return chains
         for seg_idx, seg in enumerate(segments):
             tasks = []
+            keys = []
             for s, (lo, hi) in enumerate(shards):
                 tasks.append({
                     "settings": settings,
                     "nranks": nranks,
                     "overlap": self.overlap,
+                    "nic_contention": self.nic_contention,
                     "machine": self.machine,
                     "trace": trace,
                     "stream": (
@@ -426,6 +306,10 @@ class VirtualWorkflow:
                     "scale": scale_full[lo:hi].copy(),
                     "comm": comm_slices[s],
                     "seg": seg,
+                    "roots": None if roots is None else roots[lo:hi],
+                    "held": held[lo:hi],
+                    "release": release,
+                    "profile": None if profile is None else profile.interval,
                 })
             if inline:
                 outs = [
@@ -451,19 +335,43 @@ class VirtualWorkflow:
                     sink.adopt_shards(out["shards"])
                 elif trace and out["spans"]:
                     tracemerge.merge_spans(tracer, out["spans"])
+                if profile is not None:
+                    profile.merge(out["stacks"])
+                if contended:
+                    keys.append(out["keys"])
             barrier = float(arrivals.max())
+            if profile is not None:
+                profile.add((vector.RANK, vector.BARRIER_WAIT), arrivals,
+                            np.full(nranks, barrier))
             if not seg["final"]:
+                if contended:
+                    order = vector.arrival_order(
+                        arrivals, tuple(map(np.concatenate, zip(*keys))),
+                        chains_of,
+                    )
+                    roots = np.empty(nranks, dtype=np.int64)
+                    roots[order] = np.arange(nranks)
+                    roots[order[-1]] = -1
+                    release = barrier
                 starts[:] = barrier
                 if self.overlap:
                     # Join(previous write): the leader resumes at the
                     # later of the barrier and its node's drain finishing
                     later = write_end > barrier
+                    held[:] = False
+                    held[leaders[later]] = True
                     starts[leaders[later]] = write_end[later]
+                    if profile is not None:
+                        profile.add((vector.RANK, vector.WRITE_JOIN),
+                                    np.full(int(later.sum()), barrier),
+                                    write_end[later])
 
         elapsed = float(arrivals.max())
         comm = np.concatenate(comm_slices)
         launch_cost = grayscott_launch_cost(self.local_shape, settings.backend)
-        checksum = replay_allreduce(scale_full, "sum")
+        checksum = vector.replay_allreduce(scale_full)
+        if profile is not None:
+            profile.finish(elapsed)
         if trace:
             tracer.metrics.gauge(
                 "sched.events_processed", engine=f"virtual[{nranks}]"
@@ -488,31 +396,73 @@ class VirtualWorkflow:
             results=[checksum] * nranks,
         )
 
-    def _vector_segment(self, payload: dict, *, tracer=None) -> dict:
-        """Advance one epoch of ranks ``[lo, hi)`` with the epoch engine.
-
-        The float recurrences of :meth:`_run_serial`'s generators (see
-        :mod:`repro.sched.vector`), none of the per-rank generator
-        machinery. With ``tracer`` (inline mode) the epoch's spans go
-        straight into the caller's tracer; in a pool worker they stream
-        to a worker shard sink or ship back as a span list.
-        """
+    def _epoch_spec(self, payload: dict, comm: np.ndarray):
+        """The :class:`~repro.sched.vector.EpochSpec` of one segment task."""
         from repro.adios.fsmodel import LustreModel
-        from repro.gpu.backends import get_backend
         from repro.gpu.proxy import grayscott_launch_cost, jit_compile_seconds
-        from repro.sched.vector import (
-            EpochEventQueue,
-            EpochSpec,
-            EpochWrites,
-            emit_epoch_spans,
-            simulate_epoch,
-        )
+        from repro.sched.profiler import collapse_label
+        from repro.sched.vector import EpochSpec, EpochWrites
         from repro.util.rngs import DecimalTails
 
         settings = self.settings
         lo, hi = payload["lo"], payload["hi"]
         seg = payload["seg"]
-        overlap = self.overlap
+        rpn = self.placement.ranks_per_node
+        launch_cost = grayscott_launch_cost(self.local_shape, settings.backend)
+        out_prev = seg["out_prev"]
+        writes = None
+        if out_prev is not None:
+            leader_ranks = np.arange(lo, hi, rpn, dtype=np.int64)
+            nodes = leader_ranks // rpn
+            lustre = LustreModel(self.machine, seed=settings.seed)
+            seconds = lustre.write_seconds_per_node(
+                self.placement.nnodes, self._bytes_per_node(),
+                sample=DecimalTails(f"{out_prev}:", nodes),
+            )
+            writes = EpochWrites(
+                index=leader_ranks - lo, nodes=nodes, seconds=seconds,
+                output_step=out_prev,
+            )
+        return EpochSpec(
+            ranks=np.arange(lo, hi, dtype=np.int64),
+            starts=np.asarray(payload["starts"], dtype=np.float64),
+            # the per-rank kernel seconds: one product per rank
+            kernel=launch_cost.seconds
+            * np.asarray(payload["scale"], dtype=np.float64),
+            comm=comm,
+            nsteps=max(0, seg["step_hi"] - seg["step_lo"] + 1),
+            overlap=self.overlap,
+            jit_seconds=(
+                jit_compile_seconds(settings.backend) if seg["do_jit"] else 0.0
+            ),
+            writes=writes,
+            final=seg["final"],
+            kernel_state=collapse_label(f"delay({launch_cost.kernel_name})"),
+            nics=self.machine.node.nics_per_node if self.nic_contention else 0,
+            node_ranks=rpn,
+            roots=payload["roots"],
+            release=payload["release"],
+            held=payload["held"],
+        )
+
+    def _vector_segment(self, payload: dict, *, tracer=None) -> dict:
+        """Advance one epoch of ranks ``[lo, hi)`` on the recurrences.
+
+        With ``tracer`` (inline mode) the epoch's spans go straight into
+        the caller's tracer; in a pool worker they stream to a worker
+        shard sink or ship back as a span list. A profiled run returns
+        the epoch's partial sample counts.
+        """
+        from repro.gpu.backends import get_backend
+        from repro.gpu.proxy import grayscott_launch_cost
+        from repro.sched.profiler import SimProfiler
+        from repro.sched.vector import (
+            EpochEventQueue,
+            emit_epoch_spans,
+            simulate_epoch,
+        )
+
+        settings = self.settings
         trace = payload["trace"]
         stream = payload.get("stream")
         inline = tracer is not None
@@ -527,57 +477,27 @@ class VirtualWorkflow:
                 tracer = Tracer(sinks=[wsink], retain=False)
             else:
                 tracer = Tracer()
-        starts = np.asarray(payload["starts"], dtype=np.float64)
-        scale = np.asarray(payload["scale"], dtype=np.float64)
         comm = payload["comm"]
         sent_comm = comm is None
         if comm is None:
-            comm = self._comm_slice(lo, hi)
-        launch_cost = grayscott_launch_cost(self.local_shape, settings.backend)
-        # the same float product VirtualGcd.kernel(scale) plans per rank
-        kernel = launch_cost.seconds * scale
-        out_prev = seg["out_prev"]
-        writes = None
-        if out_prev is not None:
-            rpn = self.placement.ranks_per_node
-            leader_ranks = np.arange(lo, hi, rpn, dtype=np.int64)
-            nodes = leader_ranks // rpn
-            lustre = LustreModel(self.machine, seed=settings.seed)
-            seconds = lustre.write_seconds_per_node(
-                self.placement.nnodes, self._bytes_per_node(),
-                sample=DecimalTails(f"{out_prev}:", nodes),
-            )
-            writes = EpochWrites(
-                index=leader_ranks - lo, nodes=nodes, seconds=seconds,
-                output_step=out_prev,
-            )
-        spec = EpochSpec(
-            ranks=np.arange(lo, hi, dtype=np.int64),
-            starts=starts,
-            kernel=kernel,
-            comm=comm,
-            nsteps=max(0, seg["step_hi"] - seg["step_lo"] + 1),
-            overlap=overlap,
-            jit_seconds=(
-                jit_compile_seconds(settings.backend) if seg["do_jit"] else 0.0
-            ),
-            writes=writes,
-            final=seg["final"],
-        )
+            comm = self._comm_slice(payload["lo"], payload["hi"])
+        spec = self._epoch_spec(payload, comm)
         queue = EpochEventQueue() if trace else None
-        result = simulate_epoch(spec, queue=queue)
+        profile = payload["profile"] and SimProfiler(payload["profile"])
+        result = simulate_epoch(spec, queue=queue, profile=profile)
         if queue is not None:
             emit_epoch_spans(
                 queue, tracer,
-                kernel_name=launch_cost.kernel_name,
+                kernel_name=grayscott_launch_cost(
+                    self.local_shape, settings.backend
+                ).kernel_name,
                 backend=get_backend(settings.backend).name,
             )
-        ends = None
-        if overlap and writes is not None and result.write_ends is not None:
-            ends = (writes.nodes, result.write_ends)
+        # the next epoch's join needs the overlapped writes' ends
+        drains = self.overlap and result.write_ends is not None
         return {
             "arrivals": result.arrivals,
-            "write_ends": ends,
+            "write_ends": (spec.writes.nodes, result.write_ends) if drains else None,
             "comm": comm if sent_comm else None,
             "spans": (
                 list(tracer.spans)
@@ -585,6 +505,8 @@ class VirtualWorkflow:
             ),
             "shards": wsink.finish() if wsink is not None else None,
             "events": result.events,
+            "keys": result.keys,
+            "stacks": profile.stacks if profile else None,
         }
 
 
@@ -594,6 +516,7 @@ def _virtual_segment_task(payload: dict) -> dict:
         payload["settings"],
         nranks=payload["nranks"],
         overlap=payload["overlap"],
+        nic_contention=payload["nic_contention"],
         machine=payload["machine"],
     )
     return wf._vector_segment(payload)

@@ -24,7 +24,6 @@ from repro.gpu.cache import (
     seven_point_offsets,
 )
 from repro.gpu.perf import LaunchCost
-from repro.sched import UsePlan, use
 from repro.util.errors import GpuError
 
 #: Kernel variants evaluated in Tables 2-3.
@@ -113,88 +112,3 @@ def jit_compile_seconds(backend: str | BackendProfile, *, ir_lines: int = 70) ->
     if backend.base_compile_seconds == 0.0:
         return 0.0
     return backend.base_compile_seconds + backend.compile_seconds_per_ir_line * ir_lines
-
-
-class VirtualGcd:
-    """One modeled GCD as a discrete-event resource.
-
-    Wraps the analytic costs above as generators for the
-    :mod:`repro.sched` engine: ``yield from gcd.kernel()`` occupies the
-    GCD's compute queue for one launch, ``yield from gcd.copy(...)``
-    occupies its Infinity Fabric copy queue, ``yield from gcd.jit()``
-    charges the one-time compile. Kernel and copy are *separate*
-    resources because HIP streams overlap them on real hardware.
-    """
-
-    def __init__(
-        self,
-        engine,
-        index: int,
-        *,
-        shape: tuple[int, int, int],
-        backend: str | BackendProfile = "julia",
-        variant: str = "application",
-        machine=None,
-        spec: GcdSpec | None = None,
-        launch_cost: LaunchCost | None = None,
-    ):
-        from repro.cluster.frontier import FRONTIER
-
-        self.engine = engine
-        self.index = index
-        self.shape = shape
-        self.backend = get_backend(backend)
-        self.variant = variant
-        self.machine = machine or FRONTIER
-        self.spec = spec or GcdSpec()
-        # the cost is identical for every GCD of a weak-scaled job, so
-        # callers creating thousands of these pass one precomputed cost
-        self.launch_cost = launch_cost if launch_cost is not None else (
-            grayscott_launch_cost(
-                shape, self.backend, variant=variant, spec=self.spec
-            )
-        )
-        self.compute = engine.resource(
-            f"gcd{index}", lane=(f"gcd{index}", "kernel")
-        )
-        self.copy_queue = engine.resource(
-            f"gcd{index}.copy", lane=(f"gcd{index}", "copy")
-        )
-        self._jitted = False
-        # one plan per (scale, label): a rank launches the same kernel
-        # thousands of times, so reuse the frozen command triple
-        self._kernel_plans: dict[tuple, UsePlan] = {}
-
-    def jit(self):
-        """One-time JIT compile; subsequent calls are free (cached)."""
-        if self._jitted:
-            return
-        self._jitted = True
-        seconds = jit_compile_seconds(self.backend)
-        if seconds > 0.0:
-            yield from use(
-                self.compute, seconds, label="jit.compile", cat="gpu",
-                args={"backend": self.backend.name},
-            )
-
-    def kernel(self, scale: float = 1.0, *, label: str | None = None):
-        """One stencil launch on this GCD (``scale`` stretches jitter)."""
-        plan = self._kernel_plans.get((scale, label))
-        if plan is None:
-            plan = UsePlan(
-                self.compute, self.launch_cost.seconds * scale,
-                label=label or self.launch_cost.kernel_name, cat="gpu",
-                args={"gcd": self.index},
-            )
-            self._kernel_plans[(scale, label)] = plan
-        yield from plan.use()
-
-    def copy(self, nbytes: float, *, kind: str = "d2h"):
-        """A D2H/H2D staging copy across the GPU-CPU Infinity Fabric."""
-        if kind not in ("d2h", "h2d"):
-            raise GpuError(f"copy kind must be d2h|h2d, got {kind!r}")
-        seconds = nbytes / self.machine.node.gpu_cpu_bytes_per_s
-        yield from use(
-            self.copy_queue, seconds, label=f"copy.{kind}", cat="gpu",
-            args={"gcd": self.index, "bytes": nbytes},
-        )

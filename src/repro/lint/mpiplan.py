@@ -25,9 +25,10 @@ order, before anything executes. The checker runs two analyses:
 3. **Collective ordering** — every rank must issue the same sequence of
    collectives (barriers, reductions) in the same order; the first rank
    whose sequence diverges from rank 0's is reported as
-   **MPI-COLLECTIVE-ORDER**. Plans with collectives come from
-   :func:`repro.sched.record_plan`, which symbolically executes a
-   virtual-SPMD rank program.
+   **MPI-COLLECTIVE-ORDER**. Plans are built with :class:`CommPlan`'s
+   ``send``/``recv``/``collective``; the tests also feed it rank
+   programs symbolically executed by the oracle's ``record_plan``
+   (``tests/oracles/vspmd.py``).
 
 :func:`halo_exchange_plan` collects the per-rank plans that
 :func:`repro.core.exchange.exchange_ghosts` executes, built from

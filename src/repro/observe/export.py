@@ -26,7 +26,7 @@ import json
 from pathlib import Path
 
 from repro.observe.metrics import MetricsRegistry
-from repro.observe.trace import SIM, WALL, SpanRecord, Tracer
+from repro.observe.trace import SIM, WALL, Tracer
 from repro.util.errors import ObserveError
 from repro.util.units import format_seconds
 
@@ -423,21 +423,3 @@ def tracer_timeline(tracer: Tracer, *, width: int = 72) -> str:
                 )
             )
     return "\n\n".join(sections) if sections else "(empty trace)"
-
-
-def spans_to_rows(
-    spans: list[SpanRecord], *, key=lambda r: r.thread, glyphs=None
-) -> list[tuple]:
-    """Group spans into ascii_timeline rows by an arbitrary key."""
-    grouped: dict[str, list[SpanRecord]] = {}
-    for record in spans:
-        grouped.setdefault(key(record), []).append(record)
-    glyphs = glyphs or {}
-    return [
-        (
-            label,
-            glyphs.get(label, "#"),
-            [(r.start, r.end) for r in grouped[label]],
-        )
-        for label in grouped
-    ]

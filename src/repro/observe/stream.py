@@ -213,7 +213,9 @@ def record_to_span_kwargs(record: dict) -> dict:
     if missing:
         raise ObserveError(f"shard record missing fields {missing}")
     kwargs = {field: record[field] for field in _SPAN_FIELDS}
-    kwargs["args"] = record.get("args") or {}
+    # only a missing key means "no args"; the writer always emits an
+    # object, so any other value is the producer's to answer for
+    kwargs["args"] = record.get("args", {})
     return kwargs
 
 
@@ -636,8 +638,12 @@ def validate_shard_stream(source) -> list[str]:
                     "nonnegative 'seconds'"
                 )
             lane = (kwargs["process"], kwargs["thread"])
-            known = lane_clocks.setdefault(lane, clock)
-            if known != clock:
+            if not all(isinstance(part, str) for part in lane):
+                problems.append(
+                    f"span {count} ({kwargs['name']!r}) has a non-string "
+                    f"process or thread {lane!r}"
+                )
+            elif (known := lane_clocks.setdefault(lane, clock)) != clock:
                 problems.append(
                     f"lane {lane} mixes clock domains "
                     f"({known!r} and {clock!r})"

@@ -441,12 +441,6 @@ class Tracer:
         return _WallSpan(self, (name, cat, process, thread, args))
 
     # -- sinks -------------------------------------------------------------
-    def add_sink(self, sink: TraceSink) -> TraceSink:
-        """Attach a streaming sink; it sees every span recorded after."""
-        with self._lock:
-            self.sinks.append(sink)
-        return sink
-
     def flush(self) -> None:
         """Flush every attached sink's buffered state."""
         with self._lock:

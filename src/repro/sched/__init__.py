@@ -1,28 +1,13 @@
-"""repro.sched — the discrete-event virtual-time engine.
+"""repro.sched — the virtual-time scheduler of modeled runs.
 
-Unifies the three calibrated performance models (GPU roofline, LogGP
-network, Lustre file system) behind one deterministic event queue so
-compute, halo exchange, and parallel I/O can genuinely *overlap* in
-virtual time — and so thousands of modeled ranks run as cooperative
-generators instead of threads. See ``docs/SCHEDULER.md``.
+A virtual SPMD run advances epoch by epoch (the steps between two
+output barriers) as NumPy recurrences over every rank at once
+(:mod:`repro.sched.vector`): compute, halo exchange, NIC contention and
+parallel I/O overlap in virtual time, and the epoch's intervals feed
+both the Perfetto timeline and the sampling profile
+(:mod:`repro.sched.profiler`). See ``docs/SCHEDULER.md``.
 """
 
-from repro.sched.engine import (
-    Acquire,
-    Barrier,
-    Delay,
-    Engine,
-    Join,
-    Process,
-    Release,
-    Resource,
-    Signal,
-    UsePlan,
-    Wait,
-    delay,
-    series,
-    use,
-)
 from repro.sched.profiler import SimProfiler, collapse_label
 from repro.sched.vector import (
     EpochEventQueue,
@@ -30,48 +15,18 @@ from repro.sched.vector import (
     EpochSpec,
     EpochWrites,
     emit_epoch_spans,
-    simulate_epoch,
-)
-from repro.sched.vspmd import (
-    VirtualComm,
-    VirtualJob,
-    VirtualOp,
-    VspmdResult,
-    record_ops,
-    record_plan,
     replay_allreduce,
-    run_virtual_spmd,
+    simulate_epoch,
 )
 
 __all__ = [
-    "Acquire",
-    "Barrier",
-    "Delay",
-    "Engine",
     "EpochEventQueue",
     "EpochResult",
     "EpochSpec",
     "EpochWrites",
-    "Join",
-    "Process",
-    "Release",
-    "Resource",
-    "Signal",
     "SimProfiler",
-    "UsePlan",
-    "Wait",
     "collapse_label",
-    "delay",
     "emit_epoch_spans",
-    "series",
-    "simulate_epoch",
-    "use",
-    "VirtualComm",
-    "VirtualJob",
-    "VirtualOp",
-    "VspmdResult",
-    "record_ops",
-    "record_plan",
     "replay_allreduce",
-    "run_virtual_spmd",
+    "simulate_epoch",
 ]

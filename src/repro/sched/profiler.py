@@ -1,44 +1,29 @@
 """Sampling profiler for virtual time.
 
-A traced virtual run records every labelled delay — at 64k ranks that
-is tens of millions of spans, which is exactly the cost the streaming
-sinks in :mod:`repro.observe.stream` exist to absorb. Often the
-question is coarser: *what were the ranks doing over time?* The
-:class:`SimProfiler` answers it the way ``perf record`` does for real
-programs — by sampling. At a configurable virtual-time interval it
-walks the engine's process table and counts, per (process name, state)
-pair, how many virtual processes were in that state: blocked on a
-kernel delay, queued on a GCD acquire, waiting at a barrier.
-
-The output is flame-graph-ready **folded stacks**: one line per
-``name;state`` with the total sample count, the input format of
-Brendan Gregg's ``flamegraph.pl`` and of speedscope. With the default
-``collapse=True`` digit runs in names collapse to ``*`` so all 65,536
-``rank12345`` processes aggregate into one ``rank*`` row — the profile
-stays a few dozen lines no matter the rank count.
-
-Cost model: the engine's hot event loop pays one float compare per
-clock advance (nothing at all per same-time event batch); the walk of
-the process table happens only at sample instants, so the overhead is
-``samples x live processes``, controlled entirely by ``interval``.
-
-Usage::
-
-    profiler = SimProfiler(interval=0.001)
-    engine = Engine(name="virtual", profiler=profiler)
-    ... spawn ranks, engine.run() ...
-    profiler.write_folded("profile.folded")
+At 64k ranks a traced virtual run records tens of millions of spans.
+Often the question is coarser: *what were the ranks doing over time?*
+:class:`SimProfiler` answers it the way ``perf record`` does, by
+sampling: at a fixed virtual-time interval it counts, per ``(process,
+state)``, the virtual processes in that state. The output is
+flame-graph **folded stacks** (``name;state count``, the input of
+``flamegraph.pl`` and speedscope), with digit runs folded to ``*``
+(:func:`collapse_label`) so 65,536 ``vrank12345`` rows aggregate into
+one ``vrank*``. The counts come from the epochs' interval columns
+(:mod:`repro.sched.vector`); see ``docs/SCHEDULER.md``.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
+
+import numpy as np
 
 from repro.util.errors import SchedError
 
 _DIGITS = re.compile(r"\d+")
+#: the most sample instants a profile builds (8 bytes each)
+MAX_SAMPLES = 1 << 24
 
 
 def collapse_label(label: str) -> str:
@@ -47,70 +32,64 @@ def collapse_label(label: str) -> str:
 
 
 class SimProfiler:
-    """Sample the process table of an :class:`~repro.sched.Engine`.
+    """Folded-stack occupancy of a virtual run, sampled in virtual time.
 
-    ``interval`` is virtual seconds between samples; the first sample
-    fires at ``interval`` (at t=0 nothing has started). Attach by
-    passing ``profiler=`` to the engine constructor or assigning
-    ``engine.profiler`` before :meth:`~repro.sched.Engine.run`.
+    Samples fall every ``interval`` virtual seconds, through the run's
+    last event (:meth:`finish`); a state held over ``(t0, t1]`` is seen
+    by the samples in that interval (:meth:`add`). Each shard counts
+    into its own profiler; the parent :meth:`merge`-s them.
     """
 
-    def __init__(self, interval: float, *, collapse: bool = True):
+    def __init__(self, interval: float):
         if not interval > 0:
             raise SchedError(
                 f"profiler interval must be > 0 virtual seconds, got {interval}"
             )
         self.interval = float(interval)
-        self.collapse = collapse
-        #: virtual time of the next pending sample (engine hot-loop key)
-        self.next_sample = self.interval
         self.samples_taken = 0
         #: (name, state) -> occupancy count summed over all samples
         self.stacks: dict[tuple[str, str], int] = {}
-        self._label_cache: dict[str, str] = {}
+        self._times = np.empty(0)
 
-    # -- engine hook --------------------------------------------------------
-    def advance(self, engine, until: float) -> float:
-        """Take every sample due in ``(next_sample, until]``; returns the new
-        ``next_sample``.
+    def sample_times(self, until: float) -> np.ndarray:
+        """The sample instants, through the first one past ``until``."""
+        times = self._times
+        while not times.size or times[-1] <= until:
+            last = times[-1] if times.size else 0.0
+            need = int((until - last) / self.interval) + 2
+            if times.size + need > MAX_SAMPLES:
+                raise SchedError(
+                    f"a profile to t={until:g} at {self.interval:g} s takes "
+                    f"over {MAX_SAMPLES} samples; raise the interval"
+                )
+            more = min(max(times.size, need), MAX_SAMPLES - times.size)
+            steps = np.full(more + 1, self.interval)
+            steps[0] = last
+            # left to right, one rounding per sample: `s += interval`
+            times = np.concatenate((times, np.add.accumulate(steps)[1:]))
+        self._times = times
+        return times
 
-        Called by the engine just before it advances its clock past
-        ``next_sample`` — the sampled states are the processes' blocked
-        states during the idle gap, which is precisely what a sampling
-        profiler of a discrete-event simulation should attribute time
-        to.
-        """
-        while self.next_sample <= until:
-            self._sample(engine)
-            self.next_sample += self.interval
-        return self.next_sample
+    def add(self, key: tuple[str, str], lo, hi) -> None:
+        """Count the samples in each ``(lo[i], hi[i]]`` towards ``key``."""
+        hi = np.asarray(hi, dtype=np.float64)
+        if not hi.size:
+            return
+        times = self.sample_times(float(hi.max()))
+        seen = int(np.searchsorted(times, hi, "right").sum()
+                   - np.searchsorted(times, lo, "right").sum())
+        if seen:
+            self.stacks[key] = self.stacks.get(key, 0) + seen
 
-    def _fold(self, label: str) -> str:
-        folded = self._label_cache.get(label)
-        if folded is None:
-            folded = collapse_label(label) if self.collapse else label
-            self._label_cache[label] = folded
-        return folded
+    def merge(self, stacks: dict[tuple[str, str], int]) -> None:
+        """Add a shard's partial counts."""
+        for key, count in stacks.items():
+            self.stacks[key] = self.stacks.get(key, 0) + count
 
-    def _sample(self, engine) -> None:
-        self.samples_taken += 1
-        stacks = self.stacks
-        finished = 0
-        live = 0
-        for process in engine._processes:
-            if process.finished:
-                finished += 1
-                continue
-            live += 1
-            desc = process._blocked_desc() or "running"
-            key = (self._fold(process.name), self._fold(desc))
-            stacks[key] = stacks.get(key, 0) + 1
-        # keep sampling O(live processes): at 262k ranks the table is
-        # dominated by finished halo/write frames between the engine's
-        # own compaction thresholds — compact eagerly once dead frames
-        # outnumber the ranks we actually sample
-        if finished > live:
-            engine.compact_finished()
+    def finish(self, last_event: float) -> None:
+        """Close the profile at the run's last event."""
+        times = self.sample_times(last_event)
+        self.samples_taken = int(np.searchsorted(times, last_event, "right"))
 
     # -- output -------------------------------------------------------------
     def folded(self) -> list[str]:
@@ -125,17 +104,6 @@ class SimProfiler:
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text("\n".join(self.folded()) + "\n")
         return target
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "repro.sched.profile/1",
-            "interval_seconds": self.interval,
-            "samples": self.samples_taken,
-            "stacks": [
-                {"name": name, "state": state, "count": count}
-                for (name, state), count in sorted(self.stacks.items())
-            ],
-        }
 
     def render(self, *, width: int = 40) -> str:
         """ASCII occupancy summary (the ``observe flamegraph`` view)."""

@@ -83,11 +83,10 @@ class LintError(ReproError):
 
 
 class SchedError(ReproError):
-    """Base class for errors raised by the discrete-event engine.
+    """Base class for errors raised by the virtual-time scheduler.
 
-    Raised for structural scheduling bugs — negative or non-finite
-    delays, resource over-release, processes stuck at quiescence
-    (virtual deadlock) — never for modeled outcomes.
+    Raised for structural scheduling bugs (inconsistent epoch arrays,
+    a bad profile interval or folded file), never for modeled outcomes.
     """
 
 

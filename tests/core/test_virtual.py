@@ -117,8 +117,8 @@ class TestNetworkWiring:
     def test_p2p_callback_charges_inter_node_sends(self):
         from repro.cluster.placement import Placement
         from repro.mpi.netmodel import NetModel
-        from repro.sched import Engine
-        from repro.sched.vspmd import run_virtual_spmd
+        from tests.oracles.engine import Engine
+        from tests.oracles.vspmd import run_virtual_spmd
 
         net = NetModel(Placement(16))
 

@@ -76,16 +76,24 @@ class TestBoundedMemory:
 
 
 class TestProfiledRun:
-    def test_profiler_forces_serial_and_samples(self, tmp_path):
-        profiler = SimProfiler(interval=1e-3)
-        VirtualWorkflow(
-            _settings(), nranks=16, overlap=True, profiler=profiler
-        ).run(jobs=4)
-        assert profiler.samples_taken > 0
-        names = {name for name, _ in profiler.stacks}
-        assert any(name.startswith("vrank") or "rank" in name for name in names)
-        out = profiler.write_folded(tmp_path / "p.folded")
-        assert out.read_text().strip()
+    def test_profiler_runs_sharded_and_samples(self, tmp_path):
+        # shards count partial samples; the parent sums them
+        profiles = []
+        for jobs in (1, 4):
+            profiler = SimProfiler(interval=1e-3)
+            VirtualWorkflow(
+                _settings(), nranks=64, overlap=True, nic_contention=True,
+                profiler=profiler,
+            ).run(jobs=jobs)
+            profiles.append(profiler)
+        serial, sharded = profiles
+        assert sharded.samples_taken == serial.samples_taken > 0
+        assert sharded.stacks == serial.stacks
+        names = {name for name, _ in sharded.stacks}
+        assert {"vrank*", "vrank*.halo"} <= names
+        out = sharded.write_folded(tmp_path / "p.folded")
+        assert out.read_text() == serial.write_folded(
+            tmp_path / "s.folded").read_text()
 
 
 @pytest.mark.slow

@@ -100,3 +100,27 @@ class TestCorruptRecord:
     def test_args_not_an_object(self, shards, validate):
         _rewrite_record(_last_shard(shards), 0, args=[1, 2])
         assert validate(shards) == ["span 9 ('op8') 'args' is not an object"]
+
+    @pytest.mark.parametrize("value", [[], "", 0, None, [1, 2]])
+    def test_falsy_or_non_object_args(self, shards, validate, value):
+        # only a missing key means "no args"
+        _rewrite_record(_last_shard(shards), 0, args=value)
+        assert validate(shards) == ["span 9 ('op8') 'args' is not an object"]
+
+    def test_missing_args_is_no_args(self, shards, validate):
+        path = _last_shard(shards)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[0])
+        del record["args"]
+        lines[0] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        assert validate(shards) == []
+
+    @pytest.mark.parametrize("field", ["process", "thread"])
+    def test_lane_part_not_a_string(self, shards, validate, field):
+        _rewrite_record(_last_shard(shards), 1, **{field: ["p"]})
+        lane = ("rank0", "core")
+        lane = (["p"], lane[1]) if field == "process" else (lane[0], ["p"])
+        assert validate(shards) == [
+            f"span 10 ('op9') has a non-string process or thread {lane!r}"
+        ]

@@ -216,7 +216,7 @@ class TestCollectiveOrder:
 
     def test_seeded_bug_virtual_spmd_script(self):
         """The lint predicts the hang a skewed virtual-SPMD program hits."""
-        from repro.sched import record_plan, run_virtual_spmd
+        from tests.oracles.vspmd import record_plan, run_virtual_spmd
         from repro.util.errors import SchedError
 
         def skewed(comm):

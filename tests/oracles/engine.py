@@ -1,33 +1,15 @@
-"""The deterministic discrete-event virtual-time engine.
+"""Discrete-event engine oracle: per-rank generators on one event heap.
 
-The three calibrated performance models (``gpu.perf`` roofline,
-``mpi.netmodel`` LogGP, ``adios.fsmodel`` Lustre) each predict seconds.
-Schedules in which ranks never wait on each other (the Fig. 6 ladder,
-the epochs of a virtual SPMD run) advance as the NumPy recurrences of
-:mod:`repro.sched.vector`. :class:`Engine` runs the schedules that
-need an event queue — ranks contending for a shared NIC
-(``VirtualWorkflow._run_serial``, also the reference the vector path is
-tested against) and arbitrary rank programs
-(:func:`repro.sched.vspmd.run_virtual_spmd`) — on one virtual clock:
-
-- the **event queue** is keyed on :class:`~repro.util.timers.SimClock`
-  time with a monotonically increasing sequence number as tie-break,
-  so two events at the same virtual instant always fire in the order
-  they were scheduled — determinism is structural, not seeded;
-- **resources** (:class:`Resource`) model contended hardware — a GCD,
-  a NIC link, a Lustre OSS — with integer capacity and FIFO queueing;
-- **processes** (:class:`Process`) are cooperative generators: they
-  ``yield`` :class:`Delay`/:class:`Acquire`/:class:`Release`/
-  :class:`Wait` commands and compose with plain ``yield from``
-  (see :func:`use`), so a virtual rank is ~free — thousands of modeled
-  ranks run in one thread;
-- every labelled :class:`Delay` **mirrors into** :mod:`repro.observe`
-  as a sim-clock tracer span, so a modeled 4,096-rank run exports a
-  Perfetto timeline through the existing exporters.
-
-Nothing here measures anything; all durations come from the calibrated
-models. See ``docs/SCHEDULER.md`` for the event model and determinism
-guarantees.
+Production advances the virtual SPMD run as the NumPy epoch recurrences
+of :mod:`repro.sched.vector`. This is the engine that run replaced: an
+event queue keyed on ``(virtual time, sequence number)``, FIFO
+capacity-limited :class:`Resource` objects, and cooperative generator
+processes that ``yield`` :class:`Delay`/:class:`Acquire`/
+:class:`Release`/:class:`Wait`/:class:`Join` commands. Every labelled
+delay mirrors into the tracer as a sim-clock span, and a
+:class:`SimProfiler` attached to the engine samples the process table
+at fixed virtual intervals. The tests compare the production paths
+against it bit for bit.
 """
 
 from __future__ import annotations
@@ -41,6 +23,7 @@ from types import GeneratorType
 from typing import Callable, Generator, Iterable
 
 from repro.observe import trace as observe
+from repro.sched import profiler
 from repro.util.errors import SchedError
 from repro.util.timers import SimClock
 
@@ -434,7 +417,7 @@ class Engine:
         self.clock = clock if clock is not None else SimClock()
         self.tracer = tracer
         self.mirror = mirror
-        #: a :class:`repro.sched.profiler.SimProfiler` sampling the
+        #: a :class:`SimProfiler` sampling the
         #: process table at virtual-time intervals (None = no sampling;
         #: the run loop then pays a single float compare per clock
         #: advance against +inf)
@@ -508,8 +491,8 @@ class Engine:
 
         Keeps the registry (and the cyclic GC's live set) proportional
         to *running* processes. Called automatically when spawning past
-        a doubling threshold, and by :class:`~repro.sched.profiler.
-        SimProfiler` when finished frames start dominating its samples.
+        a doubling threshold, and by :class:`SimProfiler` when finished
+        frames start dominating its samples.
         """
         procs = self._processes
         procs[:] = [p for p in procs if not p.finished]
@@ -764,3 +747,63 @@ def series(generators: Iterable[Generator]) -> Generator:
     """Run sub-generators one after another (``yield from`` each)."""
     for gen in generators:
         yield from gen
+
+
+# ---------------------------------------------------------------------------
+# the sampling profiler's engine hook
+# ---------------------------------------------------------------------------
+
+
+class SimProfiler(profiler.SimProfiler):
+    """Sample the process table of an :class:`Engine`.
+
+    ``interval`` is virtual seconds between samples; the first sample
+    fires at ``interval`` (at t=0 nothing has started). Each sample
+    counts, per ``(process name, state)``, the live processes in that
+    state; with ``collapse`` digit runs fold to ``*``.
+    """
+
+    def __init__(self, interval: float, *, collapse: bool = True):
+        super().__init__(interval)
+        self.collapse = collapse
+        #: virtual time of the next pending sample (engine hot-loop key)
+        self.next_sample = self.interval
+        self._label_cache: dict[str, str] = {}
+
+    def advance(self, engine, until: float) -> float:
+        """Take every sample due in ``(next_sample, until]``; returns the new
+        ``next_sample``.
+
+        Called by the engine just before it advances its clock past
+        ``next_sample``: the sampled states are the processes' blocked
+        states during the idle gap.
+        """
+        while self.next_sample <= until:
+            self._sample(engine)
+            self.next_sample += self.interval
+        return self.next_sample
+
+    def _fold(self, label: str) -> str:
+        folded = self._label_cache.get(label)
+        if folded is None:
+            folded = profiler.collapse_label(label) if self.collapse else label
+            self._label_cache[label] = folded
+        return folded
+
+    def _sample(self, engine) -> None:
+        self.samples_taken += 1
+        stacks = self.stacks
+        finished = 0
+        live = 0
+        for process in engine._processes:
+            if process.finished:
+                finished += 1
+                continue
+            live += 1
+            desc = process._blocked_desc() or "running"
+            key = (self._fold(process.name), self._fold(desc))
+            stacks[key] = stacks.get(key, 0) + 1
+        # keep sampling O(live processes): compact eagerly once dead
+        # frames outnumber the processes actually sampled
+        if finished > live:
+            engine.compact_finished()

@@ -1,14 +1,10 @@
-"""Virtual SPMD: thousands of modeled ranks without threads.
+"""Virtual SPMD oracle: rank programs as generators on the event engine.
 
-The thread-backed :func:`repro.mpi.executor.run_spmd` runs the *real*
-solver but tops out at a few dozen ranks per process. This module runs
-**modeled** ranks instead: each virtual rank is a cooperative generator
-on the :class:`~repro.sched.engine.Engine`, so a 4,096-rank job is just
-4,096 generators sharing one virtual clock — no threads, no GIL, no
-per-rank fields.
-
-A rank program is a generator function ``fn(comm)`` over a
-:class:`VirtualComm`, composing with ``yield from``::
+Each virtual rank is a cooperative generator on the oracle
+:class:`~tests.oracles.engine.Engine`, so a 4,096-rank job is 4,096
+generators sharing one virtual clock. A rank program is a generator
+function ``fn(comm)`` over a :class:`VirtualComm`, composing with
+``yield from``::
 
     def program(comm):
         for step in range(20):
@@ -19,9 +15,9 @@ A rank program is a generator function ``fn(comm)`` over a
 
 Every communication call is appended to the job's per-rank **op log**,
 and :func:`record_plan` replays a program *without* an engine to build
-the static :class:`~repro.lint.mpiplan.CommPlan` — so ``repro.lint``
-checks (matching, deadlock, collective ordering) run against exactly
-the program the virtual job would execute.
+the static :class:`~repro.lint.mpiplan.CommPlan`, so the lint checks
+(matching, deadlock, collective ordering) can be compared with what
+the engine does on the same program.
 """
 
 from __future__ import annotations
@@ -31,10 +27,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Generator
 
-import numpy as np
-
-from repro.sched.engine import Barrier, Engine, Signal, Wait, use
 from repro.util.errors import SchedError
+from tests.oracles.engine import Barrier, Engine, Signal, Wait, use
 
 #: reduction operators supported by :meth:`VirtualComm.allreduce`
 REDUCE_OPS: dict[str, Callable] = {
@@ -43,23 +37,6 @@ REDUCE_OPS: dict[str, Callable] = {
     "max": max,
     "prod": math.prod,
 }
-
-
-def replay_allreduce(values, op: str = "sum"):
-    """Reduce rank-ordered contributions off the engine.
-
-    The epoch engine of :class:`repro.core.virtual.VirtualWorkflow`
-    never runs the final allreduce as engine events; the parent
-    replays it with the exact fold :meth:`VirtualComm.allreduce`
-    performs — the same operator from :data:`REDUCE_OPS` applied to the
-    contributions in rank order — so the replayed result is
-    bit-identical to the collective's.
-    """
-    if op not in REDUCE_OPS:
-        raise SchedError(
-            f"unknown reduction {op!r}; supported: {sorted(REDUCE_OPS)}"
-        )
-    return REDUCE_OPS[op](np.asarray(values, dtype=np.float64).tolist())
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ def _metrics_items(tracer):
 
 
 class TestVirtualIdentity:
-    # nic_contention takes the per-rank generator path at any jobs
+    # contended epochs shard node-aligned like the uncontended ones
     @pytest.mark.parametrize(
         "overlap, nic_contention",
         [(False, False), (True, False), (True, True)],

@@ -1,4 +1,4 @@
-"""Property-based invariants of the discrete-event engine.
+"""Property-based invariants of the discrete-event engine oracle.
 
 The engine's determinism is structural, not seeded: for any batch of
 events the firing order is (time, insertion order), the clock never
@@ -9,8 +9,8 @@ trajectory. Hypothesis drives these with arbitrary delay batches.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sched import Delay, Engine
 from repro.util.timers import SimClock
+from tests.oracles.engine import Delay, Engine
 
 delays = st.lists(
     st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),

@@ -1,12 +1,12 @@
-"""The discrete-event engine: ordering, resources, processes, mirroring."""
+"""The discrete-event engine oracle: ordering, resources, processes, mirroring."""
 
 import pytest
 
 from repro.observe.trace import SIM, Tracer
-from repro.sched import (
+from repro.util.errors import SchedError
+from tests.oracles.engine import (
     Acquire, Delay, Engine, Join, Release, Wait, delay, series, use,
 )
-from repro.util.errors import SchedError
 
 
 class TestScheduling:
@@ -374,7 +374,7 @@ class TestUsePlan:
         return engine, gcd, tracer
 
     def test_plan_matches_adhoc_use(self):
-        from repro.sched import UsePlan
+        from tests.oracles.engine import UsePlan
 
         adhoc, gcd_a, tr_a = self._run(
             lambda gcd: lambda r: use(r, 1.5, label="kernel", cat="gpu")
@@ -396,7 +396,7 @@ class TestUsePlan:
         ]
 
     def test_plan_defaults_label_to_resource_name(self):
-        from repro.sched import UsePlan
+        from tests.oracles.engine import UsePlan
 
         tracer = Tracer()
         engine = Engine(tracer=tracer)
@@ -408,7 +408,7 @@ class TestUsePlan:
         assert nic.stats.busy_seconds == 2.0
 
     def test_plan_is_reusable_across_processes(self):
-        from repro.sched import UsePlan
+        from tests.oracles.engine import UsePlan
 
         engine = Engine()
         res = engine.resource("r", capacity=1)

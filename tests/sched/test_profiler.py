@@ -1,10 +1,12 @@
-"""Sampling sim-profiler: engine hook, folded stacks, rendering."""
+"""Sampling sim-profiler: the oracle engine hook, folded stacks, rendering."""
 
 import pytest
 
-from repro.sched import Delay, Engine, SimProfiler, Wait, collapse_label, use
-from repro.sched.profiler import load_folded, render_stacks
+from repro.sched import SimProfiler as EpochProfiler
+from repro.sched import collapse_label
+from repro.sched.profiler import MAX_SAMPLES, load_folded, render_stacks
 from repro.util.errors import SchedError
+from tests.oracles.engine import Delay, Engine, SimProfiler, Wait, use
 
 
 class TestEngineHook:
@@ -145,15 +147,6 @@ class TestOutput:
         with pytest.raises(SchedError, match="not found"):
             load_folded(tmp_path / "missing.folded")
 
-    def test_to_json_schema(self):
-        profiler = self.run_profiled()
-        obj = profiler.to_json()
-        assert obj["schema"] == "repro.sched.profile/1"
-        assert obj["samples"] == 3
-        assert obj["stacks"] == [
-            {"name": "rank*", "state": "delay(k)", "count": 12}
-        ]
-
     def test_render_ranks_heaviest_first(self):
         stacks = {("a", "x"): 1, ("b", "y"): 9}
         out = render_stacks(stacks, samples=10, width=10)
@@ -162,3 +155,34 @@ class TestOutput:
         assert "b;y" in lines[1] and "90.00%" in lines[1]
         assert "a;x" in lines[2]
         assert render_stacks({}) == "no samples"
+
+
+class TestEpochCounts:
+    """The epoch path's counter: sample grid and interval counts."""
+
+    def test_sample_times_equal_running_sum_bitwise(self):
+        profiler = EpochProfiler(interval=0.1)
+        expected, s = [], 0.0
+        while s <= 7.3:
+            s += 0.1
+            expected.append(s)
+        times = profiler.sample_times(7.3)
+        assert times[:len(expected)].tolist() == expected
+        assert times[-1] > 7.3
+        # growing the grid continues the same running sum
+        longer = EpochProfiler(interval=0.1).sample_times(1.0)
+        assert profiler.sample_times(1.0)[:longer.size].tolist() == (
+            longer.tolist())
+
+    def test_counts_samples_in_half_open_intervals(self):
+        profiler = EpochProfiler(interval=1.0)
+        profiler.add(("p", "s"), [0.0, 1.0, 2.5], [1.0, 1.0, 4.0])
+        # (0, 1] holds t=1; (1, 1] none; (2.5, 4] holds t=3, 4
+        assert profiler.stacks == {("p", "s"): 3}
+        profiler.finish(4.5)
+        assert profiler.samples_taken == 4
+
+    def test_sample_grid_is_bounded(self):
+        profiler = EpochProfiler(interval=1e-9)
+        with pytest.raises(SchedError, match="raise the interval"):
+            profiler.sample_times(1e-9 * MAX_SAMPLES)

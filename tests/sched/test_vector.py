@@ -1,16 +1,17 @@
-"""The epoch engine: epoch queues, the generator reference, sharding.
+"""The epoch recurrences: epoch queues, the generator oracle, sharding.
 
 The million-rank contract has three layers, each pinned here:
 
-1. the event engine dispatches same-time events FIFO and reports its
-   queue accounting;
+1. the oracle event engine dispatches same-time events FIFO and reports
+   its queue accounting;
 2. :func:`repro.sched.vector.simulate_epoch` reproduces a pure-Python
    reference recurrence bit for bit, and the epoch queue replays spans
    in heap dispatch order;
-3. ``VirtualWorkflow.run`` — inline at ``jobs=1`` and sharded at
-   ``jobs=4``/``jobs=8`` — agrees with the per-rank generators of
-   ``_run_serial`` on every modeled output (reductions, barrier
-   recurrences, per-rank finish times, SIM span multisets), with
+3. ``VirtualWorkflow.run``, inline at ``jobs=1`` and sharded at
+   ``jobs=4``/``jobs=8``, agrees with the per-rank generators of
+   ``tests/oracles/virtual.py`` on every modeled output (reductions,
+   barrier recurrences, per-rank finish times, SIM span multisets,
+   folded profiles), with NIC contention on and off, and with
    ``events_processed`` the one documented exclusion.
 """
 
@@ -25,13 +26,16 @@ from repro.core.settings import GrayScottSettings
 from repro.core.virtual import VirtualWorkflow
 from repro.observe.trace import SIM, Tracer
 from repro.sched import (
-    Engine,
     EpochEventQueue,
     EpochSpec,
     EpochWrites,
+    SimProfiler,
     simulate_epoch,
 )
 from repro.util.errors import SchedError
+from tests.oracles import engine as oracle_engine
+from tests.oracles.engine import Engine
+from tests.oracles.virtual import run_serial
 
 
 def _settings(**kw):
@@ -224,7 +228,7 @@ def _traced_run(*, jobs=1, **kw):
 
 
 def _traced_serial(**kw):
-    return _traced(lambda wf: wf._run_serial(), **kw)
+    return _traced(run_serial, **kw)
 
 
 def _assert_same_model(a, b):
@@ -237,7 +241,7 @@ def _assert_same_model(a, b):
 
 
 def _assert_matches_serial(*, overlap, nranks=32, **settings_kw):
-    """``run(jobs=1)`` and ``run(jobs=4)`` reproduce ``_run_serial``."""
+    """``run(jobs=1)`` and ``run(jobs=4)`` reproduce the oracle."""
     serial, serial_tr = _traced_serial(
         overlap=overlap, nranks=nranks, **settings_kw
     )
@@ -298,6 +302,82 @@ class TestEngineTiers:
         wf = VirtualWorkflow(_settings(), nranks=nranks)
         assert wf.machine.nodes == FRONTIER.nodes * 2
         assert wf.machine.name.startswith(FRONTIER.name)
+
+
+def _against_oracle(settings, nranks, overlap, contention, interval):
+    """Compare ``run(jobs=1)`` and ``run(jobs=4)`` with the oracle."""
+
+    def workflow(profiler):
+        return VirtualWorkflow(
+            settings, nranks=nranks, overlap=overlap,
+            nic_contention=contention, tracer=Tracer(), profiler=profiler,
+        )
+
+    reference = workflow(oracle_engine.SimProfiler(interval))
+    oracle = run_serial(reference)
+    for jobs in (1, 4):
+        mine = workflow(SimProfiler(interval))
+        result = mine.run(jobs=jobs)
+        where = f"{settings} jobs={jobs}"
+        _assert_same_model(oracle, result)
+        assert _sim_spans(mine.tracer) == _sim_spans(reference.tracer), where
+        assert mine.profiler.stacks == reference.profiler.stacks, where
+        assert (mine.profiler.samples_taken
+                == reference.profiler.samples_taken), where
+        assert mine.profiler.samples_taken > 0
+
+
+class TestOracleMatrix:
+    """Times, results, spans and folded profiles equal the oracle's.
+
+    Rank counts: one rank, one node, a partial second node, 64 nodes;
+    plotgap 1, a divisor of steps, and more than steps; jobs 1 and 4.
+    """
+
+    @pytest.mark.parametrize("nranks", [1, 8, 13, 512])
+    @pytest.mark.parametrize("overlap", [False, True])
+    @pytest.mark.parametrize("contention", [False, True])
+    def test_matches_oracle_bitwise(self, nranks, overlap, contention):
+        for steps, plotgap in ((4, 1), (4, 2), (3, 5)):
+            _against_oracle(
+                _settings(steps=steps, plotgap=plotgap), nranks, overlap,
+                contention, interval=0.05,
+            )
+
+    @pytest.mark.parametrize("nranks", [8, 13])
+    @pytest.mark.parametrize("overlap", [False, True])
+    @pytest.mark.parametrize("contention", [False, True])
+    def test_profile_samples_inside_steps(self, nranks, overlap, contention):
+        # no JIT and fine intervals, so samples land in kernels, halos,
+        # NIC queues and halo joins: a 128^3 block (comm > kernel, with
+        # outputs) and a 1024^3 block (kernel > comm, no output)
+        _against_oracle(
+            _settings(L=128, steps=5, plotgap=2, backend="hip"), nranks,
+            overlap, contention, interval=3e-5,
+        )
+        _against_oracle(
+            _settings(L=1024, steps=5, plotgap=10, backend="hip"), nranks,
+            overlap, contention, interval=1e-3,
+        )
+
+    def test_contention_across_block_sizes(self):
+        # 128^3 (comm > kernel: the ports stay busy and ranks tie) and
+        # 256^3 (kernel > comm): the queue's tie order and the
+        # barrier's release order decide which ranks share a port
+        for length in (128, 256):
+            for overlap in (False, True):
+                settings = _settings(L=length)
+                oracle_tr, tracer = Tracer(), Tracer()
+                oracle = run_serial(VirtualWorkflow(
+                    settings, nranks=64, overlap=overlap,
+                    nic_contention=True, tracer=oracle_tr,
+                ))
+                result = VirtualWorkflow(
+                    settings, nranks=64, overlap=overlap,
+                    nic_contention=True, tracer=tracer,
+                ).run(jobs=4)
+                _assert_same_model(oracle, result)
+                assert _sim_spans(tracer) == _sim_spans(oracle_tr)
 
 
 class TestShardedVector:

@@ -1,16 +1,12 @@
-"""Virtual SPMD: collectives, p2p, op logs, thousands of ranks."""
+"""Virtual SPMD oracle: collectives, p2p, op logs, thousands of ranks."""
 
 import pytest
 
 from repro.observe.export import to_chrome_trace, validate_chrome_trace
 from repro.observe.trace import Tracer
-from repro.sched import (
-    Engine,
-    VirtualJob,
-    record_ops,
-    run_virtual_spmd,
-)
 from repro.util.errors import SchedError
+from tests.oracles.engine import Engine
+from tests.oracles.vspmd import VirtualJob, record_ops, run_virtual_spmd
 
 
 class TestCollectives:

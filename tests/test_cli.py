@@ -22,8 +22,16 @@ class TestCliRun:
         assert "workflow report" in out
 
     def test_run_missing_settings(self, tmp_path, capsys):
-        assert main(["run", str(tmp_path / "nope.json")]) == 1
+        # a bad settings file is a usage error, as in lint/serve/campaign
+        assert main(["run", str(tmp_path / "nope.json")]) == 2
         assert "grayscott:" in capsys.readouterr().err
+
+    def test_run_unknown_settings_key(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"L": 16, "bogus": 1}')
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("grayscott:") and "Traceback" not in err
 
 
 class TestCliAnalyze:
