@@ -12,7 +12,7 @@ Layers:
 - :mod:`repro.core.params` / :mod:`repro.core.settings` — physics
   parameters and the JSON settings files of the paper's artifact;
 - :mod:`repro.core.stencil` — the kernels, scalar bodies mirroring
-  Listing 2 that run lowered to whole-array NumPy;
+  Listing 2 that run lowered to C;
 - :mod:`repro.core.domain` — Cartesian decomposition, ghost geometry,
   and the per-face ``MPI_Type_vector`` datatypes;
 - :mod:`repro.core.exchange` — the Listing 3 ghost exchange;

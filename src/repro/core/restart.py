@@ -12,9 +12,12 @@ identically to an uninterrupted one — asserted by
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 
+from repro.adios import bp5
 from repro.adios.api import Adios
 from repro.adios.engines import BP5Reader
 from repro.core.settings import GrayScottSettings
@@ -22,9 +25,24 @@ from repro.core.simulation import Simulation
 from repro.util.errors import ConfigError
 
 
+def _staging(final: Path) -> tuple[Path, Path]:
+    """The write in progress beside ``final``, and the checkpoint it replaces."""
+    return tuple(final.with_name(f"{final.stem}.{tag}.bp") for tag in ("next", "prev"))
+
+
 def write_checkpoint(sim: Simulation, path: str | None = None) -> str:
-    """Write a checkpoint dataset; returns its path."""
+    """Write a checkpoint dataset; returns its path.
+
+    The dataset is written beside the previous checkpoint and swapped in
+    once complete, so a write stopped at any point leaves a restorable
+    checkpoint.
+    """
     target = path or sim.settings.checkpoint or "ckpt.bp"
+    final = bp5.dataset_path(target)
+    staged, previous = _staging(final)
+    lead = sim.cart is None or sim.cart.rank == 0
+    if lead:
+        shutil.rmtree(staged, ignore_errors=True)  # what a stopped write left
     adios = Adios()
     io = adios.declare_io("Checkpoint")
     shape = sim.settings.shape
@@ -36,12 +54,20 @@ def write_checkpoint(sim: Simulation, path: str | None = None) -> str:
     )
     var_step = io.define_variable("step", np.int64)
     io.define_attribute("settings_json", sim.settings.to_json())
-    with io.open(target, "w", comm=sim.cart) as engine:
+    with io.open(staged, "w", comm=sim.cart) as engine:
         engine.begin_step()
         engine.put(var_u, np.asfortranarray(sim.interior("u")))
         engine.put(var_v, np.asfortranarray(sim.interior("v")))
         engine.put(var_step, np.int64(sim.step_count))
         engine.end_step()
+    if lead:
+        if final.exists():
+            shutil.rmtree(previous, ignore_errors=True)
+            final.rename(previous)
+        staged.rename(final)
+        shutil.rmtree(previous, ignore_errors=True)
+    if sim.cart is not None:
+        sim.cart.barrier()
     return target
 
 
@@ -55,7 +81,11 @@ def restore_checkpoint(sim: Simulation, path: str | None = None) -> int:
     source = path or sim.settings.checkpoint
     if not source:
         raise ConfigError("no checkpoint path configured")
-    reader = BP5Reader(None, source)
+    final = bp5.dataset_path(source)
+    previous = _staging(final)[1]
+    if not final.exists() and previous.exists():  # stopped between the swap's renames
+        final = previous
+    reader = BP5Reader(None, final)
     attrs = reader.attributes
     if "settings_json" in attrs:
         saved = _saved_settings(attrs["settings_json"].value)

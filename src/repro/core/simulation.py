@@ -7,8 +7,8 @@ passed; serial runs pass ``comm=None``.
 
 Backends (``settings.backend``):
 
-- ``"cpu"`` — the kernel's lowered whole-array NumPy function, called
-  directly;
+- ``"cpu"`` — the kernel's compiled C function (:mod:`repro.ir.lower`),
+  called directly;
 - ``"julia"`` / ``"hip"`` — the simulated-GPU path: the same update
   runs through :class:`repro.gpu.memory.Device` kernel launches, which
   also produces modeled kernel timings, rocprof counters, and JIT

@@ -4,8 +4,8 @@ Each kernel is written once, as a scalar per-workitem body in the shape
 of the paper's Listing 2 (launch axis x maps to array index k, z to i).
 That body is both analysed and run: the tracing JIT reads it for the
 cost model and lint, and :meth:`repro.gpu.kernel.Kernel.execute` runs
-it lowered to fused whole-array NumPy (:mod:`repro.ir.lower`). The CPU
-backend and the simulated GPU execute the same lowered function.
+it lowered to C and compiled (:mod:`repro.ir.lower`). The CPU backend
+and the simulated GPU execute the same compiled function.
 
 All fields carry one ghost layer per side (shape ``n + 2`` per axis)
 and are Fortran-ordered like Julia arrays. The noise term uses the

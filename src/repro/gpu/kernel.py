@@ -7,9 +7,10 @@ domain boundary, and reads/writes device arrays.
 
 The scalar body is the only source of a kernel. The tracing JIT reads it
 for the cost model and lint, and :meth:`Kernel.execute` runs it lowered
-to fused whole-array NumPy (:mod:`repro.ir.lower`). A launch that cannot
-be lowered runs :meth:`Kernel._interpret`, one body call per workitem,
-which is also the oracle the tests compare the lowered path against.
+to C, compiled at its first launch and called without the GIL
+(:mod:`repro.ir.lower`). A launch that cannot be lowered runs
+:meth:`Kernel._interpret`, one body call per workitem, which is also an
+oracle the tests compare the compiled path against.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ SSA IR (:mod:`repro.ir.core`) shared by the kernel lint (analyses in
 :mod:`repro.ir.analysis` back the KRN-* rules) and the predictive
 performance models (rewrites in :mod:`repro.ir.passes` produce the
 post-optimization IR that :mod:`repro.ir.perfmodel` costs), and
-:mod:`repro.ir.lower` emits the NumPy function every kernel launch
-runs. See ``docs/IR.md`` for the grammar, passes, and lowering.
+:mod:`repro.ir.lower` emits the C function every kernel launch runs.
+See ``docs/IR.md`` for the grammar, passes, and lowering.
 """
 
 from repro.ir.analysis import (
@@ -30,7 +30,6 @@ from repro.ir.core import (
     StoreOp,
     from_trace,
 )
-from repro.ir.interp import evaluate_func, evaluate_module
 from repro.ir.passes import (
     DEFAULT_PIPELINE,
     PassManager,
@@ -53,8 +52,6 @@ __all__ = [
     "counterfactual",
     "cross_dependences",
     "cse_candidates",
-    "evaluate_func",
-    "evaluate_module",
     "from_trace",
     "gray_scott_func",
     "halo_analysis",

@@ -1,30 +1,30 @@
-"""Lowering: a kernel's stencil IR, executed as fused whole-array NumPy.
+"""Lowering: a kernel's stencil IR, compiled to C and run natively.
 
 The paper's claim is that the high-level kernel body *is* the code that
 runs. :func:`lower` makes that true here: the scalar body the JIT traces
-for analysis is traced once more with its scalar launch arguments as
-parameters (``$Du``, ``$seed``, ...), promoted by
-:func:`~repro.ir.core.from_trace`, cleaned by ``rle``/``cse``/``dse``, and
-emitted in op order as one Python function of ufunc calls. Loads are
-contiguous slices of the flattened arrays, offset by their affine
-subscripts; arith ops write ``out=`` scratch buffers assigned by SSA
-liveness; a rand op is :func:`repro.gpu.rand.uniform_into`; a store is
-the ``out=`` of the op defining its value. The iteration box comes from
-the guard comparisons the trace records, and cells outside it that a
-store window spans are saved and put back. The function sweeps the box
-in chunks of whole planes that fit in cache, with per-thread buffers.
-Only launches over 3-D Fortran-ordered arrays of one shape lower. See
-``docs/IR.md``, "Lowering", for the full rules.
-
-:func:`run` is how :meth:`repro.gpu.kernel.Kernel.execute` executes a
-launch; it returns False when the launch cannot be lowered and the
-caller interprets the body per workitem.
+is traced once more with its scalar launch arguments as parameters
+(``$Du``, ``$seed``, ...), promoted by :func:`~repro.ir.core.from_trace`,
+cleaned by ``rle``/``cse``/``dse``, and emitted in op order as one C
+function over the iteration box its guards give. ``cc`` compiles it at
+the first launch, once per process and source, and ``ctypes`` calls it
+without the GIL. :func:`run` returns False when a launch cannot lower
+and the caller interprets it per workitem; a host without a working C
+compiler raises :class:`~repro.util.errors.NativeToolchainError`. See
+``docs/IR.md``, "Lowering", for the rules.
 """
 
 from __future__ import annotations
 
+import hashlib
 import inspect
+import math
+import os
+import shutil
+import tempfile
 import threading
+from contextlib import nullcontext
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -42,20 +42,34 @@ from repro.gpu.jit import (
     trace_memo,
 )
 from repro.gpu.kernel import KernelContext
-from repro.gpu.rand import axis_keys, uniform_into
-from repro.ir.core import ArithOp, LoadOp, RandOp, StoreOp, from_trace
+from repro.ir.core import ArithOp, LoadOp, RandOp, StencilFunc, StoreOp, from_trace
 from repro.ir.passes import PassManager
 from repro.observe import trace as observe
-from repro.util.errors import IrError
+from repro.util.errors import IrError, NativeToolchainError
 
 #: launch axes; a launch symbol's box is indexed by its position here
 AXES = ("x", "y", "z")
 PASSES = ("rle", "cse", "dse")
-#: target cells per chunk: its buffers stay in cache, and each chunk
-#: costs a few dozen ufunc calls (64x64x32 per rank: 3 chunks)
-CHUNK = 1 << 16
-_UFUNCS = {"fadd": "add", "fsub": "subtract", "fmul": "multiply", "fdiv": "divide"}
-_PYOPS = {"fadd": "+", "fsub": "-", "fmul": "*", "fdiv": "/"}
+#: the C element type of each array dtype that lowers
+_CTYPES = {"float32": "float", "float64": "double"}
+_COPS = {"fadd": "+", "fsub": "-", "fmul": "*", "fdiv": "/"}
+#: the compile command after ``cc``; contraction off keeps a*b+c two roundings
+CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+#: seconds a compile may take before the compiler is killed
+COMPILE_TIMEOUT = 120.0
+_U64 = (1 << 64) - 1
+#: splitmix64 as :func:`repro.gpu.rand.counter_hash` computes it
+_PRELUDE = """#include <stdint.h>
+
+static inline uint64_t mix(uint64_t h, uint64_t key)
+{
+    uint64_t z = (h ^ key) + UINT64_C(0x9E3779B97F4A7C15);
+    z = (z ^ (z >> 30)) * UINT64_C(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)) * UINT64_C(0x94D049BB133111EB);
+    return z ^ (z >> 31);
+}
+
+"""
 
 
 def _arguments(kernel, raw) -> list[tuple[str, str, object]]:
@@ -66,10 +80,11 @@ def _arguments(kernel, raw) -> list[tuple[str, str, object]]:
     out = []
     for name, arg in zip(names, raw):
         if isinstance(arg, np.ndarray):
-            if arg.ndim != 3 or not arg.flags.f_contiguous or arg.dtype.name not in (
-                "float16", "float32", "float64"
-            ):
-                raise IrError(f"array {name} is not a 3-D Fortran-ordered float array")
+            if arg.ndim != 3 or not arg.flags.f_contiguous:
+                raise IrError(f"array {name} is not a 3-D Fortran-ordered array")
+            if arg.dtype.name not in _CTYPES or not arg.dtype.isnative:
+                raise IrError(f"array {name} of dtype {arg.dtype.name} ({arg.dtype.str}) "
+                              "runs interpreted")
             out.append(("array", name, arg))
         elif isinstance(arg, tuple):  # keyed by value in the memo signature
             out.append(("const", name, arg))
@@ -165,43 +180,24 @@ def _trace_box(kernel, arguments, extent):
     return tracer.trace, box
 
 
-class LoweredKernel:
-    """One launch signature's lowered function and its per-thread buffers."""
+@dataclass(frozen=True)
+class LaunchPlan:
+    """One launch signature for an emitter; the box is per array axis."""
 
-    def __init__(self, func, source, namespace, nbuf, size, arrays, stored):
-        self.func, self.source, self.nbuf, self.size = func, source, nbuf, size
-        self._arrays, self._stored = arrays, stored
-        self._local = threading.local()
-        namespace["scratch"] = self.scratch
-        exec(compile(source, f"<lowered {func.name}>", "exec"), namespace)
-        self._fn = namespace["lowered"]
-
-    def scratch(self) -> list[np.ndarray]:
-        """This thread's float64 chunk buffers."""
-        bufs = getattr(self._local, "bufs", None)
-        if bufs is None:
-            bufs = self._local.bufs = [np.empty(self.size) for _ in range(self.nbuf)]
-        return bufs
-
-    def __call__(self, raw) -> bool:
-        """Run over raw launch args; False (nothing written) when an array
-        is not Fortran-ordered or a stored array overlaps another."""
-        for p in self._arrays:
-            if not raw[p].flags.f_contiguous:
-                return False
-            for s in self._stored:
-                if s != p and np.may_share_memory(raw[s], raw[p]):
-                    return False
-        self._fn(*raw)
-        return True
+    func: StencilFunc
+    arguments: list
+    pos: dict
+    shape: tuple
+    axis_sym: tuple
+    lo: tuple
+    hi: tuple
+    stores: tuple
 
 
-def lower(kernel, raw, config, passes=PASSES) -> LoweredKernel:
-    """Lower one launch of ``kernel``; raises :class:`IrError` if it cannot.
-
-    ``raw`` are the launch arguments with device arrays unwrapped;
-    ``passes`` is the per-func pipeline run before emission.
-    """
+def plan(kernel, raw, config, passes=PASSES) -> LaunchPlan:
+    """Trace, box and clean one launch; raises :class:`IrError` if it
+    cannot lower. ``raw`` are the launch arguments with device arrays
+    unwrapped; ``passes`` is the per-func pipeline."""
     arguments = _arguments(kernel, raw)
     trace, box = _trace_box(kernel, arguments, config.global_extent)
     func, _ = PassManager(passes).run_func(from_trace(trace))
@@ -232,146 +228,209 @@ def lower(kernel, raw, config, passes=PASSES) -> LoweredKernel:
     if sorted(map(str, axis_sym)) != sorted(AXES):
         raise IrError("the launch axes do not map one to one onto array axes")
     lo, hi = zip(*(box[AXES.index(s)] for s in axis_sym))
-    namespace: dict = {"axis_keys": axis_keys, "uniform_into": uniform_into,
-                       "copyto": np.copyto, "f8": np.float64}
-    namespace.update((name, getattr(np, name)) for name in _UFUNCS.values())
-
-    # the box is the flat range [f_lo, f_hi) of the Fortran-ordered arrays,
-    # less the ghost cells between its rows; it is swept in chunks of whole
-    # planes of the last axis, and buffer slice w maps flat c0 to 0 in its plane
-    strides = (1, shape[0], shape[0] * shape[1])
-    f_lo = sum(l * e for l, e in zip(lo, strides))
-    f_hi = sum((h - 1) * e for h, e in zip(hi, strides)) + 1
-    plane, depth = strides[2], hi[2] - lo[2]
-    planes = -(-depth // -(-depth // max(1, CHUNK // plane)))  # balanced chunks
-    inside = np.zeros(shape, bool, order="F")
-    inside[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = True
-    ghosts = np.flatnonzero(~inside.ravel("F")[f_lo:f_hi]) + f_lo
-    chunks = namespace["chunks"] = []
-    for q in range(lo[2], hi[2], planes):
-        c0, c1 = max(f_lo, q * plane), min(f_hi, (q + planes) * plane)
-        k = min(planes, hi[2] - q)
-        chunks.append((c0, c1, q, k, slice(c0 - q * plane, c1 - q * plane)))
-    head: list[str] = []  # once per call, before the sweep
-    body: list[str] = []  # once per chunk
-    tail: list[str] = []  # once per call, after the sweep
-
-    def window(op) -> str:
-        if any(l + e.const < 0 or h + e.const > n
-               for l, h, e, n in zip(lo, hi, op.exprs, shape)):
+    for op in func.ops:
+        if isinstance(op, (LoadOp, StoreOp)) and any(
+            l + e.const < 0 or h + e.const > n
+            for l, h, e, n in zip(lo, hi, op.exprs, shape)
+        ):
             raise IrError(f"{op.access} leaves the array")
-        d = sum(e.const * s for e, s in zip(op.exprs, strides))
-        return f"f{pos[op.array]}[c0 + {d}:c1 + {d}]"
+    return LaunchPlan(func, arguments, pos, shape, tuple(axis_sym), lo, hi,
+                      tuple(pos[a] for a in stores))
 
-    def store(op) -> str:
-        # the window spans ghost cells between box rows: keep them
-        p, d = pos[op.array], sum(e.const * s for e, s in zip(op.exprs, strides))
-        namespace[f"g{p}"] = ghosts + d
-        head.append(f"saved{p} = f{p}[g{p}]")
-        tail.append(f"f{p}[g{p}] = saved{p}")
-        return window(op)
 
-    def key_code(key) -> str:
-        # the chunk's rand field is laid out (planes, rows, columns): the
-        # Fortran memory order, so array axis a is field axis 2 - a
-        if not isinstance(key, Affine):
-            return str(int(key))
-        axes = [s for s, _ in key.linear_part if not s.startswith(PARAM_PREFIX)]
-        code = " + ".join([str(key.const)] + [
-            f"{c}*a{pos[s]}" for s, c in key.linear_part if s not in axes])
-        if not axes:
-            return code
-        if len(axes) != 1 or key.coefficient(axes[0]) != 1:
-            raise IrError(f"rand key {key} is not axis + const")
-        a = axis_sym.index(axes[0])
-        if a == 2:
-            return f"axis_keys({code} + q, k, 0, 3)"
-        head.append(f"h{len(head)} = axis_keys({code}, {shape[a]}, {2 - a}, 3)")
-        return f"h{len(head) - 1}"
+def emit_c(launch: LaunchPlan) -> str:
+    """The C source of a planned launch: ``void lowered(n0, n1, lo0, hi0,
+    lo1, hi1, lo2, hi2, <one parameter per launch argument>)``."""
+    params = ["int64_t n0", "int64_t n1"] + [
+        f"int64_t lo{a}, int64_t hi{a}" for a in range(3)]
+    for p, (kind, _, value) in enumerate(launch.arguments):
+        if kind == "array":
+            params.append(f"{_CTYPES[value.dtype.name]} *restrict a{p}")
+        elif kind != "const":
+            params.append(f"{'double' if kind == 'float' else 'int64_t'} a{p}")
+    scalar: set[str] = set()  # SSA values computed once per call
+    head: list[str] = []
+    body: list[str] = []
 
-    last: dict[str, int] = {}  # operand -> index of the op that uses it last
-    uses: dict[str, int] = {}
-    for i, op in enumerate(func.ops):
-        for name in (op.lhs, op.rhs) if isinstance(op, ArithOp) else (
-                (op.value,) if isinstance(op, StoreOp) else ()):
-            uses[name], last[name] = uses.get(name, 0) + 1, i
-    direct = {op.value: op for op in func.ops
-              if isinstance(op, StoreOp) and uses[op.value] == 1}
-    values: dict[str, tuple[str, str]] = {}  # ssa -> (kind, source)
-    free: list[int] = []
-    nbuf = 0
-
-    def take() -> int:
-        nonlocal nbuf
-        if free:
-            return free.pop(free.index(min(free)))
-        nbuf += 1
-        return nbuf - 1
-
-    def operand(name: str) -> tuple[str, str]:
+    def operand(name: str) -> str:
         if name.startswith("%"):
-            return values[name]
+            return f"v{name[1:]}"
         if name.startswith(PARAM_PREFIX):
-            return "scalar", f"a{pos[name]}"
-        namespace[f"k{len(namespace)}"] = float(name)
-        return "scalar", f"k{len(namespace) - 1}"
+            p = launch.pos[name]
+            return f"a{p}" if launch.arguments[p][0] == "float" else f"(double)a{p}"
+        if not math.isfinite(float(name)):
+            raise IrError(f"literal {name} is not finite")
+        return f"({float(name).hex()})"
 
-    def release(names, i: int) -> None:
-        for name in set(names):
-            kind, source = values.get(name, ("", ""))
-            if kind == "buf" and last[name] == i:
-                free.append(int(source[1:source.index("[")]))
+    def cell(op) -> str:
+        offset = "".join(
+            f" {'+-'[e.const < 0]} " + (f"{abs(e.const)}" if a == 0 else f"{abs(e.const)} * s{a}")
+            for a, e in enumerate(op.exprs) if e.const)
+        return f"a{launch.pos[op.array]}[c{offset}]"
 
-    for i, op in enumerate(func.ops):
-        if isinstance(op, LoadOp):
-            narrow = raw[pos[op.array]].dtype != np.float64
-            values[op.result] = ("narrow" if narrow else "view", window(op))
-        elif isinstance(op, ArithOp):
-            (lk, lhs), (rk, rhs) = operand(op.lhs), operand(op.rhs)
-            if lk == rk == "scalar":  # parameter-only math, once per call
-                values[op.result] = ("scalar", f"s{op.result[1:]}")
-                head.append(f"s{op.result[1:]} = {lhs} {_PYOPS[op.op]} {rhs}")
-                continue
-            extra = ", dtype=f8" if "narrow" in (lk, rk) else ""
-            release((op.lhs, op.rhs), i)
-            if op.result in direct:
-                out = store(direct.pop(op.result))
-                values[op.result] = ("stored", "")
+    def key(k) -> str:
+        if not isinstance(k, Affine):
+            return f"UINT64_C({int(k) & _U64})"
+        terms = [f"(uint64_t)INT64_C({k.const})"] if k.const or not k.linear_part else []
+        for sym, coeff in k.linear_part:
+            if sym in launch.axis_sym:
+                value = f"(uint64_t)i{launch.axis_sym.index(sym)}"
+            elif sym in launch.pos and launch.arguments[launch.pos[sym]][0] == "int":
+                value = f"(uint64_t)a{launch.pos[sym]}"
             else:
-                out = f"b{take()}[w]"
-                values[op.result] = ("buf", out)
-            body.append(f"{_UFUNCS[op.op]}({lhs}, {rhs}, out={out}{extra})")
-        elif isinstance(op, RandOp):
-            keys = ", ".join(key_code(key) for key in op.keys)
-            out, tmp = take(), take()
-            free.append(tmp)
-            body.append(f"uniform_into(({keys},), b{out}[:k * {plane}].reshape(k, "
-                        f"{shape[1]}, {shape[0]}), b{tmp}[:k * {plane}].reshape(k, "
-                        f"{shape[1]}, {shape[0]}))")
-            values[op.result] = ("buf", f"b{out}[w]")
-        elif values.get(op.value, ("",))[0] != "stored":
-            body.append(f"copyto({store(op)}, {operand(op.value)[1]})")
-            release((op.value,), i)
+                raise IrError(f"rand key {k} reads {sym}")
+            terms.append(value if coeff == 1 else f"(uint64_t)INT64_C({coeff}) * {value}")
+        return " + ".join(terms)
 
-    params = ", ".join(f"a{p}" for p in range(len(arguments)))
-    lines = [f"def lowered({params}):"]
-    if nbuf:
-        lines.append(f"    {', '.join(f'b{b}' for b in range(nbuf))}, = scratch()")
-    lines += [f"    f{pos[name]} = a{pos[name]}.ravel('F')"
-              for kind, name, _ in arguments if kind == "array"]
-    lines += [f"    {line}" for line in head]
-    lines.append("    for c0, c1, q, k, w in chunks:")
-    lines += [f"        {line}" for line in body]
-    lines += [f"    {line}" for line in tail]
-    arrays = tuple(p for p, (kind, _, _) in enumerate(arguments) if kind == "array")
-    return LoweredKernel(func, "\n".join(lines) + "\n", namespace, nbuf, planes * plane,
-                         arrays, tuple(pos[a] for a in stores))
+    for op in launch.func.ops:
+        if isinstance(op, LoadOp):
+            body.append(f"const double v{op.result[1:]} = {cell(op)};")
+        elif isinstance(op, ArithOp):
+            line = (f"const double v{op.result[1:]} = "
+                    f"{operand(op.lhs)} {_COPS[op.op]} {operand(op.rhs)};")
+            if all(not n.startswith("%") or n in scalar for n in (op.lhs, op.rhs)):
+                scalar.add(op.result)
+                head.append(line)
+            else:
+                body.append(line)
+        elif isinstance(op, RandOp):
+            h = "UINT64_C(0)"
+            for k in op.keys:
+                h = f"mix({h}, {key(k)})"
+            body.append(f"const double v{op.result[1:]} = "
+                        f"(double)(int64_t)({h} >> 11) * 0x1p-52 - 1.0;")
+        else:
+            dtype = launch.arguments[launch.pos[op.array]][2].dtype.name
+            body.append(f"{cell(op)} = ({_CTYPES[dtype]}){operand(op.value)};")
+    lines = [
+        f"void lowered({', '.join(params)})", "{",
+        "    const int64_t s1 = n0, s2 = n0 * n1;",
+        *(f"    {line}" for line in head),
+        "    for (int64_t i2 = lo2; i2 < hi2; i2++)",
+        "        for (int64_t i1 = lo1; i1 < hi1; i1++)",
+        "            for (int64_t i0 = lo0; i0 < hi0; i0++) {",
+        "                const int64_t c = i0 + i1 * s1 + i2 * s2;",
+        *(f"                {line}" for line in body),
+        "            }", "}",
+    ]
+    return _PRELUDE + "\n".join(lines) + "\n"
+
+
+#: sha256 of a C source -> its loaded ``lowered`` function, per process
+_NATIVE: dict[str, object] = {}
+_NATIVE_LOCK = threading.Lock()
+
+
+def native_function(source: str, argtypes: list, kernel_name: str):
+    """The loaded ``lowered`` of ``source``, compiled under one lock on
+    first use; a configured :class:`~repro.gpu.jitcache.JitDiskCache`
+    keeps the object beside its plans for later processes."""
+    import ctypes
+
+    digest = hashlib.sha256(source.encode()).hexdigest()
+    with _NATIVE_LOCK:
+        fn = _NATIVE.get(digest)
+        if fn is None:
+            disk = trace_memo().disk
+            if disk is None:
+                with tempfile.TemporaryDirectory(prefix="repro-native-") as tmp:
+                    lib = ctypes.CDLL(str(_compile(source, Path(tmp), kernel_name)))
+            else:
+                target = disk.path / f"{digest[:32]}.so"
+                try:
+                    lib = ctypes.CDLL(str(target))
+                except OSError:  # absent, or not a loadable object
+                    with tempfile.TemporaryDirectory(dir=disk.path) as tmp:
+                        os.replace(_compile(source, Path(tmp), kernel_name), target)
+                    lib = ctypes.CDLL(str(target))
+            fn = lib.lowered
+            fn.argtypes, fn.restype = [ctypes.c_int64] * 8 + argtypes, None
+            _NATIVE[digest] = fn
+        return fn
+
+
+def _compile(source: str, tmp: Path, kernel_name: str) -> Path:
+    """``cc`` ``source`` into a shared object under ``tmp``."""
+    import subprocess
+
+    cc = shutil.which("cc")
+    if cc is None:
+        raise NativeToolchainError(
+            "no C compiler: `cc` is not on PATH, and kernels run as compiled C")
+    src, out = tmp / "kernel.c", tmp / "kernel.so"
+    src.write_text(source)
+    tracer = observe.active()
+    span = nullcontext() if tracer is None else tracer.span(
+        "gpu.jit.compile", cat="gpu", process="jit",
+        thread=threading.current_thread().name, args={"kernel": kernel_name})
+    try:
+        with span:
+            done = subprocess.run([cc, *CFLAGS, "-o", str(out), str(src)],
+                                  capture_output=True, text=True,
+                                  timeout=COMPILE_TIMEOUT)
+    except subprocess.TimeoutExpired:  # run() has killed and reaped it
+        raise NativeToolchainError(
+            f"{cc} did not compile {kernel_name} within {COMPILE_TIMEOUT:g} s") from None
+    except OSError as exc:
+        raise NativeToolchainError(f"cannot run {cc}: {exc}") from None
+    if done.returncode != 0:
+        detail = (done.stderr.strip().splitlines() or ["no output"])[-1]
+        raise NativeToolchainError(
+            f"{cc} failed to compile {kernel_name} (exit {done.returncode}): {detail}")
+    return out
+
+
+class LoweredKernel:
+    """One launch signature's compiled function and its box."""
+
+    def __init__(self, plan: LaunchPlan, source: str, fn) -> None:
+        self.func, self.source, self._fn = plan.func, source, fn
+        self.box = tuple(zip(plan.lo, plan.hi))
+        self._bounds = (plan.shape[0], plan.shape[1], *(b for lh in self.box for b in lh))
+        self._kinds = tuple(kind for kind, _, _ in plan.arguments)
+        self._arrays = tuple((p, v.shape, v.dtype) for p, (k, _, v) in enumerate(plan.arguments)
+                             if k == "array")
+        self._stored = plan.stores
+
+    def __call__(self, raw) -> bool:
+        """Run over raw launch args; False (nothing written) when an array
+        differs in shape or dtype from the plan, is not Fortran-ordered and
+        aligned, or is stored while read-only or overlapping another."""
+        for p, shape, dtype in self._arrays:
+            a = raw[p]
+            if a.shape != shape or a.dtype != dtype or not (
+                    a.flags.f_contiguous and a.flags.aligned):
+                return False
+            for s in self._stored:
+                if s != p and np.may_share_memory(raw[s], a):
+                    return False
+        if not all(raw[s].flags.writeable for s in self._stored):
+            return False
+        self._fn(*self._bounds, *(
+            v.ctypes.data if k == "array" else v
+            for k, v in zip(self._kinds, raw) if k != "const"))
+        return True
+
+
+def lower(kernel, raw, config, passes=PASSES) -> LoweredKernel:
+    """Lower one launch of ``kernel`` to a loaded native function; raises
+    :class:`IrError` if it cannot lower, :class:`NativeToolchainError`
+    if it cannot be compiled."""
+    import ctypes
+
+    launch = plan(kernel, raw, config, passes)
+    source = emit_c(launch)
+    argtypes = [{"array": ctypes.c_void_p, "float": ctypes.c_double,
+                 "int": ctypes.c_int64}[kind]
+                for kind, _, _ in launch.arguments if kind != "const"]
+    return LoweredKernel(launch, source, native_function(source, argtypes, kernel.name))
 
 
 def lowered_kernel(kernel, config, raw, key) -> LoweredKernel | None:
     """The lowering of a launch, cached in the trace memo's entry of its
     signature ``key``; None (cached too) when the launch cannot be
-    lowered or ``key`` is None (an unkeyable launch)."""
+    lowered or ``key`` is None (an unkeyable launch). A missing or
+    failing compiler is raised, never cached or interpreted around."""
     if key is None:
         return None
     entry = trace_memo().entry(key, kernel)
@@ -379,6 +438,8 @@ def lowered_kernel(kernel, config, raw, key) -> LoweredKernel | None:
         if entry.lowered is PENDING:
             try:
                 entry.lowered = lower(kernel, raw, config)
+            except NativeToolchainError:
+                raise
             except Exception as exc:  # the body runs interpreted, which reports its own errors
                 entry.lowered = None
                 tracer = observe.active()

@@ -25,6 +25,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.trace import SIM, WALL, Tracer
 from repro.util.errors import ObserveError
@@ -113,9 +115,82 @@ def to_chrome_trace(tracer: Tracer) -> dict:
 
 
 def write_chrome_trace(tracer: Tracer, path) -> Path:
+    return write_chrome_json(to_chrome_trace(tracer), path)
+
+
+def write_chrome_json(obj: dict, path) -> Path:
+    """Write a Chrome trace object as ``json.dumps(obj, indent=1)`` would.
+
+    The monolithic exporter and ``merge-shards`` both write through here,
+    so their bytes agree.
+    """
     target = Path(path)
-    target.write_text(json.dumps(to_chrome_trace(tracer), indent=1))
+    target.write_text(_indented(obj, 1))
     return target
+
+
+#: list items encoded per C-encoder call: each re-indent stays a few MB
+_BATCH = 2048
+#: the C encoder (``indent`` unset) with a raw newline after every item
+_compact = json.JSONEncoder(separators=(",\n", ": ")).encode
+
+
+def _indented(value, depth: int) -> str:
+    """``json.dumps(value, indent=1)`` of a value nested at ``depth``.
+
+    ``indent`` sends the stdlib to its pure-Python encoder. Here dicts are
+    walked key by key, and the items of a list are encoded by the C
+    encoder, a batch at a time, with ``",\\n"`` between items and then
+    indented by :func:`_reindent`.
+    """
+    if isinstance(value, dict) and value:
+        pad = "\n" + " " * depth
+        return "{" + ",".join(
+            f"{pad}{_compact(k if isinstance(k, str) else json.dumps(k))}: "
+            f"{_indented(v, depth + 1)}" for k, v in value.items()
+        ) + pad[:-1] + "}"
+    if isinstance(value, list) and value:
+        return "[" + ",".join(
+            _reindent(_compact(value[i:i + _BATCH]), depth)[1:-depth - 1]
+            for i in range(0, len(value), _BATCH)
+        ) + "\n" + " " * (depth - 1) + "]"
+    return _compact(value)
+
+
+
+def _reindent(text: str, depth: int) -> str:
+    """Indent the ``",\\n"``-separated encoding of a list at ``depth``.
+
+    Outside strings, a raw newline ends an item and a bracket opens or
+    closes a container; a quote delimits a string unless an odd run of
+    backslashes precedes it. Each non-empty container gets a newline
+    after its opener and before its closer, and each newline is followed
+    by the indent of its depth.
+    """
+    b = np.frombuffer(text.encode("ascii"), np.uint8)
+    quotes = np.flatnonzero(b == 34)
+    escaped = []
+    for q in quotes[b[quotes - 1] == 92].tolist():
+        run = 1
+        while b[q - 1 - run] == 92:
+            run += 1
+        escaped += [q] if run % 2 else []
+    quotes = np.setdiff1d(quotes, escaped, assume_unique=True)
+    marks = np.flatnonzero((b == 123) | (b == 125) | (b == 91) | (b == 93) | (b == 10))
+    marks = marks[np.searchsorted(quotes, marks) % 2 == 0]  # outside strings
+    kind = b[marks]
+    opens, closes = (kind == 123) | (kind == 91), (kind == 125) | (kind == 93)
+    indent = depth - 1 + np.cumsum(opens.astype(np.int32) - closes)
+    empty = opens[:-1] & closes[1:] & (marks[1:] == marks[:-1] + 1)
+    opens[:-1] &= ~empty
+    closes[1:] &= ~empty
+    kept = opens | closes | (kind == 10)
+    after = (marks - closes)[kept]  # insert after this byte
+    newline = ~(kind == 10)[kept]
+    length = indent[kept] + newline
+    values = np.full(int(length.sum()), 32, np.uint8)
+    values[(np.cumsum(length) - length)[newline]] = 10
+    return np.insert(b, np.repeat(after + 1, length), values).tobytes().decode("ascii")
 
 
 def load_chrome_trace(path) -> dict:

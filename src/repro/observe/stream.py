@@ -570,11 +570,9 @@ def merge_shards(source) -> dict:
 
 def write_merged(source, out) -> Path:
     """Merge shards and write the Chrome trace JSON; returns the path."""
-    target = Path(out)
-    # the exact serialization write_chrome_trace uses — byte-identity
-    # with the monolithic exporter depends on it
-    target.write_text(json.dumps(merge_shards(source), indent=1))
-    return target
+    from repro.observe.export import write_chrome_json
+
+    return write_chrome_json(merge_shards(source), out)
 
 
 #: stop a streaming validation after this many problems

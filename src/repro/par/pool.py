@@ -44,7 +44,7 @@ from typing import Callable, Iterable
 
 from repro.observe import trace as observe
 from repro.par import shm, tracemerge
-from repro.util.errors import ParError
+from repro.util.errors import NativeToolchainError, ParError
 
 #: index of the pool worker this process is; None outside a pool
 _WORKER: int | None = None
@@ -89,6 +89,8 @@ def _worker(worker_id, fn, jit_cache, task_q, results, results_lock) -> None:
         task_id, payload = item
         try:
             blob = pickle.dumps((task_id, True, shm.encode(fn(shm.decode(payload)))))
+        except NativeToolchainError as exc:  # the host's fault, not the task's
+            blob = pickle.dumps((task_id, False, exc))
         except Exception:
             blob = pickle.dumps((task_id, False, traceback.format_exc()))
         # sent synchronously, so a task that kills its worker cannot leave
@@ -106,7 +108,8 @@ class WorkerPool:
     >>> pool.close()
 
     A collector thread resolves the futures. A task whose function
-    raised fails with :class:`ParError` carrying the worker's traceback.
+    raised fails with :class:`ParError` carrying the worker's traceback
+    (a :class:`NativeToolchainError` fails as itself).
     A worker that dies with tasks in flight fails every pending future
     once and is replaced. Failing or closing over a pending task
     discards its payload's shared-memory segments.
@@ -195,7 +198,7 @@ class WorkerPool:
             if ok:
                 future.set_result(shm.decode(payload))
             else:
-                future.set_exception(ParError(
+                future.set_exception(payload if isinstance(payload, Exception) else ParError(
                     f"task failed in a pool worker:\n{payload.rstrip()}"
                 ))
 

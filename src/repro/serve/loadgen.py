@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.execute import MODES, JobSpec
-from repro.util.errors import AdmissionError, ConfigError
+from repro.util.errors import AdmissionError, ConfigError, NativeToolchainError
 
 
 def generate_specs(
@@ -242,6 +242,8 @@ async def drive_load(
                 async with lock:
                     report.rejected += 1
                 continue
+            except NativeToolchainError:
+                raise  # no request that computes can succeed on this host
             except Exception:
                 async with lock:
                     report.failed += 1

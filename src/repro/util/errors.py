@@ -129,6 +129,11 @@ class DeviceMemoryError(GpuError):
     """Device allocation exceeded the modeled HBM capacity."""
 
 
+class NativeToolchainError(GpuError):
+    """A kernel could not be compiled: no C compiler, a failed compile,
+    or a compile that overran its timeout."""
+
+
 class IrError(ReproError):
     """Base class for errors raised by the stencil IR layer.
 

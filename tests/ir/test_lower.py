@@ -1,4 +1,4 @@
-"""Lowering the stencil IR to whole-array NumPy (repro.ir.lower)."""
+"""Lowering the stencil IR to C (repro.ir.lower)."""
 
 import math
 import re
@@ -10,10 +10,10 @@ import pytest
 
 from repro.core.params import GrayScottParams
 from repro.core.stencil import kernel_args, make_gray_scott_kernel
-from repro.gpu.jit import TraceMemo
 from repro.gpu.kernel import Kernel, LaunchConfig
-from repro.ir.lower import lower, lowered_kernel
+from repro.ir.lower import lower
 from repro.util.errors import IrError
+from tests.oracles.lower import lower_numpy
 from tests.oracles.stencil import step_vectorized
 
 
@@ -38,13 +38,19 @@ class TestGrayScott:
         assert lowered.func.op_counts() == {
             "load": 14, "arith": 34, "rand": 1, "store": 2,
         }
-        windows = re.findall(r"f[01]\[c0 \+ -?\d+:c1 \+ -?\d+\]", lowered.source)
-        assert len(set(windows)) == 14
-        assert lowered.nbuf == 4
-        assert lowered.size == 4 * 8 * 7  # one chunk: the 4 interior k-planes
+        loads = re.findall(r"= (a[01]\[c[^\]]*\]);", lowered.source)
+        assert len(loads) == len(set(loads)) == 14
+        assert len(re.findall(r"a[23]\[c\] = \(double\)", lowered.source)) == 2
+        assert lowered.source.count("mix(") == 5 + 1  # five keys, one definition
+        assert lowered.box == ((1, 7), (1, 6), (1, 5))  # per array axis
         assert "$Du" in lowered.func.params and "$seed" in lowered.func.params
-        # parameter-only math runs once per call, as a Python scalar
-        assert "= a7 + a8" in lowered.source
+        # parameter-only math runs once per call, before the box loop
+        head, loop = lowered.source.split("for (", 1)
+        assert "const double v45 = a7 + a8;" in head and "a7 + a8" not in loop
+        # the NumPy oracle emitter sweeps the same plan in ufunc calls
+        oracle = lower_numpy(make_gray_scott_kernel(), list(args), _config(u.shape))
+        assert oracle.nbuf == 4
+        assert oracle.size == 4 * 8 * 7  # one chunk: the 4 interior k-planes
 
     def test_matches_the_whole_array_oracle(self):
         u, v, un, vn = _fields((8, 6, 5), seed=3)
@@ -189,7 +195,7 @@ class TestWhatLowers:
         kernel = Kernel("box", _box_body)
         cfg = LaunchConfig.for_domain(out.shape, (4, 4, 4))
         lowered = lower(kernel, [src, out], cfg)
-        assert lowered.size == 7 * 5 * 4
+        assert lowered.box == ((1, 6), (0, 5), (0, 4))
         expect = np.zeros_like(out)
         kernel._interpret(cfg, (src, expect))
         kernel.execute(cfg, (src, out))
@@ -199,7 +205,7 @@ class TestWhatLowers:
         src, out = self._arrays()
         kernel = Kernel("truthy", _truthy_body)
         cfg = LaunchConfig.for_domain(out.shape, (1, 1, 1))
-        assert lower(kernel, [src, out], cfg).nbuf == 0
+        assert lower(kernel, [src, out], cfg).box == ((1, 7), (0, 5), (0, 4))
         expect = np.zeros_like(out)
         kernel._interpret(cfg, (src, expect))
         kernel.execute(cfg, (src, out))
@@ -246,9 +252,10 @@ class TestWhatLowers:
 
 class TestThreads:
     def test_concurrent_launches_each_match_the_oracle(self):
-        """Ranks and service workers are threads of one process: same-shape
-        launches at once must not share scratch buffers. More threads than
-        cores and a short switch interval make interleaving likely."""
+        """Ranks and service workers are threads of one process, and the
+        compiled function runs without the GIL: same-shape launches at once
+        must each compute their own launch. More threads than cores and a
+        short switch interval make interleaving likely."""
         kernel = make_gray_scott_kernel()
         interior = (24, 20, 16)
         nthreads = 4
@@ -265,15 +272,12 @@ class TestThreads:
                 un, vn = np.zeros_like(un), np.zeros_like(vn)
                 kernel.execute(cfg, kernel_args(u, v, un, vn, p, seed=t, step=step))
                 results.append((un, vn))
-            args = kernel_args(u, v, un, vn, p, seed=t, step=0)
             ok = True
             for step, (un, vn) in enumerate(results):
                 ou, ov = np.zeros_like(un), np.zeros_like(vn)
                 step_vectorized(u, v, ou, ov, p, seed=t, step=step)
                 ok &= np.array_equal(un, ou) and np.array_equal(vn, ov)
-            key = TraceMemo.signature(kernel, args, cfg)
-            scratch = lowered_kernel(kernel, cfg, list(args), key).scratch()
-            outcome[t] = (ok, scratch)
+            outcome[t] = ok
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -286,6 +290,4 @@ class TestThreads:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert all(outcome[t][0] for t in range(nthreads))
-        buffers = [id(b) for t in range(nthreads) for b in outcome[t][1]]
-        assert len(set(buffers)) == len(buffers)
+        assert all(outcome[t] for t in range(nthreads))

@@ -1,10 +1,10 @@
-"""Reference evaluator for the stencil IR.
+"""Reference evaluator for the stencil IR: the rewrite bit-identity oracle.
 
 Executes a :class:`~repro.ir.core.StencilFunc` cell by cell over the
 guarded interior, in op order — the same arithmetic, in the same order,
 as the scalar kernel body the func was traced from, so results are
 **bitwise identical** to :meth:`repro.gpu.kernel.Kernel._interpret`
-and to the lowered kernel. The rewrite-pass property tests lean on
+and to the compiled kernel (:mod:`repro.ir.lower`). The rewrite-pass property tests lean on
 this: any legal pipeline must leave the evaluated output bit-identical,
 because every pass only removes recomputation (CSE/RLE/DSE) or
 interleaves bodies whose cells are independent (fusion legality).

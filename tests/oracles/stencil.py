@@ -1,6 +1,6 @@
 """Stencil oracles: explicit loops and a hand-written whole-array step.
 
-Production runs one stencil path, the kernel body lowered by
+Production runs one stencil path, the kernel body lowered to C by
 :mod:`repro.ir.lower`. These hand-kept implementations of the same
 update (Eqs. 2a/2b) are what the tests hold it against:
 
@@ -20,8 +20,9 @@ import numpy as np
 
 from repro.core.params import GrayScottParams
 from repro.core.stencil import laplacian_at
-from repro.gpu.rand import axis_keys, counter_uniform, uniform_into
+from repro.gpu.rand import counter_uniform
 from repro.util.errors import ConfigError
+from tests.oracles.rand import axis_keys, uniform_into
 
 
 def uniform_field(

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from repro.core.params import GrayScottParams
 from repro.ir.build import gray_scott_func, laplacian_func, workflow_module
-from repro.ir.interp import evaluate_func, evaluate_module
 from repro.ir.passes import PassManager
+from tests.oracles.ir_interp import evaluate_func, evaluate_module
 
 EXTENT = 6
 
