@@ -2,27 +2,30 @@
 
 Two halves, both written to the schema-stable ``BENCH_jitcache.json``:
 
-- **measured** — first-launch latency over distinct kernel
-  specializations in a cold process (full trace) vs. a warm-started
-  one (plans preloaded from the persistent :mod:`repro.gpu.jitcache`),
-  each the best of 3 passes. Gated absolutely: warm p50 must stay
-  below :data:`WARM_COLD_LIMIT` (0.20) of the cold p50 — warm starts
-  at least 5x faster — and every persisted plan must be byte-identical
-  to a fresh trace.
+- **measured** — the first launch of each compiled kernel (the
+  Gray-Scott and Laplacian kernels in float64 and float32), as
+  ``Kernel.execute`` in an empty trace memo and object table: cold
+  against an empty :mod:`repro.gpu.jitcache` directory (trace, lower,
+  ``cc``), warm against a populated one (trace, lower, load the
+  object), each the best of several passes. Gated absolutely: warm p50
+  must stay below :data:`WARM_COLD_LIMIT` (0.20) of the cold p50 —
+  warm starts at least 5x faster — and every warm launch must store
+  byte for byte what the cold one stored.
 - **modeled** — the Figure 7 variant: per-GPU first-window bandwidth
-  distributions with full JIT compilation vs. a persisted-plan load,
+  distributions with full JIT compilation vs. a compiled-kernel load,
   reproducing the paper's ~12.5x cold cost factor and showing the warm
   start closing it to ~1x. Gated by the variant's shape checks.
 
 CI runs ``--quick`` on every push (the ``jit-cache`` job) and uploads
 the JSON as an artifact. Exit 1 when the warm gate or a shape check
-fails.
+fails. A C compiler (``cc``) must be on PATH.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 import tempfile
 import time
@@ -30,76 +33,80 @@ from pathlib import Path
 
 import numpy as np
 
-SCHEMA = "repro.bench.jitcache/1"
+SCHEMA = "repro.bench.jitcache/2"
 
 #: ceiling on the warm/cold first-launch p50 ratio: warm starts from
-#: the persistent cache must answer first launches >= 5x faster
+#: the JIT disk cache must answer first launches >= 5x faster
 WARM_COLD_LIMIT = 0.20
 
 
 def measure_warm_start(quick: bool) -> dict:
-    """Cold vs warm-started first-launch latency over shape classes."""
-    from repro.core.settings import GrayScottSettings
-    from repro.core.stencil import kernel_args, make_gray_scott_kernel
+    """Cold vs warm first launch of each compiled kernel."""
+    from repro.core.params import GrayScottParams
+    from repro.core.stencil import (
+        kernel_args,
+        make_gray_scott_kernel,
+        make_laplacian_kernel,
+    )
     from repro.gpu import jitcache
-    from repro.gpu.jit import TraceMemo, trace_kernel
+    from repro.gpu.jit import trace_memo
+    from repro.gpu.kernel import LaunchConfig
 
-    settings = GrayScottSettings(L=16, backend="julia")
-    kernel = make_gray_scott_kernel()
-    edges = range(8, 14) if quick else range(8, 24)
-    arg_sets = []
-    for edge in edges:
-        shape = (edge,) * 3
-        u, v = (np.ones(shape, order="F") for _ in range(2))
-        u_new, v_new = (np.zeros(shape, order="F") for _ in range(2))
-        arg_sets.append(
-            kernel_args(u, v, u_new, v_new, settings.params(), seed=1, step=0)
-        )
+    edge = 16 if quick else 32
+    shape = (edge,) * 3
+    config = LaunchConfig.for_domain(shape, (4, 4, 4))
+    rng = np.random.default_rng(7)
+    fields = [np.asfortranarray(rng.random(shape)) for _ in range(2)]
 
-    def first_launches(memo: TraceMemo) -> list[float]:
-        times = []
-        for args in arg_sets:
-            t0 = time.perf_counter()
-            memo.trace(kernel, args)
-            times.append(time.perf_counter() - t0)
-        return times
+    def launches():
+        """(kernel, args, output arrays) per compiled kernel, fresh outputs."""
+        out = []
+        for dtype in (np.float64, np.float32):
+            u, v = (f.astype(dtype, order="F") for f in fields)
+            un, vn = np.zeros_like(u), np.zeros_like(v)
+            out.append((make_gray_scott_kernel(),
+                        kernel_args(u, v, un, vn, GrayScottParams(), seed=1, step=0),
+                        (un, vn)))
+            lap = np.zeros_like(u)
+            out.append((make_laplacian_kernel(), (u, lap, shape, 0.2, 1.0), (lap,)))
+        return out
 
-    repeats = 3
+    def first_launches(directory: Path) -> tuple[list[float], list[bytes]]:
+        # a new process: no traces, no loaded objects
+        jitcache._NATIVE.clear()
+        trace_memo().clear()
+        jitcache.configure(directory)
+        times, stored = [], []
+        try:
+            for kernel, args, outputs in launches():
+                t0 = time.perf_counter()
+                kernel.execute(config, args)
+                times.append(time.perf_counter() - t0)
+                stored.append(b"".join(a.tobytes() for a in outputs))
+        finally:
+            jitcache.deconfigure()
+        return times, stored
+
+    repeats = 3 if quick else 5
     with tempfile.TemporaryDirectory() as tmp:
-        # cold: a fresh process traces every specialization on first
-        # launch (no disk tier attached — pure trace cost)
-        cold_times = np.full(len(arg_sets), np.inf)
-        for _ in range(repeats):
-            cold_times = np.minimum(cold_times, first_launches(TraceMemo()))
-
-        # persist every plan, as `run --jit-cache` would have
-        seed_memo = TraceMemo()
-        cache = jitcache.JitDiskCache(tmp)
-        for args in arg_sets:
-            key = seed_memo.signature(kernel, args, None)
-            cache.store(key, kernel, seed_memo.trace(kernel, args))
-
-        # warm: a fresh memo preloaded from the persisted plans — the
-        # first launch of every specialization is already a memo hit
-        warm_times = np.full(len(arg_sets), np.inf)
-        for _ in range(repeats):
-            warm_memo = TraceMemo()
-            jitcache.warm_start(tmp, memo=warm_memo)
-            warm_times = np.minimum(warm_times, first_launches(warm_memo))
-        jitcache.deconfigure(memo=warm_memo)
-
-        # every warm answer is byte for byte the plan a fresh trace of
-        # the same specialization produces
-        identical = all(
-            jitcache.serialize_trace(warm_memo.trace(kernel, args))
-            == jitcache.serialize_trace(trace_kernel(kernel, args))
-            for args in arg_sets
-        )
+        root = Path(tmp)
+        cold_times = warm_times = None
+        for n in range(repeats):
+            # cold: an empty directory, so every kernel compiles
+            times, cold_stored = first_launches(root / f"cold{n}")
+            cold_times = np.minimum(cold_times, times) if n else np.array(times)
+        for n in range(repeats):
+            # warm: a copy of a populated directory (a new path, so the
+            # loader cannot answer from an object it already mapped)
+            shutil.copytree(root / "cold0", root / f"warm{n}")
+            times, warm_stored = first_launches(root / f"warm{n}")
+            warm_times = np.minimum(warm_times, times) if n else np.array(times)
+        identical = warm_stored == cold_stored
 
     cold_p50 = float(np.percentile(cold_times, 50))
     warm_p50 = float(np.percentile(warm_times, 50))
     return {
-        "shape_classes": len(arg_sets),
+        "shape_classes": len(cold_times),
         "cold_p50_seconds": cold_p50,
         "warm_p50_seconds": warm_p50,
         "warm_cold_ratio": warm_p50 / cold_p50,
@@ -122,7 +129,7 @@ def main(argv=None) -> int:
     from repro.bench import fig7
     from repro.util.files import atomic_write_text
 
-    # measured: cold-vs-warm first-launch latency through the real cache
+    # measured: cold-vs-warm first launch through the real cache
     measured = measure_warm_start(args.quick)
     ratio = measured["warm_cold_ratio"]
     print(
@@ -177,7 +184,7 @@ def main(argv=None) -> int:
             f"{1 / WARM_COLD_LIMIT:.0f}x faster)"
         )
     if not measured["plans_bit_identical"]:
-        failures.append("persisted plans are not bit-identical to fresh traces")
+        failures.append("warm launches do not store what cold launches store")
     failures.extend(
         f"modeled shape check failed: {name}"
         for name, ok in checks.items() if not ok

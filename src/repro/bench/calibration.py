@@ -64,7 +64,7 @@ JIT_COMPILE_SIGMA = 0.10
 
 #: Warm start from a persistent compilation cache (the pkgimage /
 #: precompilation arc Julia landed after the paper; our
-#: ``repro.gpu.jitcache``): the first launch loads a persisted plan
+#: ``repro.gpu.jitcache``): the first launch loads a compiled kernel
 #: instead of compiling. Loading a few-hundred-MB pkgimage from the
 #: parallel filesystem costs order 0.1 s — ~200x below the ~22 s
 #: compile — which closes the Fig. 7 cold/warm gap to ~1x.

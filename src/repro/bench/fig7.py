@@ -54,9 +54,9 @@ def run(
 ) -> Fig7Result:
     """``aot=True`` ablates the JIT: compile cost paid offline
     (the mechanism the paper mentions but did not explore).
-    ``warm=True`` models a warm start from the persistent compilation
-    cache (:mod:`repro.gpu.jitcache`): the first launch loads a
-    persisted plan (:data:`~repro.bench.calibration.JIT_WARM_LOAD_SECONDS`)
+    ``warm=True`` models a warm start from the JIT disk cache
+    (:mod:`repro.gpu.jitcache`): the first launch loads a compiled
+    kernel (:data:`~repro.bench.calibration.JIT_WARM_LOAD_SECONDS`)
     instead of compiling, closing the 12.5x gap to ~1x."""
     cost = grayscott_launch_cost(shape, backend)
     effective_bytes = cost.effective_bytes
@@ -102,7 +102,7 @@ def run_warm_comparison(
 
 
 def render_warm(cold: Fig7Result, warm: Fig7Result) -> str:
-    """The warm-start variant table: persisted plans close the gap."""
+    """The warm-start variant table: loading compiled kernels closes the gap."""
     table = Table(
         ["first-launch window", "mean (GB/s)", "p5", "p95", "cost factor"],
         title=(

@@ -94,27 +94,6 @@ def _probe_trace_out(path: str, mode: str) -> str | None:
     return None
 
 
-def _probe_jit_cache(path: str) -> str | None:
-    """An error message if a JIT cache at ``path`` cannot be used, else None.
-
-    Same early-failure contract as ``--trace-out``: a bad cache path
-    exits 2 before the run starts.
-    """
-    import os
-    from pathlib import Path
-
-    p = Path(path)
-    if p.exists() and not p.is_dir():
-        return f"jit cache path {p} exists and is not a directory"
-    try:
-        p.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        return f"cannot create jit cache directory {p}: {exc}"
-    if not os.access(p, os.W_OK):
-        return f"jit cache directory {p} is not writable"
-    return None
-
-
 def _streaming_tracer(trace_out: str):
     """A retain-nothing tracer streaming to ``trace_out`` shards."""
     from repro.observe.stream import ShardedPerfettoWriter
@@ -172,14 +151,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"grayscott: {problem}", file=sys.stderr)
             return 2
     if args.jit_cache:
-        problem = _probe_jit_cache(args.jit_cache)
-        if problem is not None:
-            print(f"grayscott: {problem}", file=sys.stderr)
-            return 2
         from repro.gpu import jitcache
 
-        warm = jitcache.warm_start(args.jit_cache)
-        print(f"jit cache: {warm['preloaded']} plan(s) preloaded from "
+        try:
+            cache = jitcache.configure(args.jit_cache)
+        except jitcache.JitCacheError as exc:
+            print(f"grayscott: {exc}", file=sys.stderr)
+            return 2
+        print(f"jit cache: {cache.stats()['objects']} compiled kernel(s) in "
               f"{args.jit_cache}")
 
     if args.virtual_ranks is not None:
@@ -567,6 +546,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"grayscott: {exc}", file=sys.stderr)
         return 2
     print(result.render())
+    for name, failure in result.failures.items():
+        last = (failure.strip().splitlines() or ["no traceback"])[-1]
+        print(f"grayscott: campaign member {name} failed: {last}", file=sys.stderr)
     if args.provenance:
         try:
             result.save_provenance(args.provenance)
@@ -606,9 +588,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               "in the settings", file=sys.stderr)
         return 2
     if args.warm_cache:
-        problem = _probe_jit_cache(args.warm_cache)
-        if problem is not None:
-            print(f"grayscott: {problem}", file=sys.stderr)
+        from repro.gpu.jitcache import JitCacheError, JitDiskCache
+
+        try:
+            JitDiskCache(args.warm_cache)
+        except JitCacheError as exc:
+            print(f"grayscott: {exc}", file=sys.stderr)
             return 2
 
     with tempfile.TemporaryDirectory(prefix="grayscott-serve-") as scratch:
@@ -696,7 +681,7 @@ def _serve_load(args: argparse.Namespace, settings, workdir: str) -> int:
 
 
 def _cmd_jitcache(args: argparse.Namespace) -> int:
-    """``grayscott jit-cache <stats|clear> DIR``: manage persisted plans.
+    """``grayscott jit-cache <stats|clear> DIR``: manage compiled kernels.
 
     Exit codes follow the usage contract: 0 on success, 2 when the
     directory does not exist or cannot be used as a cache.
@@ -719,24 +704,16 @@ def _cmd_jitcache(args: argparse.Namespace) -> int:
 
     if args.jitcache_command == "clear":
         removed = cache.clear()
-        print(f"jit cache cleared: {removed} entry(ies) removed from {p}")
+        print(f"jit cache cleared: {removed} compiled kernel(s) removed from {p}")
         return 0
 
-    # stats: entries() first — it drops corrupt files, so the totals
-    # reported afterwards only count valid plans.
-    entries = cache.entries()
     stats = cache.stats()
     table = Table(["quantity", "value"], title=f"jit cache: {p}")
-    table.add_row(["schema", stats["schema"]])
-    table.add_row(["entries", stats["entries"]])
+    table.add_row(["compiled kernels", stats["objects"]])
     table.add_row(["bytes", stats["bytes"]])
-    table.add_row(["max entries", stats["max_entries"]])
-    table.add_row(["corrupt (dropped)", stats["corrupt"]])
-    by_kernel: dict[str, int] = {}
-    for entry in entries:
-        by_kernel[entry["kernel"]] = by_kernel.get(entry["kernel"], 0) + 1
-    for kernel in sorted(by_kernel):
-        table.add_row([f"plans: {kernel}", by_kernel[kernel]])
+    table.add_row(["max entries", stats["cap"]])
+    for entry in cache.entries():
+        table.add_row([entry["file"], entry["bytes"]])
     print(table.render())
     return 0
 
@@ -870,8 +847,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--jit-cache", metavar="DIR",
-        help="persist JIT compilation plans under DIR and warm-start "
-             "from any already there (see docs/PERFORMANCE.md)",
+        help="keep compiled kernels under DIR and load any already "
+             "there instead of compiling (see docs/PERFORMANCE.md)",
     )
     p_run.add_argument(
         "--timings", action="store_true",
@@ -1111,24 +1088,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--warm-cache", metavar="DIR",
-        help="warm-start every worker from the persistent JIT plan "
+        help="load compiled kernels in every worker from the JIT "
              "cache under DIR (populate it with 'run --jit-cache DIR')",
     )
     p_serve.set_defaults(func=_cmd_serve)
 
     p_jc = sub.add_parser(
-        "jit-cache", help="inspect or clear a persistent JIT plan cache"
+        "jit-cache", help="inspect or clear a JIT cache of compiled kernels"
     )
     jc_sub = p_jc.add_subparsers(dest="jitcache_command", required=True)
     jc_stats = jc_sub.add_parser(
-        "stats", help="entry/byte totals and per-kernel plan counts"
+        "stats", help="compiled kernel count, bytes, and each object"
     )
     jc_stats.add_argument(
         "path", help="cache directory (run --jit-cache / serve --warm-cache)"
     )
     jc_stats.set_defaults(func=_cmd_jitcache)
     jc_clear = jc_sub.add_parser(
-        "clear", help="delete every persisted plan in the cache"
+        "clear", help="delete every compiled kernel in the cache"
     )
     jc_clear.add_argument("path", help="cache directory")
     jc_clear.set_defaults(func=_cmd_jitcache)

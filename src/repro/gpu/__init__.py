@@ -34,11 +34,10 @@ from repro.gpu.jit import (
     CompiledKernel,
     KernelTrace,
     TraceMemo,
-    kernel_fingerprint,
     memoized_trace,
     trace_memo,
 )
-from repro.gpu.jitcache import JitDiskCache, warm_start
+from repro.gpu.jitcache import JitDiskCache
 from repro.gpu.cache import StencilTrafficModel, TraceCacheSim, TrafficEstimate
 from repro.gpu.perf import RooflineModel, LaunchCost
 from repro.gpu.rocprof import Profiler, ProfileEvent, RocprofReport
@@ -57,11 +56,9 @@ __all__ = [
     "CompiledKernel",
     "KernelTrace",
     "TraceMemo",
-    "kernel_fingerprint",
     "memoized_trace",
     "trace_memo",
     "JitDiskCache",
-    "warm_start",
     "StencilTrafficModel",
     "TraceCacheSim",
     "TrafficEstimate",

@@ -314,14 +314,19 @@ class TracedFloat:
 
 
 class TracedArray:
-    """Array stand-in: subscripts record loads/stores with affine offsets."""
+    """Array stand-in: subscripts record loads/stores with affine offsets.
 
-    __slots__ = ("tracer", "name", "data")
+    Loads read the caller's ``data``, which is never written: a store
+    goes to ``stored``, which later loads of the same cell read first.
+    """
+
+    __slots__ = ("tracer", "name", "data", "stored")
 
     def __init__(self, tracer: "Tracer", name: str, data: np.ndarray):
         self.tracer = tracer
         self.name = name
         self.data = data
+        self.stored: dict[tuple[int, ...], float] = {}
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -339,7 +344,9 @@ class TracedArray:
 
     def __getitem__(self, idx) -> TracedFloat:
         exprs, values = self._exprs(idx)
-        concrete = float(self.data[values])
+        concrete = self.stored.get(values)
+        if concrete is None:
+            concrete = float(self.data[values])
         ssa = self.tracer.record_load(self.name, exprs)
         return TracedFloat(self.tracer, concrete, ssa)
 
@@ -356,7 +363,7 @@ class TracedArray:
                 value = value.value
             ssa, concrete = repr(float(value)), float(value)
         self.tracer.record_store(self.name, exprs, ssa)
-        self.data[values] = concrete
+        self.stored[values] = concrete
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +573,7 @@ def trace_kernel(kernel: "Kernel", args) -> KernelTrace:
             tracer.trace.array_names_by_position[position] = name
             tracer.trace.array_dtypes[name] = data.dtype.name
             tracer.trace.array_shapes[name] = tuple(data.shape)
-            traced_args.append(TracedArray(tracer, name, data.copy(order="F")))
+            traced_args.append(TracedArray(tracer, name, data))
         else:
             traced_args.append(arg)
 
@@ -587,45 +594,6 @@ def trace_kernel(kernel: "Kernel", args) -> KernelTrace:
 # ---------------------------------------------------------------------------
 
 
-def kernel_fingerprint(kernel: "Kernel") -> str | None:
-    """A content hash of the kernel: stable across processes and runs.
-
-    The fingerprint digests the kernel's name, codegen-relevant flags,
-    and the *source text* of its scalar body — the same identity a real
-    JIT's method cache keys on. Editing the kernel body changes the
-    fingerprint, which is what invalidates persisted compilation plans
-    (:mod:`repro.gpu.jitcache`). Returns None when the body's source is
-    unavailable (lambdas defined in a REPL, exec'd code); callers then
-    fall back to the process-local ``id()`` spelling, which memoizes
-    fine but can never be persisted.
-
-    The result is memoized per body and flags, not per kernel object:
-    every job builds a fresh kernel for the same body, and only the
-    first one reads the source.
-    """
-    flops = int(getattr(kernel, "flops_per_workitem", 0) or 0)
-    fingerprint = _source_fingerprint(
-        kernel.body, kernel.name, bool(kernel.uses_rand), flops
-    )
-    return fingerprint or None  # "" caches a failed source lookup
-
-
-@lru_cache(maxsize=256)
-def _source_fingerprint(body, name: str, uses_rand: bool, flops: int) -> str:
-    import hashlib
-    import inspect
-
-    try:
-        source = inspect.getsource(body)
-    except (OSError, TypeError):
-        return ""
-    digest = hashlib.sha256()
-    for part in (name, str(uses_rand), str(flops), source):
-        digest.update(part.encode("utf-8"))
-        digest.update(b"\x00")
-    return digest.hexdigest()
-
-
 #: ``MemoEntry.lowered`` of a launch not lowered yet
 PENDING = object()
 
@@ -636,12 +604,9 @@ _dtype_name = lru_cache(maxsize=None)(operator.attrgetter("name"))
 @dataclass
 class MemoEntry:
     """One launch signature's trace and :class:`repro.ir.lower.LoweredKernel`
-    (None: runs interpreted). ``kernel`` keeps an ``id()``-keyed kernel
-    alive; it is None for plans preloaded from disk. Both are filled
-    under ``lock``, so rank threads that miss at once trace and lower
-    once."""
+    (None: runs interpreted). Both are filled under ``lock``, so rank
+    threads that miss at once trace and lower once."""
 
-    kernel: "Kernel | None"
     trace: KernelTrace | None = None
     lowered: object = PENDING
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
@@ -652,39 +617,31 @@ class TraceMemo:
 
     The memo is keyed the way a real JIT specializes methods — on types
     and shapes, not values: (kernel identity, per-argument signature,
-    launch config). Arrays contribute (position, trace name, dtype,
-    shape); tuple arguments keep their values (they carry extents that
-    drive boundary guards, e.g. Listing 2's ``sizes``); every other
-    scalar contributes only its Python type, so per-launch values like
-    ``seed``/``step`` still hit the cache. That is what makes a 20-step
-    fig5/fig6 run O(1) in trace cost and is exactly the paper's Fig. 7
-    first-launch-vs-optimized JIT split: the trace is computed once per
-    (kernel, dtype, shape-class, config) and replayed thereafter.
+    launch config). The kernel contributes its name, body function,
+    ``uses_rand`` and ``flops_per_workitem``, so fresh kernel objects
+    over one body share entries. Arrays contribute (position, trace
+    name, dtype, shape); tuple arguments keep their values (they carry
+    extents that drive boundary guards, e.g. Listing 2's ``sizes``);
+    every other scalar contributes only its Python type, so per-launch
+    values like ``seed``/``step`` still hit the cache. That is what
+    makes a 20-step fig5/fig6 run O(1) in trace cost and is exactly the
+    paper's Fig. 7 first-launch-vs-optimized JIT split: the trace is
+    computed once per (kernel, dtype, shape-class, config) and replayed
+    thereafter.
 
-    Kernel identity is the :func:`kernel_fingerprint` content hash, so
-    the same kernel source spells the same key in every process — a
-    spawn-context worker or a restarted service computes byte-identical
-    keys and can be answered from a persisted plan (the old
-    ``id(kernel)`` spelling silently re-traced in every new process).
-
-    Execution is tiered (the pkgimage arc the paper's Fig. 7 motivates):
+    Each answer comes from one tier, counted on the memo and mirrored
+    into the active :mod:`repro.observe` metrics registry as
+    ``gpu.jit.tier`` counters:
 
     1. **interpret** — an unkeyable launch bypasses memoization and
-       traces fresh every time (the retained slow path);
-    2. **trace** — a keyed miss traces once, then promotes the plan
-       into the in-memory memo *and* the attached disk cache;
-    3. **memo** — an in-memory hit replays the plan in O(1);
-    4. **disk** — a persisted plan from :class:`repro.gpu.jitcache.
-       JitDiskCache` (attached via ``memo.disk``) answers a cold
-       process's first launch and is promoted into the memo.
+       traces fresh every time;
+    2. **trace** — a keyed miss traces once into the memo;
+    3. **memo** — a hit replays the trace in O(1).
 
-    Per-tier promotion counters are kept on the memo and mirrored into
-    the active :mod:`repro.observe` metrics registry as
-    ``gpu.jit.tier`` counters.
-
-    :func:`trace_kernel` remains the retained slow path; the
-    differential property tests assert that a memo hit returns a trace
-    bit-identical to a freshly computed one.
+    The compiled kernel objects persist across processes instead
+    (:mod:`repro.gpu.jitcache`). The differential property tests assert
+    that a memo hit returns a trace bit-identical to a freshly computed
+    one.
     """
 
     def __init__(self, maxsize: int = 256):
@@ -694,11 +651,6 @@ class TraceMemo:
         self.hits = 0
         self.misses = 0
         self.bypasses = 0
-        self.disk_hits = 0
-        #: optional persistent tier — anything with ``lookup(key)`` /
-        #: ``store(key, kernel, trace)``, in practice a
-        #: :class:`repro.gpu.jitcache.JitDiskCache`
-        self.disk = None
 
     @staticmethod
     def signature(kernel: "Kernel", args, config=None) -> tuple | None:
@@ -709,12 +661,8 @@ class TraceMemo:
         """
         from repro.gpu.memory import DeviceArray
 
-        fingerprint = kernel_fingerprint(kernel)
-        if fingerprint is not None:
-            parts: list = [("kernel", kernel.name, fingerprint)]
-        else:
-            # no source to hash: key on object identity, process-local
-            parts = [("kernel_local", id(kernel), kernel.name)]
+        parts: list = [(kernel.name, kernel.body, bool(kernel.uses_rand),
+                        int(kernel.flops_per_workitem or 0))]
         for position, arg in enumerate(args):
             data = arg.data if isinstance(arg, DeviceArray) else arg
             if isinstance(data, np.ndarray) and data.ndim >= 1:
@@ -736,12 +684,10 @@ class TraceMemo:
         return key
 
     def trace(self, kernel: "Kernel", args, config=None, key=None) -> KernelTrace:
-        """Memoized :func:`trace_kernel` (the launch fast path).
-
-        Walks the tiers in cost order: memo hit, persisted plan, fresh
-        trace (with promotion into both caches), or — for unkeyable
-        launches — the plain interpreter-style bypass. ``key`` is the
-        launch's :meth:`signature` when the caller already has it.
+        """Memoized :func:`trace_kernel` (the launch fast path): a memo
+        hit, a fresh trace kept in the memo, or, for an unkeyable
+        launch, a fresh trace every time. ``key`` is the launch's
+        :meth:`signature` when the caller already has it.
         """
         if key is None:
             key = self.signature(kernel, args, config)
@@ -749,40 +695,27 @@ class TraceMemo:
             self.bypasses += 1
             self._count_tier("interpret")
             return trace_kernel(kernel, args)
-        entry = self.entry(key, kernel)
+        entry = self.entry(key)
         with entry.lock:
             if entry.trace is not None:
                 self.hits += 1
                 self._count_tier("memo")
-                if self.disk is not None:
-                    # backfill: a memo warm before the disk tier was
-                    # configured still populates the cache directory
-                    self.disk.ensure(key, entry.kernel, entry.trace)
                 return entry.trace
-            if self.disk is not None:
-                entry.trace = self.disk.lookup(key)
-                if entry.trace is not None:
-                    self.disk_hits += 1
-                    self._count_tier("disk")
-                    return entry.trace
             self.misses += 1
             self._count_tier("trace")
             entry.trace = trace_kernel(kernel, args)
-            if self.disk is not None:
-                self.disk.store(key, kernel, entry.trace)
             return entry.trace
 
-    def entry(self, key: tuple, kernel: "Kernel | None" = None) -> "MemoEntry":
+    def entry(self, key: tuple) -> "MemoEntry":
         """The entry of launch signature ``key`` (made if missing), moved
         to the LRU end; inserts evict beyond ``maxsize``."""
         entry = self._entries.get(key)
         if entry is None:  # setdefault: rank threads missing at once share one
-            entry = self._entries.setdefault(key, MemoEntry(kernel))
+            entry = self._entries.setdefault(key, MemoEntry())
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
         else:
             self._entries.move_to_end(key)
-        entry.kernel = entry.kernel or kernel
         return entry
 
     @staticmethod
@@ -796,13 +729,8 @@ class TraceMemo:
 
     @property
     def tiers(self) -> dict:
-        """Per-tier answer counts (interpret/trace/memo/disk)."""
-        return {
-            "interpret": self.bypasses,
-            "trace": self.misses,
-            "memo": self.hits,
-            "disk": self.disk_hits,
-        }
+        """Per-tier answer counts (interpret/trace/memo)."""
+        return {"interpret": self.bypasses, "trace": self.misses, "memo": self.hits}
 
     @property
     def stats(self) -> dict:
@@ -810,7 +738,6 @@ class TraceMemo:
             "hits": self.hits,
             "misses": self.misses,
             "bypasses": self.bypasses,
-            "disk_hits": self.disk_hits,
             "entries": len(self._entries),
         }
 

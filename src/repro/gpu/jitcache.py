@@ -1,371 +1,191 @@
-"""A persistent, content-addressed cache of JIT compilation plans.
+"""The JIT disk cache: compiled kernel objects, one per C source.
 
 The paper's Figure 7 headline is the 12.5x first-launch JIT penalty;
 Julia's answer in the years since has been precompilation and
-pkgimages — compile once, persist the result, start every later
-process hot. This module reproduces that arc for the tracing JIT:
-:class:`JitDiskCache` persists :class:`~repro.gpu.jit.KernelTrace`
-plans on disk, keyed by the :meth:`~repro.gpu.jit.TraceMemo.signature`
-memo key (kernel **source hash** + per-argument dtype/shape class +
-launch config), so a fresh process — a spawned ``repro.par`` worker, a
-restarted ``repro.serve`` service — answers its first launches from
-persisted plans instead of re-tracing.
+pkgimages: compile once, persist the result, start every later process
+hot. Here the expensive part of a first launch is the ``cc`` compile of
+the lowered stencil (:mod:`repro.ir.lower`), so that is what persists.
 
-On-disk format (version :data:`ENTRY_SCHEMA`): one file per entry,
-named by the sha256 of the canonical key JSON. Each file is a JSON
-header line (schema id, kernel name, the canonical key — readable by
-``grayscott jit-cache stats``), a newline, then the pickled trace.
-Entries are written atomically (:func:`repro.util.files.
-atomic_write_bytes`), so concurrent writers racing the same key both
-leave a complete file and readers never observe a torn entry. Loads
-are corruption-tolerant: any malformed entry (bad header, wrong
-schema version, truncated or unpicklable payload) counts as a miss,
-is deleted, and never propagates an exception into a launch.
+A cache is a directory of ``<sha256(C source)[:32]>.so`` files. This
+module owns them and the per-process table of loaded objects:
+:func:`load` answers a C source from the table, then from the
+configured directory, and only then runs the compile step its caller
+supplies. Objects land by atomic rename (two processes racing one
+source both leave one loadable object); an object that does not load,
+or is shorter than its ELF headers say, is compiled again over; the
+directory keeps the :data:`MAX_ENTRIES` most recently used objects.
 
-The cache is LRU-capped by entry count: hits touch the file's mtime
-and :meth:`JitDiskCache.store` evicts the stalest entries beyond
-``max_entries``.
-
-Process wiring: :func:`configure` attaches a cache to the process-wide
-:class:`~repro.gpu.jit.TraceMemo`; :func:`warm_start` additionally
-preloads every valid persisted plan straight into the in-memory memo,
-so the warm process's first launch of a cached kernel is already a
-memo hit — the tier ladder's pkgimage rung. ``repro.par`` workers and
-the ``repro.serve`` worker pool call :func:`warm_start` on spawn with
-the path the parent had configured.
+:func:`configure` is the one entry point: it points the process at a
+directory and writes every object the process has already compiled
+into it. ``repro.par`` workers and the ``repro.serve`` service call it
+with the path the parent had configured.
 """
 
 from __future__ import annotations
 
-import json
+import ctypes
+import hashlib
 import os
-import pickle
+import struct
+import tempfile
+import threading
 from pathlib import Path
+from typing import Callable
 
-from repro.gpu.jit import KernelTrace, TraceMemo, trace_memo
-from repro.observe import trace as observe
 from repro.util.errors import GpuError
 from repro.util.files import atomic_write_bytes
 
-#: on-disk entry format version; bump to invalidate every persisted plan
-ENTRY_SCHEMA = "repro.gpu.jitcache/1"
+#: objects a cache directory keeps; loads refresh an object's mtime and
+#: writes evict the stalest beyond this
+MAX_ENTRIES = 512
 
-#: filename suffix of cache entries
-ENTRY_SUFFIX = ".trace"
-
-#: pickle protocol pinned for deterministic, cross-version payload bytes
-PICKLE_PROTOCOL = 4
+#: filename suffix of a cached object
+SUFFIX = ".so"
 
 
 class JitCacheError(GpuError):
-    """The persistent JIT cache cannot be used as requested."""
+    """The JIT disk cache cannot be used as requested."""
 
 
-def canonical_key(key: tuple) -> str:
-    """The canonical JSON spelling of a memo key (content address input).
+def _whole(blob: bytes) -> bool:
+    """Whether ``blob`` is as long as its ELF64 section table says.
 
-    Raises TypeError for keys containing non-JSON-serializable values;
-    :meth:`JitDiskCache.store` treats that as "not persistable".
+    A truncated object faults inside ``dlopen`` instead of raising, so
+    it is caught here. Other formats are left to the loader, which
+    raises ``OSError`` for most damage.
     """
-    return json.dumps(key, separators=(",", ":"), allow_nan=False)
-
-
-def persistable_key(key: tuple) -> bool:
-    """Whether a memo key is stable across processes.
-
-    Kernels whose source cannot be hashed fall back to a
-    ``("kernel_local", id(kernel), name)`` key; ``id`` values are
-    meaningless (and collide) in other processes, so those keys never
-    touch the disk tier.
-    """
-    return bool(key) and bool(key[0]) and key[0][0] == "kernel"
-
-
-def freeze_key(value):
-    """Rebuild the hashable tuple form of a JSON-decoded key."""
-    if isinstance(value, list):
-        return tuple(freeze_key(v) for v in value)
-    return value
-
-
-def serialize_trace(trace: KernelTrace) -> bytes:
-    """The persisted byte form of a plan (the bit-identity unit)."""
-    return pickle.dumps(trace, protocol=PICKLE_PROTOCOL)
+    if blob[:5] != b"\x7fELF\x02":
+        return True
+    if len(blob) < 64:
+        return False
+    order = "<" if blob[5] == 1 else ">"
+    (shoff,) = struct.unpack_from(order + "Q", blob, 0x28)
+    shentsize, shnum = struct.unpack_from(order + "HH", blob, 0x3A)
+    return len(blob) >= shoff + shentsize * shnum
 
 
 class JitDiskCache:
-    """Disk tier of the JIT: persisted plans under one directory."""
+    """The compiled kernel objects under one directory."""
 
-    def __init__(self, path: str | os.PathLike, *, max_entries: int = 512):
-        if max_entries < 1:
-            raise JitCacheError(
-                f"jit cache needs max_entries >= 1, got {max_entries}"
-            )
+    def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
+        if self.path.exists() and not self.path.is_dir():
+            raise JitCacheError(f"jit cache path {self.path} exists and is not a directory")
         try:
             self.path.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise JitCacheError(
-                f"cannot create jit cache directory {self.path}: {exc}"
-            ) from exc
-        self.max_entries = int(max_entries)
-        self._known: set[str] = set()  # key texts already persisted here
-        self.hits = 0
-        self.misses = 0
-        self.stored = 0
-        self.corrupt = 0
-        self.evicted = 0
-        self.unsupported = 0
+                f"cannot create jit cache directory {self.path}: {exc}") from exc
+        if not os.access(self.path, os.W_OK):
+            raise JitCacheError(f"jit cache directory {self.path} is not writable")
 
-    # -- addressing ----------------------------------------------------------
-    def entry_path(self, key_text: str) -> Path:
-        import hashlib
+    def object_path(self, digest: str) -> Path:
+        return self.path / (digest[:32] + SUFFIX)
 
-        digest = hashlib.sha256(key_text.encode("utf-8")).hexdigest()
-        return self.path / (digest[:32] + ENTRY_SUFFIX)
+    def _objects(self) -> list[Path]:
+        return sorted(self.path.glob("*" + SUFFIX))
 
-    def _entry_files(self) -> list[Path]:
-        return sorted(self.path.glob("*" + ENTRY_SUFFIX))
-
-    # -- load side -----------------------------------------------------------
-    def _load_entry(self, file: Path) -> tuple[dict, KernelTrace] | None:
-        """(header, trace) of one entry, or None (counted + unlinked)."""
+    def read(self, digest: str) -> bytes | None:
+        """The whole object of ``digest``, or None; a hit counts as a use."""
+        target = self.object_path(digest)
         try:
-            blob = file.read_bytes()
-            head, _, payload = blob.partition(b"\n")
-            header = json.loads(head.decode("utf-8"))
-            if header.get("schema") != ENTRY_SCHEMA:
-                raise ValueError(
-                    f"entry schema {header.get('schema')!r} != {ENTRY_SCHEMA!r}"
-                )
-            trace = pickle.loads(payload)
-            if not isinstance(trace, KernelTrace):
-                raise ValueError("payload is not a KernelTrace")
-        except Exception:
-            # corruption tolerance: a bad entry is a miss, not a crash —
-            # drop it so it cannot fail every later launch too
-            self.corrupt += 1
-            try:
-                file.unlink()
-            except OSError:
-                pass
+            blob = target.read_bytes()
+            os.utime(target)
+        except OSError:
             return None
-        return header, trace
+        return blob if _whole(blob) else None
 
-    def lookup(self, key: tuple) -> KernelTrace | None:
-        """The persisted plan for ``key``, or None (a disk-tier miss)."""
-        if not persistable_key(key):
-            self.unsupported += 1
-            return None
+    def put(self, digest: str, blob: bytes) -> None:
+        """Publish one object atomically, then evict beyond the cap; a
+        write that fails leaves the directory as it was."""
         try:
-            key_text = canonical_key(key)
-        except (TypeError, ValueError):
-            self.unsupported += 1
-            return None
-        file = self.entry_path(key_text)
-        if not file.exists():
-            self.misses += 1
-            return None
-        loaded = self._load_entry(file)
-        if loaded is None:
-            self.misses += 1
-            return None
-        header, trace = loaded
-        if header.get("key") != json.loads(key_text):
-            # sha-prefix collision (astronomically unlikely): treat as miss
-            self.misses += 1
-            return None
-        self.hits += 1
-        try:
-            os.utime(file)  # LRU touch
+            atomic_write_bytes(self.object_path(digest), blob)
+            objects = self._objects()
+            for stale in sorted(objects, key=lambda f: f.stat().st_mtime)[
+                    : max(0, len(objects) - MAX_ENTRIES)]:
+                stale.unlink(missing_ok=True)
         except OSError:
             pass
-        return trace
 
-    # -- store side ----------------------------------------------------------
-    def store(self, key: tuple, kernel, trace: KernelTrace) -> bool:
-        """Persist one plan; returns False when the key is unpersistable."""
-        if not persistable_key(key):
-            self.unsupported += 1
-            return False
-        try:
-            key_text = canonical_key(key)
-        except (TypeError, ValueError):
-            self.unsupported += 1
-            return False
-        header = {
-            "schema": ENTRY_SCHEMA,
-            "kernel": trace.kernel_name,
-            "key": json.loads(key_text),
-        }
-        blob = (
-            json.dumps(header, separators=(",", ":")).encode("utf-8")
-            + b"\n"
-            + serialize_trace(trace)
-        )
-        try:
-            atomic_write_bytes(self.entry_path(key_text), blob)
-        except OSError:
-            return False
-        self._known.add(key_text)
-        self.stored += 1
-        self._evict_over_cap()
-        return True
-
-    def ensure(self, key: tuple, kernel, trace: KernelTrace) -> bool:
-        """Persist ``key`` only if no complete entry for it exists yet.
-
-        The memo-hit backfill path: a process whose in-memory memo was
-        already warm (an earlier run in the same process, a preloaded
-        plan) still populates a freshly configured cache directory. A
-        known-persisted set keeps the hot path to one ``stat`` per key.
-        """
-        if not persistable_key(key):
-            return False
-        try:
-            key_text = canonical_key(key)
-        except (TypeError, ValueError):
-            return False
-        if key_text in self._known:
-            return True
-        if self.entry_path(key_text).exists():
-            self._known.add(key_text)
-            return True
-        return self.store(key, kernel, trace)
-
-    def _evict_over_cap(self) -> None:
-        files = self._entry_files()
-        if len(files) <= self.max_entries:
-            return
-        by_age = sorted(files, key=lambda f: f.stat().st_mtime)
-        for stale in by_age[: len(files) - self.max_entries]:
-            try:
-                stale.unlink()
-                self.evicted += 1
-            except OSError:
-                pass
-
-    # -- bulk operations -----------------------------------------------------
     def entries(self) -> list[dict]:
-        """Headers of every valid entry (corrupt ones are dropped)."""
-        out = []
-        for file in self._entry_files():
-            loaded = self._load_entry(file)
-            if loaded is not None:
-                header, _ = loaded
-                header["bytes"] = file.stat().st_size
-                header["file"] = file.name
-                out.append(header)
-        return out
-
-    def preload(self, memo: TraceMemo) -> int:
-        """Promote every valid persisted plan into ``memo``; returns count.
-
-        Preloaded entries carry no kernel object (``kernel`` is None);
-        the memo only ever hands back the trace, so a warm process's
-        first launch of a cached kernel is already an in-memory hit.
-        """
-        loaded = 0
-        for file in self._entry_files():
-            entry = self._load_entry(file)
-            if entry is None:
-                continue
-            header, trace = entry
-            memo.entry(freeze_key(header["key"])).trace = trace
-            loaded += 1
-        return loaded
+        """File name and size of every object, by name."""
+        return [{"file": f.name, "bytes": f.stat().st_size} for f in self._objects()]
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        for file in self._entry_files():
-            try:
-                file.unlink()
-                removed += 1
-            except OSError:
-                pass
-        self._known.clear()
-        return removed
+        """Delete every object; returns how many were removed."""
+        objects = self._objects()
+        for f in objects:
+            f.unlink(missing_ok=True)
+        return len(objects)
 
     def stats(self) -> dict:
-        files = self._entry_files()
+        entries = self.entries()
         return {
             "path": str(self.path),
-            "schema": ENTRY_SCHEMA,
-            "entries": len(files),
-            "bytes": sum(f.stat().st_size for f in files),
-            "max_entries": self.max_entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "stored": self.stored,
-            "corrupt": self.corrupt,
-            "evicted": self.evicted,
-            "unsupported": self.unsupported,
+            "objects": len(entries),
+            "bytes": sum(e["bytes"] for e in entries),
+            "cap": MAX_ENTRIES,
         }
 
 
-# ---------------------------------------------------------------------------
-# process wiring
-# ---------------------------------------------------------------------------
-
-#: the path the process-wide memo's disk tier was configured with (the
-#: value worker pools forward to their spawned children)
-_CONFIGURED_PATH: str | None = None
+#: sha256 of a C source -> (its loaded object, the object's bytes), per
+#: process; the bytes are what :func:`configure` writes to a new directory
+_NATIVE: dict[str, tuple[ctypes.CDLL, bytes]] = {}
+_LOCK = threading.Lock()
+_CACHE: JitDiskCache | None = None
 
 
-def configure(
-    path: str | os.PathLike,
-    *,
-    memo: TraceMemo | None = None,
-    max_entries: int = 512,
-) -> JitDiskCache:
-    """Attach a disk cache at ``path`` to ``memo`` (default: process-wide).
+def load(source: str, compile: Callable[[Path], Path]) -> ctypes.CDLL:
+    """The loaded object of C ``source``, under one lock.
 
-    From here on, keyed misses persist their plans and cold lookups
-    consult the disk tier. Returns the attached cache.
+    From this process's table, else the configured directory, else
+    ``compile(tmp)``, which builds the object under the directory
+    ``tmp`` and returns its path; the result goes into the configured
+    directory, if any.
     """
-    global _CONFIGURED_PATH
-    target = memo if memo is not None else trace_memo()
-    cache = JitDiskCache(path, max_entries=max_entries)
-    target.disk = cache
-    if memo is None or memo is trace_memo():
-        _CONFIGURED_PATH = str(cache.path)
+    digest = hashlib.sha256(source.encode()).hexdigest()
+    with _LOCK:
+        known = _NATIVE.get(digest)
+        if known is None:
+            known = _NATIVE[digest] = _load(digest, compile)
+        return known[0]
+
+
+def _load(digest: str, compile) -> tuple[ctypes.CDLL, bytes]:
+    cache = _CACHE
+    if cache is not None and (blob := cache.read(digest)) is not None:
+        try:
+            return ctypes.CDLL(str(cache.object_path(digest))), blob
+        except OSError:  # not a loadable object: compile over it
+            pass
+    with tempfile.TemporaryDirectory(prefix="repro-native-") as tmp:
+        built = compile(Path(tmp))
+        blob = built.read_bytes()
+        lib = ctypes.CDLL(str(built))
+    if cache is not None:
+        cache.put(digest, blob)
+    return lib, blob
+
+
+def configure(path: str | os.PathLike) -> JitDiskCache:
+    """Use the cache directory ``path`` from here on, and write every
+    object this process has compiled so far into it."""
+    global _CACHE
+    cache = JitDiskCache(path)
+    with _LOCK:
+        _CACHE = cache
+        for digest, (_, blob) in _NATIVE.items():
+            if cache.read(digest) is None:
+                cache.put(digest, blob)
     return cache
 
 
-def deconfigure(*, memo: TraceMemo | None = None) -> None:
-    """Detach the disk tier (tests and CLI teardown)."""
-    global _CONFIGURED_PATH
-    target = memo if memo is not None else trace_memo()
-    target.disk = None
-    if memo is None or memo is trace_memo():
-        _CONFIGURED_PATH = None
+def deconfigure() -> None:
+    """Stop using a cache directory (tests and CLI teardown)."""
+    global _CACHE
+    _CACHE = None
 
 
 def configured_path() -> str | None:
-    """The process-wide disk-cache path, if one is configured."""
-    return _CONFIGURED_PATH
-
-
-def warm_start(
-    path: str | os.PathLike,
-    *,
-    memo: TraceMemo | None = None,
-    max_entries: int = 512,
-) -> dict:
-    """Configure ``path`` and preload every persisted plan into the memo.
-
-    The warm-start entry point for worker processes and service
-    startup: after this, the first launch of every cached kernel
-    specialization is an in-memory memo hit. Returns the cache stats
-    plus the number of preloaded plans.
-    """
-    target = memo if memo is not None else trace_memo()
-    cache = configure(path, memo=memo, max_entries=max_entries)
-    loaded = cache.preload(target)
-    tracer = observe.active()
-    if tracer is not None:
-        tracer.metrics.counter("gpu.jitcache.preloaded").inc(loaded)
-    stats = cache.stats()
-    stats["preloaded"] = loaded
-    return stats
+    """The configured cache directory, if any (what worker pools pass on)."""
+    return None if _CACHE is None else str(_CACHE.path)

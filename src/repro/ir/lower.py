@@ -15,12 +15,9 @@ compiler raises :class:`~repro.util.errors.NativeToolchainError`. See
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import math
-import os
 import shutil
-import tempfile
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -29,6 +26,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from repro.gpu import jitcache
 from repro.gpu.jit import (
     COMPARE,
     PARAM_PREFIX,
@@ -316,37 +314,16 @@ def emit_c(launch: LaunchPlan) -> str:
     return _PRELUDE + "\n".join(lines) + "\n"
 
 
-#: sha256 of a C source -> its loaded ``lowered`` function, per process
-_NATIVE: dict[str, object] = {}
-_NATIVE_LOCK = threading.Lock()
-
-
 def native_function(source: str, argtypes: list, kernel_name: str):
-    """The loaded ``lowered`` of ``source``, compiled under one lock on
-    first use; a configured :class:`~repro.gpu.jitcache.JitDiskCache`
-    keeps the object beside its plans for later processes."""
+    """The ``lowered`` function of ``source``, loaded through
+    :func:`repro.gpu.jitcache.load`, which compiles it at most once per
+    process and keeps the object in a configured cache directory."""
     import ctypes
 
-    digest = hashlib.sha256(source.encode()).hexdigest()
-    with _NATIVE_LOCK:
-        fn = _NATIVE.get(digest)
-        if fn is None:
-            disk = trace_memo().disk
-            if disk is None:
-                with tempfile.TemporaryDirectory(prefix="repro-native-") as tmp:
-                    lib = ctypes.CDLL(str(_compile(source, Path(tmp), kernel_name)))
-            else:
-                target = disk.path / f"{digest[:32]}.so"
-                try:
-                    lib = ctypes.CDLL(str(target))
-                except OSError:  # absent, or not a loadable object
-                    with tempfile.TemporaryDirectory(dir=disk.path) as tmp:
-                        os.replace(_compile(source, Path(tmp), kernel_name), target)
-                    lib = ctypes.CDLL(str(target))
-            fn = lib.lowered
-            fn.argtypes, fn.restype = [ctypes.c_int64] * 8 + argtypes, None
-            _NATIVE[digest] = fn
-        return fn
+    lib = jitcache.load(source, lambda tmp: _compile(source, tmp, kernel_name))
+    fn = lib["lowered"]  # a fresh function object: argtypes are its own
+    fn.argtypes, fn.restype = [ctypes.c_int64] * 8 + argtypes, None
+    return fn
 
 
 def _compile(source: str, tmp: Path, kernel_name: str) -> Path:
@@ -433,7 +410,7 @@ def lowered_kernel(kernel, config, raw, key) -> LoweredKernel | None:
     failing compiler is raised, never cached or interpreted around."""
     if key is None:
         return None
-    entry = trace_memo().entry(key, kernel)
+    entry = trace_memo().entry(key)
     with entry.lock:
         if entry.lowered is PENDING:
             try:

@@ -79,12 +79,12 @@ def _worker(worker_id, fn, jit_cache, task_q, results, results_lock) -> None:
     # recording into that copy would be silently discarded.
     observe.deactivate()
     if jit_cache is not None:
-        # Warm-start the tracing JIT from the parent's persistent cache.
-        # The path is passed explicitly because a spawn-context worker
-        # does not inherit the parent's configured module globals.
+        # Load compiled kernels from the parent's JIT cache. The path is
+        # passed explicitly because a spawn-context worker does not
+        # inherit the parent's configured module globals.
         from repro.gpu import jitcache
 
-        jitcache.warm_start(jit_cache)
+        jitcache.configure(jit_cache)
     while (item := task_q.get()) is not None:
         task_id, payload = item
         try:

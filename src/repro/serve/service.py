@@ -216,11 +216,11 @@ class SimService:
         self._started = True
         self._queue = asyncio.Queue(maxsize=self.max_pending)
         if self.jit_cache is not None and self.backend != "process":
-            # thread/inline backends share this process's TraceMemo, so
-            # warm it here; process workers warm themselves on spawn.
+            # thread/inline backends compile in this process, so point
+            # it at the cache; process workers configure it on spawn.
             from repro.gpu import jitcache
 
-            jitcache.warm_start(self.jit_cache)
+            jitcache.configure(self.jit_cache)
         if self.backend == "process":
             from repro.par import WorkerPool
 

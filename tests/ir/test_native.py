@@ -54,7 +54,7 @@ def _compiler(directory: Path, script: str) -> Path:
 @pytest.fixture
 def fresh(monkeypatch):
     """An empty trace memo and native cache, as in a new process."""
-    monkeypatch.setattr(native, "_NATIVE", {})
+    monkeypatch.setattr(jitcache, "_NATIVE", {})
     trace_memo().clear()
     yield
     trace_memo().clear()
@@ -206,15 +206,15 @@ class TestCompileCount:
         assert compiles() == 1
 
     def test_warm_process_runs_no_compiler(self, compiles, tmp_path):
-        plans = tmp_path / "plans"
-        jitcache.configure(plans)
+        objects = tmp_path / "objects"
+        jitcache.configure(objects)
         try:
             u, v, un, vn = _fields((6, 5, 4))
             make_gray_scott_kernel().execute(_config(u.shape), kernel_args(
                 u, v, un, vn, GrayScottParams(), seed=1, step=0))
         finally:
             jitcache.deconfigure()
-        assert compiles() == 1 and len(list(plans.glob("*.so"))) == 1
+        assert compiles() == 1 and len(list(objects.glob("*.so"))) == 1
         script = (
             "import numpy as np, sys\n"
             "from repro.gpu import jitcache\n"
@@ -222,7 +222,7 @@ class TestCompileCount:
             "from repro.core.stencil import kernel_args, make_gray_scott_kernel\n"
             "from tests.ir.test_native import _config, _fields\n"
             "from tests.oracles.stencil import step_vectorized\n"
-            f"jitcache.warm_start({str(plans)!r})\n"
+            f"jitcache.configure({str(objects)!r})\n"
             "u, v, un, vn = _fields((6, 5, 4))\n"
             "ou, ov = np.zeros_like(un), np.zeros_like(vn)\n"
             "p = GrayScottParams()\n"

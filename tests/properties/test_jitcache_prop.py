@@ -1,15 +1,17 @@
-"""Property-based tests of the persistent JIT cache.
+"""Property-based tests of the JIT disk cache of compiled kernels.
 
-The two invariants the tiered path rests on:
+The invariants a warm start rests on:
 
-- a plan that round-trips through the on-disk cache is byte-for-byte
-  the trace a fresh ``trace_kernel`` produces, over arbitrary shapes
-  and Gray-Scott parameters;
-- the canonical key text is a lossless spelling of the memo key, so
-  the same launch hashes to the same entry in every process.
+- an object that round-trips through the cache directory is byte for
+  byte the object the compiler wrote, and loads to the same function;
+- a launch answered by an object from the directory, with no compiler
+  on PATH, stores byte for byte what the compiling launch stored, over
+  arbitrary shapes and Gray-Scott parameters;
+- the memo key depends on array shapes, not values.
 """
 
-import json
+import ctypes
+import os
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -18,13 +20,9 @@ from hypothesis import strategies as st
 from repro.core.params import GrayScottParams
 from repro.core.stencil import kernel_args, make_gray_scott_kernel
 from repro.gpu import jitcache
-from repro.gpu.jit import TraceMemo, trace_kernel
-from repro.gpu.jitcache import (
-    JitDiskCache,
-    canonical_key,
-    freeze_key,
-    serialize_trace,
-)
+from repro.gpu.jit import TraceMemo, trace_memo
+from repro.gpu.kernel import LaunchConfig
+from repro.ir import lower
 
 edges = st.integers(6, 14)
 params = st.builds(
@@ -47,56 +45,60 @@ def _launch(edge, p, seed):
     return kernel, kernel_args(u, v, un, vn, p, seed=seed, step=0)
 
 
+def _launch_bytes(kernel, args) -> bytes:
+    shape = args[0].shape
+    kernel.execute(LaunchConfig.for_domain(tuple(reversed(shape)), (4, 4, 4)), args)
+    return args[2].tobytes() + args[3].tobytes()
+
+
 class TestPersistedPlanProperties:
+    @given(st.floats(-1e6, 1e6, allow_nan=False))
+    @settings(
+        max_examples=10, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_disk_round_trip_is_bit_identical(self, tmp_path, monkeypatch, scale):
+        """Compile into the directory, reload in an empty table: same
+        bytes, same function."""
+        source = f"double scaled(double x) {{ return x * {scale.hex()}; }}\n"
+        monkeypatch.setattr(jitcache, "_NATIVE", {})
+        jitcache.configure(tmp_path / "cache")
+        try:
+            jitcache.load(source, lambda tmp: lower._compile(source, tmp, "scaled"))
+            ((digest, (_, compiled)),) = jitcache._NATIVE.items()
+            assert jitcache.JitDiskCache(tmp_path / "cache").read(digest) == compiled
+            jitcache._NATIVE.clear()
+            fn = jitcache.load(source, None)["scaled"]
+        finally:
+            jitcache.deconfigure()
+        fn.argtypes, fn.restype = [ctypes.c_double], ctypes.c_double
+        assert fn(3.0) == 3.0 * scale
+
     @given(edges, params, st.integers(0, 2**31 - 1))
     @settings(
         max_examples=25, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_disk_round_trip_is_bit_identical(self, tmp_path, edge, p, seed):
-        """Persist, reload in a cold cache: bytes match a fresh trace."""
-        kernel, args = _launch(edge, p, seed)
-        key = TraceMemo.signature(kernel, args)
-        cache = JitDiskCache(tmp_path / "cache")
-        cache.store(key, kernel, trace_kernel(kernel, args))
-
-        loaded = JitDiskCache(tmp_path / "cache").lookup(key)
-        assert loaded is not None
-        assert serialize_trace(loaded) == serialize_trace(
-            trace_kernel(kernel, args)
-        )
-
-    @given(edges, params, st.integers(0, 2**31 - 1))
-    @settings(
-        max_examples=25, deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    def test_warm_start_first_launch_matches_cold(self, tmp_path, edge, p,
+    def test_warm_start_first_launch_matches_cold(self, tmp_path, monkeypatch, edge, p,
                                                   seed):
-        """A warm-started memo's first answer equals the cold trace."""
-        kernel, args = _launch(edge, p, seed)
-        seeder = TraceMemo()
-        jitcache.configure(tmp_path / "cache", memo=seeder)
-        cold_bytes = serialize_trace(seeder.trace(kernel, args))
-        jitcache.deconfigure(memo=seeder)
-
-        warm = TraceMemo()
-        jitcache.warm_start(tmp_path / "cache", memo=warm)
-        assert serialize_trace(warm.trace(kernel, args)) == cold_bytes
-        assert warm.tiers["memo"] == 1
-        assert warm.tiers["trace"] == 0
-        jitcache.deconfigure(memo=warm)
+        """A launch through a loaded object stores the cold launch's bytes."""
+        monkeypatch.setattr(jitcache, "_NATIVE", {})
+        trace_memo().clear()
+        jitcache.configure(tmp_path / "cache")
+        path = os.environ["PATH"]
+        try:
+            cold = _launch_bytes(*_launch(edge, p, seed))
+            jitcache._NATIVE.clear()
+            trace_memo().clear()
+            os.environ["PATH"] = str(tmp_path / "no-bin")
+            assert _launch_bytes(*_launch(edge, p, seed)) == cold
+        finally:
+            os.environ["PATH"] = path
+            jitcache.deconfigure()
+            trace_memo().clear()
 
 
 class TestKeyCanonicalizationProperties:
-    @given(edges, params, st.integers(0, 2**31 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_canonical_key_is_lossless(self, edge, p, seed):
-        """freeze_key(json.loads(canonical_key(key))) == key."""
-        kernel, args = _launch(edge, p, seed)
-        key = TraceMemo.signature(kernel, args)
-        assert freeze_key(json.loads(canonical_key(key))) == key
-
     @given(edges, params)
     @settings(max_examples=25, deadline=None)
     def test_key_depends_on_shape_not_values(self, edge, p):

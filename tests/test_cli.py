@@ -517,6 +517,31 @@ class TestCliCampaignExitCodes:
         ]) == 2
         assert "unknown regime" in capsys.readouterr().err
 
+    def test_no_compiler_names_each_failed_member(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        bindir = tmp_path / "bin"
+        bindir.mkdir()
+        (bindir / "python").symlink_to(sys.executable)
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [str(bindir / "python"), "-m", "repro.cli", "campaign",
+             str(self._base(tmp_path)), "--regimes", "paper,alpha", "--jobs", "2",
+             "--workdir", str(tmp_path / "w")],
+            capture_output=True, text=True, timeout=300, cwd=tmp_path,
+            env=dict(os.environ, PATH=str(bindir), PYTHONPATH=str(src)))
+        assert done.returncode == 1
+        assert "Campaign: 0 runs, 2 FAILED" in done.stdout
+        assert done.stderr.splitlines() == [
+            f"grayscott: campaign member {name} failed: repro.util.errors."
+            "NativeToolchainError: no C compiler: `cc` is not on PATH, "
+            "and kernels run as compiled C"
+            for name in ("paper", "alpha")
+        ]
+
     def test_member_failure_is_one(self, tmp_path, capsys, monkeypatch):
         import repro.core.campaign as campaign_mod
 
@@ -532,7 +557,10 @@ class TestCliCampaignExitCodes:
             "campaign", str(self._base(tmp_path)),
             "--regimes", "paper,alpha", "--workdir", str(tmp_path / "w"),
         ]) == 1
-        assert "FAILED" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "FAILED" in captured.out
+        assert captured.err == (
+            "grayscott: campaign member alpha failed: RuntimeError: solver exploded\n")
 
 
 class TestCliServe:
@@ -591,22 +619,32 @@ class TestCliJitCache:
         ).save(path)
         return path
 
+    @pytest.fixture(autouse=True)
+    def new_process(self, monkeypatch):
+        """No traces or compiled kernels yet, as in a new process."""
+        from repro.gpu import jit, jitcache
+
+        monkeypatch.setattr(jitcache, "_NATIVE", {})
+        monkeypatch.setattr(jit, "_TRACE_MEMO", jit.TraceMemo())
+
     def test_cold_run_populates_warm_run_preloads(
         self, gpu_settings_file, tmp_path, capsys
     ):
+        """The cold run compiles into the cache; the warm run finds it."""
         cache = tmp_path / "cache"
         assert main([
             "run", str(gpu_settings_file), "--jit-cache", str(cache),
         ]) == 0
         out = capsys.readouterr().out
-        assert "jit cache: 0 plan(s) preloaded" in out
-        assert len(list(cache.glob("*.trace"))) == 1
+        assert f"jit cache: 0 compiled kernel(s) in {cache}" in out
+        assert len(list(cache.glob("*.so"))) == 1
+        assert list(cache.glob("*.trace")) == []
 
         assert main([
             "run", str(gpu_settings_file), "--jit-cache", str(cache),
         ]) == 0
         out = capsys.readouterr().out
-        assert "jit cache: 1 plan(s) preloaded" in out
+        assert f"jit cache: 1 compiled kernel(s) in {cache}" in out
 
     def test_bad_cache_path_is_usage_error(self, settings_file, tmp_path,
                                            capsys):
@@ -619,21 +657,24 @@ class TestCliJitCache:
 
     def test_stats_reports_per_kernel_plans(self, gpu_settings_file,
                                             tmp_path, capsys):
+        """Stats list each compiled kernel object and its bytes."""
         cache = tmp_path / "cache"
         main(["run", str(gpu_settings_file), "--jit-cache", str(cache)])
         capsys.readouterr()
         assert main(["jit-cache", "stats", str(cache)]) == 0
         out = capsys.readouterr().out
-        assert "repro.gpu.jitcache/1" in out
-        assert "plans: _kernel_gray_scott" in out
+        (obj,) = cache.glob("*.so")
+        assert "compiled kernels" in out and obj.name in out
+        assert f"{obj.stat().st_size:,}" in out
 
     def test_clear_removes_entries(self, gpu_settings_file, tmp_path, capsys):
+        """Clear leaves no compiled kernel behind (the parent kept its .so)."""
         cache = tmp_path / "cache"
         main(["run", str(gpu_settings_file), "--jit-cache", str(cache)])
         capsys.readouterr()
         assert main(["jit-cache", "clear", str(cache)]) == 0
-        assert "1 entry(ies) removed" in capsys.readouterr().out
-        assert list(cache.glob("*.trace")) == []
+        assert "1 compiled kernel(s) removed" in capsys.readouterr().out
+        assert list(cache.iterdir()) == []
 
     def test_stats_missing_directory_is_usage_error(self, tmp_path, capsys):
         assert main(["jit-cache", "stats", str(tmp_path / "nope")]) == 2
