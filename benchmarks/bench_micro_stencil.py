@@ -15,7 +15,7 @@ from repro.core.stencil import kernel_args, make_gray_scott_kernel
 from repro.gpu.kernel import LaunchConfig
 from tests.oracles.lower import lower_numpy
 from tests.oracles.rand import axis_keys, uniform_into
-from tests.oracles.stencil import step_reference
+from tests.oracles.stencil import step_reference, step_vectorized
 
 
 def _fields(n):
@@ -48,6 +48,25 @@ def _lowered_step(n, params):
 def test_step_native_throughput(benchmark, n):
     benchmark(_lowered_step(n, GrayScottParams()))
     benchmark.extra_info["cells"] = n**3
+
+
+def test_step_native_rank_shape(benchmark):
+    """One rank's launch of the ``workflow-2rank`` perfbench workload
+    (L=64 over 2 ranks: a 34x66x66 ghosted block at global offset
+    (32, 0, 0)), checked bitwise against ``step_vectorized`` before it
+    is timed, so this case is an identity gate as well as a timing."""
+    kernel, params, start = make_gray_scott_kernel(), GrayScottParams(), (32, 0, 0)
+    shape = (34, 66, 66)
+    rng = np.random.default_rng(1)
+    u, v = (np.asfortranarray(rng.random(shape)) for _ in range(2))
+    un, vn, ou, ov = (np.zeros(shape, order="F") for _ in range(4))
+    config = LaunchConfig.for_domain(shape[::-1], (64, 1, 1))
+    args = kernel_args(u, v, un, vn, params, seed=3, step=17, global_start=start)
+    kernel.execute(config, args)
+    step_vectorized(u, v, ou, ov, params, seed=3, step=17, global_start=start)
+    assert np.array_equal(un, ou) and np.array_equal(vn, ov)
+    benchmark(kernel.execute, config, args)
+    benchmark.extra_info["cells"] = 32 * 64 * 64
 
 
 @pytest.mark.parametrize("n", [32, 64])

@@ -419,7 +419,8 @@ class KernelTrace:
     #: ("load", ssa, array, exprs) / ("arith", ssa, op, a_ssa, b_ssa) /
     #: ("rand", ssa, keys) / ("store", array, exprs, value_ssa).
     #: Loads are CSE'd exactly like ``ir_lines``: a repeated load of the
-    #: same address re-uses the first record's SSA and adds no op.
+    #: same address re-uses the first record's SSA and adds no op, unless
+    #: the body stored to that array since.
     ops: list[tuple] = field(default_factory=list)
     _load_ssa: dict[tuple, str] = field(default_factory=dict)
 
@@ -514,6 +515,9 @@ class Tracer:
     def record_store(self, array: str, exprs: tuple[Affine, ...], value_ssa: str) -> None:
         access = MemoryAccess(array, exprs)
         self.trace.stores.append(access)
+        # a later load of this array reads what the body stored: no CSE across it
+        for key in [key for key in self.trace._load_ssa if key[0] == array]:
+            del self.trace._load_ssa[key]
         self.trace.ops.append(("store", array, exprs, value_ssa))
         self.trace.ir_lines.append(
             f"store double {value_ssa}, double addrspace(1)* %{array}.ptr, align 8"

@@ -6,7 +6,8 @@ pkgimages: compile once, persist the result, start every later process
 hot. Here the expensive part of a first launch is the ``cc`` compile of
 the lowered stencil (:mod:`repro.ir.lower`), so that is what persists.
 
-A cache is a directory of ``<sha256(C source)[:32]>.so`` files. This
+A cache is a directory of ``<sha256(C source)[:32]>.so`` files; the
+source's first line names the compile flags, so the name covers them. This
 module owns them and the per-process table of loaded objects:
 :func:`load` answers a C source from the table, then from the
 configured directory, and only then runs the compile step its caller

@@ -236,11 +236,34 @@ def plan(kernel, raw, config, passes=PASSES) -> LaunchPlan:
                       tuple(pos[a] for a in stores))
 
 
+def _axes(launch: LaunchPlan, key) -> set[int]:
+    """The loop indices a rand key reads."""
+    if not isinstance(key, Affine):
+        return set()
+    return {launch.axis_sym.index(s) for s, _ in key.linear_part if s in launch.axis_sym}
+
+
+def _prefix(launch: LaunchPlan, op: RandOp) -> tuple[int, bool]:
+    """How many of a rand op's keys precede the first that reads ``i2``,
+    and whether those read a loop index (a row table) or not (a scalar)."""
+    split = next((n for n, k in enumerate(op.keys) if 2 in _axes(launch, k)), len(op.keys))
+    return split, any(_axes(launch, k) for k in op.keys[:split])
+
+
 def emit_c(launch: LaunchPlan) -> str:
     """The C source of a planned launch: ``void lowered(n0, n1, lo0, hi0,
-    lo1, hi1, lo2, hi2, <one parameter per launch argument>)``."""
+    lo1, hi1, lo2, hi2, t, <one parameter per launch argument>)``, after
+    a comment naming the compile command, so the source's hash covers it.
+
+    The loops run ``i1`` outermost, then ``i2``, then ``i0``. A rand op's
+    keys before the first one that reads ``i2`` are hashed once per call
+    if they read no loop index, else once per ``(i0, i1)`` column, before
+    the ``i2`` loop, into its row of the caller's scratch table ``t``
+    (``hi0 - lo0`` entries per tabulated rand op). Each cell mixes in
+    only the keys from there on.
+    """
     params = ["int64_t n0", "int64_t n1"] + [
-        f"int64_t lo{a}, int64_t hi{a}" for a in range(3)]
+        f"int64_t lo{a}, int64_t hi{a}" for a in range(3)] + ["uint64_t *restrict t"]
     for p, (kind, _, value) in enumerate(launch.arguments):
         if kind == "array":
             params.append(f"{_CTYPES[value.dtype.name]} *restrict a{p}")
@@ -248,6 +271,7 @@ def emit_c(launch: LaunchPlan) -> str:
             params.append(f"{'double' if kind == 'float' else 'int64_t'} a{p}")
     scalar: set[str] = set()  # SSA values computed once per call
     head: list[str] = []
+    row: list[str] = []  # once per (i0, i1) column, into the row tables
     body: list[str] = []
 
     def operand(name: str) -> str:
@@ -280,6 +304,11 @@ def emit_c(launch: LaunchPlan) -> str:
             terms.append(value if coeff == 1 else f"(uint64_t)INT64_C({coeff}) * {value}")
         return " + ".join(terms)
 
+    def chain(h: str, keys) -> str:
+        for k in keys:
+            h = f"mix({h}, {key(k)})"
+        return h
+
     for op in launch.func.ops:
         if isinstance(op, LoadOp):
             body.append(f"const double v{op.result[1:]} = {cell(op)};")
@@ -292,11 +321,17 @@ def emit_c(launch: LaunchPlan) -> str:
             else:
                 body.append(line)
         elif isinstance(op, RandOp):
-            h = "UINT64_C(0)"
-            for k in op.keys:
-                h = f"mix({h}, {key(k)})"
-            body.append(f"const double v{op.result[1:]} = "
-                        f"(double)(int64_t)({h} >> 11) * 0x1p-52 - 1.0;")
+            split, tabulated = _prefix(launch, op)
+            h, n = chain("UINT64_C(0)", op.keys[:split]), op.result[1:]
+            if tabulated:
+                head.append(f"uint64_t *const t{n} = t + {len(row)} * (hi0 - lo0);")
+                row.append(f"t{n}[i0 - lo0] = {h};")
+                h = f"t{n}[i0 - lo0]"
+            elif split:
+                head.append(f"const uint64_t h{n} = {h};")
+                h = f"h{n}"
+            body.append(f"const double v{n} = (double)(int64_t)"
+                        f"({chain(h, op.keys[split:])} >> 11) * 0x1p-52 - 1.0;")
         else:
             dtype = launch.arguments[launch.pos[op.array]][2].dtype.name
             body.append(f"{cell(op)} = ({_CTYPES[dtype]}){operand(op.value)};")
@@ -304,14 +339,19 @@ def emit_c(launch: LaunchPlan) -> str:
         f"void lowered({', '.join(params)})", "{",
         "    const int64_t s1 = n0, s2 = n0 * n1;",
         *(f"    {line}" for line in head),
-        "    for (int64_t i2 = lo2; i2 < hi2; i2++)",
-        "        for (int64_t i1 = lo1; i1 < hi1; i1++)",
+        "    for (int64_t i1 = lo1; i1 < hi1; i1++) {",
+    ]
+    if row:
+        lines += ["        for (int64_t i0 = lo0; i0 < hi0; i0++) {",
+                  *(f"            {line}" for line in row), "        }"]
+    lines += [
+        "        for (int64_t i2 = lo2; i2 < hi2; i2++)",
         "            for (int64_t i0 = lo0; i0 < hi0; i0++) {",
         "                const int64_t c = i0 + i1 * s1 + i2 * s2;",
         *(f"                {line}" for line in body),
-        "            }", "}",
+        "            }", "    }", "}",
     ]
-    return _PRELUDE + "\n".join(lines) + "\n"
+    return f"/* cc {' '.join(CFLAGS)} */\n" + _PRELUDE + "\n".join(lines) + "\n"
 
 
 def native_function(source: str, argtypes: list, kernel_name: str):
@@ -322,7 +362,7 @@ def native_function(source: str, argtypes: list, kernel_name: str):
 
     lib = jitcache.load(source, lambda tmp: _compile(source, tmp, kernel_name))
     fn = lib["lowered"]  # a fresh function object: argtypes are its own
-    fn.argtypes, fn.restype = [ctypes.c_int64] * 8 + argtypes, None
+    fn.argtypes, fn.restype = [ctypes.c_int64] * 8 + [ctypes.c_void_p] + argtypes, None
     return fn
 
 
@@ -368,11 +408,17 @@ class LoweredKernel:
         self._arrays = tuple((p, v.shape, v.dtype) for p, (k, _, v) in enumerate(plan.arguments)
                              if k == "array")
         self._stored = plan.stores
+        #: entries of the scratch table of rand-key prefixes, one row per
+        #: tabulated rand op (see :func:`emit_c`)
+        self._table = (plan.hi[0] - plan.lo[0]) * sum(
+            isinstance(op, RandOp) and _prefix(plan, op)[1] for op in plan.func.ops)
 
     def __call__(self, raw) -> bool:
         """Run over raw launch args; False (nothing written) when an array
         differs in shape or dtype from the plan, is not Fortran-ordered and
-        aligned, or is stored while read-only or overlapping another."""
+        aligned, or is stored while read-only or overlapping another. The
+        scratch table is allocated per call: rank threads share one
+        lowered kernel."""
         for p, shape, dtype in self._arrays:
             a = raw[p]
             if a.shape != shape or a.dtype != dtype or not (
@@ -383,7 +429,8 @@ class LoweredKernel:
                     return False
         if not all(raw[s].flags.writeable for s in self._stored):
             return False
-        self._fn(*self._bounds, *(
+        table = np.empty(self._table, np.uint64)
+        self._fn(*self._bounds, table.ctypes.data, *(
             v.ctypes.data if k == "array" else v
             for k, v in zip(self._kinds, raw) if k != "const"))
         return True

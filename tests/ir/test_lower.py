@@ -42,6 +42,8 @@ class TestGrayScott:
         assert len(loads) == len(set(loads)) == 14
         assert len(re.findall(r"a[23]\[c\] = \(double\)", lowered.source)) == 2
         assert lowered.source.count("mix(") == 5 + 1  # five keys, one definition
+        # (seed, step, i, j) are hashed once per column: each cell mixes in k
+        assert lowered.source.rsplit("for (", 1)[1].count("mix(") == 1
         assert lowered.box == ((1, 7), (1, 6), (1, 5))  # per array axis
         assert "$Du" in lowered.func.params and "$seed" in lowered.func.params
         # parameter-only math runs once per call, before the box loop

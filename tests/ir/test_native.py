@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core.domain import LocalDomain
 from repro.core.params import GrayScottParams
 from repro.core.settings import GrayScottSettings
 from repro.core.simulation import Simulation
@@ -20,7 +21,9 @@ from repro.core.stencil import kernel_args, make_gray_scott_kernel
 from repro.gpu import jitcache
 from repro.gpu.jit import PENDING, TraceMemo, trace_memo
 from repro.gpu.kernel import Kernel, LaunchConfig
+from repro.gpu.rand import counter_uniform
 from repro.ir import lower as native
+from repro.mpi import dims_create
 from repro.observe import trace as observe
 from repro.util.errors import IrError, NativeToolchainError
 from tests.oracles.lower import lower_numpy
@@ -120,6 +123,78 @@ class TestOracleParity:
         oracle_run.run(3)
         for name in ("u", "v"):
             assert np.array_equal(native_run.interior(name), oracle_run.interior(name))
+
+
+def _noise_kernel(name, *draws):
+    """A kernel adding one rand draw per ``draws`` entry to each cell;
+    each entry maps ``(seed, step, x, y, z)`` to the draw's keys. The
+    array axes are the launch axes, so ``z`` is the outermost loop."""
+
+    def body(ctx, src, out, scale, seed, step):
+        x, y, z = ctx.global_idx()
+        if x < 1 or x >= out.shape[0] - 1 or y >= out.shape[1] or z >= out.shape[2]:
+            return
+        value = src[x - 1, y, z] + src[x + 1, y, z]
+        for keys in draws:
+            value = value + scale * counter_uniform(*keys(seed, step, x, y, z))
+        out[x, y, z] = value
+
+    return Kernel(name, body)
+
+
+def _innermost(source: str) -> str:
+    """The innermost loop's body in an emitted source."""
+    return source.rsplit("for (", 1)[1]
+
+
+class TestKeyPrefixTable:
+    """Rand keys before the first that reads the outermost loop index are
+    hashed per column (or once per call) and still equal the oracle."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("ranks", [2, 8])
+    def test_rank_shapes_with_offsets(self, dtype, ranks):
+        dims = dims_create(ranks, 3)
+        domain = LocalDomain.for_coords((64, 64, 64), dims, tuple(d - 1 for d in dims))
+        assert any(domain.start)
+        u, v, un, vn = _fields(domain.count, seed=ranks, dtype=dtype)
+        ou, ov = np.zeros_like(un), np.zeros_like(vn)
+        p, kernel, cfg = GrayScottParams(noise=0.1), make_gray_scott_kernel(), _config(u.shape)
+        args = list(kernel_args(u, v, un, vn, p, seed=7, step=41, global_start=domain.start))
+        lowered = native.lower(kernel, args, cfg)
+        assert lowered(args)
+        oracle = list(kernel_args(u, v, ou, ov, p, seed=7, step=41, global_start=domain.start))
+        lower_numpy(kernel, oracle, cfg)(oracle)
+        assert np.array_equal(un, ou) and np.array_equal(vn, ov)
+        assert _innermost(lowered.source).count("mix(") == 1
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("name, draws, inner_mixes", [
+        # (seed, step, x, y) per column, z per cell
+        ("noise_columns", [lambda s, t, x, y, z: (s, t, x, y, z)], 1),
+        # the outermost index first: nothing to tabulate
+        ("noise_z_first", [lambda s, t, x, y, z: (z + t, x, y, s)], 4),
+        # no loop index: hashed once per call
+        ("noise_constant", [lambda s, t, x, y, z: (s, 3, t)], 0),
+        # two draws: a column table, and a row table that reads y only
+        ("noise_two", [lambda s, t, x, y, z: (s, x - 1, y, z),
+                       lambda s, t, x, y, z: (t, y, z, x + s)], 3),
+    ])
+    @pytest.mark.parametrize("interior", [(6, 5, 4), (1, 5, 4), (6, 1, 4), (6, 5, 1)])
+    def test_bodies_as_the_oracle(self, dtype, name, draws, inner_mixes, interior):
+        shape = (interior[0] + 2, *interior[1:])
+        src = np.asfortranarray(np.random.default_rng(5).random(shape)).astype(dtype)
+        out, expect = np.full_like(src, 7.0), np.full_like(src, 7.0)
+        kernel, cfg = _noise_kernel(name, *draws), LaunchConfig.for_domain(shape, (1, 1, 1))
+        lowered = native.lower(kernel, [src, out, 0.5, 11, 3], cfg)
+        assert lowered([src, out, 0.5, 11, 3])
+        lower_numpy(kernel, [src, expect, 0.5, 11, 3], cfg)([src, expect, 0.5, 11, 3])
+        assert np.array_equal(out, expect)
+        assert (out[0] == 7.0).all() and (out[1:-1] != 7.0).all()
+        assert _innermost(lowered.source).count("mix(") == inner_mixes
+        head = lowered.source.split("for (", 1)[0]
+        assert ("const uint64_t h" in head) == (name == "noise_constant")
+        assert ("uint64_t *const t" in head) == (name in ("noise_columns", "noise_two"))
 
 
 class _Oracle:
@@ -236,6 +311,26 @@ class TestCompileCount:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert compiles() == 1
+
+
+class TestObjectKey:
+    def test_compile_flags_name_the_object(self, compiles, tmp_path, monkeypatch):
+        """An object built under other flags is another cache entry."""
+        objects = tmp_path / "objects"
+        u, v, un, vn = _fields((5, 4, 3))
+        args = list(kernel_args(u, v, un, vn, GrayScottParams(), seed=1, step=0))
+        jitcache.configure(objects)
+        try:
+            sources = []
+            for flags in (native.CFLAGS, ("-O1", *native.CFLAGS[1:])):
+                monkeypatch.setattr(native, "CFLAGS", flags)
+                lowered = native.lower(make_gray_scott_kernel(), args, _config(u.shape))
+                assert lowered.source.startswith(f"/* cc {' '.join(flags)} */\n")
+                sources.append(lowered.source)
+        finally:
+            jitcache.deconfigure()
+        assert compiles() == 2 and len(set(sources)) == 2
+        assert len(list(objects.glob("*.so"))) == 2
 
 
 class TestNoCompiler:
