@@ -25,7 +25,6 @@ Layers:
 from repro.core.campaign import Campaign, CampaignResult
 from repro.core.execute import JobSpec, RunResult, execute_job
 from repro.core.params import GrayScottParams, PEARSON_REGIMES
-from repro.core.pipeline import Pipeline, PipelineRun
 from repro.core.settings import GrayScottSettings
 from repro.core.simulation import Simulation
 from repro.core.workflow import Workflow, WorkflowReport
@@ -36,8 +35,6 @@ __all__ = [
     "JobSpec",
     "RunResult",
     "execute_job",
-    "Pipeline",
-    "PipelineRun",
     "GrayScottParams",
     "PEARSON_REGIMES",
     "GrayScottSettings",

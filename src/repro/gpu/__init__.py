@@ -9,8 +9,8 @@ package therefore pairs
   is correct): :class:`~repro.gpu.memory.DeviceArray` with Julia's
   column-major layout, :class:`~repro.gpu.kernel.Kernel` objects with
   workgroup/workitem launch semantics, whose scalar body runs lowered to
-  C and compiled at its first launch (:mod:`repro.ir.lower`) or, failing
-  that, per workitem, and
+  C and compiled at its first launch (:mod:`repro.ir.lower`); a launch
+  that cannot be lowered is an error, and
 - a **performance** layer that models what Frontier measured: a tracing
   JIT (:mod:`repro.gpu.jit`) that lowers the scalar kernel body to an
   LLVM-like IR and recovers the stencil access pattern, a TCC (L2)

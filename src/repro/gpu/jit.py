@@ -33,11 +33,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.observe import trace as observe
-from repro.util.errors import GpuError
+from repro.util.errors import GpuError, LaunchError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.backends import BackendProfile
     from repro.gpu.kernel import Kernel
+    from repro.ir.lower import LoweredKernel
 
 
 class TraceError(GpuError):
@@ -598,9 +599,6 @@ def trace_kernel(kernel: "Kernel", args) -> KernelTrace:
 # ---------------------------------------------------------------------------
 
 
-#: ``MemoEntry.lowered`` of a launch not lowered yet
-PENDING = object()
-
 #: ``dtype.name`` memoized per dtype (NumPy computes it in Python on each read)
 _dtype_name = lru_cache(maxsize=None)(operator.attrgetter("name"))
 
@@ -608,11 +606,11 @@ _dtype_name = lru_cache(maxsize=None)(operator.attrgetter("name"))
 @dataclass
 class MemoEntry:
     """One launch signature's trace and :class:`repro.ir.lower.LoweredKernel`
-    (None: runs interpreted). Both are filled under ``lock``, so rank
+    (None until first needed). Both are filled under ``lock``, so rank
     threads that miss at once trace and lower once."""
 
     trace: KernelTrace | None = None
-    lowered: object = PENDING
+    lowered: LoweredKernel | None = None
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
 
@@ -637,10 +635,11 @@ class TraceMemo:
     into the active :mod:`repro.observe` metrics registry as
     ``gpu.jit.tier`` counters:
 
-    1. **interpret** — an unkeyable launch bypasses memoization and
-       traces fresh every time;
-    2. **trace** — a keyed miss traces once into the memo;
-    3. **memo** — a hit replays the trace in O(1).
+    1. **trace** — a miss traces once into the memo;
+    2. **memo** — a hit replays the trace in O(1).
+
+    A launch that cannot be keyed (an unhashable argument) is refused
+    with :class:`~repro.util.errors.LaunchError`.
 
     The compiled kernel objects persist across processes instead
     (:mod:`repro.gpu.jitcache`). The differential property tests assert
@@ -654,15 +653,12 @@ class TraceMemo:
         self._entries: OrderedDict[tuple, MemoEntry] = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.bypasses = 0
 
     @staticmethod
-    def signature(kernel: "Kernel", args, config=None) -> tuple | None:
-        """The (kernel, dtype, shape-class, launch config) memo key.
-
-        Returns None when any argument cannot be keyed (unhashable);
-        callers then fall back to the unmemoized slow path.
-        """
+    def signature(kernel: "Kernel", args, config=None) -> tuple:
+        """The (kernel, dtype, shape-class, launch config) memo key;
+        raises :class:`LaunchError` naming an argument that cannot be
+        keyed (unhashable)."""
         from repro.gpu.memory import DeviceArray
 
         parts: list = [(kernel.name, kernel.body, bool(kernel.uses_rand),
@@ -675,30 +671,25 @@ class TraceMemo:
                     ("array", position, name, _dtype_name(data.dtype), tuple(data.shape))
                 )
             elif isinstance(arg, tuple):
+                try:
+                    hash(arg)
+                except TypeError:
+                    raise LaunchError(f"{kernel.name}: argument {position} {arg!r} is "
+                                      "unhashable, so the launch cannot be keyed") from None
                 parts.append(("tuple", position, arg))
             else:
                 parts.append((type(arg).__name__, position))
         if config is not None:
             parts.append(("config", config.grid, config.workgroup))
-        key = tuple(parts)
-        try:
-            hash(key)
-        except TypeError:
-            return None
-        return key
+        return tuple(parts)
 
     def trace(self, kernel: "Kernel", args, config=None, key=None) -> KernelTrace:
         """Memoized :func:`trace_kernel` (the launch fast path): a memo
-        hit, a fresh trace kept in the memo, or, for an unkeyable
-        launch, a fresh trace every time. ``key`` is the launch's
+        hit or a fresh trace kept in the memo. ``key`` is the launch's
         :meth:`signature` when the caller already has it.
         """
         if key is None:
             key = self.signature(kernel, args, config)
-        if key is None:
-            self.bypasses += 1
-            self._count_tier("interpret")
-            return trace_kernel(kernel, args)
         entry = self.entry(key)
         with entry.lock:
             if entry.trace is not None:
@@ -733,15 +724,14 @@ class TraceMemo:
 
     @property
     def tiers(self) -> dict:
-        """Per-tier answer counts (interpret/trace/memo)."""
-        return {"interpret": self.bypasses, "trace": self.misses, "memo": self.hits}
+        """Per-tier answer counts (trace/memo)."""
+        return {"trace": self.misses, "memo": self.hits}
 
     @property
     def stats(self) -> dict:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "bypasses": self.bypasses,
             "entries": len(self._entries),
         }
 
@@ -831,7 +821,7 @@ class JitCompiler:
         """
         if key is None:
             key = self.memo.signature(kernel, args, config)
-        cached = self._cache.get(key) if key is not None else None
+        cached = self._cache.get(key)
         if cached is not None:
             return cached, 0.0
         if not args and kernel.name in self._by_name:
@@ -848,8 +838,7 @@ class JitCompiler:
             lds_bytes=self.backend.lds_bytes,
             scratch_bytes=self.backend.scratch_bytes,
         )
-        if key is not None:
-            self._cache[key] = compiled
+        self._cache[key] = compiled
         self._by_name[kernel.name] = compiled
         seconds = self.backend.compile_seconds(trace)
         self.compile_events.append((kernel.name, seconds))

@@ -8,19 +8,15 @@ domain boundary, and reads/writes device arrays.
 The scalar body is the only source of a kernel. The tracing JIT reads it
 for the cost model and lint, and :meth:`Kernel.execute` runs it lowered
 to C, compiled at its first launch and called without the GIL
-(:mod:`repro.ir.lower`). A launch that cannot be lowered runs
-:meth:`Kernel._interpret`, one body call per workitem, which is also an
-oracle the tests compare the compiled path against.
+(:mod:`repro.ir.lower`). That is the one execution path: a launch that
+cannot be lowered raises, and nothing is written.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Sequence
-
-import numpy as np
 
 from repro.cluster.frontier import GcdSpec
 from repro.util.errors import LaunchError
@@ -108,7 +104,7 @@ class KernelContext:
 
 
 class Kernel:
-    """A named GPU kernel: one scalar body, lowered or interpreted.
+    """A named GPU kernel: one scalar body, run lowered to C.
 
     Parameters
     ----------
@@ -139,50 +135,19 @@ class Kernel:
         self.flops_per_workitem = flops_per_workitem
 
     def execute(self, config: LaunchConfig, args, key=None) -> None:
-        """Run the kernel functionally over the whole launch; ``key`` is
-        its :meth:`repro.gpu.jit.TraceMemo.signature` if already known."""
+        """Run the kernel functionally over the whole launch through its
+        lowered function; ``key`` is its
+        :meth:`repro.gpu.jit.TraceMemo.signature` if already known. A
+        launch that cannot be lowered raises :class:`IrError` (or
+        :class:`LaunchError` for its arrays) before anything is written."""
         from repro.gpu.jit import TraceMemo
         from repro.gpu.memory import DeviceArray
         from repro.ir.lower import run
 
         if key is None:
             key = TraceMemo.signature(self, args, config)
-        raw = [a.data if isinstance(a, DeviceArray) else a for a in args]
-        if not run(self, config, raw, key):
-            self._interpret(config, raw)
-
-    def _interpret(self, config: LaunchConfig, raw_args) -> None:
-        """The exact per-workitem reference execution (slow path).
-
-        Loads from float16/float32 arrays arrive as Python floats, so
-        the body computes in float64 and rounds once at the store, like
-        the lowered path.
-        """
-        raw_args = [
-            _Float64Loads(a) if isinstance(a, np.ndarray) and a.dtype.kind == "f"
-            and a.dtype.itemsize < 8 else a
-            for a in raw_args
-        ]
-        for wg in product(*map(range, config.grid)):
-            for wi in product(*map(range, config.workgroup)):
-                self.body(KernelContext(wg, config.workgroup, wi), *raw_args)
+        run(self, config, [a.data if isinstance(a, DeviceArray) else a for a in args], key)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Kernel({self.name!r}, uses_rand={self.uses_rand})"
 
-
-class _Float64Loads:
-    """A narrow float array whose element loads are Python floats."""
-
-    __slots__ = ("data", "shape")
-
-    def __init__(self, data: np.ndarray):
-        self.data = data
-        self.shape = data.shape
-
-    def __getitem__(self, index):
-        value = self.data[index]
-        return float(value) if isinstance(value, np.generic) else value
-
-    def __setitem__(self, index, value) -> None:
-        self.data[index] = value

@@ -7,8 +7,10 @@ is traced once more with its scalar launch arguments as parameters
 cleaned by ``rle``/``cse``/``dse``, and emitted in op order as one C
 function over the iteration box its guards give. ``cc`` compiles it at
 the first launch, once per process and source, and ``ctypes`` calls it
-without the GIL. :func:`run` returns False when a launch cannot lower
-and the caller interprets it per workitem; a host without a working C
+without the GIL. :func:`run` is the only way a launch executes: a launch
+that cannot lower raises :class:`~repro.util.errors.IrError`, one whose
+arrays do not fit its lowering raises
+:class:`~repro.util.errors.LaunchError`, and a host without a working C
 compiler raises :class:`~repro.util.errors.NativeToolchainError`. See
 ``docs/IR.md``, "Lowering", for the rules.
 """
@@ -30,7 +32,6 @@ from repro.gpu import jitcache
 from repro.gpu.jit import (
     COMPARE,
     PARAM_PREFIX,
-    PENDING,
     Affine,
     TracedArray,
     TracedFloat,
@@ -43,7 +44,7 @@ from repro.gpu.kernel import KernelContext
 from repro.ir.core import ArithOp, LoadOp, RandOp, StencilFunc, StoreOp, from_trace
 from repro.ir.passes import PassManager
 from repro.observe import trace as observe
-from repro.util.errors import IrError, NativeToolchainError
+from repro.util.errors import IrError, LaunchError, NativeToolchainError
 
 #: launch axes; a launch symbol's box is indexed by its position here
 AXES = ("x", "y", "z")
@@ -82,7 +83,7 @@ def _arguments(kernel, raw) -> list[tuple[str, str, object]]:
                 raise IrError(f"array {name} is not a 3-D Fortran-ordered array")
             if arg.dtype.name not in _CTYPES or not arg.dtype.isnative:
                 raise IrError(f"array {name} of dtype {arg.dtype.name} ({arg.dtype.str}) "
-                              "runs interpreted")
+                              "does not lower")
             out.append(("array", name, arg))
         elif isinstance(arg, tuple):  # keyed by value in the memo signature
             out.append(("const", name, arg))
@@ -134,6 +135,42 @@ def _trace(kernel, arguments, point) -> Tracer:
     return tracer
 
 
+def _axis_guard(guard, extent):
+    """``(axis, mask)`` of a guard on one launch axis, the mask marking the
+    cells where it decides as it did; None for a guard on no symbol. Any
+    other guard does not lower."""
+    diff, op, result = guard
+    if not diff.linear_part:
+        return None
+    if len(diff.linear_part) != 1 or diff.linear_part[0][0] not in AXES:
+        raise IrError(f"guard on {diff} is not a per-axis bound")
+    ((sym, coeff),) = diff.linear_part
+    a = AXES.index(sym)
+    return a, COMPARE[op](np.arange(extent[a]) * coeff + diff.const, 0) == result
+
+
+def _interior(kernel, arguments, extent):
+    """A trace that reaches the kernel body, and its launch point.
+
+    The first probe is ``(2, 2, 2)``, clamped to the extent. A probe that
+    returns early has recorded, last, the guard that sent it out; the
+    next probe moves along that guard's axis to the nearest coordinate
+    that flips it, so each axis finds its own way into the box.
+    """
+    point = [min(2, e - 1) for e in extent]
+    for _ in range(64):
+        tracer = _trace(kernel, arguments, point)
+        if tracer.trace.ops:
+            return tracer, tuple(point)
+        found = _axis_guard(tracer.guards[-1], extent) if tracer.guards else None
+        if found is None or found[1].all():
+            break
+        a, same = found
+        flips = np.flatnonzero(~same)
+        point[a] = int(flips[np.abs(flips - point[a]).argmin()])
+    raise IrError("no traced workitem reaches the kernel body")
+
+
 def _trace_box(kernel, arguments, extent):
     """The interior trace and its launch box ``[(lo, hi)]`` per axis.
 
@@ -143,22 +180,14 @@ def _trace_box(kernel, arguments, extent):
     the probe must record the interior's guards up to that one, then
     nothing: no op and no further comparison.
     """
-    for c in (2, 1, 0):
-        point = tuple(min(c, e - 1) for e in extent)
-        tracer = _trace(kernel, arguments, point)
-        if tracer.trace.ops:
-            break
-    else:
-        raise IrError("no traced workitem reaches the kernel body")
+    tracer, point = _interior(kernel, arguments, extent)
     guards = tracer.guards
     inside = [np.ones(e, bool) for e in extent]
     for j, (diff, op, result) in enumerate(guards):
-        if not diff.linear_part:
+        found = _axis_guard((diff, op, result), extent)
+        if found is None:
             continue
-        if len(diff.linear_part) != 1 or diff.linear_part[0][0] not in AXES:
-            raise IrError(f"guard on {diff} is not a per-axis bound")
-        (sym, coeff), a = diff.linear_part[0], AXES.index(diff.linear_part[0][0])
-        same = COMPARE[op](np.arange(extent[a]) * coeff + diff.const, 0) == result
+        a, same = found
         inside[a] &= same
         flips = np.flatnonzero(~same)
         for probe in (flips[flips < point[a]][-1:], flips[flips > point[a]][:1]):
@@ -405,35 +434,37 @@ class LoweredKernel:
         self.box = tuple(zip(plan.lo, plan.hi))
         self._bounds = (plan.shape[0], plan.shape[1], *(b for lh in self.box for b in lh))
         self._kinds = tuple(kind for kind, _, _ in plan.arguments)
-        self._arrays = tuple((p, v.shape, v.dtype) for p, (k, _, v) in enumerate(plan.arguments)
-                             if k == "array")
+        self._arrays = tuple((p, n, v.shape, v.dtype) for p, (k, n, v)
+                             in enumerate(plan.arguments) if k == "array")
         self._stored = plan.stores
         #: entries of the scratch table of rand-key prefixes, one row per
         #: tabulated rand op (see :func:`emit_c`)
         self._table = (plan.hi[0] - plan.lo[0]) * sum(
             isinstance(op, RandOp) and _prefix(plan, op)[1] for op in plan.func.ops)
 
-    def __call__(self, raw) -> bool:
-        """Run over raw launch args; False (nothing written) when an array
-        differs in shape or dtype from the plan, is not Fortran-ordered and
-        aligned, or is stored while read-only or overlapping another. The
-        scratch table is allocated per call: rank threads share one
-        lowered kernel."""
-        for p, shape, dtype in self._arrays:
+    def __call__(self, raw) -> None:
+        """Run over raw launch args. Raises :class:`LaunchError`, having
+        written nothing, when an array differs in shape or dtype from the
+        plan, is not Fortran-ordered and aligned, or is stored while
+        read-only or overlapping another. The scratch table is allocated
+        per call: rank threads share one lowered kernel."""
+        for p, name, shape, dtype in self._arrays:
             a = raw[p]
-            if a.shape != shape or a.dtype != dtype or not (
-                    a.flags.f_contiguous and a.flags.aligned):
-                return False
-            for s in self._stored:
-                if s != p and np.may_share_memory(raw[s], a):
-                    return False
-        if not all(raw[s].flags.writeable for s in self._stored):
-            return False
+            if a.shape != shape or a.dtype != dtype:
+                fault = f"is {a.dtype} {a.shape}, lowered for {dtype} {shape}"
+            elif not (a.flags.f_contiguous and a.flags.aligned):
+                fault = "is not a Fortran-ordered aligned array"
+            elif p in self._stored and not a.flags.writeable:
+                fault = "is stored but read-only"
+            elif any(s != p and np.may_share_memory(raw[s], a) for s in self._stored):
+                fault = "overlaps a stored array"
+            else:
+                continue
+            raise LaunchError(f"{self.func.name}: array {name} {fault}")
         table = np.empty(self._table, np.uint64)
         self._fn(*self._bounds, table.ctypes.data, *(
             v.ctypes.data if k == "array" else v
             for k, v in zip(self._kinds, raw) if k != "const"))
-        return True
 
 
 def lower(kernel, raw, config, passes=PASSES) -> LoweredKernel:
@@ -450,32 +481,19 @@ def lower(kernel, raw, config, passes=PASSES) -> LoweredKernel:
     return LoweredKernel(launch, source, native_function(source, argtypes, kernel.name))
 
 
-def lowered_kernel(kernel, config, raw, key) -> LoweredKernel | None:
+def lowered_kernel(kernel, config, raw, key) -> LoweredKernel:
     """The lowering of a launch, cached in the trace memo's entry of its
-    signature ``key``; None (cached too) when the launch cannot be
-    lowered or ``key`` is None (an unkeyable launch). A missing or
-    failing compiler is raised, never cached or interpreted around."""
-    if key is None:
-        return None
+    signature ``key``. A launch that cannot lower raises :class:`IrError`
+    and a missing or failing compiler :class:`NativeToolchainError`;
+    neither is cached, so the next launch of ``key`` tries again."""
     entry = trace_memo().entry(key)
     with entry.lock:
-        if entry.lowered is PENDING:
-            try:
-                entry.lowered = lower(kernel, raw, config)
-            except NativeToolchainError:
-                raise
-            except Exception as exc:  # the body runs interpreted, which reports its own errors
-                entry.lowered = None
-                tracer = observe.active()
-                if tracer is not None:
-                    tracer.metrics.counter(
-                        "ir.lower.refused", kernel=kernel.name, reason=type(exc).__name__
-                    ).inc()
+        if entry.lowered is None:
+            entry.lowered = lower(kernel, raw, config)
         return entry.lowered
 
 
-def run(kernel, config, raw, key) -> bool:
+def run(kernel, config, raw, key) -> None:
     """Execute one launch (device arrays unwrapped in ``raw``, signature
-    ``key``) through its lowered function, if it has one."""
-    lowered = lowered_kernel(kernel, config, raw, key)
-    return lowered is not None and lowered(raw)
+    ``key``) through its lowered function."""
+    lowered_kernel(kernel, config, raw, key)(raw)

@@ -6,7 +6,6 @@ builds on them.
 
 from repro.util.errors import (
     ReproError,
-    CalibrationError,
     ConfigError,
 )
 from repro.util.units import (
@@ -30,7 +29,6 @@ from repro.util.files import atomic_write_bytes, atomic_write_text
 
 __all__ = [
     "ReproError",
-    "CalibrationError",
     "ConfigError",
     "KB",
     "MB",

@@ -13,10 +13,6 @@ class ConfigError(ReproError):
     """Invalid configuration: settings files, parameter combinations."""
 
 
-class CalibrationError(ReproError):
-    """A performance-model calibration constant is missing or invalid."""
-
-
 class MPIError(ReproError):
     """Base class for errors raised by the MPI substrate."""
 

@@ -10,6 +10,7 @@ from repro.core.stencil import (
 )
 from repro.gpu.kernel import KernelContext, LaunchConfig
 from repro.util.errors import ConfigError
+from tests.oracles.kernel_interp import interpret
 from tests.oracles.stencil import (
     check_ghosted,
     laplacian_field,
@@ -90,7 +91,7 @@ class TestStepImplementations:
         p = GrayScottParams()
         kernel = make_gray_scott_kernel()
         cfg = LaunchConfig.for_domain(tuple(reversed(u.shape)), (4, 4, 4))
-        kernel._interpret(cfg, kernel_args(u, v, u1, v1, p, seed=1, step=0))
+        interpret(kernel, cfg, kernel_args(u, v, u1, v1, p, seed=1, step=0))
         kernel.execute(cfg, kernel_args(u, v, u2, v2, p, seed=1, step=0))
         assert np.array_equal(u1[INTERIOR], u2[INTERIOR])
         assert np.array_equal(v1[INTERIOR], v2[INTERIOR])
@@ -111,7 +112,7 @@ class TestStepImplementations:
         p = GrayScottParams(noise=0.05)
         kernel = make_gray_scott_kernel()
         cfg = LaunchConfig.for_domain(tuple(reversed(shape)), (4, 4, 4))
-        kernel._interpret(cfg, kernel_args(u, v, *out["interp"], p, seed=3, step=1))
+        interpret(kernel, cfg, kernel_args(u, v, *out["interp"], p, seed=3, step=1))
         kernel.execute(cfg, kernel_args(u, v, *out["lowered"], p, seed=3, step=1))
         step_reference(u, v, *out["oracle"], p, seed=3, step=1)
         # the body called on raw float32 arrays computes in float32
@@ -199,7 +200,7 @@ class TestLaplacianKernel:
         out2 = np.zeros(shape, order="F")
         kernel = make_laplacian_kernel()
         cfg = LaunchConfig.for_domain(shape, (4, 4, 4))
-        kernel._interpret(cfg, (var, out1, shape, 0.2, 1.0))
+        interpret(kernel, cfg, (var, out1, shape, 0.2, 1.0))
         kernel.execute(cfg, (var, out2, shape, 0.2, 1.0))
         assert np.array_equal(out1[INTERIOR], out2[INTERIOR])
         expected = var[INTERIOR] + 0.2 * laplacian_field(var) * 1.0

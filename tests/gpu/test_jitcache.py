@@ -27,6 +27,7 @@ from repro.gpu.jit import TraceMemo, trace_memo
 from repro.gpu.jitcache import JitCacheError, JitDiskCache
 from repro.gpu.kernel import Kernel, LaunchConfig
 from repro.ir import lower
+from repro.util.errors import LaunchError
 
 ROOT = Path(__file__).resolve().parents[2]
 SOURCE = "double twice(double x) { return 2.0 * x; }\n"
@@ -268,10 +269,12 @@ class TestTieredMemo:
         memo = TraceMemo()
         memo.trace(kernel, args)   # cold: trace tier
         memo.trace(kernel, args)   # hot: memo tier
-        assert memo.tiers == {"interpret": 0, "trace": 1, "memo": 1}
+        assert memo.tiers == {"trace": 1, "memo": 1}
         unkeyable = Kernel("unkeyable", _double_body)
-        memo.trace(unkeyable, (args[0], ([1],)))  # an unhashable tuple: no key
-        assert memo.tiers == {"interpret": 1, "trace": 1, "memo": 1}
+        with pytest.raises(LaunchError, match=r"argument 1 \(\[1\],\) is unhashable"):
+            memo.trace(unkeyable, (args[0], ([1],)))  # an unhashable tuple: no key
+        assert memo.tiers == {"trace": 1, "memo": 1}
+        assert memo.stats == {"hits": 1, "misses": 1, "entries": 1}
 
     def test_disk_promotion_is_bit_identical(self, fresh, tmp_path, monkeypatch):
         # a launch through an object loaded from the directory, with no

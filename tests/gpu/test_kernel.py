@@ -3,7 +3,8 @@ import pytest
 
 from repro.cluster.frontier import GcdSpec
 from repro.gpu.kernel import Kernel, KernelContext, LaunchConfig
-from repro.util.errors import LaunchError
+from repro.util.errors import IrError, LaunchError
+from tests.oracles.kernel_interp import interpret
 
 
 class TestLaunchConfig:
@@ -67,7 +68,7 @@ class TestKernelExecution:
         out = np.zeros((5, 5, 5), order="F")
         kernel = Kernel("fill", _fill_body)
         cfg = LaunchConfig.for_domain(out.shape, (2, 2, 2))
-        kernel.execute(cfg, (out, 1.0))
+        interpret(kernel, cfg, (out, 1.0))
         assert out[0, 0, 0] == 1.0
         assert out[4, 4, 4] == 1.0 + 4 + 40 + 400
 
@@ -81,36 +82,34 @@ class TestKernelExecution:
         kernel = Kernel("scale", _scale_body)
         cfg = LaunchConfig.for_domain(a.shape, (4, 4, 4))
         assert lower(kernel, [src, b, 2.0], cfg).box == ((0, 6), (0, 5), (0, 4))
-        kernel._interpret(cfg, (src, a, 2.0))
+        interpret(kernel, cfg, (src, a, 2.0))
         kernel.execute(cfg, (src, b, 2.0))
         assert np.array_equal(a, b)
 
-    def test_type_escape_runs_the_interpreter(self):
+    def test_type_escape_is_refused(self):
         """The fill body turns indices into floats, so it cannot lower."""
-        from repro.ir.lower import lower
-        from repro.util.errors import IrError
-
         out = np.zeros((6, 5, 4), order="F")
         cfg = LaunchConfig.for_domain(out.shape, (4, 4, 4))
         kernel = Kernel("fill", _fill_body)
         with pytest.raises(IrError, match="type escape"):
-            lower(kernel, [out, 2.0], cfg)
-        kernel.execute(cfg, (out, 2.0))
-        assert out[5, 4, 3] == 2.0 + 5 + 40 + 300
+            kernel.execute(cfg, (out, 2.0))
+        assert not out.any()
 
     def test_guard_prevents_out_of_bounds(self):
         # grid overshoots the array; the guard must absorb it
-        out = np.zeros((3, 3, 3), order="F")
-        kernel = Kernel("fill", _fill_body)
+        src, out = np.ones((3, 3, 3), order="F"), np.zeros((3, 3, 3), order="F")
+        kernel = Kernel("scale", _scale_body)
         cfg = LaunchConfig.for_domain((4, 4, 4), (2, 2, 2))
-        kernel.execute(cfg, (out, 0.0))  # must not raise
+        kernel.execute(cfg, (src, out, 0.0))  # must not raise
+        assert (out == 1.0).all()
 
     def test_device_array_args_unwrapped(self):
         from repro.gpu.memory import Device
 
         device = Device(backend="hip")
-        darr = device.zeros((4, 4, 4))
-        kernel = Kernel("fill", _fill_body)
+        src, out = device.zeros((4, 4, 4)), device.zeros((4, 4, 4))
+        src.data[...] = 2.0
+        kernel = Kernel("scale", _scale_body)
         cfg = LaunchConfig.for_domain((4, 4, 4), (2, 2, 2))
-        kernel.execute(cfg, (darr, 5.0))
-        assert darr.data[0, 0, 0] == 5.0
+        kernel.execute(cfg, (src, out, 5.0))
+        assert (out.data == 11.0).all()

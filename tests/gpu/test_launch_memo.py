@@ -179,7 +179,7 @@ class TestConcurrentMiss:
         finally:
             sys.setswitchinterval(interval)
         assert calls == {"trace_kernel": 1, "lower": 1}
-        assert jit.trace_memo().tiers == {"interpret": 0, "trace": 1, "memo": 3}
+        assert jit.trace_memo().tiers == {"trace": 1, "memo": 3}
 
     def test_four_rank_run_reads_one_trace(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "s.json"

@@ -12,7 +12,8 @@ from repro.core.params import GrayScottParams
 from repro.core.stencil import kernel_args, make_gray_scott_kernel
 from repro.gpu.kernel import Kernel, LaunchConfig
 from repro.ir.lower import lower
-from repro.util.errors import IrError
+from repro.util.errors import IrError, LaunchError
+from tests.oracles.kernel_interp import interpret
 from tests.oracles.lower import lower_numpy
 from tests.oracles.stencil import step_vectorized
 
@@ -64,41 +65,41 @@ class TestGrayScott:
         step_vectorized(u, v, ou, ov, p, seed=9, step=4, global_start=(3, 0, 7))
         assert np.array_equal(un, ou) and np.array_equal(vn, ov)
 
-    def test_c_ordered_fields_are_interpreted(self):
+    def test_c_ordered_fields_are_refused(self):
         u, v, un, vn = (np.ascontiguousarray(a) for a in _fields((5, 6, 4), seed=4))
-        ou, ov = np.zeros_like(un), np.zeros_like(vn)
         p, kernel, cfg = GrayScottParams(), make_gray_scott_kernel(), _config(u.shape)
         with pytest.raises(IrError, match="Fortran-ordered"):
-            lower(kernel, list(kernel_args(u, v, un, vn, p, seed=2, step=1)), cfg)
-        kernel.execute(cfg, kernel_args(u, v, un, vn, p, seed=2, step=1))
-        kernel._interpret(cfg, kernel_args(u, v, ou, ov, p, seed=2, step=1))
-        assert np.array_equal(un, ou) and np.array_equal(vn, ov)
+            kernel.execute(cfg, kernel_args(u, v, un, vn, p, seed=2, step=1))
+        assert not un.any() and not vn.any()
 
-    def test_a_new_layout_under_the_same_signature_is_interpreted(self):
+    def test_a_new_layout_under_the_same_signature_is_refused(self):
         """The memo signature ignores strides; the lowered function checks
-        them on every call and declines a layout it was not built for."""
+        them on every call and refuses a layout it was not built for."""
         kernel, p = make_gray_scott_kernel(), GrayScottParams()
         f_order = _fields((4, 5, 3), seed=6)
         cfg = _config(f_order[0].shape)
         args = kernel_args(*f_order, p, seed=1, step=0)
         lowered = lower(kernel, list(args), cfg)
         c_order = [np.ascontiguousarray(a) for a in _fields((4, 5, 3), seed=6)]
-        assert not lowered(list(kernel_args(*c_order, p, seed=1, step=0)))
+        c_args = kernel_args(*c_order, p, seed=1, step=0)
+        with pytest.raises(LaunchError, match="array u is not a Fortran-ordered"):
+            lowered(list(c_args))
         kernel.execute(cfg, args)
-        kernel.execute(cfg, kernel_args(*c_order, p, seed=1, step=0))
+        with pytest.raises(LaunchError, match="Fortran-ordered"):
+            kernel.execute(cfg, c_args)
+        assert not c_order[2].any() and not c_order[3].any()
+        interpret(kernel, cfg, c_args)
         assert np.array_equal(f_order[2], c_order[2])
 
-    def test_aliased_output_falls_back_to_the_interpreter(self):
+    def test_aliased_output_is_refused(self):
         u, v, _, vn = _fields((4, 4, 4), seed=5)
         kernel = make_gray_scott_kernel()
-        p = GrayScottParams()
         cfg = _config(u.shape)
-        expect_u, expect_v = u.copy(order="F"), vn.copy(order="F")
-        kernel._interpret(cfg, kernel_args(
-            expect_u, v, expect_u, expect_v, p, seed=1, step=0))
-        # u is both read and written: per-cell order matters
-        kernel.execute(cfg, kernel_args(u, v, u, vn, p, seed=1, step=0))
-        assert np.array_equal(u, expect_u) and np.array_equal(vn, expect_v)
+        before_u, before_v = u.copy(order="F"), vn.copy(order="F")
+        # u is both read and written: per-cell order would matter
+        with pytest.raises(LaunchError, match="array u .*overlaps a stored array"):
+            kernel.execute(cfg, kernel_args(u, v, u, vn, GrayScottParams(), seed=1, step=0))
+        assert np.array_equal(u, before_u) and np.array_equal(vn, before_v)
 
 
 def _box_body(ctx, src, out):
@@ -199,7 +200,7 @@ class TestWhatLowers:
         lowered = lower(kernel, [src, out], cfg)
         assert lowered.box == ((1, 6), (0, 5), (0, 4))
         expect = np.zeros_like(out)
-        kernel._interpret(cfg, (src, expect))
+        interpret(kernel, cfg, (src, expect))
         kernel.execute(cfg, (src, out))
         assert np.array_equal(out, expect)
 
@@ -209,7 +210,7 @@ class TestWhatLowers:
         cfg = LaunchConfig.for_domain(out.shape, (1, 1, 1))
         assert lower(kernel, [src, out], cfg).box == ((1, 7), (0, 5), (0, 4))
         expect = np.zeros_like(out)
-        kernel._interpret(cfg, (src, expect))
+        interpret(kernel, cfg, (src, expect))
         kernel.execute(cfg, (src, out))
         assert np.array_equal(out, expect) and not out[0].any()
 
@@ -221,16 +222,13 @@ class TestWhatLowers:
         (_unguarded_body, "leaves the array"),
         (_workitem_body, "depends on the workgroup"),
     ])
-    def test_refused_kernels_run_the_interpreter(self, body, reason):
+    def test_refused_kernels_raise(self, body, reason):
         src, out = self._arrays()
         kernel = Kernel(body.__name__, body)
         cfg = LaunchConfig.for_domain(out.shape, (1, 1, 1))
         with pytest.raises(IrError, match=reason):
-            lower(kernel, [src, out], cfg)
-        expect = np.zeros_like(out)
-        kernel._interpret(cfg, (src, expect))
-        kernel.execute(cfg, (src, out))
-        assert np.array_equal(out, expect)
+            kernel.execute(cfg, (src, out))
+        assert not out.any()
 
     @pytest.mark.parametrize("body, first, second, reason", [
         (_branchy_body, 0, 1, "control flow"),
@@ -242,14 +240,10 @@ class TestWhatLowers:
         src, out = self._arrays()
         kernel = Kernel(body.__name__, body)
         cfg = LaunchConfig.for_domain(out.shape, (4, 4, 4))
-        with pytest.raises(IrError, match=reason):
-            lower(kernel, [src, out, first], cfg)
-        expect = np.zeros_like(out)
-        kernel.execute(cfg, (src, out, first))
-        kernel.execute(cfg, (src, out, second))
-        kernel._interpret(cfg, (src, expect, first))
-        kernel._interpret(cfg, (src, expect, second))
-        assert np.array_equal(out, expect)
+        for value in (first, second):
+            with pytest.raises(IrError, match=reason):
+                kernel.execute(cfg, (src, out, value))
+        assert not out.any()
 
 
 class TestThreads:

@@ -19,13 +19,13 @@ from repro.core.settings import GrayScottSettings
 from repro.core.simulation import Simulation
 from repro.core.stencil import kernel_args, make_gray_scott_kernel
 from repro.gpu import jitcache
-from repro.gpu.jit import PENDING, TraceMemo, trace_memo
+from repro.gpu.jit import TraceMemo, trace_memo
 from repro.gpu.kernel import Kernel, LaunchConfig
 from repro.gpu.rand import counter_uniform
 from repro.ir import lower as native
 from repro.mpi import dims_create
-from repro.observe import trace as observe
-from repro.util.errors import IrError, NativeToolchainError
+from repro.util.errors import IrError, LaunchError, NativeToolchainError
+from tests.oracles.kernel_interp import interpret
 from tests.oracles.lower import lower_numpy
 from tests.oracles.stencil import step_vectorized
 
@@ -117,8 +117,7 @@ class TestOracleParity:
         native_run = Simulation(settings)
         native_run.run(3)
         trace_memo().clear()
-        monkeypatch.setattr(native, "lower", lambda kernel, raw, config: _Oracle(
-            lower_numpy(kernel, raw, config)))
+        monkeypatch.setattr(native, "lower", lower_numpy)
         oracle_run = Simulation(settings)
         oracle_run.run(3)
         for name in ("u", "v"):
@@ -162,7 +161,7 @@ class TestKeyPrefixTable:
         p, kernel, cfg = GrayScottParams(noise=0.1), make_gray_scott_kernel(), _config(u.shape)
         args = list(kernel_args(u, v, un, vn, p, seed=7, step=41, global_start=domain.start))
         lowered = native.lower(kernel, args, cfg)
-        assert lowered(args)
+        lowered(args)
         oracle = list(kernel_args(u, v, ou, ov, p, seed=7, step=41, global_start=domain.start))
         lower_numpy(kernel, oracle, cfg)(oracle)
         assert np.array_equal(un, ou) and np.array_equal(vn, ov)
@@ -187,7 +186,7 @@ class TestKeyPrefixTable:
         out, expect = np.full_like(src, 7.0), np.full_like(src, 7.0)
         kernel, cfg = _noise_kernel(name, *draws), LaunchConfig.for_domain(shape, (1, 1, 1))
         lowered = native.lower(kernel, [src, out, 0.5, 11, 3], cfg)
-        assert lowered([src, out, 0.5, 11, 3])
+        lowered([src, out, 0.5, 11, 3])
         lower_numpy(kernel, [src, expect, 0.5, 11, 3], cfg)([src, expect, 0.5, 11, 3])
         assert np.array_equal(out, expect)
         assert (out[0] == 7.0).all() and (out[1:-1] != 7.0).all()
@@ -197,30 +196,41 @@ class TestKeyPrefixTable:
         assert ("uint64_t *const t" in head) == (name in ("noise_columns", "noise_two"))
 
 
-class _Oracle:
-    def __init__(self, lowered):
-        self.lowered = lowered
+class TestThinBox:
+    """A box one cell thick along an axis whose workgroup is wider: the
+    interior probe walks along each axis into the box."""
 
-    def __call__(self, raw) -> bool:
-        self.lowered(raw)
-        return True
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("shape, box", [
+        ((8, 1, 4), ((1, 7), (0, 1), (0, 4))),
+        ((3, 5, 4), ((1, 2), (0, 5), (0, 4))),
+        ((8, 5, 1), ((1, 7), (0, 5), (0, 1))),
+        ((3, 1, 1), ((1, 2), (0, 1), (0, 1))),
+    ])
+    def test_lowers_and_matches_the_interpreter(self, fresh, dtype, shape, box):
+        src = np.asfortranarray(np.random.default_rng(8).random(shape)).astype(dtype)
+        out, expect = np.full_like(src, 7.0), np.full_like(src, 7.0)
+        kernel = _noise_kernel("noise_thin", lambda s, t, x, y, z: (s, t, x, y, z))
+        cfg = LaunchConfig.for_domain(shape, (4, 4, 4))
+        assert native.lower(kernel, [src, out, 0.5, 11, 3], cfg).box == box
+        kernel.execute(cfg, (src, out, 0.5, 11, 3))
+        interpret(kernel, cfg, (src, expect, 0.5, 11, 3))
+        assert np.array_equal(out, expect)
+        assert (out[0] == 7.0).all() and (out[1:-1] != 7.0).all()
 
 
 class TestWhatCompiles:
-    def test_float16_is_refused_and_interpreted(self, fresh):
+    def test_float16_is_refused(self, fresh):
         src = np.asfortranarray(np.random.default_rng(4).random((5, 4, 3))).astype("float16")
-        out, expect = np.zeros_like(src), np.zeros_like(src)
+        out = np.zeros_like(src)
         kernel = Kernel("native_half", _box_body)
         cfg = LaunchConfig.for_domain(out.shape, (4, 4, 4))
-        with pytest.raises(IrError, match="float16"):
-            native.lower(kernel, [src, out, 0.5], cfg)
-        with observe.session() as tracer:
-            kernel.execute(cfg, (src, out, 0.5))
-        kernel._interpret(cfg, (src, expect, 0.5))
-        assert np.array_equal(out, expect)
-        refused = tracer.metrics.counter("ir.lower.refused", kernel="native_half",
-                                         reason="IrError")
-        assert refused.value == 1
+        for _ in range(2):  # a refusal is not cached: each launch raises
+            with pytest.raises(IrError, match=r"array src of dtype float16 \(<f2\) does not lower"):
+                kernel.execute(cfg, (src, out, 0.5))
+        assert not out.any()
+        assert trace_memo().entry(TraceMemo.signature(kernel, (src, out, 0.5), cfg)).lowered \
+            is None
 
     def test_call_refuses_arrays_the_plan_was_not_built_for(self):
         """The function trusts shape, dtype and layout; the call checks them."""
@@ -232,10 +242,15 @@ class TestWhatCompiles:
         swapped = [a.astype(a.dtype.newbyteorder(">")) for a in (u, v, un, vn)]
         frozen = [u, v, np.zeros_like(un), vn]
         frozen[2].flags.writeable = False
-        for arrays in (larger, swapped, frozen):
-            assert not lowered(list(kernel_args(*arrays, p, seed=1, step=0)))
+        for arrays, fault in ((larger, r"array u is float64 \(8, 6, 5\), lowered for "
+                                        r"float64 \(7, 6, 5\)"),
+                              (swapped, "array u is >f8"),
+                              (frozen, "array u_temp is stored but read-only")):
+            with pytest.raises(LaunchError, match=fault):
+                lowered(list(kernel_args(*arrays, p, seed=1, step=0)))
             assert not any(a.any() for a in arrays[2:])
-        assert lowered(list(kernel_args(u, v, un, vn, p, seed=1, step=0))) and un.any()
+        lowered(list(kernel_args(u, v, un, vn, p, seed=1, step=0)))
+        assert un.any()
 
     def test_source_depends_on_ops_and_dtypes_only(self):
         kernel = make_gray_scott_kernel()
@@ -348,7 +363,7 @@ class TestNoCompiler:
         kernel, cfg, args, key = self._launch()
         with pytest.raises(NativeToolchainError, match="no C compiler"):
             kernel.execute(cfg, args)
-        assert trace_memo().entry(key).lowered is PENDING  # nothing cached
+        assert trace_memo().entry(key).lowered is None  # nothing cached
         assert not args[2].any()
 
     def test_failing_compiler_raises(self, fresh, tmp_path, monkeypatch):

@@ -6,10 +6,11 @@ Two invariants hold for every seed/parameter draw:
   func that verifies clean, with the Listing 4 op counts;
 - bit-identity: evaluating the workflow module before and after ANY
   legal pass pipeline produces bitwise-identical arrays, and matches
-  the kernels' own interpreter (``Kernel._interpret``) exactly;
-- lowering: the lowered kernel (the execution path) equals
-  ``Kernel._interpret`` and ``ir.interp`` bitwise, for both float
-  precisions, any interior shape and offset, and any per-func pipeline.
+  the per-workitem kernel interpreter
+  (:func:`tests.oracles.kernel_interp.interpret`) exactly;
+- lowering: the lowered kernel (the execution path) equals that
+  interpreter and ``ir.interp`` bitwise, for both float precisions, any
+  interior shape and offset, and any per-func pipeline.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.core.params import GrayScottParams
 from repro.ir.build import gray_scott_func, laplacian_func, workflow_module
 from repro.ir.passes import PassManager
 from tests.oracles.ir_interp import evaluate_func, evaluate_module
+from tests.oracles.kernel_interp import interpret
 
 EXTENT = 6
 
@@ -121,9 +123,7 @@ class TestRewriteBitIdentity:
             kernel_side["u_new"], kernel_side["v_new"],
             GrayScottParams(), seed=42, step=0,
         )
-        kernel._interpret(
-            LaunchConfig(grid=(EXTENT,) * 3, workgroup=(1, 1, 1)), args
-        )
+        interpret(kernel, LaunchConfig(grid=(EXTENT,) * 3, workgroup=(1, 1, 1)), args)
 
         for name in ("u_new", "v_new"):
             assert np.array_equal(arrays[name], kernel_side[name])
@@ -191,8 +191,8 @@ class TestLoweredBitIdentity:
                                step=step, global_start=start)
 
         lowered = lower(kernel, list(args("lowered")), config, passes=pipeline)
-        assert lowered(list(args("lowered")))
-        kernel._interpret(config, args("interp"))
+        lowered(list(args("lowered")))
+        interpret(kernel, config, args("interp"))
         evaluate_func(
             _traced_func(params, seed, step, start, pipeline),
             {"arg0": u, "arg1": v, "arg2": outs["ir"][0], "arg3": outs["ir"][1]},

@@ -34,6 +34,27 @@ class TestCliRun:
         assert err.startswith("grayscott:") and "Traceback" not in err
 
 
+    def test_run_with_a_refused_kernel_is_one(self, settings_file, monkeypatch, capsys):
+        """A launch that cannot be lowered is an error, never a silent
+        second path: one line on stderr and exit 1."""
+        import functools
+
+        from repro.core import stencil
+
+        real = stencil._gs_body
+
+        @functools.wraps(real)
+        def body(ctx, *args):
+            ctx.workgroup_idx  # lowering cannot see the workgroup
+            return real(ctx, *args)
+
+        monkeypatch.setattr(stencil, "_gs_body", body)
+        assert main(["run", str(settings_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()] and err.startswith("grayscott:")
+        assert "ctx.workgroup_idx" in err and "Traceback" not in err
+
+
 class TestCliAnalyze:
     def test_analyze_dataset(self, settings_file, tmp_path, capsys):
         main(["run", str(settings_file)])
