@@ -218,6 +218,44 @@ class TestThinBox:
         assert np.array_equal(out, expect)
         assert (out[0] == 7.0).all() and (out[1:-1] != 7.0).all()
 
+    def test_box_far_from_the_first_probe(self, fresh):
+        """Lower bounds past the first probe ``(2, 2, 2)`` on two axes: the
+        probe walks up each axis to the first cell its guard lets in."""
+
+        def body(ctx, src, out, scale):
+            x, y, z = ctx.global_idx()
+            if x < 6 or x >= out.shape[0] - 1 or y < 3 or y >= out.shape[1] \
+                    or z >= out.shape[2]:
+                return
+            out[x, y, z] = src[x - 1, y, z] * scale + src[x + 1, y, z]
+
+        src = np.asfortranarray(np.random.default_rng(9).random((9, 5, 2)))
+        out, expect = np.full_like(src, 7.0), np.full_like(src, 7.0)
+        kernel, cfg = Kernel("native_far", body), LaunchConfig.for_domain(src.shape, (4, 4, 4))
+        assert native.lower(kernel, [src, out, 0.5], cfg).box == ((6, 8), (3, 5), (0, 2))
+        kernel.execute(cfg, (src, out, 0.5))
+        interpret(kernel, cfg, (src, expect, 0.5))
+        assert np.array_equal(out, expect)
+        assert (out[6:8, 3:5] != 7.0).all() and (out[:6] == 7.0).all() \
+            and (out[8:] == 7.0).all() and (out[:, :3] == 7.0).all()
+
+    def test_empty_box_is_refused(self, fresh):
+        """Guards no workitem passes: the probe walk gives up after a
+        bounded number of traces and the launch raises, writing nothing."""
+
+        def body(ctx, src, out, scale):
+            x, y, z = ctx.global_idx()
+            if x < 1 or x >= 1:
+                return
+            out[x, y, z] = src[x, y, z] * scale
+
+        src = np.asfortranarray(np.random.default_rng(10).random((5, 4, 3)))
+        out = np.full_like(src, 7.0)
+        kernel, cfg = Kernel("native_empty", body), LaunchConfig.for_domain(src.shape, (4, 4, 4))
+        with pytest.raises(IrError, match="no traced workitem reaches the kernel body"):
+            kernel.execute(cfg, (src, out, 0.5))
+        assert (out == 7.0).all()
+
 
 class TestWhatCompiles:
     def test_float16_is_refused(self, fresh):
@@ -251,6 +289,23 @@ class TestWhatCompiles:
             assert not any(a.any() for a in arrays[2:])
         lowered(list(kernel_args(u, v, un, vn, p, seed=1, step=0)))
         assert un.any()
+
+    def test_call_refuses_a_misaligned_array(self):
+        """A Fortran-ordered array at an odd byte offset is refused before
+        anything is written; the same values, aligned, run."""
+        kernel, p = make_gray_scott_kernel(), GrayScottParams()
+        u, v, un, vn = _fields((5, 4, 3))
+        lowered = native.lower(kernel, list(kernel_args(u, v, un, vn, p, seed=1, step=0)),
+                               _config(u.shape))
+        buffer = np.zeros(un.nbytes + 1, np.uint8)
+        odd = np.ndarray(un.shape, un.dtype, buffer=buffer, offset=1, order="F")
+        assert odd.flags.f_contiguous and not odd.flags.aligned
+        with pytest.raises(LaunchError,
+                           match="array u_temp is not a Fortran-ordered aligned array"):
+            lowered(list(kernel_args(u, v, odd, vn, p, seed=1, step=0)))
+        assert not buffer.any() and not vn.any()
+        lowered(list(kernel_args(u, v, un, vn, p, seed=1, step=0)))
+        assert un.any() and vn.any()
 
     def test_source_depends_on_ops_and_dtypes_only(self):
         kernel = make_gray_scott_kernel()
