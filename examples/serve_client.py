@@ -19,15 +19,13 @@ Usage::
 """
 
 import asyncio
-import json
 import tempfile
 import threading
-
-import numpy as np
 
 from repro.adios.sst import END_OF_STREAM, OK, SSTReader
 from repro.core.execute import JobSpec
 from repro.core.settings import GrayScottSettings
+from repro.observe.stream import read_live_snapshot
 from repro.serve import AdmissionError, SimService
 from repro.serve.loadgen import generate_specs
 
@@ -42,14 +40,11 @@ def telemetry_tail(events: list) -> None:
     """
     reader = SSTReader(None, STREAM, connect_timeout=30)
     while True:
-        status = reader.begin_step(timeout=30)
+        status, record = read_live_snapshot(reader, timeout=30)
         if status == END_OF_STREAM:
             break
-        if status != OK:
-            continue
-        payload = np.asarray(reader.get("snapshot")).tobytes()
-        events.append(json.loads(payload.decode())["event"])
-        reader.end_step()
+        if status == OK:
+            events.append(record["event"])
 
 
 async def demo() -> int:

@@ -38,8 +38,6 @@ class IO:
         self.variables: dict[str, Variable] = {}
         self.attributes: dict[str, Attribute] = {}
         self.parameters: dict[str, str] = {}
-        #: variable summaries learned from remote ranks during writes
-        self._remote_summaries: dict[str, tuple[str, tuple]] = {}
 
     def set_engine(self, engine_type: str) -> None:
         if engine_type not in _ENGINES:
@@ -116,18 +114,6 @@ class IO:
                 aggregators=int(aggregators) if aggregators else None,
             )
         raise EngineStateError(f"unknown open mode {mode!r}; use 'w', 'a', or 'r'")
-
-    # -- internal ------------------------------------------------------------
-    def remember_remote_variable(self, name: str, dtype: str, shape) -> None:
-        self._remote_summaries[name] = (dtype, tuple(shape))
-
-    def variable_summary(self, name: str) -> tuple[str, tuple]:
-        if name in self.variables:
-            variable = self.variables[name]
-            return variable.dtype.name, variable.shape
-        if name in self._remote_summaries:
-            return self._remote_summaries[name]
-        raise VariableError(f"no summary for variable {name!r}")
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"IO({self.name!r}, engine={self.engine_type})"

@@ -38,6 +38,9 @@ if TYPE_CHECKING:  # pragma: no cover
 _TAG_BLOCKS = 1
 _TAG_META = 2
 
+#: default aggregation: one subfile per 8 ranks, one per Frontier node
+RANKS_PER_SUBFILE = 8
+
 
 def _adios_span(rank: int, name: str, **args):
     """Wall-clock tracer span on this rank's adios lane (or a no-op)."""
@@ -69,7 +72,6 @@ class BP5Writer:
         comm: "Comm | None" = None,
         mode: str = "w",
         aggregators: int | None = None,
-        ranks_per_subfile: int = 8,
     ):
         if mode not in ("w", "a"):
             raise EngineStateError(f"BP5Writer mode must be 'w' or 'a', got {mode!r}")
@@ -78,7 +80,7 @@ class BP5Writer:
         self.comm = comm.dup() if comm is not None else None
         self.rank = comm.rank if comm else 0
         self.size = comm.size if comm else 1
-        self.nsubfiles = aggregators or max(1, -(-self.size // ranks_per_subfile))
+        self.nsubfiles = aggregators or max(1, -(-self.size // RANKS_PER_SUBFILE))
         if self.nsubfiles > self.size:
             raise EngineStateError(
                 f"{self.nsubfiles} aggregators for {self.size} ranks"

@@ -9,8 +9,7 @@ file system's 5.5 TB/s peak while using 5% of the machine.
 Model: each node's aggregator streams its subfile at a sustained
 per-node bandwidth, derated by a slowly growing contention factor (OSS
 sharing and metadata pressure), plus a fixed metadata/open cost and
-lognormal jitter ("real-time file system usage"). The aggregate is
-capped by the file system peak. Constants live in
+lognormal jitter ("real-time file system usage"). Constants live in
 :mod:`repro.bench.calibration`.
 
 The job's write time is the instant the slowest node's subfile lands,
@@ -43,20 +42,12 @@ def contention_efficiency(nnodes: int) -> float:
 class LustreModel:
     """Write-time model for BP5-style one-subfile-per-node output."""
 
-    def __init__(self, machine: MachineSpec = FRONTIER, *, seed: int = 2023):
-        self.machine = machine
+    def __init__(self, *, seed: int = 2023):
         self.stream = RngStream(seed, ("lustre",))
 
     def node_write_bandwidth(self, nnodes: int) -> float:
         """Sustained bytes/s one aggregator gets in an ``nnodes`` job."""
         return cal.LUSTRE_NODE_WRITE_BW_BYTES_PER_S * contention_efficiency(nnodes)
-
-    def aggregate_write_bandwidth(self, nnodes: int) -> float:
-        """Job-level write bandwidth, capped at the file system peak."""
-        return min(
-            nnodes * self.node_write_bandwidth(nnodes),
-            self.machine.filesystem.peak_write_bytes_per_s,
-        )
 
     def write_seconds_per_node(
         self,
@@ -139,15 +130,14 @@ class IoWeakScalingModel:
         self,
         *,
         local_shape: tuple[int, int, int] = (1024, 1024, 1024),
-        nvars: int = 2,
-        itemsize: int = 8,
         machine: MachineSpec = FRONTIER,
         seed: int = 2023,
     ):
         self.machine = machine
         self.local_shape = local_shape
-        self.bytes_per_rank = int(np.prod(local_shape)) * nvars * itemsize
-        self.model = LustreModel(machine, seed=seed)
+        # U and V in float64, as in the paper's runs
+        self.bytes_per_rank = int(np.prod(local_shape)) * 2 * 8
+        self.model = LustreModel(seed=seed)
 
     def _layout(self, nranks: int) -> tuple[int, float]:
         """(nodes, bytes per node subfile) of an ``nranks`` job."""

@@ -9,18 +9,16 @@ place of Makie heatmaps.
 """
 
 from repro.analysis.reader import GrayScottDataset
-from repro.analysis.slices import center_slice, slice_at
+from repro.analysis.slices import slice_at
 from repro.analysis.stats import field_summary, pattern_metrics, histogram
 from repro.analysis.render import ascii_heatmap
 from repro.analysis.spectrum import (
     dominant_wavelength,
     radial_power_spectrum,
-    structure_evolution,
 )
 
 __all__ = [
     "GrayScottDataset",
-    "center_slice",
     "slice_at",
     "field_summary",
     "pattern_metrics",
@@ -28,5 +26,4 @@ __all__ = [
     "ascii_heatmap",
     "dominant_wavelength",
     "radial_power_spectrum",
-    "structure_evolution",
 ]

@@ -68,22 +68,6 @@ def write_ppm(plane: np.ndarray, path, *, value_range=None) -> Path:
     return target
 
 
-def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM back (round-trip testing and pipelines)."""
-    raw = Path(path).read_bytes()
-    parts = raw.split(b"\n", 3)
-    if parts[0] != b"P5":
-        raise ReproError(f"{path}: not a binary PGM (magic {parts[0]!r})")
-    nx, ny = (int(v) for v in parts[1].split())
-    maxval = int(parts[2])
-    if maxval != 255:
-        raise ReproError(f"{path}: unsupported maxval {maxval}")
-    pixels = np.frombuffer(parts[3][: nx * ny], dtype=np.uint8)
-    if pixels.size != nx * ny:
-        raise ReproError(f"{path}: truncated pixel data")
-    return pixels.reshape(ny, nx)
-
-
 def snapshot_dataset(
     dataset, outdir, *, field: str = "V", axis: int = 2, color: bool = True
 ) -> list[Path]:

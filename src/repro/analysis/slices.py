@@ -25,13 +25,3 @@ def slice_at(field: np.ndarray, *, axis: int = 2, index: int | None = None) -> n
     selector: list = [slice(None)] * 3
     selector[axis] = index
     return np.ascontiguousarray(field[tuple(selector)])
-
-
-def center_slice(field: np.ndarray, axis: int = 2) -> np.ndarray:
-    """The centre plane along ``axis``."""
-    return slice_at(field, axis=axis, index=None)
-
-
-def slice_series(fields: list[np.ndarray], *, axis: int = 2, index: int | None = None):
-    """Centre slices of a time series of fields (for animations)."""
-    return [slice_at(f, axis=axis, index=index) for f in fields]

@@ -62,28 +62,3 @@ def dominant_wavelength(plane: np.ndarray) -> float:
     if k_peak <= 0:
         return float("inf")
     return min(plane.shape) / k_peak
-
-
-def structure_evolution(dataset, *, field: str = "V", axis: int = 2) -> dict:
-    """Per-output-step structure metrics of a Gray-Scott dataset.
-
-    Returns arrays keyed ``steps``, ``mean``, ``active_fraction``,
-    ``wavelength`` — the time series an analyst plots in the Figure 9
-    session.
-    """
-    from repro.analysis.stats import pattern_metrics
-
-    steps = dataset.steps
-    means, fractions, wavelengths = [], [], []
-    for step in steps:
-        plane = dataset.slice2d(field, step=step, axis=axis)
-        means.append(float(np.mean(plane)))
-        fractions.append(pattern_metrics(plane)["active_fraction"])
-        wavelengths.append(dominant_wavelength(plane))
-    return {
-        "steps": np.asarray(steps),
-        "sim_steps": np.asarray(dataset.sim_steps()),
-        "mean": np.asarray(means),
-        "active_fraction": np.asarray(fractions),
-        "wavelength": np.asarray(wavelengths),
-    }

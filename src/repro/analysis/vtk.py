@@ -72,30 +72,3 @@ def write_vti(
     target = Path(path)
     target.write_text("\n".join(lines) + "\n")
     return target
-
-
-def export_dataset_step(dataset, path, *, step: int | None = None) -> Path:
-    """Write one output step of a Gray-Scott dataset as .vti."""
-    if step is None:
-        step = dataset.steps[-1]
-    fields = {
-        name: dataset.field(name, step=step) for name in dataset.FIELDS
-    }
-    return write_vti(fields, path)
-
-
-def read_vti_field(path, name: str) -> np.ndarray:
-    """Parse one field back out of an ASCII .vti (round-trip testing)."""
-    import xml.etree.ElementTree as ET
-
-    root = ET.parse(path).getroot()
-    image = root.find("ImageData")
-    if image is None:
-        raise ReproError(f"{path}: not an ImageData VTK file")
-    extent = [int(v) for v in image.get("WholeExtent").split()]
-    shape = (extent[1], extent[3], extent[5])
-    for array in image.iter("DataArray"):
-        if array.get("Name") == name:
-            values = np.array(array.text.split(), dtype=np.float64)
-            return values.reshape(shape, order="F")
-    raise ReproError(f"{path}: no DataArray named {name!r}")

@@ -8,9 +8,6 @@ prints the human version; this is the version a CI job archives.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from repro._version import __version__
 from repro.bench import calibration as cal
 from repro.bench import fig6, fig7, fig8, listings, table1, table2, table3
@@ -116,11 +113,4 @@ def collect(*, seed: int = 2023) -> dict:
         "checks_passed": sum(all_checks),
         "all_passed": all(all_checks),
     }
-    return report
-
-
-def save(path, *, seed: int = 2023) -> dict:
-    """Collect and write the report as JSON; returns the dict."""
-    report = collect(seed=seed)
-    Path(path).write_text(json.dumps(report, indent=2))
     return report

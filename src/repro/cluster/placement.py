@@ -96,17 +96,3 @@ class Placement:
 
     def same_node(self, rank_a: int, rank_b: int) -> bool:
         return self.location(rank_a).node == self.location(rank_b).node
-
-    def ranks_on_node(self, node: int) -> list[int]:
-        if not 0 <= node < self.nnodes:
-            raise ValueError(f"node {node} out of range [0, {self.nnodes})")
-        if self.strategy == "block":
-            lo = node * self.ranks_per_node
-            hi = min(lo + self.ranks_per_node, self.nranks)
-            return list(range(lo, hi))
-        return [r for r in range(self.nranks) if r % self.nnodes == node]
-
-    @property
-    def system_fraction(self) -> float:
-        """Fraction of the machine this job occupies (paper: 5.44% at 512)."""
-        return self.nnodes / self.machine.nodes

@@ -33,9 +33,6 @@ class StepStats:
     mean: float
     l2: float  # sqrt of the global sum of squares / cells
 
-    def as_tuple(self) -> tuple:
-        return (self.step, self.vmin, self.vmax, self.mean, self.l2)
-
 
 class InSituMonitor:
     """Accumulates per-step global statistics of U and V.
@@ -92,16 +89,6 @@ class InSituMonitor:
         if which not in self._series:
             raise ConfigError(f"monitor did not track field {which!r}")
         return list(self._series[which])
-
-    def as_arrays(self, which: str = "v") -> dict[str, np.ndarray]:
-        series = self.series(which)
-        return {
-            "step": np.array([s.step for s in series]),
-            "min": np.array([s.vmin for s in series]),
-            "max": np.array([s.vmax for s in series]),
-            "mean": np.array([s.mean for s in series]),
-            "l2": np.array([s.l2 for s in series]),
-        }
 
     def render(self, which: str = "v") -> str:
         from repro.util.tables import Table

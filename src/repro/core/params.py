@@ -84,15 +84,3 @@ PEARSON_REGIMES: dict[str, tuple[float, float]] = {
     "mu": (0.058, 0.065),
     "paper": (0.02, 0.048),  # Listing 1's values
 }
-
-
-def regime_params(name: str, **overrides) -> GrayScottParams:
-    """Parameters for a named Pearson regime."""
-    try:
-        F, k = PEARSON_REGIMES[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown regime {name!r}; available: {sorted(PEARSON_REGIMES)}"
-        ) from None
-    base = GrayScottParams(F=F, k=k)
-    return base.with_overrides(**overrides) if overrides else base

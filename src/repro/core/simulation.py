@@ -254,27 +254,6 @@ class Simulation:
         field = {"u": self.u, "v": self.v}[which]
         return self.domain.interior(field)
 
-    def local_minmax(self, which: str = "u") -> tuple[float, float]:
-        data = self.interior(which)
-        return float(data.min()), float(data.max())
-
-    def global_minmax(self, which: str = "u") -> tuple[float, float]:
-        lo, hi = self.local_minmax(which)
-        if self.cart is None:
-            return lo, hi
-        return (
-            self.cart.allreduce(lo, "min"),
-            self.cart.allreduce(hi, "max"),
-        )
-
-    def global_mean(self, which: str = "u") -> float:
-        data = self.interior(which)
-        local_sum = float(data.sum())
-        cells = int(np.prod(self.settings.shape))
-        if self.cart is None:
-            return local_sum / cells
-        return self.cart.allreduce(local_sum, "sum") / cells
-
     def gather_global(self, which: str = "u") -> np.ndarray | None:
         """Assemble the full global field on rank 0 (None elsewhere)."""
         interior = np.asfortranarray(self.interior(which))

@@ -127,6 +127,8 @@ class VirtualWorkflow:
         self.cart_dims = dims_create(self.nranks, 3)
         #: weak scaling: the settings' grid is each rank's local block
         self.local_shape = settings.shape
+        #: bytes per cell of one field, for halo faces and output alike
+        self.itemsize = np.dtype(settings.precision).itemsize
 
     # -- modeled ingredients ------------------------------------------------
     def _kernel_jitter(self) -> np.ndarray:
@@ -150,16 +152,16 @@ class VirtualWorkflow:
 
         halo = HaloExchangeModel(
             self.placement, self.cart_dims, self.local_shape,
+            itemsize=self.itemsize,
             periodic=self.settings.boundary == "periodic",
             machine=self.machine,
         )
         return halo.slice_step_seconds(lo, hi)
 
     def _bytes_per_node(self) -> int:
-        itemsize = 8 if self.settings.precision == "float64" else 4
         cells = int(np.prod(self.local_shape))
         ranks_on_full_node = min(self.nranks, self.placement.ranks_per_node)
-        return 2 * cells * itemsize * ranks_on_full_node
+        return 2 * cells * self.itemsize * ranks_on_full_node
 
     # -- the run ------------------------------------------------------------
     def run(self, *, jobs: int = 1) -> VirtualRunResult:
@@ -414,7 +416,7 @@ class VirtualWorkflow:
         if out_prev is not None:
             leader_ranks = np.arange(lo, hi, rpn, dtype=np.int64)
             nodes = leader_ranks // rpn
-            lustre = LustreModel(self.machine, seed=settings.seed)
+            lustre = LustreModel(seed=settings.seed)
             seconds = lustre.write_seconds_per_node(
                 self.placement.nnodes, self._bytes_per_node(),
                 sample=DecimalTails(f"{out_prev}:", nodes),

@@ -758,33 +758,14 @@ def memoized_trace(kernel: "Kernel", args, config=None) -> KernelTrace:
 
 @dataclass(frozen=True)
 class CompiledKernel:
-    """A kernel after tracing + backend 'codegen'.
-
-    ``lds_bytes``/``scratch_bytes`` mirror Table 3's ``lds``/``scr``
-    rows. Table 3 shows AMDGPU.jl allocates LDS and spills to scratch
-    for *both* the random and no-random kernels (29,184 B / 8,192 B) —
-    it is a property of the Julia codegen path, not of the RNG — while
-    the HIP kernel uses neither.
-    """
+    """A kernel after tracing + backend 'codegen'."""
 
     kernel: "Kernel"
     trace: KernelTrace
-    backend_name: str
-    workgroup_size: int
-    lds_bytes: int
-    scratch_bytes: int
 
     @property
     def name(self) -> str:
         return self.kernel.name
-
-    @property
-    def loads_per_workitem(self) -> int:
-        return len(self.trace.unique_loads)
-
-    @property
-    def stores_per_workitem(self) -> int:
-        return len(self.trace.unique_stores)
 
 
 class JitCompiler:
@@ -796,15 +777,9 @@ class JitCompiler:
     turns that into seconds.
     """
 
-    def __init__(self, backend: "BackendProfile", memo: TraceMemo | None = None):
+    def __init__(self, backend: "BackendProfile"):
         self.backend = backend
-        self.memo = memo if memo is not None else _TRACE_MEMO
         self._cache: dict[tuple, CompiledKernel] = {}
-        self._by_name: dict[str, CompiledKernel] = {}
-        self.compile_events: list[tuple[str, float]] = []
-
-    def is_compiled(self, kernel: "Kernel") -> bool:
-        return kernel.name in self._by_name
 
     def compile(
         self, kernel: "Kernel", args, config=None, key=None
@@ -813,33 +788,18 @@ class JitCompiler:
 
         The cache key is the trace-memo signature — kernel identity plus
         per-argument dtypes/shapes and launch config — so a dtype or
-        shape change recompiles (the old name-only key replayed stale
-        traces). The modeled compile *seconds* are charged per compiler
-        (each device JITs for itself), but the trace work itself is
-        shared through the process-wide memo. ``key`` is the launch's
-        :meth:`TraceMemo.signature` when the caller already has it.
+        shape change recompiles. The modeled compile *seconds* are
+        charged per compiler (each device JITs for itself), but the
+        trace work itself is shared through the process-wide memo.
+        ``key`` is the launch's :meth:`TraceMemo.signature` when the
+        caller already has it.
         """
         if key is None:
-            key = self.memo.signature(kernel, args, config)
+            key = _TRACE_MEMO.signature(kernel, args, config)
         cached = self._cache.get(key)
         if cached is not None:
             return cached, 0.0
-        if not args and kernel.name in self._by_name:
-            # argument-free lookup of an already-compiled kernel (the
-            # profiler's codegen-attach path): no specialization is
-            # being requested, so return the last compilation by name
-            return self._by_name[kernel.name], 0.0
-        trace = self.memo.trace(kernel, args, config, key)
-        compiled = CompiledKernel(
-            kernel=kernel,
-            trace=trace,
-            backend_name=self.backend.name,
-            workgroup_size=self.backend.workgroup_size,
-            lds_bytes=self.backend.lds_bytes,
-            scratch_bytes=self.backend.scratch_bytes,
-        )
+        trace = _TRACE_MEMO.trace(kernel, args, config, key)
+        compiled = CompiledKernel(kernel=kernel, trace=trace)
         self._cache[key] = compiled
-        self._by_name[kernel.name] = compiled
-        seconds = self.backend.compile_seconds(trace)
-        self.compile_events.append((kernel.name, seconds))
-        return compiled, seconds
+        return compiled, self.backend.compile_seconds(trace)

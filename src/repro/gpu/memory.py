@@ -70,10 +70,6 @@ class DeviceArray:
     def fill(self, value: float) -> None:
         self.data[...] = value
 
-    def copy_to_host(self) -> np.ndarray:
-        """Synchronous D2H copy; advances the device clock."""
-        return self.device.to_host(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DeviceArray({self.name}, shape={self.shape}, dtype={self.dtype}, "

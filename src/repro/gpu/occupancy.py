@@ -71,25 +71,19 @@ class OccupancyResult:
         return "wave slots"
 
 
-def occupancy_for_codegen(
-    name: str,
-    workgroup_size: int,
-    lds_bytes: int,
-    limits: CuLimits | None = None,
+def occupancy_for(
+    backend: str | BackendProfile, limits: CuLimits | None = None
 ) -> OccupancyResult:
-    """Occupancy implied by raw codegen facts (wgr size + LDS bytes).
-
-    The core accounting, independent of where the facts came from — a
-    backend profile (:func:`occupancy_for`) or a rewritten stencil func
-    whose tiling pass added LDS staging (:func:`occupancy_for_func`).
-    """
+    """Occupancy a backend's codegen (Table 3's wgr/lds) achieves."""
+    backend = get_backend(backend)
     limits = limits or CuLimits()
-    waves_per_wg = -(-workgroup_size // limits.wavefront_size)
+    lds_bytes = backend.lds_bytes
+    waves_per_wg = -(-backend.workgroup_size // limits.wavefront_size)
     if waves_per_wg <= 0:
-        raise GpuError(f"degenerate workgroup size {workgroup_size}")
+        raise GpuError(f"degenerate workgroup size {backend.workgroup_size}")
     if lds_bytes > limits.lds_bytes_per_cu:
         raise GpuError(
-            f"{name}: workgroup LDS {lds_bytes} exceeds the "
+            f"{backend.name}: workgroup LDS {lds_bytes} exceeds the "
             f"CU's {limits.lds_bytes_per_cu}"
         )
     by_lds = (
@@ -104,55 +98,13 @@ def occupancy_for_codegen(
     resident = max(1, min(by_lds, by_slots))
     waves = min(resident * waves_per_wg, limits.max_waves_per_cu)
     return OccupancyResult(
-        backend=name,
+        backend=backend.name,
         waves_per_workgroup=waves_per_wg,
         workgroups_by_lds=by_lds,
         workgroups_by_slots=by_slots,
         resident_workgroups=resident,
         resident_waves=waves,
         max_waves=limits.max_waves_per_cu,
-    )
-
-
-def occupancy_for(
-    backend: str | BackendProfile, limits: CuLimits | None = None
-) -> OccupancyResult:
-    """Occupancy a backend's codegen (Table 3's wgr/lds) achieves."""
-    backend = get_backend(backend)
-    return occupancy_for_codegen(
-        backend.name, backend.workgroup_size, backend.lds_bytes, limits
-    )
-
-
-def occupancy_for_func(
-    func,
-    backend: str | BackendProfile,
-    limits: CuLimits | None = None,
-) -> OccupancyResult:
-    """Occupancy of a (post-rewrite) stencil func on a backend.
-
-    Starts from the backend's codegen LDS and, when the tiling pass set
-    ``func.tile``, adds the LDS a tiled kernel stages: one haloed tile
-    of every loaded array. That makes the occupancy model answer the
-    tiling counterfactual — a tile that shrinks cache traffic can still
-    lose by evicting resident workgroups.
-    """
-    backend = get_backend(backend)
-    lds = backend.lds_bytes
-    if func.tile is not None:
-        itemsize = func.itemsize
-        loads = func.loads_by_array()
-        for offsets in loads.values():
-            staged = 1
-            for axis in range(3):
-                ext = (
-                    max(o[axis] for o in offsets)
-                    - min(o[axis] for o in offsets)
-                )
-                staged *= int(func.tile[axis]) + ext
-            lds += staged * itemsize
-    return occupancy_for_codegen(
-        f"{backend.name}:{func.name}", backend.workgroup_size, lds, limits
     )
 
 

@@ -1,24 +1,17 @@
 """A rocprof-style profiler for the simulated device.
 
 Records kernel dispatches, JIT compilations, and H2D/D2H copies with
-their modeled timestamps, then renders
-
-- per-kernel counter rows in Table 3's format (``wgr``, ``lds``,
-  ``scr``, ``FETCH_SIZE``, ``WRITE_SIZE``, ``TCC_HIT``, ``TCC_MISS``,
-  average duration), and
-- a Figure-5-style text trace of computational load and memory
-  transfers over simulated time.
+their modeled timestamps, then aggregates per-kernel counters and
+writes them as a rocprof ``results.csv`` or a Figure-5-style text trace
+of computational load and memory transfers over simulated time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bench.calibration import ROCPROF_COUNTER_SAMPLE_DIVISOR
 from repro.gpu.kernel import LaunchConfig
 from repro.gpu.perf import LaunchCost
-from repro.util.tables import Table
-from repro.util.units import GB
 
 
 @dataclass(frozen=True)
@@ -50,34 +43,10 @@ class KernelStats:
     write_bytes: float = 0.0
     tcc_hits: float = 0.0
     tcc_misses: float = 0.0
-    workgroup_size: int = 0
-    lds_bytes: int = 0
-    scratch_bytes: int = 0
-
-    @property
-    def avg_seconds(self) -> float:
-        return self.total_seconds / self.calls if self.calls else 0.0
 
     @property
     def avg_fetch_bytes(self) -> float:
         return self.fetch_bytes / self.calls if self.calls else 0.0
-
-    @property
-    def avg_write_bytes(self) -> float:
-        return self.write_bytes / self.calls if self.calls else 0.0
-
-    @property
-    def tcc_hit_m(self) -> float:
-        """TCC_HIT per call in rocprof-normalized millions (Table 3)."""
-        if not self.calls:
-            return 0.0
-        return self.tcc_hits / self.calls / ROCPROF_COUNTER_SAMPLE_DIVISOR / 1e6
-
-    @property
-    def tcc_miss_m(self) -> float:
-        if not self.calls:
-            return 0.0
-        return self.tcc_misses / self.calls / ROCPROF_COUNTER_SAMPLE_DIVISOR / 1e6
 
 
 class Profiler:
@@ -121,50 +90,8 @@ class Profiler:
             ProfileEvent(device=device, kind="compile", name=name, start=start, seconds=seconds)
         )
 
-    # -- queries ---------------------------------------------------------
-    def kernel_events(self, name: str | None = None) -> list[ProfileEvent]:
-        return [
-            e for e in self.events
-            if e.kind == "kernel" and (name is None or e.name == name)
-        ]
-
     def report(self, device=None) -> "RocprofReport":
         return RocprofReport.from_events(self.events, device=device)
-
-    def replay_into(self, tracer) -> int:
-        """Re-emit every recorded event into a tracer as sim-clock spans.
-
-        Uses the same lane scheme as the live hooks in
-        :mod:`repro.gpu.memory` (process = device name, threads ``jit``
-        / ``kernel`` / ``copy``), so offline-collected profiles merge
-        cleanly into a trace. Returns the number of spans emitted.
-        """
-        from repro.observe import SIM
-
-        for event in self.events:
-            if event.kind == "compile":
-                name, thread = f"jit.{event.name}", "jit"
-                args = {"kernel": event.name}
-            elif event.kind == "copy":
-                name, thread = f"memcpy.{event.name}", "copy"
-                args = {"bytes": int(event.nbytes), "kind": event.name}
-            else:
-                name, thread = event.name, "kernel"
-                args = {
-                    "bytes": int(event.nbytes),
-                    "workgroup_size": event.workgroup_size,
-                }
-            tracer.add_span(
-                name,
-                cat="gpu",
-                clock=SIM,
-                process=event.device,
-                thread=thread,
-                start=event.start,
-                seconds=event.seconds,
-                args=args,
-            )
-        return len(self.events)
 
 
 @dataclass
@@ -187,38 +114,7 @@ class RocprofReport:
             st.write_bytes += event.cost.write_bytes
             st.tcc_hits += event.cost.tcc_hits
             st.tcc_misses += event.cost.tcc_misses
-            st.workgroup_size = event.workgroup_size
         return report
-
-    def attach_codegen(self, kernel_name: str, compiled) -> None:
-        """Attach wgr/lds/scr from a :class:`CompiledKernel`."""
-        st = self.stats.get(kernel_name)
-        if st is None:
-            return
-        st.workgroup_size = compiled.workgroup_size
-        st.lds_bytes = compiled.lds_bytes
-        st.scratch_bytes = compiled.scratch_bytes
-
-    def render_table(self, title: str = "rocprof outputs") -> str:
-        """The Table 3 layout: one column block per kernel."""
-        table = Table(
-            ["metric", *self.stats.keys()],
-            title=title,
-        )
-        columns = list(self.stats.values())
-        rows = [
-            ("wgr", lambda s: s.workgroup_size),
-            ("lds", lambda s: s.lds_bytes),
-            ("scr", lambda s: s.scratch_bytes),
-            ("FETCH_SIZE (GB)", lambda s: s.avg_fetch_bytes / GB),
-            ("WRITE_SIZE (GB)", lambda s: s.avg_write_bytes / GB),
-            ("TCC_HIT (M)", lambda s: s.tcc_hit_m),
-            ("TCC_MISS (M)", lambda s: s.tcc_miss_m),
-            ("Avg Duration (ms)", lambda s: s.avg_seconds * 1e3),
-        ]
-        for label, getter in rows:
-            table.add_row([label, *(getter(s) for s in columns)])
-        return table.render()
 
     def to_csv(self) -> str:
         """The rocprof ``results.csv`` shape: one row per dispatch/copy.

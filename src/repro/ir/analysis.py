@@ -130,10 +130,6 @@ class ReachingDefs:
     uses: dict[str, tuple[int, ...]]
     dead_stores: tuple[DeadStore, ...]
 
-    def unused_results(self) -> list[str]:
-        """SSA values defined but never used (dead value computations)."""
-        return [name for name in self.defs if not self.uses.get(name)]
-
 
 def reaching_definitions(func: StencilFunc) -> ReachingDefs:
     defs: dict[str, int] = {}

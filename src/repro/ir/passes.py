@@ -86,13 +86,6 @@ class PipelineReport:
     reports: list[PassReport] = field(default_factory=list)
     seconds: float = 0.0
 
-    @property
-    def applied_passes(self) -> list[str]:
-        return [r.pass_name for r in self.reports if r.applied]
-
-    def removed_total(self, kind: str) -> int:
-        return sum(r.removed.get(kind, 0) for r in self.reports)
-
     def render(self) -> str:
         lines = ["pass pipeline:"]
         for r in self.reports:

@@ -286,21 +286,9 @@ class LintReport:
         return self.by_severity(Severity.WARNING)
 
     @property
-    def max_severity(self) -> Severity | None:
-        if not self.diagnostics:
-            return None
-        return max(d.severity for d in self.diagnostics)
-
-    @property
     def clean(self) -> bool:
         """No warnings and no errors (informational notes allowed)."""
         return not any(d.severity >= Severity.WARNING for d in self.diagnostics)
-
-    def by_rule(self) -> dict[str, list[Diagnostic]]:
-        out: dict[str, list[Diagnostic]] = {}
-        for diag in self.diagnostics:
-            out.setdefault(diag.rule, []).append(diag)
-        return out
 
     def select_rules(self, rules) -> "LintReport":
         """A copy restricted to ``rules`` (facts are kept)."""

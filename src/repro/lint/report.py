@@ -141,11 +141,6 @@ def to_sarif(report: LintReport) -> dict:
     }
 
 
-def max_severity_label(report: LintReport) -> str:
-    severity = report.max_severity
-    return severity.label if severity is not None else "clean"
-
-
 def exit_code(report: LintReport) -> int:
     """CI-gating semantics: nonzero only on error-severity diagnostics."""
     return 1 if any(

@@ -6,7 +6,7 @@ communicator decomposing the 3D domain, ghost-cell face exchange with
 the non-contiguous faces (Listing 3). This package implements all of it
 for real:
 
-- :mod:`repro.mpi.datatypes` — base, contiguous, and vector datatypes
+- :mod:`repro.mpi.datatypes` — base and vector datatypes
   with pack/unpack against NumPy buffers;
 - :mod:`repro.mpi.comm` — communicators with tag/source matching,
   blocking and nonblocking point-to-point, and truncation checking;
@@ -29,7 +29,6 @@ only consulted for modeled Frontier timings.
 from repro.mpi.datatypes import (
     Datatype,
     BaseDatatype,
-    ContiguousDatatype,
     VectorDatatype,
     DOUBLE,
     FLOAT,
@@ -46,7 +45,6 @@ from repro.mpi.executor import run_spmd
 __all__ = [
     "Datatype",
     "BaseDatatype",
-    "ContiguousDatatype",
     "VectorDatatype",
     "DOUBLE",
     "FLOAT",

@@ -157,15 +157,6 @@ class CartComm(Comm):
             )
         return cart_shift(self.rank, self.dims, self.periods, direction, disp)
 
-    def neighbors(self) -> dict[tuple[int, int], int]:
-        """All face neighbours: {(direction, ±1): rank-or-PROC_NULL}."""
-        out = {}
-        for direction in range(self.ndims):
-            source, dest = self.shift(direction, 1)
-            out[(direction, +1)] = dest
-            out[(direction, -1)] = source
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"CartComm(rank={self.rank}, dims={self.dims}, "

@@ -27,7 +27,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.mpi.datatypes import Datatype, pack, unpack
 from repro.mpi.request import Request
 from repro.observe import trace as observe
 from repro.util.errors import CommAbort, MPIError, TruncationError
@@ -355,44 +354,6 @@ class Comm:
         if recvsource == PROC_NULL:
             return None, None
         return self.recv(recvsource, recvtag)
-
-    # -- Listing 3 pattern: strided face exchange ------------------------
-    def send_face(
-        self,
-        arr: np.ndarray,
-        datatype: Datatype,
-        dest: int,
-        tag: int = 0,
-        *,
-        offset_elements: int = 0,
-    ) -> None:
-        """Pack a strided face through ``datatype`` and send it."""
-        if dest == PROC_NULL:
-            return
-        self.send(pack(arr, datatype, offset_elements=offset_elements), dest, tag)
-
-    def recv_face(
-        self,
-        arr: np.ndarray,
-        datatype: Datatype,
-        source: int,
-        tag: int = ANY_TAG,
-        *,
-        offset_elements: int = 0,
-    ) -> Status | None:
-        """Receive a face and unpack it through ``datatype``."""
-        if source == PROC_NULL:
-            return None
-        wire, status = self.recv(source, tag)
-        if not isinstance(wire, np.ndarray):
-            raise MPIError("recv_face matched a non-array message")
-        if wire.size != datatype.size_elements:
-            raise TruncationError(
-                f"face message has {wire.size} elements, datatype describes "
-                f"{datatype.size_elements}"
-            )
-        unpack(arr, datatype, wire, offset_elements=offset_elements)
-        return status
 
     # ------------------------------------------------------------------
     # collectives (implementations in repro.mpi.collectives)

@@ -125,29 +125,6 @@ INT32 = BaseDatatype("MPI_INT32_T", np.int32)
 INT64 = BaseDatatype("MPI_INT64_T", np.int64)
 
 
-class ContiguousDatatype(Datatype):
-    """MPI_Type_contiguous: ``count`` consecutive base elements."""
-
-    def __init__(self, count: int, base: Datatype = DOUBLE):
-        if count < 0:
-            raise DatatypeError(f"negative count: {count}")
-        super().__init__(base.base)
-        self.count = count
-        self.inner = base
-
-    def _build_offsets(self) -> np.ndarray:
-        inner = self.inner.element_offsets()
-        extent = self.inner.extent_elements
-        return (
-            np.arange(self.count, dtype=np.int64)[:, None] * extent + inner[None, :]
-        ).reshape(-1)
-
-    def _strided_spec(self) -> tuple[int, int, int] | None:
-        if self.inner.size_elements == 1 and self.inner.extent_elements == 1:
-            return (1, self.count, self.count)
-        return None
-
-
 class VectorDatatype(Datatype):
     """MPI_Type_vector: ``count`` blocks of ``blocklength`` elements,
     block starts ``stride`` elements apart.

@@ -85,13 +85,15 @@ class HaloCostBreakdown:
 class HaloExchangeModel:
     """Cost of the 6-face, 2-variable ghost exchange of Section 3.3."""
 
+    #: fields exchanged per face: U and V
+    nvars = 2
+
     def __init__(
         self,
         placement: Placement,
         cart_dims: tuple[int, int, int],
         local_shape: tuple[int, int, int],
         *,
-        nvars: int = 2,
         itemsize: int = 8,
         periodic: bool = True,
         gpu_aware: bool = False,
@@ -100,7 +102,6 @@ class HaloExchangeModel:
         self.placement = placement
         self.cart_dims = cart_dims
         self.local_shape = local_shape
-        self.nvars = nvars
         self.itemsize = itemsize
         #: Gray-Scott runs on a periodic domain, so every rank exchanges
         #: all six faces; the per-rank comm spread then comes only from

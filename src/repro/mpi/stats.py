@@ -74,26 +74,6 @@ class CommStats:
             messages, nbytes = self._coll.get(name, (0, 0))
             return CommTotals(messages=messages, bytes=nbytes)
 
-    def peer_matrix(self):
-        """(nranks x nranks) message-count matrix (src row, dst column)."""
-        import numpy as np
-
-        matrix = np.zeros((self.nranks, self.nranks), dtype=np.int64)
-        with self._lock:
-            for (src, dst), (messages, _) in self._p2p.items():
-                matrix[src, dst] = messages
-        return matrix
-
-    def byte_matrix(self):
-        """(nranks x nranks) point-to-point byte-volume matrix."""
-        import numpy as np
-
-        matrix = np.zeros((self.nranks, self.nranks), dtype=np.int64)
-        with self._lock:
-            for (src, dst), (_, nbytes) in self._p2p.items():
-                matrix[src, dst] = nbytes
-        return matrix
-
     def to_metrics(self, registry) -> None:
         """Export every counter into a metrics registry.
 

@@ -22,16 +22,12 @@ runtime layers checks :func:`active` first, so a disabled run pays one
 attribute read per hook site. See ``docs/OBSERVABILITY.md``.
 
 For runs too large to buffer, :mod:`repro.observe.stream` replaces
-"accumulate then dump" with streaming sinks attached to the tracer: a
-sharded Perfetto-JSONL writer (:class:`ShardedPerfettoWriter`), a
-crash-telemetry ring buffer (:class:`FlightRecorder`), and periodic
-live metrics snapshots (:class:`MetricsAggregator`).
+"accumulate then dump" with a streaming sink attached to the tracer:
+a sharded Perfetto-JSONL writer (:class:`ShardedPerfettoWriter`).
 """
 
 from repro.observe.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.observe.stream import (
-    FlightRecorder,
-    MetricsAggregator,
     ShardedPerfettoWriter,
     merge_shards,
     write_merged,
@@ -52,10 +48,8 @@ __all__ = [
     "SIM",
     "WALL",
     "Counter",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
-    "MetricsAggregator",
     "MetricsRegistry",
     "ShardedPerfettoWriter",
     "SpanRecord",

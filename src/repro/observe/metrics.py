@@ -119,17 +119,6 @@ class Histogram:
             "p95": self.percentile(95),
         }
 
-    def snapshot(self) -> dict:
-        """The live-metrics record: :meth:`summary` plus the p99 tail.
-
-        This is what :class:`repro.observe.stream.MetricsAggregator`
-        publishes per interval; an empty histogram snapshots to
-        ``{"count": 0}`` instead of raising.
-        """
-        if not self.samples:
-            return {"count": 0}
-        return {**self.summary(), "p99": self.percentile(99)}
-
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 

@@ -12,14 +12,10 @@ list empty):
   :func:`merge_shards` reassembles a monolithic Chrome trace
   **byte-identical** to what :func:`repro.observe.export.
   write_chrome_trace` would have produced from a retained tracer.
-- :class:`FlightRecorder` — a per-lane ring buffer keeping only the
-  last N spans per lane plus every error/slow span; dumpable on demand
-  or on exception (crash telemetry for long campaigns).
-- :class:`MetricsAggregator` — periodic snapshots of a registry
-  (counter rates, gauge values, histogram p50/p95/p99), optionally
-  published over the :mod:`repro.adios.sst` streaming engine so an
-  attached :class:`~repro.adios.sst.SSTReader` watches a run in
-  flight (:class:`LiveMetricsPublisher` / :func:`read_live_snapshot`).
+- :class:`LiveMetricsPublisher` — JSON records published over the
+  :mod:`repro.adios.sst` streaming engine, so an attached
+  :class:`~repro.adios.sst.SSTReader` watches a run in flight
+  (:func:`read_live_snapshot`).
 
 Shard format (``repro.observe.shards/1``)
 -----------------------------------------
@@ -50,16 +46,13 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from collections import deque
-from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from threading import Lock
 
 import numpy as np
 
-from repro.observe.metrics import MetricsRegistry
 from repro.observe.trace import (
     ID,
     TAG,
@@ -75,8 +68,6 @@ from repro.util.errors import ObserveError
 #: schema identifier written to shard manifests
 SHARD_SCHEMA = "repro.observe.shards/1"
 
-#: schema identifier of live metrics snapshots
-LIVE_SCHEMA = "repro.observe.live/1"
 
 #: the index file of a shard directory
 MANIFEST_NAME = "manifest.json"
@@ -669,185 +660,8 @@ def tail_spans(source, n: int = 20) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# the flight recorder
-# ---------------------------------------------------------------------------
-
-
-class FlightRecorder(TraceSink):
-    """Crash telemetry: keep the recent past, never the whole run.
-
-    Retains a ring of the last ``per_lane`` spans for every lane, plus
-    *every* span flagged as an error (a truthy ``error`` arg) or slower
-    than ``slow_seconds``. Memory is bounded by ``lanes x per_lane +
-    kept``, independent of run length. :meth:`dump` rebuilds a retained
-    tracer in original record order; :meth:`guard` dumps automatically
-    when the guarded block raises.
-    """
-
-    def __init__(
-        self,
-        *,
-        per_lane: int = 64,
-        slow_seconds: float | None = None,
-        keep=None,
-    ):
-        if per_lane < 1:
-            raise ObserveError(f"per_lane must be >= 1, got {per_lane}")
-        self.per_lane = int(per_lane)
-        self.slow_seconds = slow_seconds
-        self.keep = keep
-        self.evicted = 0
-        self.recorded = 0
-        self._lock = Lock()
-        self._seq = 0
-        self._rings: dict[tuple[str, str], deque] = {}
-        self._kept: list[tuple[int, SpanRecord]] = []
-
-    def _retain_always(self, span: SpanRecord) -> bool:
-        if span.arg("error"):
-            return True
-        if (
-            self.slow_seconds is not None
-            and span.ph == "X"
-            and span.seconds >= self.slow_seconds
-        ):
-            return True
-        return bool(self.keep and self.keep(span))
-
-    def record(self, span: SpanRecord) -> None:
-        with self._lock:
-            self._seq += 1
-            self.recorded += 1
-            if self._retain_always(span):
-                self._kept.append((self._seq, span))
-                return
-            ring = self._rings.get(span.lane)
-            if ring is None:
-                ring = self._rings[span.lane] = deque(maxlen=self.per_lane)
-            if len(ring) == self.per_lane:
-                self.evicted += 1
-            ring.append((self._seq, span))
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._kept) + sum(len(r) for r in self._rings.values())
-
-    def spans(self) -> list[SpanRecord]:
-        """Retained spans, in original record order."""
-        with self._lock:
-            entries = list(self._kept)
-            for ring in self._rings.values():
-                entries.extend(ring)
-        entries.sort(key=lambda pair: pair[0])
-        return [span for _, span in entries]
-
-    def dump(self) -> Tracer:
-        """Rebuild the retained window as a fresh tracer (exportable)."""
-        tracer = Tracer()
-        for span in self.spans():
-            tracer.add_span(
-                span.name,
-                cat=span.cat,
-                clock=span.clock,
-                process=span.process,
-                thread=span.thread,
-                start=span.start,
-                seconds=span.seconds,
-                args=span.args_dict(),
-                ph=span.ph,
-            )
-        return tracer
-
-    def dump_chrome(self, path) -> Path:
-        from repro.observe.export import write_chrome_trace
-
-        return write_chrome_trace(self.dump(), path)
-
-    @contextmanager
-    def guard(self, path):
-        """Dump the flight record to ``path`` if the block raises."""
-        try:
-            yield self
-        except BaseException:
-            self.dump_chrome(path)
-            raise
-
-
-# ---------------------------------------------------------------------------
 # live metrics
 # ---------------------------------------------------------------------------
-
-
-class MetricsAggregator:
-    """Periodic bounded snapshots of a :class:`MetricsRegistry`.
-
-    Each :meth:`snapshot` reports every counter's value *and rate since
-    the previous snapshot*, every gauge's current value, and each
-    histogram's count/p50/p95/p99 — a fixed-size record regardless of
-    how many samples the histograms pooled. With a ``publisher`` the
-    snapshot is also pushed over the SST streaming engine so a live
-    client can watch the run.
-    """
-
-    def __init__(self, registry: MetricsRegistry, *, publisher=None):
-        self.registry = registry
-        self.publisher = publisher
-        self.snapshots = 0
-        self._last_time: float | None = None
-        self._last_counts: dict[tuple, float] = {}
-
-    def snapshot(self, *, now: float | None = None) -> dict:
-        """One live record; ``now`` defaults to the monotonic wall clock.
-
-        Pass an explicit ``now`` (e.g. virtual seconds) to make rates
-        deterministic.
-        """
-        if now is None:
-            now = time.monotonic()
-        interval = (
-            None if self._last_time is None else float(now - self._last_time)
-        )
-        counters = []
-        for metric in self.registry.counters():
-            key = (metric.name, metric.labels)
-            rate = None
-            if interval is not None and interval > 0:
-                rate = (metric.value - self._last_counts.get(key, 0.0)) / interval
-            self._last_counts[key] = metric.value
-            counters.append(
-                {
-                    "name": metric.name,
-                    "labels": dict(metric.labels),
-                    "value": metric.value,
-                    "rate": rate,
-                }
-            )
-        gauges = [
-            {"name": m.name, "labels": dict(m.labels), "value": m.value}
-            for m in self.registry.gauges()
-        ]
-        histograms = [
-            {"name": m.name, "labels": dict(m.labels), **m.snapshot()}
-            for m in self.registry.histograms()
-        ]
-        self._last_time = now
-        self.snapshots += 1
-        record = {
-            "schema": LIVE_SCHEMA,
-            "seq": self.snapshots,
-            "time": float(now),
-            "interval_seconds": interval,
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
-        }
-        if self.publisher is not None:
-            self.publisher.publish(record)
-        return record
-
-    def close(self) -> None:
-        if self.publisher is not None:
-            self.publisher.close()
 
 
 class LiveMetricsPublisher:

@@ -245,9 +245,8 @@ class TraceSink:
 
     A sink sees every span at the moment it is recorded (under the
     tracer's lock, so implementations must not re-enter the tracer).
-    The base class is a no-op; concrete sinks live in
-    :mod:`repro.observe.stream` (sharded Perfetto writer, flight
-    recorder, metrics aggregator).
+    The base class is a no-op; the sharded Perfetto writer in
+    :mod:`repro.observe.stream` is the concrete sink.
     """
 
     def record(self, span: SpanRecord) -> None:  # pragma: no cover
@@ -465,14 +464,6 @@ class Tracer:
             out.setdefault(record.lane, []).append(record)
         for records in out.values():
             records.sort(key=lambda r: (r.start, -r.seconds))
-        return out
-
-    def by_category(self) -> dict[str, list[SpanRecord]]:
-        out: dict[str, list[SpanRecord]] = {}
-        with self._lock:
-            spans = list(self.spans)
-        for record in spans:
-            out.setdefault(record.cat, []).append(record)
         return out
 
     def select(self, *, cat: str | None = None, name: str | None = None):

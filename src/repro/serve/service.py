@@ -357,10 +357,8 @@ class SimService:
             except Exception as exc:  # noqa: BLE001 - job boundary
                 self._fail(record, exc)
             else:
-                cost = time.perf_counter() - record.started_at
                 self.store.put(
                     record.key, payload["result"], payload["rendered"],
-                    cost_seconds=cost,
                     extras={"provenance": payload["provenance"]},
                 )
                 self._finish(record, payload["result"], payload["rendered"],

@@ -29,9 +29,6 @@ class CacheEntry:
     result: object
     #: the report text rendered exactly once, when the entry was stored
     rendered: str
-    #: wall seconds the cold execution cost (what a hit saves)
-    cost_seconds: float
-    hits: int = 0
     #: insertion sequence number (monotonic per store)
     seq: int = 0
     #: extra presentation payloads, e.g. provenance JSON
@@ -67,7 +64,6 @@ class ResultStore:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
-            entry.hits += 1
             self.hits += 1
             return entry
 
@@ -82,7 +78,6 @@ class ResultStore:
         result: object,
         rendered: str,
         *,
-        cost_seconds: float = 0.0,
         extras: dict | None = None,
     ) -> CacheEntry:
         """Store a cold run's outcome; evicts the LRU entry at capacity.
@@ -96,7 +91,6 @@ class ResultStore:
                 key=key,
                 result=result,
                 rendered=rendered,
-                cost_seconds=cost_seconds,
                 seq=self._seq,
                 extras=dict(extras or {}),
             )
@@ -112,11 +106,6 @@ class ResultStore:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def saved_seconds(self) -> float:
-        """Total compute seconds answered from cache instead of rerun."""
-        with self._lock:
-            return sum(e.cost_seconds * e.hits for e in self._entries.values())
 
     def stats(self) -> dict:
         with self._lock:

@@ -20,7 +20,6 @@ from repro.util.units import (
     format_bytes,
     format_bandwidth,
     format_seconds,
-    parse_bytes,
 )
 from repro.util.rngs import RngStream, seed_for
 from repro.util.timers import WallTimer, SimClock, Stopwatch
@@ -41,7 +40,6 @@ __all__ = [
     "format_bytes",
     "format_bandwidth",
     "format_seconds",
-    "parse_bytes",
     "RngStream",
     "seed_for",
     "WallTimer",

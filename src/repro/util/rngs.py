@@ -179,22 +179,6 @@ def seed_for(root_seed: int, *key: int | str) -> np.random.SeedSequence:
     return np.random.SeedSequence(root_seed, spawn_key=_key_to_ints(key))
 
 
-def task_stream(root_seed: int, task_index: int, *key: int | str) -> "RngStream":
-    """A spawn-safe per-task stream for process-parallel fan-out.
-
-    Keyed by the **task index**, never the worker id, so a sweep run
-    under ``repro.par.run_tasks`` draws identical numbers at ``jobs=1``
-    and ``jobs=N`` for any N: which worker executes a task carries no
-    entropy. Task functions that need randomness should derive every
-    generator from this stream (or any other pure function of the root
-    seed, as the model layers already do) rather than from process-local
-    state.
-    """
-    if task_index < 0:
-        raise ValueError(f"task_index must be >= 0, got {task_index}")
-    return RngStream(root_seed, ("par.task", task_index) + tuple(key))
-
-
 @dataclass(frozen=True)
 class RngStream:
     """A named, hierarchical random stream.

@@ -7,8 +7,6 @@ code never multiplies the wrong constant.
 
 from __future__ import annotations
 
-import re
-
 # Decimal (SI) byte units — used for bandwidths throughout the paper.
 KB = 1_000
 MB = 1_000_000
@@ -23,22 +21,6 @@ TiB = 1 << 40
 
 _SI_SUFFIXES = [(TB, "TB"), (GB, "GB"), (MB, "MB"), (KB, "KB")]
 _IEC_SUFFIXES = [(TiB, "TiB"), (GiB, "GiB"), (MiB, "MiB"), (KiB, "KiB")]
-
-_PARSE_RE = re.compile(
-    r"^\s*(?P<num>[0-9]*\.?[0-9]+)\s*(?P<unit>[KMGT]i?B|B)?\s*$", re.IGNORECASE
-)
-
-_UNIT_FACTORS = {
-    "b": 1,
-    "kb": KB,
-    "mb": MB,
-    "gb": GB,
-    "tb": TB,
-    "kib": KiB,
-    "mib": MiB,
-    "gib": GiB,
-    "tib": TiB,
-}
 
 
 def format_bytes(nbytes: float, *, binary: bool = False, precision: int = 2) -> str:
@@ -88,20 +70,3 @@ def format_seconds(seconds: float, *, precision: int = 2) -> str:
     if seconds < 120.0:
         return f"{seconds:.{precision}f} s"
     return f"{seconds / 60.0:.{precision}f} min"
-
-
-def parse_bytes(text: str | int | float) -> int:
-    """Parse a human byte string such as ``"64 GiB"`` or ``"5.5TB"``.
-
-    Bare numbers are taken as bytes. Raises ``ValueError`` on garbage.
-    """
-    if isinstance(text, (int, float)):
-        if text < 0:
-            raise ValueError(f"byte count must be non-negative, got {text}")
-        return int(text)
-    match = _PARSE_RE.match(text)
-    if match is None:
-        raise ValueError(f"cannot parse byte size: {text!r}")
-    value = float(match.group("num"))
-    unit = (match.group("unit") or "B").lower()
-    return int(value * _UNIT_FACTORS[unit])

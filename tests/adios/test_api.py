@@ -70,12 +70,3 @@ class TestIO:
         io = IO("x")
         io.set_parameter("NumAggregators", 4)
         assert io.parameters["NumAggregators"] == "4"
-
-    def test_variable_summary(self):
-        io = IO("x")
-        io.define_variable("U", np.float64, shape=(4, 4, 4), count=(4, 4, 4))
-        assert io.variable_summary("U") == ("float64", (4, 4, 4))
-        io.remember_remote_variable("V", "float32", (8, 8))
-        assert io.variable_summary("V") == ("float32", (8, 8))
-        with pytest.raises(VariableError):
-            io.variable_summary("W")

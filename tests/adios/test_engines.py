@@ -375,6 +375,23 @@ class TestReaderSelections:
         assert blocks[0].count == (8, 8, 8)
 
 
+class TestIndexMinmax:
+    def test_spans_every_step(self, tmp_path):
+        io = Adios().declare_io("mm")
+        path = tmp_path / "mm.bp"
+        u = io.define_variable("U", np.float64, shape=(4,), count=(4,))
+        with io.open(path, "w") as engine:
+            for lo in (5.0, -3.0, 1.0):
+                engine.begin_step()
+                engine.put(u, lo + np.arange(4.0))
+                engine.end_step()
+        assert read_index(path).var_minmax("U") == (-3.0, 8.0)
+
+    def test_variable_without_blocks_is_corrupt(self):
+        with pytest.raises(CorruptFileError, match="has no blocks"):
+            bp5.Bp5Index().var_minmax("U")
+
+
 class TestParallelWriter:
     @staticmethod
     def _parallel_write(path, nranks, shape_per_rank=(4, 4, 4), aggregators=None):

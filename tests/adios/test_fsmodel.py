@@ -38,14 +38,6 @@ class TestContentionEfficiency:
 
 
 class TestLustreModel:
-    def test_aggregate_capped_at_peak(self):
-        model = LustreModel()
-        assert model.aggregate_write_bandwidth(9000) <= 5.5 * TB
-
-    def test_aggregate_grows_with_nodes(self):
-        model = LustreModel()
-        assert model.aggregate_write_bandwidth(512) > model.aggregate_write_bandwidth(8)
-
     def test_write_seconds_deterministic(self):
         a = LustreModel(seed=1).write_seconds_per_node(8, 1 * GB, sample=3)
         b = LustreModel(seed=1).write_seconds_per_node(8, 1 * GB, sample=3)

@@ -3,7 +3,8 @@ import pytest
 
 from repro.adios.api import Adios
 from repro.adios.engines import BP5Reader
-from repro.adios.query import RangeQuery, query_blocks, read_matching
+from repro.adios.query import QueryResult, RangeQuery, query_blocks, read_matching
+from repro.adios.variable import BlockInfo
 from repro.mpi.executor import run_spmd
 from repro.util.errors import VariableError
 
@@ -47,6 +48,32 @@ class TestRangeQuery:
         q = RangeQuery(lo=1.0, hi=2.0)
         data = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
         assert list(q.mask(data)) == [False, True, True, True, False]
+
+
+    @pytest.mark.parametrize(
+        "lo,hi,may_match",
+        [
+            (2.0, None, True),  # touches the block's max
+            (2.000001, None, False),
+            (None, 1.0, True),  # touches the block's min
+            (None, 0.999999, False),
+            (1.2, 1.8, True),  # inside
+            (0.0, 3.0, True),  # covers
+        ],
+    )
+    def test_block_may_match_bounds_are_inclusive(self, lo, hi, may_match):
+        block = BlockInfo(
+            var="U", step=0, writer_rank=0, subfile=0, offset=0, nbytes=8,
+            start=(0,), count=(1,), vmin=1.0, vmax=2.0, crc32=0,
+        )
+        assert RangeQuery(lo=lo, hi=hi).block_may_match(block) is may_match
+
+    def test_no_blocks_is_nothing_pruned(self):
+        empty = QueryResult(
+            coords=np.zeros((0, 3), dtype=np.int64), values=np.zeros(0),
+            blocks_total=0, blocks_read=0,
+        )
+        assert empty.pruned_fraction == 0.0
 
 
 class TestQueryPushdown:

@@ -3,12 +3,12 @@ import pytest
 
 from repro.analysis.imageio import (
     colormap,
-    read_pgm,
     snapshot_dataset,
     write_pgm,
     write_ppm,
 )
 from repro.util.errors import ReproError
+from tests.oracles.readers import read_pgm
 
 
 class TestPgm:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.slices import center_slice, slice_at, slice_series
+from repro.analysis.slices import slice_at
 from repro.util.errors import ReproError
 
 
@@ -19,9 +19,6 @@ class TestSliceAt:
     def test_center_default(self, field):
         assert np.array_equal(slice_at(field, axis=1), field[:, 2, :])
 
-    def test_center_slice_helper(self, field):
-        assert np.array_equal(center_slice(field, axis=0), field[1])
-
     def test_result_contiguous(self, field):
         assert slice_at(np.asfortranarray(field), axis=0, index=0).flags.c_contiguous
 
@@ -36,8 +33,3 @@ class TestSliceAt:
     def test_non_3d(self):
         with pytest.raises(ReproError):
             slice_at(np.zeros((4, 4)))
-
-    def test_series(self, field):
-        out = slice_series([field, field + 1], axis=2, index=0)
-        assert len(out) == 2
-        assert np.array_equal(out[1], field[:, :, 0] + 1)

@@ -4,7 +4,6 @@ import pytest
 from repro.analysis.spectrum import (
     dominant_wavelength,
     radial_power_spectrum,
-    structure_evolution,
 )
 from repro.util.errors import ReproError
 
@@ -60,21 +59,3 @@ class TestDominantWavelength:
         plane = GrayScottDataset(settings.output).slice2d("V", axis=2)
         wavelength = dominant_wavelength(plane)
         assert 3.0 < wavelength < 32.0
-
-
-class TestStructureEvolution:
-    def test_time_series_shapes(self, tmp_path):
-        from repro import GrayScottSettings, Workflow
-        from repro.analysis.reader import GrayScottDataset
-
-        settings = GrayScottSettings(
-            L=16, steps=40, plotgap=10, noise=0.01,
-            output=str(tmp_path / "evo.bp"),
-        )
-        Workflow(settings).run(analyze=False)
-        ds = GrayScottDataset(settings.output)
-        evo = structure_evolution(ds)
-        assert len(evo["steps"]) == 5
-        assert np.array_equal(evo["sim_steps"], [0, 10, 20, 30, 40])
-        assert (evo["active_fraction"] >= 0).all()
-        assert evo["mean"].shape == (5,)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from repro.analysis.vtk import export_dataset_step, read_vti_field, write_vti
+from repro.analysis.vtk import write_vti
 from repro.util.errors import ReproError
+from tests.oracles.readers import read_vti_field
 
 
 class TestWriteVti:
@@ -57,19 +58,3 @@ class TestWriteVti:
         path = write_vti({"U": np.zeros((2, 2, 2))}, tmp_path / "r.vti")
         with pytest.raises(ReproError, match="no DataArray"):
             read_vti_field(path, "W")
-
-
-class TestExportDatasetStep:
-    def test_exports_last_step(self, tmp_path):
-        from repro import GrayScottSettings, Workflow
-        from repro.analysis.reader import GrayScottDataset
-
-        settings = GrayScottSettings(
-            L=8, steps=4, plotgap=2, noise=0.0,
-            output=str(tmp_path / "v.bp"),
-        )
-        Workflow(settings).run(analyze=False)
-        ds = GrayScottDataset(settings.output)
-        path = export_dataset_step(ds, tmp_path / "step.vti")
-        u = read_vti_field(path, "U")
-        assert np.allclose(u, ds.field("U"), atol=1e-8)

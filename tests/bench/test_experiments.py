@@ -98,6 +98,17 @@ class TestFig7:
         text = fig7.render(fig7.run(ngpus=256))
         assert "JIT first run" in text and "histogram" in text
 
+    def test_cost_factor_is_the_inverse_bandwidth_ratio(self):
+        import numpy as np
+
+        result = fig7.Fig7Result(
+            ngpus=4, steps=10,
+            optimized_gb_s=np.array([100.0, 100.0, 120.0, 80.0]),
+            jit_gb_s=np.array([10.0, 6.0, 8.0, 8.0]),
+        )
+        assert result.jit_fraction == pytest.approx(0.08)
+        assert result.jit_cost_factor == pytest.approx(12.5)
+
     def test_deterministic(self):
         import numpy as np
 

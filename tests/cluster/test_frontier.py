@@ -1,6 +1,6 @@
 import pytest
 
-from repro.cluster.frontier import FRONTIER, GcdSpec
+from repro.cluster.frontier import FRONTIER, GcdSpec, extrapolated_machine
 from repro.util.units import GB, GiB, TB
 
 
@@ -66,3 +66,19 @@ class TestMachineSpec:
         assert spec.tcc_bytes == 8 * (1 << 20)
         assert spec.cache_line_bytes == 64
         assert spec.max_workgroup_size == 1024
+
+
+class TestExtrapolatedMachine:
+    @pytest.mark.parametrize("nodes", [1, 512, 9408])
+    def test_within_the_machine_is_the_machine(self, nodes):
+        assert extrapolated_machine(nodes=nodes) is FRONTIER
+
+    def test_scales_only_the_node_count(self):
+        big = extrapolated_machine(nodes=131_072)
+        assert big.nodes == 131_072
+        assert big.name == "Frontierx131072"
+        assert big.total_gcds == 131_072 * 8
+        assert big.node == FRONTIER.node
+        assert big.filesystem == FRONTIER.filesystem
+        assert big.software == FRONTIER.software
+        assert FRONTIER.nodes == 9408

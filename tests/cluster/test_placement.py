@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from repro.cluster.frontier import FRONTIER
@@ -31,13 +32,7 @@ class TestPlacement:
 
     def test_ranks_on_node(self):
         p = Placement(12)
-        assert p.ranks_on_node(0) == list(range(8))
-        assert p.ranks_on_node(1) == [8, 9, 10, 11]
-        with pytest.raises(ValueError):
-            p.ranks_on_node(2)
-
-    def test_system_fraction(self):
-        assert Placement(4096).system_fraction == pytest.approx(512 / 9408)
+        assert p.nodes_of(np.arange(12)).tolist() == [0] * 8 + [1] * 4
 
     def test_out_of_range_rank(self):
         with pytest.raises(ValueError):
@@ -73,8 +68,7 @@ class TestRoundRobinPlacement:
     def test_ranks_on_node(self):
         p = Placement(8, ranks_per_node=4, strategy="roundrobin")
         assert p.nnodes == 2
-        assert p.ranks_on_node(0) == [0, 2, 4, 6]
-        assert p.ranks_on_node(1) == [1, 3, 5, 7]
+        assert p.nodes_of(np.arange(8)).tolist() == [0, 1] * 4
 
     def test_gcd_within_limits(self):
         p = Placement(12, strategy="roundrobin")

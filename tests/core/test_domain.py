@@ -4,10 +4,11 @@ import pytest
 from repro.core.domain import (
     FaceSpec,
     LocalDomain,
+    base_datatype_for,
     block_range,
 )
 from repro.core.exchange import exchange_ghosts, exchange_plan
-from repro.mpi.datatypes import pack
+from repro.mpi.datatypes import DOUBLE, FLOAT, pack
 from repro.util.errors import ConfigError
 
 
@@ -36,6 +37,20 @@ class TestBlockRange:
     def test_bad_index(self):
         with pytest.raises(ConfigError):
             block_range(8, 2, 2)
+
+
+
+class TestBaseDatatypeFor:
+    @pytest.mark.parametrize(
+        "dtype,base", [(np.float64, DOUBLE), ("float32", FLOAT)]
+    )
+    def test_field_precisions(self, dtype, base):
+        assert base_datatype_for(dtype) is base
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32])
+    def test_other_dtypes_rejected(self, dtype):
+        with pytest.raises(ConfigError, match="no MPI base datatype"):
+            base_datatype_for(dtype)
 
 
 class TestLocalDomain:

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -44,13 +46,13 @@ class TestInSituMonitor:
         serial = Simulation(settings)
         serial_monitor = InSituMonitor()
         serial.run(4, on_step=serial_monitor)
-        expected = [s.as_tuple() for s in serial_monitor.series("v")]
+        expected = [astuple(s) for s in serial_monitor.series("v")]
 
         def worker(comm):
             sim = Simulation(settings, comm)
             monitor = InSituMonitor()
             sim.run(4, on_step=monitor)
-            return [s.as_tuple() for s in monitor.series("v")]
+            return [astuple(s) for s in monitor.series("v")]
 
         for got in run_spmd(worker, 8, timeout=120):
             for (s1, lo1, hi1, m1, l1), (s2, lo2, hi2, m2, l2) in zip(expected, got):
@@ -58,14 +60,6 @@ class TestInSituMonitor:
                 assert lo1 == lo2 and hi1 == hi2
                 assert m1 == pytest.approx(m2, rel=1e-12)
                 assert l1 == pytest.approx(l2, rel=1e-12)
-
-    def test_as_arrays(self):
-        sim = Simulation(_settings())
-        monitor = InSituMonitor()
-        sim.run(3, on_step=monitor)
-        arrays = monitor.as_arrays("u")
-        assert set(arrays) == {"step", "min", "max", "mean", "l2"}
-        assert arrays["mean"].shape == (3,)
 
     def test_render(self):
         sim = Simulation(_settings())

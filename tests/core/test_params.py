@@ -1,6 +1,6 @@
 import pytest
 
-from repro.core.params import GrayScottParams, PEARSON_REGIMES, regime_params
+from repro.core.params import GrayScottParams, PEARSON_REGIMES
 from repro.util.errors import ConfigError
 
 
@@ -46,24 +46,10 @@ class TestGrayScottParams:
 
 
 class TestPearsonRegimes:
-    def test_regime_lookup(self):
-        p = regime_params("alpha")
-        assert (p.F, p.k) == PEARSON_REGIMES["alpha"]
-
-    def test_regime_with_overrides(self):
-        p = regime_params("beta", noise=0.0)
-        assert p.noise == 0.0
-        assert p.F == PEARSON_REGIMES["beta"][0]
-
-    def test_unknown_regime(self):
-        with pytest.raises(ConfigError):
-            regime_params("omega")
-
     def test_paper_regime_matches_defaults(self):
-        p = regime_params("paper")
         d = GrayScottParams()
-        assert (p.F, p.k) == (d.F, d.k)
+        assert PEARSON_REGIMES["paper"] == (d.F, d.k)
 
     def test_all_regimes_are_stable(self):
-        for name in PEARSON_REGIMES:
-            regime_params(name)  # construction validates
+        for F, k in PEARSON_REGIMES.values():
+            GrayScottParams(F=F, k=k)  # construction validates

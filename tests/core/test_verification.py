@@ -7,14 +7,13 @@ from repro.core.params import GrayScottParams
 from repro.core.domain import LocalDomain
 from repro.core.exchange import exchange_ghosts, exchange_plan
 from repro.core.stencil import kernel_args, make_gray_scott_kernel
-from repro.core.verification import (
+from repro.gpu.kernel import LaunchConfig
+from repro.util.errors import ConfigError
+from tests.oracles.diffusion import (
     diffusion_error,
     exact_diffusion_evolution,
     laplacian_eigenvalues,
-    max_stable_dt,
 )
-from repro.gpu.kernel import LaunchConfig
-from repro.util.errors import ConfigError
 
 
 class TestEigenvalues:
@@ -58,11 +57,6 @@ class TestExactEvolution:
         field = rng.random((8, 8, 8))
         out = exact_diffusion_evolution(field, 0.3, 1.0, 5000)
         assert np.allclose(out, field.mean(), atol=1e-8)
-
-    def test_max_stable_dt(self):
-        assert max_stable_dt(0.5) == 2.0
-        with pytest.raises(ConfigError):
-            max_stable_dt(0.0)
 
 
 class TestSolverMatchesExactSolution:
@@ -138,13 +132,6 @@ class TestTemporalConvergenceOrder:
     """
 
     def _mode_error(self, dt, *, D=0.2, T=8.0, n=16):
-        import numpy as np
-
-        from repro.core.verification import (
-            exact_diffusion_evolution,
-            laplacian_eigenvalues,
-        )
-
         x = np.arange(n)
         mode = np.cos(2 * np.pi * x / n)
         field0 = np.asfortranarray(

@@ -162,6 +162,25 @@ class TestNetworkWiring:
             first.rank_finish_seconds, again.rank_finish_seconds
         )
 
+    @pytest.mark.parametrize("precision,itemsize", [("float64", 8), ("float32", 4)])
+    def test_halo_faces_priced_at_the_field_itemsize(self, precision, itemsize):
+        # the real exchange sends the field's dtype, so a float32 run's
+        # faces are half the bytes of a float64 run's
+        from repro.mpi.netmodel import HaloExchangeModel
+        from tests.oracles import netmodel as oracle
+
+        wf = VirtualWorkflow(_settings(precision=precision), nranks=16)
+        halo = HaloExchangeModel(
+            wf.placement, wf.cart_dims, wf.local_shape,
+            itemsize=itemsize, machine=wf.machine,
+        )
+        expected = np.array(
+            [oracle.rank_step_breakdown(halo, r).total_seconds for r in range(16)]
+        )
+        np.testing.assert_array_equal(wf._comm_seconds(), expected)
+        result = wf.run()
+        assert result.comm_seconds_mean == pytest.approx(expected.mean())
+
     def test_nic_pool_matches_node_spec(self):
         from repro.cluster.frontier import FRONTIER
 

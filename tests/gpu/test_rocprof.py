@@ -45,13 +45,6 @@ class TestProfiler:
         assert starts == sorted(starts)
         assert profiler.events[-1].end == pytest.approx(device.clock.now)
 
-    def test_kernel_events_query(self, profiled_device):
-        device, profiler = profiled_device
-        kernel = _launch_steps(device, steps=2)
-        events = profiler.kernel_events(kernel.name)
-        assert len(events) == 2
-        assert all(e.cost is not None for e in events)
-
 
 class TestRocprofReport:
     def test_stats_aggregation(self, profiled_device):
@@ -60,27 +53,9 @@ class TestRocprofReport:
         report = profiler.report()
         stats = report.stats[kernel.name]
         assert stats.calls == 4
-        assert stats.avg_seconds > 0
+        assert stats.total_seconds > 0
         assert stats.avg_fetch_bytes > 0
-        assert stats.tcc_miss_m > 0
-
-    def test_render_table_has_table3_rows(self, profiled_device):
-        device, profiler = profiled_device
-        _launch_steps(device)
-        text = profiler.report().render_table()
-        for row in ("wgr", "lds", "scr", "FETCH_SIZE", "WRITE_SIZE",
-                    "TCC_HIT", "TCC_MISS", "Avg Duration"):
-            assert row in text
-
-    def test_attach_codegen(self, profiled_device):
-        device, profiler = profiled_device
-        kernel = _launch_steps(device)
-        report = profiler.report()
-        compiled, _ = device.jit.compile(kernel, ())
-        report.attach_codegen(kernel.name, compiled)
-        stats = report.stats[kernel.name]
-        assert stats.lds_bytes == 29_184
-        assert stats.workgroup_size == 512
+        assert stats.tcc_misses > 0
 
     def test_render_trace(self, profiled_device):
         device, profiler = profiled_device
@@ -97,49 +72,6 @@ class TestRocprofReport:
         _launch_steps(device)
         other = profiler.report(device="nonexistent")
         assert not other.stats
-
-
-class TestReplayInto:
-    def test_events_become_sim_spans(self, profiled_device):
-        from repro.observe import SIM, Tracer
-
-        device, profiler = profiled_device
-        kernel = _launch_steps(device, steps=2)
-        device.record_transfer("H2D", 4096)
-        tracer = Tracer()
-        emitted = profiler.replay_into(tracer)
-        assert emitted == len(profiler.events) == len(tracer.spans)
-        assert all(r.clock == SIM for r in tracer.spans)
-        # same lane scheme as the live gpu.memory hooks
-        lanes = tracer.lanes()
-        assert ("gcd0", "jit") in lanes
-        assert ("gcd0", "kernel") in lanes
-        assert ("gcd0", "copy") in lanes
-        kernels = tracer.select(name=kernel.name)
-        assert len(kernels) == 2
-        assert kernels[0].arg("bytes") > 0
-        (copy,) = tracer.select(name="memcpy.H2D")
-        assert copy.arg("bytes") == 4096
-
-    def test_replay_matches_live_tracing(self):
-        """Offline replay produces the same gpu lanes a live session does."""
-        from repro.observe import Tracer, trace
-
-        with trace.session() as live:
-            device = Device(name="gcd0", backend="julia")
-            _launch_steps(device, steps=2)
-
-        profiler = Profiler()
-        device2 = Device(name="gcd0", backend="julia", profiler=profiler)
-        _launch_steps(device2, steps=2)
-        replayed = Tracer()
-        profiler.replay_into(replayed)
-
-        live_gpu = [(r.name, r.lane, r.start) for r in live.select(cat="gpu")]
-        replay_gpu = [
-            (r.name, r.lane, r.start) for r in replayed.select(cat="gpu")
-        ]
-        assert live_gpu == replay_gpu
 
 
 class TestCsvExport:

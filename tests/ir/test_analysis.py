@@ -138,14 +138,6 @@ class TestReachingDefs:
         ])
         assert reaching_definitions(func).dead_stores == ()
 
-    def test_unused_results(self):
-        func = _func([
-            LoadOp("%1", "u", (Z, Y, X)),
-            LoadOp("%2", "u", (Z + C(1), Y, X)),
-            StoreOp("out", (Z, Y, X), "%1"),
-        ])
-        assert reaching_definitions(func).unused_results() == ["%2"]
-
 
 class TestRedundantLoads:
     def test_duplicate_load_grouped(self):

@@ -2,7 +2,6 @@
 
 import json
 
-from repro.gpu.occupancy import occupancy_for, occupancy_for_func
 from repro.ir.build import workflow_module
 from repro.ir.perfmodel import counterfactual, predict_module, simulate_module
 
@@ -72,27 +71,3 @@ class TestExactSimulation:
         assert result.after.fetch_bytes < result.before.fetch_bytes
         assert result.bytes_saved > 100_000
         assert result.speedup > 1.0
-
-
-class TestOccupancyForFunc:
-    def test_untiled_func_matches_backend(self):
-        func = workflow_module().funcs[0]
-        assert func.tile is None
-        assert (
-            occupancy_for_func(func, "julia").occupancy
-            == occupancy_for("julia").occupancy
-        )
-
-    def test_tiled_func_charges_lds(self):
-        from repro.ir.passes import parse_pipeline
-
-        func = workflow_module().funcs[0]
-        (tiler,) = parse_pipeline("tile=8x8x8")
-        tiled, report = tiler.run_func(func)
-        assert report.applied
-        plain = occupancy_for_func(func, "julia")
-        staged = occupancy_for_func(tiled, "julia")
-        # staging haloed tiles of u and v costs LDS; occupancy can only
-        # drop (and for haloed 8^3 f64 tiles it genuinely does)
-        assert staged.workgroups_by_lds < plain.workgroups_by_lds
-        assert staged.occupancy <= plain.occupancy

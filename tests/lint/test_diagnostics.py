@@ -55,7 +55,6 @@ class TestLintReport:
     def test_severities_follow_rule_defaults(self):
         report = self._report()
         assert [d.rule for d in report.errors] == ["KRN-BOUNDS", "MPI-DEADLOCK"]
-        assert report.max_severity is Severity.ERROR
         assert not report.clean
 
     def test_counts(self):
@@ -64,7 +63,6 @@ class TestLintReport:
     def test_empty_report_is_clean(self):
         report = LintReport()
         assert report.clean
-        assert report.max_severity is None
 
     def test_info_only_report_is_clean(self):
         report = LintReport()

@@ -8,7 +8,7 @@ from repro.lint.diagnostics import (
     KRN_RAND,
     LintReport,
 )
-from repro.lint.report import exit_code, max_severity_label, render_text, to_sarif
+from repro.lint.report import exit_code, render_text, to_sarif
 
 
 def _report():
@@ -79,8 +79,6 @@ class TestExitCode:
         report = LintReport()
         report.add(ADIOS_GAP, "U/step0", "gap")
         assert exit_code(report) == 0
-        assert max_severity_label(report) == "warning"
 
     def test_clean(self):
         assert exit_code(LintReport()) == 0
-        assert max_severity_label(LintReport()) == "clean"

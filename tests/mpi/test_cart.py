@@ -1,6 +1,6 @@
 import pytest
 
-from repro.mpi.cart import dims_create
+from repro.mpi.cart import cart_coords, cart_rank, cart_shift, dims_create
 from repro.mpi.comm import PROC_NULL
 from repro.mpi.executor import run_spmd
 from repro.util.errors import MPIError
@@ -50,6 +50,59 @@ class TestDimsCreate:
             dims_create(4, 0)
 
 
+
+class TestCartRank:
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (1, 1, 4), (3, 2, 1), (2, 3, 5)])
+    def test_inverts_cart_coords(self, dims):
+        import math
+
+        periods = (False,) * len(dims)
+        for rank in range(math.prod(dims)):
+            assert cart_rank(cart_coords(rank, dims), dims, periods) == rank
+
+    def test_periodic_axes_wrap_both_ways(self):
+        dims, periods = (2, 3), (True, True)
+        assert cart_rank((-1, 0), dims, periods) == cart_rank((1, 0), dims, periods)
+        assert cart_rank((0, 3), dims, periods) == cart_rank((0, 0), dims, periods)
+        assert cart_rank((2, -4), dims, periods) == cart_rank((0, 2), dims, periods)
+
+    def test_off_a_non_periodic_axis_is_proc_null(self):
+        dims, periods = (2, 3), (True, False)
+        assert cart_rank((0, -1), dims, periods) == PROC_NULL
+        assert cart_rank((0, 3), dims, periods) == PROC_NULL
+        # the periodic axis still wraps
+        assert cart_rank((2, 1), dims, periods) == cart_rank((0, 1), dims, periods)
+
+
+class TestCartShift:
+    def test_displacement_beyond_one(self):
+        # a periodic ring of 5: rank 1 shifted by 2 reads from 4 and sends to 3
+        assert cart_shift(1, (5,), (True,), axis=0, disp=2) == (4, 3)
+
+    def test_negative_displacement_swaps_source_and_dest(self):
+        dims, periods = (2, 4), (False, True)
+        for rank in range(8):
+            source, dest = cart_shift(rank, dims, periods, axis=1, disp=1)
+            assert cart_shift(rank, dims, periods, axis=1, disp=-1) == (dest, source)
+
+    def test_non_periodic_edges_are_proc_null(self):
+        dims, periods = (3, 1, 1), (False, True, True)
+        assert cart_shift(0, dims, periods, axis=0) == (PROC_NULL, 1)
+        assert cart_shift(2, dims, periods, axis=0) == (1, PROC_NULL)
+        assert cart_shift(1, dims, periods, axis=0, disp=2) == (PROC_NULL, PROC_NULL)
+
+    def test_single_rank_periodic_axis_is_its_own_neighbour(self):
+        assert cart_shift(0, (1, 1, 1), (True,) * 3, axis=2) == (0, 0)
+
+def _face_neighbor_count(cart):
+    """Face neighbours that exist, from ``shift`` along every direction."""
+    return sum(
+        rank != PROC_NULL
+        for direction in range(cart.ndims)
+        for rank in cart.shift(direction, 1)
+    )
+
+
 class TestCartComm:
     def _with_cart(self, size, dims, periods, fn):
         def body(comm):
@@ -88,14 +141,14 @@ class TestCartComm:
 
     def test_neighbors_periodic_always_six(self):
         def check(cart):
-            return sum(1 for r in cart.neighbors().values() if r != PROC_NULL)
+            return _face_neighbor_count(cart)
 
         assert self._with_cart(8, (2, 2, 2), (True,) * 3, check) == [6] * 8
 
     def test_neighbors_nonperiodic_corner(self):
         def check(cart):
             if cart.rank == 0:
-                return sum(1 for r in cart.neighbors().values() if r != PROC_NULL)
+                return _face_neighbor_count(cart)
             return None
 
         assert self._with_cart(8, (2, 2, 2), (False,) * 3, check)[0] == 3

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from repro.mpi.comm import ANY_SOURCE, ANY_TAG, PROC_NULL, Job
-from repro.mpi.datatypes import VectorDatatype
 from repro.mpi.executor import run_spmd
 from repro.util.errors import CommAbort, MPIError, TruncationError
 
@@ -177,33 +176,6 @@ class TestRecvInto:
             comm.recv_into(np.zeros(4), 0)
 
         with pytest.raises(MPIError):
-            run_spmd(body, 2, timeout=5)
-
-
-class TestFaceHelpers:
-    def test_send_recv_face(self):
-        def body(comm):
-            arr = np.arange(27, dtype=np.float64).reshape(3, 3, 3, order="F")
-            face = VectorDatatype(9, 1, 3).commit()
-            if comm.rank == 0:
-                comm.send_face(arr, face, dest=1, tag=7, offset_elements=2)
-                return None
-            out = np.zeros((3, 3, 3), order="F")
-            comm.recv_face(out, face, source=0, tag=7, offset_elements=0)
-            return np.array_equal(out[0], arr[2])
-
-        assert run_spmd(body, 2, timeout=10)[1]
-
-    def test_recv_face_size_mismatch(self):
-        def body(comm):
-            face = VectorDatatype(9, 1, 3).commit()
-            if comm.rank == 0:
-                comm.send(np.zeros(5), 1, tag=7)
-                return None
-            out = np.zeros((3, 3, 3), order="F")
-            comm.recv_face(out, face, source=0, tag=7)
-
-        with pytest.raises(TruncationError):
             run_spmd(body, 2, timeout=5)
 
 

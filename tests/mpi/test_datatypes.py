@@ -4,7 +4,6 @@ import pytest
 from repro.mpi.datatypes import (
     DOUBLE,
     INT32,
-    ContiguousDatatype,
     VectorDatatype,
     flat_view,
     pack,
@@ -21,22 +20,6 @@ class TestBaseDatatypes:
 
     def test_precommitted(self):
         DOUBLE.element_offsets()  # no raise
-
-
-class TestContiguous:
-    def test_offsets(self):
-        dt = ContiguousDatatype(5).commit()
-        assert list(dt.element_offsets()) == [0, 1, 2, 3, 4]
-        assert dt.size_bytes == 40
-
-    def test_nested(self):
-        inner = VectorDatatype(2, 1, 3).commit()  # offsets 0, 3
-        outer = ContiguousDatatype(2, inner).commit()
-        assert list(outer.element_offsets()) == [0, 3, 4, 7]
-
-    def test_negative_count(self):
-        with pytest.raises(DatatypeError):
-            ContiguousDatatype(-1)
 
 
 class TestVector:

@@ -9,6 +9,7 @@ from repro.mpi.netmodel import (
     HaloExchangeModel,
     NetModel,
     WeakScalingModel,
+    WeakScalingPoint,
     noise_sigma,
 )
 from tests.oracles import netmodel as oracle
@@ -141,6 +142,17 @@ class TestWeakScalingModel:
         by_ranks = {p.nranks: p for p in points}
         assert by_ranks[512].variability < 0.05  # paper: 2-3%
         assert 0.08 < by_ranks[4096].variability < 0.20  # paper: 12-15%
+
+    def test_variability_is_spread_over_mean(self):
+        point = WeakScalingPoint(
+            nranks=4, nnodes=1, cart_dims=(4, 1, 1), steps=1,
+            rank_seconds=np.array([1.0, 1.5, 2.0, 1.5]),
+            kernel_seconds_per_step=1.0, comm_seconds_mean=0.5,
+        )
+        assert (point.min_seconds, point.mean_seconds, point.max_seconds) == (
+            1.0, 1.5, 2.0,
+        )
+        assert point.variability == pytest.approx(1.0 / 1.5)
 
     def test_variability_grows_with_scale(self, points):
         assert points[-1].variability > points[1].variability

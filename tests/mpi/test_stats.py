@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.mpi.executor import run_spmd
+from repro.mpi.stats import CommStats, CommTotals
 
 
 def _run_with_stats(fn, nranks, **kwargs):
@@ -32,7 +33,7 @@ class TestP2pAccounting:
         totals = stats.p2p_totals()
         assert totals.messages == 2 and totals.bytes == 1200
 
-    def test_peer_matrix(self):
+    def test_ring_pair_counts(self):
         def body(comm):
             dest = (comm.rank + 1) % comm.size
             comm.send(np.zeros(8), dest, tag=1)
@@ -40,11 +41,10 @@ class TestP2pAccounting:
             return True
 
         _, stats = _run_with_stats(body, 4)
-        matrix = stats.peer_matrix()
         # a ring: exactly one message along each (r, r+1) edge
         for r in range(4):
-            assert matrix[r, (r + 1) % 4] == 1
-        assert matrix.sum() == 4
+            assert stats.pair(r, (r + 1) % 4).messages == 1
+        assert stats.p2p_totals().messages == 4
 
     def test_halo_exchange_volume_matches_analysis(self):
         """Measured exchange traffic equals the Section 3.3 face math."""
@@ -99,6 +99,27 @@ class TestCollectiveAccounting:
         assert "point-to-point" in text
         assert "barrier" in text
 
+    def test_collectives_stay_out_of_p2p_totals(self):
+        def body(comm):
+            comm.allreduce(comm.rank, "sum")
+            return comm.bcast(None, root=0)
+
+        _, stats = _run_with_stats(body, 8)
+        assert stats.p2p_totals() == CommTotals(messages=0, bytes=0)
+        by_name = [stats.collective(name) for name in ("reduce", "bcast")]
+        totals = stats.coll_totals()
+        # allreduce = reduce + bcast, then one more bcast: 7 + 14 tree edges
+        assert totals.messages == sum(t.messages for t in by_name) == 21
+        assert totals.bytes == sum(t.bytes for t in by_name) > 0
+
+    def test_unrecorded_counters_read_zero(self):
+        stats = CommStats(4)
+        zero = CommTotals(messages=0, bytes=0)
+        assert stats.pair(0, 3) == zero
+        assert stats.collective("scan") == zero
+        assert stats.p2p_totals() == zero
+        assert stats.coll_totals() == zero
+
     def test_stats_off_by_default(self):
         job_out = {}
         run_spmd(lambda comm: comm.barrier(), 2, job_out=job_out, timeout=30)
@@ -127,9 +148,9 @@ class TestMetricsExport:
         stats.to_metrics(reg)
         assert reg.counter_value("mpi.p2p.pair.bytes", src=0, dst=1) == 160
 
-    def test_byte_matrix_matches_traced_spans(self):
-        """Satellite: the per-pair byte matrix equals the p2p span payloads
-        collected by the tracer on an 8-rank ghost exchange."""
+    def test_pair_bytes_match_traced_spans(self):
+        """The per-pair byte counts equal the p2p span payloads collected
+        by the tracer on an 8-rank ghost exchange."""
         from repro.core.domain import LocalDomain
         from repro.core.exchange import exchange_ghosts, exchange_plan
         from repro.observe import trace
@@ -148,10 +169,11 @@ class TestMetricsExport:
             _, stats = _run_with_stats(body, 8)
             sends = tracer.select(cat="mpi", name="p2p.send")
 
-        matrix = stats.byte_matrix()
-        assert matrix.shape == (8, 8)
-        traced = np.zeros_like(matrix)
+        traced = np.zeros((8, 8), dtype=np.int64)
         for span in sends:
             traced[span.arg("src"), span.arg("dst")] += span.arg("bytes")
-        np.testing.assert_array_equal(matrix, traced)
-        assert matrix.sum() == 48 * 6 * 6 * 8  # the Section 3.3 face math
+        counted = np.array(
+            [[stats.pair(src, dst).bytes for dst in range(8)] for src in range(8)]
+        )
+        np.testing.assert_array_equal(counted, traced)
+        assert stats.p2p_totals().bytes == 48 * 6 * 6 * 8  # the Section 3.3 face math

@@ -69,17 +69,6 @@ class TestHistogram:
         with pytest.raises(ObserveError, match="outside"):
             h.quantile(1.5)
 
-    def test_snapshot_fixed_size(self):
-        h = MetricsRegistry().histogram("lat")
-        assert h.snapshot() == {"count": 0}
-        for v in (1.0, 2.0, 3.0, 4.0):
-            h.observe(v)
-        snap = h.snapshot()
-        assert snap["count"] == 4
-        assert snap["p50"] == 2.0
-        assert snap["p99"] == 4.0
-        assert "samples" not in snap
-
 
 class TestRegistry:
     def test_kind_conflict_rejected(self):
@@ -87,6 +76,24 @@ class TestRegistry:
         reg.counter("x").inc()
         with pytest.raises(ObserveError, match="already registered"):
             reg.gauge("x")
+
+    def test_kind_accessors_partition_in_key_order(self):
+        reg = MetricsRegistry()
+        reg.histogram("lat").observe(1.0)
+        reg.counter("msgs", rank=1).inc()
+        reg.gauge("depth").set(2)
+        reg.counter("msgs", rank=0).inc()
+        assert len(reg) == 4
+        # sorted by (kind, name, labels): counters, gauges, histograms
+        assert [(m.name, m.labels) for m in reg.all_metrics()] == [
+            ("msgs", (("rank", "0"),)),
+            ("msgs", (("rank", "1"),)),
+            ("depth", ()),
+            ("lat", ()),
+        ]
+        assert [m.labels for m in reg.counters()] == [(("rank", "0"),), (("rank", "1"),)]
+        assert [m.name for m in reg.gauges()] == ["depth"]
+        assert [m.name for m in reg.histograms()] == ["lat"]
 
     def test_merge_semantics(self):
         a, b = MetricsRegistry(), MetricsRegistry()

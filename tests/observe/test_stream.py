@@ -1,4 +1,4 @@
-"""Streaming telemetry: shard writer, merge, flight recorder, live metrics."""
+"""Streaming telemetry: shard writer, merge, live metrics."""
 
 import json
 import struct
@@ -9,13 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.observe.export import to_chrome_trace, write_chrome_trace
-from repro.observe.metrics import MetricsRegistry
 from repro.observe.stream import (
     MANIFEST_NAME,
     SHARD_SCHEMA,
-    FlightRecorder,
     LiveMetricsPublisher,
-    MetricsAggregator,
     ShardedPerfettoWriter,
     is_shard_source,
     iter_span_records,
@@ -450,123 +447,15 @@ class TestMerge:
 
 
 # ---------------------------------------------------------------------------
-# flight recorder
-# ---------------------------------------------------------------------------
-
-
-class TestFlightRecorder:
-    def test_per_lane_ring_eviction(self):
-        fr = FlightRecorder(per_lane=3)
-        tracer = Tracer(sinks=[fr], retain=False)
-        pump(tracer, 10, process="a")
-        pump(tracer, 2, process="b")
-        assert len(fr) == 5  # 3 on lane a + 2 on lane b
-        assert fr.evicted == 7
-        assert fr.recorded == 12
-        names = [s.name for s in fr.spans() if s.process == "a"]
-        assert names == ["op7", "op8", "op9"]
-
-    def test_error_and_slow_spans_always_kept(self):
-        fr = FlightRecorder(per_lane=2, slow_seconds=10.0)
-        tracer = Tracer(sinks=[fr], retain=False)
-        tracer.add_span("slow", cat="core", clock=SIM, process="p",
-                        thread="t", start=0.0, seconds=60.0)
-        tracer.add_span("bad", cat="core", clock=SIM, process="p",
-                        thread="t", start=1.0, seconds=0.1,
-                        args={"error": "boom"})
-        pump(tracer, 50, process="p", thread="t", seconds=0.5)
-        kept = [s.name for s in fr.spans()]
-        assert kept[:2] == ["slow", "bad"]
-        assert len(kept) == 4  # the 2 kept + ring of 2
-
-    def test_keep_predicate(self):
-        fr = FlightRecorder(per_lane=1, keep=lambda s: s.name == "op3")
-        tracer = Tracer(sinks=[fr], retain=False)
-        pump(tracer, 10)
-        assert {s.name for s in fr.spans()} == {"op3", "op9"}
-
-    def test_dump_preserves_record_order(self):
-        fr = FlightRecorder(per_lane=2)
-        tracer = Tracer(sinks=[fr], retain=False)
-        pump(tracer, 4, process="a")
-        pump(tracer, 2, process="b")
-        dumped = fr.dump()
-        assert [s.name for s in dumped.spans] == ["op2", "op3", "op0", "op1"]
-        assert [s.process for s in dumped.spans] == ["a", "a", "b", "b"]
-
-    def test_guard_dumps_on_exception(self, tmp_path):
-        fr = FlightRecorder(per_lane=4)
-        tracer = Tracer(sinks=[fr], retain=False)
-        out = tmp_path / "crash.json"
-        with pytest.raises(RuntimeError):
-            with fr.guard(out):
-                pump(tracer, 3)
-                raise RuntimeError("boom")
-        obj = json.loads(out.read_text())
-        names = [e["name"] for e in obj["traceEvents"] if e["ph"] == "X"]
-        assert names == ["op0", "op1", "op2"]
-
-    def test_guard_quiet_on_success(self, tmp_path):
-        fr = FlightRecorder()
-        out = tmp_path / "crash.json"
-        with fr.guard(out):
-            pass
-        assert not out.exists()
-
-    def test_bad_per_lane(self):
-        with pytest.raises(ObserveError, match="per_lane"):
-            FlightRecorder(per_lane=0)
-
-
-# ---------------------------------------------------------------------------
 # live metrics
 # ---------------------------------------------------------------------------
-
-
-class TestMetricsAggregator:
-    def test_counter_rates_between_snapshots(self):
-        reg = MetricsRegistry()
-        agg = MetricsAggregator(reg)
-        reg.counter("msgs", rank=0).inc(10)
-        first = agg.snapshot(now=0.0)
-        assert first["counters"][0]["rate"] is None  # no prior interval
-        reg.counter("msgs", rank=0).inc(6)
-        second = agg.snapshot(now=2.0)
-        assert second["interval_seconds"] == 2.0
-        assert second["counters"][0]["rate"] == pytest.approx(3.0)
-        assert second["seq"] == 2
-
-    def test_histograms_snapshot_bounded(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("lat")
-        for v in range(100):
-            hist.observe(float(v))
-        reg.histogram("empty")
-        agg = MetricsAggregator(reg)
-        record = agg.snapshot(now=1.0)
-        by_name = {h["name"]: h for h in record["histograms"]}
-        assert by_name["empty"]["count"] == 0
-        assert by_name["lat"]["count"] == 100
-        assert by_name["lat"]["p99"] == 98.0
-        # the snapshot is a fixed-size summary, never the sample list
-        assert "samples" not in by_name["lat"]
-
-    def test_gauges_and_json_round_trip(self):
-        reg = MetricsRegistry()
-        reg.gauge("depth").set(4)
-        record = MetricsAggregator(reg).snapshot(now=0.5)
-        assert json.loads(json.dumps(record)) == record
-        assert record["gauges"][0]["value"] == 4.0
 
 
 class TestLivePublish:
     def test_sst_round_trip(self):
         from repro.adios.api import Adios
 
-        reg = MetricsRegistry()
-        reg.counter("events").inc(5)
         publisher = LiveMetricsPublisher("live-metrics-test")
-        agg = MetricsAggregator(reg, publisher=publisher)
 
         adios = Adios()
         io = adios.declare_io("watcher")
@@ -584,11 +473,10 @@ class TestLivePublish:
 
         thread = threading.Thread(target=watch)
         thread.start()
-        agg.snapshot(now=0.0)
-        reg.counter("events").inc(5)
-        agg.snapshot(now=1.0)
-        agg.close()
+        publisher.publish({"seq": 1, "events": 5})
+        publisher.publish({"seq": 2, "events": 10.5})
+        publisher.close()
         thread.join(timeout=30.0)
         assert not thread.is_alive()
-        assert [r["seq"] for r in received] == [1, 2]
-        assert received[1]["counters"][0]["rate"] == pytest.approx(5.0)
+        assert received == [{"seq": 1, "events": 5}, {"seq": 2, "events": 10.5}]
+        assert publisher.published == 2

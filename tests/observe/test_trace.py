@@ -3,8 +3,7 @@ import threading
 import pytest
 
 from repro.observe import SIM, WALL, Tracer, trace
-from repro.observe.stream import FlightRecorder
-from repro.observe.trace import ID, TAG, SpanBatch, SpanKind, SpanRecord
+from repro.observe.trace import ID, TAG, SpanBatch, SpanKind, SpanRecord, TraceSink
 from repro.util.errors import ObserveError, ReproError
 
 
@@ -84,14 +83,14 @@ class TestTracer:
         records = t.lanes()[("p", "t")]
         assert [r.name for r in records] == ["parent", "child"]
 
-    def test_select_and_by_category(self):
+    def test_select(self):
         t = Tracer()
         t.add_span("a", cat="mpi", clock=WALL, process="p", thread="mpi",
                    start=0, seconds=1)
         t.add_span("b", cat="gpu", clock=SIM, process="g", thread="kernel",
                    start=0, seconds=1)
         assert {r.name for r in t.select(cat="mpi")} == {"a"}
-        assert set(t.by_category()) == {"mpi", "gpu"}
+        assert {r.name for r in t.select(cat="gpu")} == {"b"}
 
     def test_thread_safety(self):
         t = Tracer()
@@ -127,6 +126,16 @@ WRITE = SpanKind("w", "adios", SIM, "oss", "write",
                  args=(("node", ID), ("step", TAG)))
 
 
+class _ListSink(TraceSink):
+    """A plain sink: keeps every span it is handed."""
+
+    def __init__(self):
+        self.spans = []
+
+    def record(self, span):
+        self.spans.append(span)
+
+
 class TestSpanBatch:
     def test_records_resolve_id_and_tag_columns(self):
         b = batch((KERNEL, WRITE), [0, 1, 0], ids=[3, 7, 2 ** 40],
@@ -143,12 +152,12 @@ class TestSpanBatch:
         assert b.records(1, 2) == b.records()[1:2]
 
     def test_add_spans_retains_records_and_feeds_plain_sinks(self):
-        recorder = FlightRecorder()
+        recorder = _ListSink()
         t = Tracer(sinks=[recorder])
         b = batch((KERNEL, WRITE), [0, 0, 1, 0], ids=[0, 1, 0, 0])
         assert t.add_spans(b) == 4
         assert t.spans == b.records()
-        assert recorder.spans() == b.records()
+        assert recorder.spans == b.records()
         assert t.add_spans(batch((KERNEL,), [])) == 0
 
     def test_rejected_batch_registers_no_lane(self):
@@ -212,6 +221,24 @@ class TestSpanBatch:
                    start=0, seconds=0)
         t.add_span("b", cat="gpu", clock=WALL, process="gcd0",
                    thread="kernel", start=0, seconds=0)
+
+    def test_lane_ids_name_each_used_kind_once(self):
+        b = batch((KERNEL, WRITE), [0, 1, 0, 0, 1], ids=[3, 7, 1, 3, 9])
+        # per-id lanes list their distinct ids; a fixed lane lists None
+        assert list(b.lane_ids()) == [(KERNEL, [1, 3]), (WRITE, [None])]
+        assert list(batch((KERNEL, WRITE), [1], ids=[5]).lane_ids()) == [
+            (WRITE, [None])
+        ]
+        assert list(batch((KERNEL,), []).lane_ids()) == []
+
+    def test_lane_family_separates_clocks_not_names(self):
+        renamed = SpanKind("other", "core", SIM, "gcd", "kernel",
+                           process_id=True)
+        wall = SpanKind("k", "gpu", WALL, "gcd", "kernel", process_id=True)
+        assert renamed.lane_family == KERNEL.lane_family
+        assert wall.lane_family != KERNEL.lane_family
+        assert KERNEL.lane(4) == ("gcd4", "kernel")
+        assert WRITE.lane(4) == ("oss", "write")
 
     def test_malformed_columns_rejected(self):
         with pytest.raises(ObserveError, match="equal length"):

@@ -54,17 +54,6 @@ def exact_diffusion_evolution(
     return np.asfortranarray(evolved.real)
 
 
-def max_stable_dt(D: float) -> float:
-    """Forward-Euler stability bound for the normalized operator.
-
-    The most negative eigenvalue is -2 (checkerboard mode), so the
-    growth factor stays in [-1, 1] iff dt * D <= 1.
-    """
-    if D <= 0:
-        raise ConfigError(f"diffusion rate must be positive, got {D}")
-    return 1.0 / D
-
-
 def diffusion_error(
     solver_field: np.ndarray, field0: np.ndarray, D: float, dt: float, steps: int
 ) -> float:

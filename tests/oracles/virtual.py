@@ -45,7 +45,7 @@ def run_serial(
     )
     jitter = workflow._kernel_jitter()
     comm = workflow._comm_seconds()
-    lustre = LustreModel(machine, seed=settings.seed)
+    lustre = LustreModel(seed=settings.seed)
     bytes_per_node = workflow._bytes_per_node()
     oss = engine.resource(
         "lustre-oss", capacity=nnodes, lane=("lustre-oss", "write")

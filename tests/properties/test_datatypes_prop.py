@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpi.datatypes import ContiguousDatatype, VectorDatatype, pack, unpack
+from repro.mpi.datatypes import VectorDatatype, pack, unpack
 
 vector_params = st.tuples(
     st.integers(1, 8),   # count
@@ -57,11 +57,3 @@ class TestPackUnpackProperties:
         dt, _, _ = case
         offsets = dt.element_offsets()
         assert (np.diff(offsets) > 0).all()
-
-    @given(st.integers(1, 10), st.integers(1, 10))
-    @settings(max_examples=40, deadline=None)
-    def test_contiguous_equals_vector_blocklength(self, count, blocklength):
-        """Type_contiguous(n) == Type_vector(1, n, n) in element terms."""
-        cont = ContiguousDatatype(count * blocklength).commit()
-        vec = VectorDatatype(count, blocklength, blocklength).commit()
-        assert np.array_equal(cont.element_offsets(), vec.element_offsets())

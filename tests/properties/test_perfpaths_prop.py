@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.core.stencil import make_laplacian_kernel
 from repro.gpu.cache import TraceCacheSim
 from repro.gpu.jit import TraceMemo, trace_kernel
-from repro.mpi.datatypes import ContiguousDatatype, VectorDatatype, pack, unpack
+from repro.mpi.datatypes import VectorDatatype, pack, unpack
 from tests.oracles.cache import scalar_cache_sim
 from tests.oracles.datatypes import pack_reference, unpack_reference
 
@@ -156,14 +156,14 @@ def _base_for(dtype):
 def pack_case(draw, nested=False):
     """A committed vector type, an offset into a buffer, and the buffer.
 
-    ``nested`` builds the vector over ``ContiguousDatatype(2)``, a type
-    with no regular strided layout, so pack/unpack take the gather
+    ``nested`` builds the vector over a two-element vector, a type with
+    no regular strided layout, so pack/unpack take the gather
     fallback.
     """
     dtype = draw(st.sampled_from([np.float64, np.float32, np.int32]))
     base = _base_for(dtype)
     if nested:
-        base = ContiguousDatatype(2, base=base).commit()
+        base = VectorDatatype(1, 2, 2, base=base).commit()
     count = draw(st.integers(1, 8))
     blocklength = draw(st.integers(1, 6))
     stride = blocklength + draw(st.integers(0, 8))

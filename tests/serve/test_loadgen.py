@@ -93,6 +93,19 @@ class TestLoadReport:
         assert "throughput" in text
         assert "hit/miss p99 ratio" in text
 
+    def test_miss_percentiles_and_throughput(self):
+        report = LoadReport(clients=2, requests=2, hit_fraction=0.0,
+                            completed=4, wall_seconds=2.0)
+        report.miss_latencies = [0.4, 0.1, 0.3, 0.2]
+        assert report.miss_p50 == pytest.approx(0.25)
+        assert report.miss_p99 == pytest.approx(0.397)
+        assert report.throughput == 2.0
+
+    def test_no_wall_time_is_zero_throughput(self):
+        report = LoadReport(clients=1, requests=1, hit_fraction=0.0,
+                            completed=3, wall_seconds=0.0)
+        assert report.throughput == 0.0
+
     def test_as_dict_round_trips_json(self):
         import json
 

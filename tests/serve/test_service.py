@@ -328,6 +328,28 @@ class TestServiceLifecycle:
         assert "cache hit rate" in text
         assert "hit latency p50/p99" in text
 
+    def test_stats_before_any_job(self):
+        service = SimService(backend="inline")
+        stats = service.stats()
+        assert stats["submitted"] == stats["completed"] == 0
+        empty = {"count": 0, "p50": None, "p99": None}
+        assert stats["latency"] == {"hit": empty, "miss": empty}
+
+    def test_stats_count_hits_and_misses(self, spec):
+        async def main():
+            async with SimService(backend="inline", workers=1) as service:
+                for _ in range(3):
+                    await service.run(spec)
+                return service.stats()
+
+        stats = asyncio.run(main())
+        assert stats["submitted"] == stats["completed"] == 3
+        assert (stats["cache_misses"], stats["cache_hits"]) == (1, 2)
+        assert stats["latency"]["miss"]["count"] == 1
+        assert stats["latency"]["hit"]["count"] == 2
+        hit = stats["latency"]["hit"]
+        assert 0.0 <= hit["p50"] <= hit["p99"]
+
 
 class TestExecuteAndRender:
     def test_worker_unit_produces_cacheable_payload(self, spec):

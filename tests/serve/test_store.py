@@ -10,7 +10,7 @@ class TestResultStore:
     def test_miss_then_hit(self):
         store = ResultStore(4)
         assert store.get("k1") is None
-        store.put("k1", {"x": 1}, "rendered-text", cost_seconds=2.0)
+        store.put("k1", {"x": 1}, "rendered-text")
         entry = store.get("k1")
         assert entry is not None
         assert entry.rendered == "rendered-text"
@@ -50,13 +50,6 @@ class TestResultStore:
         store.peek("zzz")
         assert store.hits == 0 and store.misses == 0
 
-    def test_per_entry_hit_count(self):
-        store = ResultStore(2)
-        store.put("a", 1, "a")
-        store.get("a")
-        store.get("a")
-        assert store.peek("a").hits == 2
-
     def test_hit_rate_and_stats(self):
         store = ResultStore(8)
         store.put("a", 1, "a")
@@ -67,13 +60,6 @@ class TestResultStore:
         assert stats["entries"] == 1
         assert stats["capacity"] == 8
         assert stats["hits"] == 1 and stats["misses"] == 1
-
-    def test_saved_seconds_accumulates(self):
-        store = ResultStore(2)
-        store.put("a", 1, "a", cost_seconds=3.0)
-        store.get("a")
-        store.get("a")
-        assert store.saved_seconds() == pytest.approx(6.0)
 
     def test_clear(self):
         store = ResultStore(2)

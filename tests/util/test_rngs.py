@@ -194,34 +194,10 @@ class TestDecimalTails:
 
 
 def _draw_task(index):
-    from repro.util.rngs import task_stream
-
-    return task_stream(2023, index, "noise").generator("x").random(8)
+    return RngStream(2023, ("task", index)).generator("noise").random(8)
 
 
 class TestTaskStream:
-    def test_keyed_by_task_index_not_worker(self):
-        from repro.util.rngs import task_stream
-
-        a = task_stream(7, 3).generator("x").random(16)
-        b = task_stream(7, 3).generator("x").random(16)
-        assert np.array_equal(a, b)
-        c = task_stream(7, 4).generator("x").random(16)
-        assert not np.array_equal(a, c)
-
-    def test_extra_key_separates_streams(self):
-        from repro.util.rngs import task_stream
-
-        a = task_stream(7, 0, "noise").generator("x").random(16)
-        b = task_stream(7, 0, "field").generator("x").random(16)
-        assert not np.array_equal(a, b)
-
-    def test_negative_index_rejected(self):
-        from repro.util.rngs import task_stream
-
-        with pytest.raises(ValueError):
-            task_stream(7, -1)
-
     def test_draws_invariant_under_jobs(self):
         # the satellite regression: the same tasks drawn serially and
         # through the pool (any worker count) produce identical numbers

@@ -2,14 +2,16 @@ import pytest
 
 from repro.util.units import (
     GB,
-    GiB,
     KB,
     MB,
     TB,
+    GiB,
+    KiB,
+    MiB,
+    TiB,
     format_bandwidth,
     format_bytes,
     format_seconds,
-    parse_bytes,
 )
 
 
@@ -70,30 +72,36 @@ class TestFormatSeconds:
             format_seconds(-0.1)
 
 
-class TestParseBytes:
+class TestUnitBoundaries:
+    """Each suffix starts exactly at its factor: one below keeps the smaller unit."""
+
     @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("64 GiB", 64 * GiB),
-            ("5.5TB", int(5.5 * TB)),
-            ("100", 100),
-            ("1 kb", KB),
-            ("2.5 MB", int(2.5 * MB)),
-            ("0B", 0),
-        ],
+        "nbytes,text",
+        [(KB - 1, "999 B"), (KB, "1.00 KB"), (MB, "1.00 MB"), (GB, "1.00 GB"),
+         (TB, "1.00 TB")],
     )
-    def test_parse(self, text, expected):
-        assert parse_bytes(text) == expected
+    def test_si_bytes(self, nbytes, text):
+        assert format_bytes(nbytes) == text
 
-    def test_numeric_passthrough(self):
-        assert parse_bytes(12345) == 12345
-        assert parse_bytes(1.5 * GB) == int(1.5 * GB)
+    @pytest.mark.parametrize(
+        "nbytes,text",
+        [(KiB - 1, "1023 B"), (KiB, "1.00 KiB"), (MiB, "1.00 MiB"),
+         (GiB, "1.00 GiB"), (TiB, "1.00 TiB")],
+    )
+    def test_iec_bytes(self, nbytes, text):
+        assert format_bytes(nbytes, binary=True) == text
 
-    @pytest.mark.parametrize("bad", ["", "GB", "1.2.3 MB", "-5 GB", "5 XB"])
-    def test_garbage_rejected(self, bad):
-        with pytest.raises(ValueError):
-            parse_bytes(bad)
+    @pytest.mark.parametrize(
+        "seconds,text",
+        [(0.0, "0.00 us"), (1e-3, "1.00 ms"), (1.0, "1.00 s"),
+         (119.0, "119.00 s"), (120.0, "2.00 min")],
+    )
+    def test_seconds(self, seconds, text):
+        assert format_seconds(seconds) == text
 
-    def test_negative_number_rejected(self):
-        with pytest.raises(ValueError):
-            parse_bytes(-1)
+    @pytest.mark.parametrize(
+        "rate,text",
+        [(0, "0.0 KB/s"), (10 * TB - GB, "9999.0 GB/s"), (10 * TB, "10.0 TB/s")],
+    )
+    def test_bandwidth(self, rate, text):
+        assert format_bandwidth(rate) == text
