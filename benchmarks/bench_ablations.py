@@ -65,15 +65,17 @@ class TestAotAblation:
     def test_aot_device_charges_no_compile_time(self):
         from repro.core.settings import GrayScottSettings
         from repro.core.simulation import Simulation
-        from repro.gpu.rocprof import Profiler
+        from repro.gpu.rocprof import device_events
+        from repro.observe import trace as observe
 
-        profiler = Profiler()
         settings = GrayScottSettings(L=12, noise=0.0, backend="julia")
-        sim = Simulation(settings, profiler=profiler)
-        sim.device.aot = True
-        sim.device.jit._cache.clear()
-        sim.run(2)
-        assert sim.timings().compile_seconds == 0.0
+        with observe.session() as tracer:
+            sim = Simulation(settings)
+            sim.device.aot = True
+            sim.device.jit._cache.clear()
+            sim.run(2)
+        kinds = [kind for kind, _ in device_events(tracer.spans)]
+        assert kinds.count("kernel") == 2 and "compile" not in kinds
 
 
 class TestGpuAwareMpiAblation:

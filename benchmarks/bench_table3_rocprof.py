@@ -30,24 +30,24 @@ def test_table3_rocprof_on_simulated_device(benchmark):
     from repro.core.stencil import kernel_args, make_gray_scott_kernel
     from repro.gpu.kernel import LaunchConfig
     from repro.gpu.memory import Device
-    from repro.gpu.rocprof import Profiler
+    from repro.gpu.rocprof import kernel_stats
+    from repro.observe import trace as observe
 
     def run():
-        profiler = Profiler()
-        device = Device(name="gcd0", backend="julia", profiler=profiler)
-        n = 16
-        u = device.zeros((n, n, n), name="u")
-        v = device.zeros((n, n, n), name="v")
-        un = device.zeros((n, n, n), name="u_temp")
-        vn = device.zeros((n, n, n), name="v_temp")
-        kernel = make_gray_scott_kernel()
-        cfg = LaunchConfig.for_domain((n, n, n), (8, 8, 8))
-        for step in range(3):
-            args = kernel_args(u, v, un, vn, GrayScottParams(), seed=1, step=step)
-            device.launch(kernel, cfg.grid, cfg.workgroup, args)
-        return profiler.report()
+        with observe.session() as tracer:
+            device = Device(name="gcd0", backend="julia")
+            n = 16
+            u = device.zeros((n, n, n), name="u")
+            v = device.zeros((n, n, n), name="v")
+            un = device.zeros((n, n, n), name="u_temp")
+            vn = device.zeros((n, n, n), name="v_temp")
+            kernel = make_gray_scott_kernel()
+            cfg = LaunchConfig.for_domain((n, n, n), (8, 8, 8))
+            for step in range(3):
+                args = kernel_args(u, v, un, vn, GrayScottParams(), seed=1, step=step)
+                device.launch(kernel, cfg.grid, cfg.workgroup, args)
+        return kernel_stats(tracer.spans)
 
-    report = benchmark(run)
-    stats = report.stats["_kernel_gray_scott"]
+    stats = benchmark(run)["_kernel_gray_scott"]
     assert stats.calls == 3
     assert stats.avg_fetch_bytes > 0

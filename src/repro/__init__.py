@@ -14,7 +14,8 @@ evaluation touches:
   AMD MI250x GCDs: device arrays, workgroup/workitem kernel launches, a
   tracing JIT that lowers kernels to an LLVM-like IR, a TCC (L2) cache
   model, a roofline timing model with per-backend (HIP vs. Julia)
-  codegen profiles, and a rocprof-style profiler.
+  codegen profiles, and rocprof-style views of the device's traced
+  spans.
 - :mod:`repro.mpi` — a message-passing substrate: blocking and
   nonblocking point-to-point with tag matching, tree-based collectives,
   Cartesian topologies, strided MPI datatypes, an SPMD thread executor,

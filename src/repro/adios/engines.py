@@ -19,9 +19,7 @@ step from the intersecting blocks, verifying CRCs.
 
 from __future__ import annotations
 
-import time
 from contextlib import nullcontext
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -50,15 +48,6 @@ def _adios_span(rank: int, name: str, **args):
     return tracer.span(
         name, cat="adios", process=f"rank{rank}", thread="adios", args=args
     )
-
-
-@dataclass
-class WriterStats:
-    """Mini-scale I/O accounting (used by the real-I/O benchmarks)."""
-
-    steps: int = 0
-    put_bytes: int = 0
-    wall_seconds_end_step: float = 0.0
 
 
 class BP5Writer:
@@ -90,7 +79,8 @@ class BP5Writer:
         self._closed = False
         self._step = -1
         self._deferred: list[tuple[Variable, np.ndarray]] = []
-        self.stats = WriterStats()
+        #: steps this writer completed (close() writes the index if none)
+        self.steps_written = 0
 
         if self.rank == 0:
             if mode == "w":
@@ -169,7 +159,6 @@ class BP5Writer:
                 (variable, np.array(arr, copy=True, order="F"),
                  variable.start, variable.count)
             )
-        self.stats.put_bytes += arr.nbytes
         tracer = observe.active()
         if tracer is not None:
             tracer.metrics.counter("adios.put.bytes", rank=self.rank).inc(
@@ -188,7 +177,6 @@ class BP5Writer:
             tracer.metrics.counter("adios.steps", rank=self.rank).inc()
 
     def _end_step_inner(self) -> None:
-        started = time.perf_counter()
         local_blocks = self._serialize_deferred()
         if self.comm is None:
             written, summaries = self._aggregate_and_write([(0, local_blocks)])
@@ -223,8 +211,7 @@ class BP5Writer:
                 self.comm.send(local_blocks, aggregator, _TAG_BLOCKS)
             self.comm.barrier()  # step is durable before anyone continues
         self._in_step = False
-        self.stats.steps += 1
-        self.stats.wall_seconds_end_step += time.perf_counter() - started
+        self.steps_written += 1
 
     def _serialize_deferred(self) -> list[dict]:
         """Turn deferred puts into wire records (metadata + payload)."""
@@ -361,7 +348,7 @@ class BP5Writer:
             return
         if self._in_step:
             raise EngineStateError("close() inside an open step; call end_step first")
-        if self.rank == 0 and self._index is not None and not self.stats.steps:
+        if self.rank == 0 and self._index is not None and not self.steps_written:
             # end_step writes the index of every step; only a writer
             # that ran none has one left to write
             bp5.write_index(self.path, self._index)

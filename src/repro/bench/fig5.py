@@ -1,7 +1,7 @@
 """Figure 5: rocprof trace of GPU kernels and memory transfers.
 
-Runs a few steps of the simulated-GPU Gray-Scott solver with the
-profiler attached and renders the timeline: the JIT compilation burst,
+Runs a few steps of the simulated-GPU Gray-Scott solver under a tracer
+and renders the device's spans as a timeline: the JIT compilation burst,
 then alternating kernel dispatches and the D2H/H2D face-staging copies
 around each host-memory MPI exchange — the pattern the paper's Figure 5
 shows from rocprof.
@@ -19,26 +19,25 @@ from dataclasses import dataclass
 
 from repro.core.settings import GrayScottSettings
 from repro.core.simulation import Simulation
-from repro.gpu.rocprof import Profiler, RocprofReport
+from repro.gpu import rocprof
+from repro.observe import trace as observe
 
 
 @dataclass(frozen=True)
 class Fig5Result:
-    report: RocprofReport
+    spans: tuple  # the traced run's spans
     kernel_count: int
     copy_count: int
     compile_count: int
 
 
 def run(*, L: int = 24, steps: int = 4, backend: str = "julia") -> Fig5Result:
-    profiler = Profiler()
     settings = GrayScottSettings(L=L, steps=steps, backend=backend, noise=0.05)
-    sim = Simulation(settings, profiler=profiler)
-    sim.run(steps)
-    report = profiler.report()
-    kinds = [e.kind for e in report.events]
+    with observe.session() as tracer:
+        Simulation(settings).run(steps)
+    kinds = [kind for kind, _ in rocprof.device_events(tracer.spans)]
     return Fig5Result(
-        report=report,
+        spans=tuple(tracer.spans),
         kernel_count=kinds.count("kernel"),
         copy_count=kinds.count("copy"),
         compile_count=kinds.count("compile"),
@@ -51,7 +50,9 @@ def render(result: Fig5Result) -> str:
         f"({result.kernel_count} kernels, {result.copy_count} copies, "
         f"{result.compile_count} JIT compilations)"
     )
-    return header + "\n" + result.report.render_trace()
+    from repro.observe.export import ascii_timeline
+
+    return header + "\n" + ascii_timeline(rocprof.timeline_rows(result.spans))
 
 
 def shape_checks(result: Fig5Result) -> dict[str, bool]:
@@ -69,7 +70,7 @@ def shape_checks(result: Fig5Result) -> dict[str, bool]:
 
 @dataclass(frozen=True)
 class Fig5VirtualResult:
-    """Engine-driven Figure 5: modeled spans instead of profiler events."""
+    """Engine-driven Figure 5: the virtual engine's modeled spans."""
 
     tracer: object  # repro.observe.trace.Tracer
     nranks: int

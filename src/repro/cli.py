@@ -172,37 +172,64 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
 
-    profiler = None
-    if args.trace:
-        if settings.backend == "cpu":
-            print("grayscott: --trace needs a GPU backend (julia/hip)",
-                  file=sys.stderr)
-            return 2
-        from repro.gpu.rocprof import Profiler
-
-        profiler = Profiler()
-    tracing = bool(args.trace_out or args.metrics_out)
+    if args.trace and settings.backend == "cpu":
+        print("grayscott: --trace needs a GPU backend (julia/hip)",
+              file=sys.stderr)
+        return 2
 
     spec = JobSpec(settings=settings)
 
     tracer = stream_writer = None
-    if tracing:
+    if args.trace_out or args.metrics_out or args.trace or args.timings:
+        session_tracer = None
         if args.trace_out and trace_mode != "mono":
             session_tracer, stream_writer = _streaming_tracer(args.trace_out)
-        else:
-            session_tracer = None
         with observe.session(session_tracer) as tracer:
-            result = execute_job(spec, gpu_profiler=profiler)
+            result = execute_job(spec)
     else:
-        result = execute_job(spec, gpu_profiler=profiler)
+        result = execute_job(spec)
     print(result.render())
-    if args.timings:
-        print(result.timings.render())
-    if args.trace:
-        profiler.report().write_csv(args.trace)
-        print(f"rocprof-style trace written to {args.trace}")
     _finish_observe_outputs(args, tracer, stream_writer)
+    if args.trace or args.timings:
+        if stream_writer is not None:
+            from repro.observe.stream import rebuild_tracer
+
+            spans = rebuild_tracer(stream_writer.target).spans
+        else:
+            spans = tracer.spans
+        if args.timings:
+            print(_step_sections(spans))
+        if args.trace:
+            from pathlib import Path
+
+            from repro.gpu.rocprof import to_csv
+
+            Path(args.trace).write_text(to_csv(spans) + "\n")
+            print(f"rocprof-style trace written to {args.trace}")
     return 0
+
+
+def _step_sections(spans) -> str:
+    """Rank 0's wall-time table of the solver's step sections."""
+    from repro.util.tables import Table
+
+    totals: dict[str, float] = {}
+    counts: dict[str, int] = {}
+    for span in spans:
+        if span.process == "rank0" and span.name in (
+            "step.exchange", "step.compute"
+        ):
+            section = span.name.removeprefix("step.")
+            totals[section] = totals.get(section, 0.0) + span.seconds
+            counts[section] = counts.get(section, 0) + 1
+    table = Table(["section", "calls", "total (s)", "mean (ms)"],
+                  title="wall-time sections")
+    for name in sorted(totals, key=totals.get, reverse=True):
+        table.add_row([
+            name, counts[name], f"{totals[name]:.4f}",
+            f"{totals[name] / counts[name] * 1e3:.3f}",
+        ])
+    return table.render()
 
 
 def _run_virtual(args: argparse.Namespace, settings, trace_mode=None) -> int:
@@ -852,7 +879,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--timings", action="store_true",
-        help="print this rank's wall-time section table",
+        help="print rank 0's wall-time table of the solver's step "
+             "sections (exchange, compute)",
     )
     p_run.add_argument(
         "--sim-profile", metavar="FOLDED",

@@ -119,8 +119,6 @@ class RunResult:
     virtual: object | None = None
     #: wall seconds of the execution as observed by the engine layer
     wall_seconds: float = 0.0
-    #: per-section wall timers of the solver (workflow mode, rank 0)
-    timings: object | None = None
     metrics: dict = field(default_factory=dict)
 
     @property
@@ -148,7 +146,6 @@ def execute_job(
     jobs: int = 1,
     tracer=None,
     profiler=None,
-    gpu_profiler=None,
 ) -> RunResult:
     """Execute one :class:`JobSpec`; returns the unified result.
 
@@ -157,8 +154,6 @@ def execute_job(
     :meth:`repro.core.virtual.VirtualWorkflow.run`).
     ``tracer``/``profiler`` feed virtual mode's engine; workflow mode
     picks up the ambient :func:`repro.observe.trace.active` tracer.
-    ``gpu_profiler`` is attached to the simulated device of a workflow
-    run (the CLI's rocprof-style ``--trace``).
     """
     from repro.util.timers import WallTimer
 
@@ -167,7 +162,7 @@ def execute_job(
             result = _execute_virtual(spec, jobs=jobs, tracer=tracer,
                                       profiler=profiler)
         else:
-            result = _execute_workflow(spec, gpu_profiler=gpu_profiler)
+            result = _execute_workflow(spec)
     result.wall_seconds = timer.elapsed
     return result
 
@@ -186,7 +181,7 @@ def _execute_virtual(spec: JobSpec, *, jobs, tracer, profiler) -> RunResult:
     return RunResult(spec=spec, virtual=workflow.run(jobs=jobs))
 
 
-def _execute_workflow(spec: JobSpec, *, gpu_profiler) -> RunResult:
+def _execute_workflow(spec: JobSpec) -> RunResult:
     from repro.core.workflow import Workflow
     from repro.observe import trace as observe
 
@@ -194,22 +189,17 @@ def _execute_workflow(spec: JobSpec, *, gpu_profiler) -> RunResult:
     nranks = settings.ranks
 
     def run_one(comm=None):
-        workflow = Workflow(settings, comm)
-        if gpu_profiler is not None and workflow.sim.device is not None:
-            workflow.sim.device.profiler = gpu_profiler
-        report = workflow.run(analyze=spec.analyze, resume=spec.resume)
-        return report, workflow.sim.wall
+        return Workflow(settings, comm).run(
+            analyze=spec.analyze, resume=spec.resume
+        )
 
     if nranks > 1:
         from repro.mpi.executor import run_spmd
 
         # rank 0's report carries the analysis + metrics summary
-        report, wall = run_spmd(
+        report = run_spmd(
             run_one, nranks, collect_stats=observe.active() is not None
         )[0]
     else:
-        report, wall = run_one()
-    return RunResult(
-        spec=spec, report=report, timings=wall,
-        metrics=dict(report.metrics),
-    )
+        report = run_one()
+    return RunResult(spec=spec, report=report, metrics=dict(report.metrics))

@@ -11,10 +11,10 @@ Backends (``settings.backend``):
   called directly;
 - ``"julia"`` / ``"hip"`` — the simulated-GPU path: the same update
   runs through :class:`repro.gpu.memory.Device` kernel launches, which
-  also produces modeled kernel timings, rocprof counters, and JIT
-  compile events. Fields live in host memory shared with the device
-  wrapper (the *timing* of H2D/D2H face staging is modeled, matching
-  the paper's host-memory MPI exchanges).
+  also record modeled kernel, copy and JIT compile spans (and the
+  rocprof counters) when a tracer is active. Fields live in host
+  memory shared with the device wrapper (the *timing* of H2D/D2H face
+  staging is modeled, matching the paper's host-memory MPI exchanges).
 
 Determinism: the noise field is keyed by (seed, step, global cell), so
 any decomposition and any backend produce bitwise-identical fields.
@@ -23,7 +23,6 @@ any decomposition and any backend produce bitwise-identical fields.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,21 +33,10 @@ from repro.core.settings import GrayScottSettings
 from repro.core.stencil import kernel_args, make_gray_scott_kernel
 from repro.gpu.kernel import LaunchConfig
 from repro.gpu.memory import Device, DeviceArray
-from repro.gpu.rocprof import Profiler
 from repro.mpi.cart import CartComm, dims_create
 from repro.mpi.comm import Comm
 from repro.observe import trace as observe
 from repro.util.errors import ConfigError
-from repro.util.timers import Stopwatch
-
-
-@dataclass
-class StepTimings:
-    """Modeled per-section simulated time (GPU mode only)."""
-
-    kernel_seconds: float = 0.0
-    transfer_seconds: float = 0.0
-    compile_seconds: float = 0.0
 
 
 class Simulation:
@@ -60,15 +48,12 @@ class Simulation:
         comm: Comm | None = None,
         *,
         cart_dims: tuple[int, int, int] | None = None,
-        profiler: Profiler | None = None,
     ):
         self.settings = settings
         self.params: GrayScottParams = settings.params()
         self.seed = settings.seed
         self.dtype = np.dtype(settings.precision)
         self.step_count = 0
-        #: real wall time per section ("exchange", "compute"), this rank
-        self.wall = Stopwatch()
 
         # --- decomposition -------------------------------------------------
         periodic = settings.boundary == "periodic"
@@ -106,7 +91,7 @@ class Simulation:
                     "backend='cpu'"
                 )
             name = f"gcd{comm.rank if comm else 0}"
-            self.device = Device(name=name, backend=self.backend, profiler=profiler)
+            self.device = Device(name=name, backend=self.backend)
             self._wrap_device_fields()
 
         self.initialize()
@@ -203,9 +188,9 @@ class Simulation:
 
     def step(self) -> None:
         """Advance one time step (exchange + stencil update + swap)."""
-        with self.wall.section("exchange"), self._observe_span("step.exchange"):
+        with self._observe_span("step.exchange"):
             self.exchange()
-        with self.wall.section("compute"), self._observe_span("step.compute"):
+        with self._observe_span("step.compute"):
             self._launch_step()
         self.u, self.u_new = self.u_new, self.u
         self.v, self.v_new = self.v_new, self.v
@@ -266,19 +251,3 @@ class Simulation:
         for slices, block in pieces:
             out[slices] = block
         return out
-
-    def timings(self) -> StepTimings:
-        """Modeled device-time breakdown (zeros for the CPU backend)."""
-        if self.device is None or self.device.profiler is None:
-            return StepTimings()
-        t = StepTimings()
-        for event in self.device.profiler.events:
-            if event.device != self.device.name:
-                continue
-            if event.kind == "kernel":
-                t.kernel_seconds += event.seconds
-            elif event.kind == "copy":
-                t.transfer_seconds += event.seconds
-            elif event.kind == "compile":
-                t.compile_seconds += event.seconds
-        return t

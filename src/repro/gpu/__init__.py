@@ -16,8 +16,8 @@ package therefore pairs
   LLVM-like IR and recovers the stencil access pattern, a TCC (L2)
   working-set cache model (:mod:`repro.gpu.cache`), per-backend codegen
   profiles for HIP vs. Julia/AMDGPU.jl (:mod:`repro.gpu.backends`), a
-  roofline timing model (:mod:`repro.gpu.perf`), and a rocprof-style
-  profiler (:mod:`repro.gpu.rocprof`).
+  roofline timing model (:mod:`repro.gpu.perf`), and rocprof-style
+  views of the device's traced spans (:mod:`repro.gpu.rocprof`).
 
 Substitution note (see DESIGN.md): we do not have MI250x hardware; the
 performance layer is calibrated against the paper's own measurements
@@ -40,7 +40,6 @@ from repro.gpu.jit import (
 from repro.gpu.jitcache import JitDiskCache
 from repro.gpu.cache import StencilTrafficModel, TraceCacheSim, TrafficEstimate
 from repro.gpu.perf import RooflineModel, LaunchCost
-from repro.gpu.rocprof import Profiler, ProfileEvent, RocprofReport
 
 __all__ = [
     "Device",
@@ -64,7 +63,4 @@ __all__ = [
     "TrafficEstimate",
     "RooflineModel",
     "LaunchCost",
-    "Profiler",
-    "ProfileEvent",
-    "RocprofReport",
 ]

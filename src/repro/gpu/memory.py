@@ -15,7 +15,6 @@ visible in the paper's Figure 5 trace.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,9 +27,6 @@ from repro.observe import trace as observe
 from repro.util.errors import DeviceMemoryError, GpuError
 from repro.util.timers import SimClock
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.gpu.rocprof import Profiler
-
 
 class DeviceArray:
     """A column-major array resident on a simulated device.
@@ -39,7 +35,7 @@ class DeviceArray:
     functional layer computes exact results; the wrapper exists to (a)
     account the allocation against device HBM, (b) forbid silent mixing
     of host and device data in kernel argument lists, and (c) carry the
-    name used in IR listings and profiler output.
+    name used in IR listings.
     """
 
     _ids = itertools.count()
@@ -82,8 +78,9 @@ class Device:
 
     Functionally it executes kernels via :meth:`launch`; performance-wise
     it advances a :class:`~repro.util.timers.SimClock` by modeled kernel
-    durations and copy times, and reports every event to an attached
-    :class:`~repro.gpu.rocprof.Profiler`.
+    durations and copy times, and records every event as one SIM-clock
+    span of the active tracer (:mod:`repro.observe.trace`), from which
+    :mod:`repro.gpu.rocprof` renders its views.
     """
 
     def __init__(
@@ -92,21 +89,13 @@ class Device:
         *,
         name: str = "gcd0",
         backend: str = "julia",
-        profiler: "Profiler | None" = None,
-        exact_execution: bool = True,
         aot: bool = False,
-        counter_mode: str = "analytic",
     ) -> None:
         self.spec = spec or GcdSpec()
         self.name = name
         self.backend = get_backend(backend)
-        self.profiler = profiler
         self.clock = SimClock()
         self.allocated_bytes = 0
-        #: If False, launches only run the performance model (used by the
-        #: Frontier-scale benchmarks where a real 1024^3 array would not
-        #: fit in host memory, let alone be computed in Python).
-        self.exact_execution = exact_execution
         #: Ahead-of-time mode (the paper notes "Julia's ahead-of-time
         #: mechanism was not explored in this study", Section 5.2):
         #: kernels are still traced/compiled, but the one-time compile
@@ -114,9 +103,7 @@ class Device:
         #: system image) and never charged to the run clock.
         self.aot = aot
         self.jit = JitCompiler(self.backend)
-        self.roofline = RooflineModel(
-            self.spec, self.backend, counter_mode=counter_mode
-        )
+        self.roofline = RooflineModel(self.spec, self.backend)
         # Table 1: GPU-to-CPU Infinity Fabric at 36 GB/s.
         self.copy_bytes_per_s = NodeSpec().gpu_cpu_bytes_per_s
 
@@ -165,8 +152,6 @@ class Device:
         seconds = nbytes / self.copy_bytes_per_s
         start = self.clock.now
         self.clock.advance(seconds)
-        if self.profiler is not None:
-            self.profiler.record_copy(self.name, kind, nbytes, start, seconds)
         tracer = observe.active()
         if tracer is not None:
             tracer.add_span(
@@ -192,9 +177,9 @@ class Device:
     def launch(self, kernel, grid, workgroup, args) -> "LaunchCost":
         """Launch ``kernel`` over ``grid`` workgroups of ``workgroup`` size.
 
-        Executes the kernel functionally (unless ``exact_execution`` is
-        off), charges the modeled duration — including one-time JIT
-        compilation on the first launch of each kernel — and returns the
+        Executes the kernel functionally, charges the modeled duration —
+        including one-time JIT compilation on the first launch of each
+        kernel — and returns the
         :class:`~repro.gpu.perf.LaunchCost`. The launch's signature keys
         the compiled kernel, its lowering and its cost, computed once.
         """
@@ -209,10 +194,6 @@ class Device:
         if compile_seconds > 0.0:
             start = self.clock.now
             self.clock.advance(compile_seconds)
-            if self.profiler is not None:
-                self.profiler.record_compile(
-                    self.name, kernel.name, start, compile_seconds
-                )
             if tracer is not None:
                 tracer.add_span(
                     f"jit.{kernel.name}",
@@ -231,14 +212,11 @@ class Device:
                     compile_seconds
                 )
 
-        if self.exact_execution:
-            kernel.execute(config, args, key)
+        kernel.execute(config, args, key)
 
         cost = self.roofline.launch_cost(compiled, config, args, key)
         start = self.clock.now
         self.clock.advance(cost.seconds)
-        if self.profiler is not None:
-            self.profiler.record_kernel(self.name, kernel.name, start, cost, config)
         if tracer is not None:
             tracer.add_span(
                 kernel.name,
@@ -250,6 +228,10 @@ class Device:
                 seconds=cost.seconds,
                 args={
                     "bytes": cost.total_bytes,
+                    "fetch_bytes": cost.fetch_bytes,
+                    "write_bytes": cost.write_bytes,
+                    "tcc_hit": cost.tcc_hits,
+                    "tcc_miss": cost.tcc_misses,
                     "workgroup_size": config.workgroup_size,
                 },
             )

@@ -70,33 +70,15 @@ class LaunchCost:
 class RooflineModel:
     """Memory-bound launch costing for one device + backend.
 
-    ``counter_mode`` selects how TCC counters are produced:
-
-    - ``"analytic"`` (default) — the working-set model; works at any
-      problem size and is what Frontier-scale results use;
-    - ``"trace"`` — exact trace-driven cache simulation of the access
-      stream (:meth:`TraceCacheSim.multi_sweep`); only viable at mini
-      scale (the access count is bounded by ``trace_probe_cap``) and
-      used to validate the analytic model inside the executed pipeline.
+    TCC counters come from the working-set model
+    (:class:`~repro.gpu.cache.StencilTrafficModel`), which works at any
+    problem size; the exact LRU simulator it is checked against is
+    :class:`~repro.gpu.cache.TraceCacheSim`.
     """
 
-    #: maximum cells x accesses a trace-mode launch may generate
-    trace_probe_cap = 4_000_000
-
-    def __init__(
-        self,
-        spec: GcdSpec,
-        backend: BackendProfile,
-        *,
-        counter_mode: str = "analytic",
-    ):
-        if counter_mode not in ("analytic", "trace"):
-            raise GpuError(
-                f"counter_mode must be 'analytic' or 'trace', got {counter_mode!r}"
-            )
+    def __init__(self, spec: GcdSpec, backend: BackendProfile):
         self.spec = spec
         self.backend = backend
-        self.counter_mode = counter_mode
         self.traffic_model = StencilTrafficModel(spec)
         #: launch signature -> its LaunchCost under this model
         self._costs: dict[tuple, LaunchCost] = {}
@@ -140,24 +122,6 @@ class RooflineModel:
                 f"performance model supports 3D kernels; {compiled.name} "
                 f"touches an array of shape {ref_shape}"
             )
-        if self.counter_mode == "trace":
-            cells = int(np.prod(ref_shape))
-            accesses = cells * (
-                sum(len(o) for o in loads.values())
-                + sum(len(o) for o in stores.values())
-            )
-            if accesses > self.trace_probe_cap:
-                raise GpuError(
-                    f"trace counter mode would replay {accesses} accesses "
-                    f"(cap {self.trace_probe_cap}); use analytic mode for "
-                    f"arrays of shape {ref_shape}"
-                )
-            from repro.gpu.cache import TraceCacheSim
-
-            sim = TraceCacheSim(
-                self.spec.tcc_bytes, line_bytes=self.spec.cache_line_bytes
-            )
-            return sim.multi_sweep(ref_shape, itemsize, loads, stores)
         return self.traffic_model.estimate(ref_shape, itemsize, loads, stores)
 
     def effective_sizes(self, compiled: CompiledKernel, args) -> tuple[float, float]:

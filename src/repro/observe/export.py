@@ -10,9 +10,8 @@ Three output shapes:
   events are sorted to monotonic timestamps.
 - :func:`metrics_to_json` / :func:`write_metrics_json` — the flat
   metrics record (``repro.observe.metrics/1`` schema).
-- :func:`ascii_timeline` — the Figure-5-style terminal rendering, the
-  generalized form of ``RocprofReport.render_trace`` (which now
-  delegates here).
+- :func:`ascii_timeline` — the Figure-5-style terminal rendering
+  (:func:`repro.gpu.rocprof.timeline_rows` supplies Figure 5's rows).
 
 :func:`validate_chrome_trace` is the schema checker the tests and the
 ``grayscott trace`` summarizer share: it verifies the ``ph``/``ts``/
@@ -435,8 +434,8 @@ def ascii_timeline(rows, *, width: int = 72, title: str | None = None) -> str:
     ``rows`` is a list of ``(label, glyph, intervals)`` with intervals
     as ``(start, end)`` pairs in one shared timebase. Rows with no
     intervals are skipped; an entirely empty timeline renders as
-    ``"(empty trace)"``. This is the shared renderer behind
-    ``RocprofReport.render_trace`` and the ``grayscott trace`` command.
+    ``"(empty trace)"``. This is the shared renderer behind Figure 5
+    (:mod:`repro.bench.fig5`) and the ``grayscott trace`` command.
     """
     populated = [(label, glyph, iv) for label, glyph, iv in rows if iv]
     if not populated:

@@ -22,7 +22,7 @@ from repro.util.units import (
     format_seconds,
 )
 from repro.util.rngs import RngStream, seed_for
-from repro.util.timers import WallTimer, SimClock, Stopwatch
+from repro.util.timers import WallTimer, SimClock
 from repro.util.tables import Table
 from repro.util.files import atomic_write_bytes, atomic_write_text
 
@@ -44,7 +44,6 @@ __all__ = [
     "seed_for",
     "WallTimer",
     "SimClock",
-    "Stopwatch",
     "Table",
     "atomic_write_bytes",
     "atomic_write_text",

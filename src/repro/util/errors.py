@@ -53,14 +53,6 @@ class CorruptFileError(AdiosError):
     """A BP5 subfile or metadata index failed validation on read."""
 
 
-class TimerError(ReproError):
-    """A timing query was made against unrecorded data.
-
-    For example :meth:`~repro.util.timers.Stopwatch.mean` of a section
-    that never ran.
-    """
-
-
 class ObserveError(ReproError):
     """Base class for errors raised by the observability layer.
 

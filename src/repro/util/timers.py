@@ -2,8 +2,8 @@
 
 Two distinct notions of time run through the package:
 
-- **Wall time** (:class:`WallTimer`, :class:`Stopwatch`): how long the
-  Python code actually takes. Used by the mini-scale benchmarks.
+- **Wall time** (:class:`WallTimer`): how long the Python code
+  actually takes. Used by the mini-scale benchmarks.
 - **Simulated time** (:class:`SimClock`): the modeled Frontier time a
   performance model predicts (kernel durations from the roofline model,
   message latencies from the network model, write times from the Lustre
@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
-
-from repro.util.errors import TimerError
+from dataclasses import dataclass, replace
 
 
 class WallTimer:
@@ -42,69 +40,6 @@ class WallTimer:
     def __exit__(self, *exc) -> None:
         assert self._start is not None
         self.elapsed = time.perf_counter() - self._start
-
-
-@dataclass
-class Stopwatch:
-    """Accumulating named-section wall timer.
-
-    >>> sw = Stopwatch()
-    >>> with sw.section("compute"):
-    ...     pass
-    >>> "compute" in sw.totals
-    True
-    """
-
-    totals: dict[str, float] = field(default_factory=dict)
-    counts: dict[str, int] = field(default_factory=dict)
-
-    def section(self, name: str):
-        return _Section(self, name)
-
-    def add(self, name: str, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError("cannot add negative time")
-        self.totals[name] = self.totals.get(name, 0.0) + seconds
-        self.counts[name] = self.counts.get(name, 0) + 1
-
-    def mean(self, name: str) -> float:
-        if name not in self.counts or self.counts[name] == 0:
-            recorded = ", ".join(sorted(self.totals)) or "none"
-            raise TimerError(
-                f"no samples recorded for section {name!r} "
-                f"(recorded sections: {recorded})"
-            )
-        return self.totals[name] / self.counts[name]
-
-    def render(self, title: str = "wall-time sections") -> str:
-        """Summary table of every recorded section (used by the CLI)."""
-        from repro.util.tables import Table
-
-        table = Table(["section", "calls", "total (s)", "mean (ms)"], title=title)
-        for name in sorted(self.totals, key=self.totals.get, reverse=True):
-            table.add_row(
-                [
-                    name,
-                    self.counts[name],
-                    f"{self.totals[name]:.4f}",
-                    f"{self.mean(name) * 1e3:.3f}",
-                ]
-            )
-        return table.render()
-
-
-class _Section:
-    def __init__(self, stopwatch: Stopwatch, name: str) -> None:
-        self._sw = stopwatch
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_Section":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._sw.add(self._name, time.perf_counter() - self._start)
 
 
 @dataclass

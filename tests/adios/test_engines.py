@@ -127,20 +127,6 @@ class TestSerialWriter:
         assert reader.nsteps == 1
         engine.close()
 
-    def test_stats_accounting(self, io, tmp_path):
-        _write_steps(io, tmp_path / "x.bp", steps=2, shape=(4, 4, 4))
-        # recreate writer to inspect stats? use a fresh write instead
-        io2 = Adios().declare_io("t2")
-        u = io2.define_variable("U", np.float64, shape=(4, 4, 4), count=(4, 4, 4))
-        engine = io2.open(tmp_path / "y.bp", "w")
-        engine.begin_step()
-        engine.put(u, np.zeros((4, 4, 4)))
-        engine.end_step()
-        engine.close()
-        assert engine.stats.steps == 1
-        assert engine.stats.put_bytes == 64 * 8
-        assert engine.stats.wall_seconds_end_step > 0
-
     def test_scalars_inline(self, io, tmp_path):
         step_var = io.define_variable("step", np.int32)
         with io.open(tmp_path / "x.bp", "w") as engine:
@@ -202,7 +188,7 @@ class TestIndexWrites:
             engine.put(u, np.full((4, 4, 4), float(s)))
             engine.end_step()
         if rewrite_at_close:
-            engine.stats.steps = 0  # close then rewrites the index, as it once always did
+            engine.steps_written = 0  # close then rewrites the index, as it once always did
         engine.close()
 
     @staticmethod

@@ -3,8 +3,9 @@ import pytest
 
 from repro.core.settings import GrayScottSettings
 from repro.core.simulation import Simulation
-from repro.gpu.rocprof import Profiler
+from repro.gpu.rocprof import device_events
 from repro.mpi.executor import run_spmd
+from repro.observe import trace as observe
 from repro.util.errors import ConfigError
 
 
@@ -12,6 +13,21 @@ def _settings(**kwargs):
     defaults = dict(L=12, steps=6, noise=0.05, seed=11)
     defaults.update(kwargs)
     return GrayScottSettings(**defaults)
+
+
+def _traced_run(settings, steps):
+    """The spans of a serial run of ``steps`` steps."""
+    with observe.session() as tracer:
+        Simulation(settings).run(steps)
+    return tracer.spans
+
+
+def _device_seconds(spans) -> dict[str, float]:
+    """Modeled device seconds per event kind."""
+    seconds = {"kernel": 0.0, "copy": 0.0, "compile": 0.0}
+    for kind, span in device_events(spans):
+        seconds[kind] += span.seconds
+    return seconds
 
 
 class TestSerialSimulation:
@@ -117,26 +133,18 @@ class TestGpuBackends:
         assert np.array_equal(cpu.u, gpu.u)
         assert np.array_equal(cpu.v, gpu.v)
 
-    def test_timings_populated(self):
-        profiler = Profiler()
-        sim = Simulation(_settings(backend="julia"), profiler=profiler)
-        sim.run(3)
-        t = sim.timings()
-        assert t.kernel_seconds > 0
-        assert t.compile_seconds > 10  # one-time JIT
-        assert t.transfer_seconds > 0
+    def test_device_spans_populated(self):
+        seconds = _device_seconds(_traced_run(_settings(backend="julia"), 3))
+        assert seconds["kernel"] > 0
+        assert seconds["compile"] > 10  # one-time JIT
+        assert seconds["copy"] > 0
 
     def test_hip_has_no_compile_cost(self):
-        profiler = Profiler()
-        sim = Simulation(_settings(backend="hip"), profiler=profiler)
-        sim.run(2)
-        assert sim.timings().compile_seconds == 0.0
+        seconds = _device_seconds(_traced_run(_settings(backend="hip"), 2))
+        assert seconds["compile"] == 0.0
 
-    def test_cpu_timings_zero(self):
-        sim = Simulation(_settings())
-        sim.run(1)
-        t = sim.timings()
-        assert t.kernel_seconds == t.compile_seconds == 0.0
+    def test_cpu_has_no_device_spans(self):
+        assert device_events(_traced_run(_settings(), 1)) == []
 
     def test_parallel_gpu_matches_serial_cpu(self):
         settings = _settings(steps=3, backend="julia")
@@ -174,21 +182,28 @@ class TestNonPowerOfTwoDecompositions:
         assert np.array_equal(expected, got)
 
 
-class TestWallStats:
-    def test_sections_accumulate_per_step(self):
-        sim = Simulation(_settings())
-        sim.run(5)
+class TestStepSpans:
+    @staticmethod
+    def _sections(spans, rank=0):
+        return [
+            s.name for s in spans
+            if s.process == f"rank{rank}" and s.name.startswith("step.")
+        ]
+
+    def test_sections_per_step(self):
+        spans = _traced_run(_settings(), 5)
         # the initialize() exchange is outside the stepping loop and
-        # not wall-accounted; each step adds one of each section
-        assert sim.wall.counts["exchange"] == 5
-        assert sim.wall.counts["compute"] == 5
-        assert sim.wall.totals["compute"] > 0
+        # not a step section; each step adds one of each
+        assert self._sections(spans) == ["step.exchange", "step.compute"] * 5
+        assert all(s.seconds > 0 for s in spans if s.name == "step.compute")
 
-    def test_exchange_counted_in_parallel(self):
+    def test_sections_per_rank_in_parallel(self):
         def worker(comm):
-            sim = Simulation(_settings(), comm)
-            sim.run(3)
-            return sim.wall.counts["exchange"], sim.wall.counts["compute"]
+            Simulation(_settings(), comm).run(3)
 
-        for exchange, compute in run_spmd(worker, 2, timeout=60):
-            assert (exchange, compute) == (3, 3)
+        with observe.session() as tracer:
+            run_spmd(worker, 2, timeout=60)
+        for rank in (0, 1):
+            assert self._sections(tracer.spans, rank) == [
+                "step.exchange", "step.compute"
+            ] * 3

@@ -1,4 +1,4 @@
-"""Trace-driven vs. analytic TCC counters on the executed device path."""
+"""Trace-driven vs. analytic TCC counters."""
 
 import numpy as np
 import pytest
@@ -6,29 +6,12 @@ import pytest
 from repro.cluster.frontier import GcdSpec
 from repro.core.params import GrayScottParams
 from repro.core.stencil import kernel_args, make_gray_scott_kernel
-from repro.gpu.cache import TraceCacheSim, seven_point_offsets
-from repro.gpu.kernel import LaunchConfig
-from repro.gpu.memory import Device
-from repro.util.errors import GpuError
-
-
-def _launch(device, n=14):
-    shape = (n, n, n)
-    u = device.zeros(shape, name="u")
-    v = device.zeros(shape, name="v")
-    un = device.zeros(shape, name="u_temp")
-    vn = device.zeros(shape, name="v_temp")
-    u.fill(1.0)
-    kernel = make_gray_scott_kernel()
-    cfg = LaunchConfig.for_domain(shape, (4, 4, 4))
-    args = kernel_args(u, v, un, vn, GrayScottParams(), seed=1, step=0)
-    return device.launch(kernel, cfg.grid, cfg.workgroup, args)
+from repro.gpu.cache import StencilTrafficModel, TraceCacheSim, seven_point_offsets
+from repro.gpu.jit import trace_kernel
 
 
 class TestMultiSweep:
     def test_fetch_close_to_analytic_when_fits(self):
-        from repro.gpu.cache import StencilTrafficModel
-
         shape = (16, 16, 16)
         loads = {"u": seven_point_offsets(), "v": seven_point_offsets()}
         stores = {"ut": {(0, 0, 0)}, "vt": {(0, 0, 0)}}
@@ -52,44 +35,31 @@ class TestMultiSweep:
         assert trace.tcc_hits + trace.tcc_misses == trace.tcc_requests
 
 
-class TestDeviceCounterModes:
-    def test_trace_mode_on_device(self):
-        device = Device(backend="julia", counter_mode="trace")
-        cost = _launch(device)
-        assert cost.fetch_bytes > 0
-        assert cost.seconds > 0
+class TestTracedKernelTraffic:
+    """The analytic model against the exact LRU replay, both fed the
+    access pattern the JIT traced from the Gray-Scott kernel itself."""
 
-    def test_trace_vs_analytic_traffic_agree_at_mini_scale(self):
-        traced = _launch(Device(backend="julia", counter_mode="trace"))
-        analytic = _launch(Device(backend="julia", counter_mode="analytic"))
+    @staticmethod
+    def _pattern(n=14):
+        shape = (n, n, n)
+        arrays = [np.zeros(shape, order="F") for _ in range(4)]
+        trace = trace_kernel(
+            make_gray_scott_kernel(),
+            kernel_args(*arrays, GrayScottParams(), seed=1, step=0),
+        )
+        return shape, trace.offsets_by_array(), trace.stores_by_array()
+
+    def test_traced_pattern_is_the_stencil(self):
+        _, loads, stores = self._pattern()
+        assert list(loads.values()) == [seven_point_offsets()] * 2
+        assert list(stores.values()) == [{(0, 0, 0)}] * 2
+
+    def test_analytic_agrees_with_trace_at_mini_scale(self):
+        shape, loads, stores = self._pattern()
+        spec = GcdSpec()
+        traced = TraceCacheSim(
+            spec.tcc_bytes, line_bytes=spec.cache_line_bytes
+        ).multi_sweep(shape, 8, loads, stores)
+        analytic = StencilTrafficModel(spec).estimate(shape, 8, loads, stores)
         # small grid: everything fits, both see ~1 pass per array
         assert traced.fetch_bytes == pytest.approx(analytic.fetch_bytes, rel=0.15)
-
-    def test_trace_mode_caps_problem_size(self):
-        device = Device(backend="julia", counter_mode="trace")
-        with pytest.raises(GpuError, match="cap"):
-            _launch(device, n=80)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(GpuError):
-            Device(backend="julia", counter_mode="exact")
-
-    def test_functional_results_identical_across_modes(self):
-        shape = (10, 10, 10)
-        results = {}
-        for mode in ("analytic", "trace"):
-            device = Device(backend="julia", counter_mode=mode)
-            u = device.zeros(shape, name="u")
-            v = device.zeros(shape, name="v")
-            un = device.zeros(shape, name="u_temp")
-            vn = device.zeros(shape, name="v_temp")
-            u.fill(1.0)
-            v.fill(0.2)
-            kernel = make_gray_scott_kernel()
-            cfg = LaunchConfig.for_domain(shape, (4, 4, 4))
-            device.launch(
-                kernel, cfg.grid, cfg.workgroup,
-                kernel_args(u, v, un, vn, GrayScottParams(), seed=2, step=0),
-            )
-            results[mode] = un.data.copy()
-        assert np.array_equal(results["analytic"], results["trace"])

@@ -6,6 +6,7 @@ import json
 import sys
 import threading
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,23 +21,31 @@ from repro.gpu.jit import TraceMemo
 from repro.gpu.kernel import Kernel, LaunchConfig
 from repro.gpu.memory import Device
 from repro.gpu.perf import RooflineModel
-from repro.gpu.rocprof import Profiler
+from repro.gpu.rocprof import device_events
 from repro.ir import lower
 from repro.mpi.executor import run_spmd
+from repro.observe import trace as observe
 
 
 def _run(nranks: int) -> list[tuple]:
-    """(profiler events, final device clock, step timings) per rank."""
+    """(device events, final device clock) per rank."""
     settings = GrayScottSettings(L=12, steps=5, noise=0.05, seed=3, backend="julia")
 
     def worker(comm):
-        sim = Simulation(settings, comm, profiler=Profiler())
+        sim = Simulation(settings, comm)
         sim.run(5)
-        return sim.device.profiler.events, sim.device.clock.now, sim.timings()
+        return sim.device.name, sim.device.clock.now
 
-    if nranks == 1:
-        return [worker(None)]
-    return run_spmd(worker, nranks, timeout=120)
+    with observe.session() as tracer:
+        if nranks == 1:
+            devices = [worker(None)]
+        else:
+            devices = run_spmd(worker, nranks, timeout=120)
+    events = device_events(tracer.spans)
+    return [
+        ([(kind, span) for kind, span in events if span.process == name], now)
+        for name, now in devices
+    ]
 
 
 class TestCostMemoIsExact:
@@ -51,7 +60,7 @@ class TestCostMemoIsExact:
 
         monkeypatch.setattr(RooflineModel, "launch_cost", cleared)
         assert _run(nranks) == memoized
-        kinds = Counter(event.kind for events, _, _ in memoized for event in events)
+        kinds = Counter(kind for events, _ in memoized for kind, _ in events)
         assert kinds["kernel"] == 5 * nranks and kinds["compile"] == nranks
         assert kinds["copy"] > 0
 
@@ -139,13 +148,15 @@ class TestFreshCost:
     def test_replaced_roofline_prices_again(self, monkeypatch):
         device = Device(backend="julia")
         kernel = make_laplacian_kernel()
-        analytic = self._launch(device, kernel, (8, 8, 8))
-        device.roofline = RooflineModel(device.spec, device.backend, counter_mode="trace")
+        before = self._launch(device, kernel, (8, 8, 8))
+        slower = replace(device.spec,
+                         hbm_peak_bytes_per_s=device.spec.hbm_peak_bytes_per_s / 2)
+        device.roofline = RooflineModel(slower, device.backend)
         calls = Counter()
         _counting(monkeypatch, calls, RooflineModel, "traffic")
-        traced = self._launch(device, kernel, (8, 8, 8))
+        after = self._launch(device, kernel, (8, 8, 8))
         assert calls == {"traffic": 1}
-        assert traced != analytic
+        assert after.seconds == pytest.approx(2 * before.seconds)
 
 
 class TestConcurrentMiss:

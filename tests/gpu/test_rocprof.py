@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,9 @@ from repro.core.params import GrayScottParams
 from repro.core.stencil import kernel_args, make_gray_scott_kernel
 from repro.gpu.kernel import LaunchConfig
 from repro.gpu.memory import Device
-from repro.gpu.rocprof import Profiler
-
-
-@pytest.fixture
-def profiled_device():
-    profiler = Profiler()
-    device = Device(name="gcd0", backend="julia", profiler=profiler)
-    return device, profiler
+from repro.gpu.rocprof import device_events, kernel_stats, timeline_rows, to_csv
+from repro.observe import trace as observe
+from repro.observe.export import ascii_timeline
 
 
 def _launch_steps(device, steps=3, n=12):
@@ -30,86 +27,82 @@ def _launch_steps(device, steps=3, n=12):
     return kernel
 
 
-class TestProfiler:
-    def test_event_kinds_recorded(self, profiled_device):
-        device, profiler = profiled_device
-        _launch_steps(device, steps=2)
-        kinds = [e.kind for e in profiler.events]
+def _traced(steps):
+    """(device, kernel, spans) of ``steps`` launches under a tracer."""
+    with observe.session() as tracer:
+        device = Device(name="gcd0", backend="julia")
+        kernel = _launch_steps(device, steps=steps)
+    return device, kernel, tracer.spans
+
+
+class TestDeviceEvents:
+    def test_event_kinds_recorded(self):
+        _, _, spans = _traced(2)
+        kinds = [kind for kind, _ in device_events(spans)]
         assert kinds.count("compile") == 1  # JIT once
         assert kinds.count("kernel") == 2
 
-    def test_events_are_ordered_in_time(self, profiled_device):
-        device, profiler = profiled_device
-        _launch_steps(device, steps=3)
-        starts = [e.start for e in profiler.events]
+    def test_events_are_ordered_in_time(self):
+        device, _, spans = _traced(3)
+        events = [span for _, span in device_events(spans)]
+        starts = [span.start for span in events]
         assert starts == sorted(starts)
-        assert profiler.events[-1].end == pytest.approx(device.clock.now)
+        assert events[-1].end == pytest.approx(device.clock.now)
 
 
-class TestRocprofReport:
-    def test_stats_aggregation(self, profiled_device):
-        device, profiler = profiled_device
-        kernel = _launch_steps(device, steps=4)
-        report = profiler.report()
-        stats = report.stats[kernel.name]
+class TestKernelStats:
+    def test_stats_aggregation(self):
+        _, kernel, spans = _traced(4)
+        stats = kernel_stats(spans)[kernel.name]
         assert stats.calls == 4
         assert stats.total_seconds > 0
         assert stats.avg_fetch_bytes > 0
         assert stats.tcc_misses > 0
 
-    def test_render_trace(self, profiled_device):
-        device, profiler = profiled_device
-        _launch_steps(device)
-        trace = profiler.report().render_trace()
-        assert "GPU kernels" in trace
-        assert "JIT" in trace
+    def test_render_timeline(self):
+        _, _, spans = _traced(3)
+        text = ascii_timeline(timeline_rows(spans))
+        assert "GPU kernels" in text
+        assert "JIT" in text
 
-    def test_empty_trace(self):
-        assert "(empty trace)" in Profiler().report().render_trace()
-
-    def test_device_filter(self, profiled_device):
-        device, profiler = profiled_device
-        _launch_steps(device)
-        other = profiler.report(device="nonexistent")
-        assert not other.stats
+    def test_empty_timeline(self):
+        assert "(empty trace)" in ascii_timeline(timeline_rows([]))
 
 
 class TestCsvExport:
-    def test_csv_shape(self, profiled_device, tmp_path):
-        device, profiler = profiled_device
-        _launch_steps(device, steps=2)
-        report = profiler.report()
-        csv_text = report.to_csv()
-        lines = csv_text.splitlines()
+    def test_csv_shape(self):
+        _, _, spans = _traced(2)
+        lines = to_csv(spans).splitlines()
         assert lines[0].startswith('"Index","KernelName"')
         # 1 compile + 2 kernels
         assert len(lines) == 1 + 3
         assert any("<jit:" in line for line in lines)
         assert all(len(line.split(",")) == 11 for line in lines[1:])
 
-    def test_csv_durations_consistent(self, profiled_device):
-        device, profiler = profiled_device
-        _launch_steps(device, steps=1)
-        report = profiler.report()
-        line = report.to_csv().splitlines()[-1]
-        cells = line.split(",")
+    def test_csv_durations_consistent(self):
+        _, _, spans = _traced(1)
+        cells = to_csv(spans).splitlines()[-1].split(",")
         begin, end, duration = int(cells[3]), int(cells[4]), int(cells[5])
         assert end - begin == pytest.approx(duration, abs=2)
 
-    def test_write_csv(self, profiled_device, tmp_path):
-        device, profiler = profiled_device
-        _launch_steps(device, steps=1)
-        target = tmp_path / "results.csv"
-        profiler.report().write_csv(target)
-        assert target.read_text().startswith('"Index"')
-
     def test_copies_in_csv(self):
-        import numpy as np
-
-        profiler = Profiler()
-        device = Device(name="g", backend="julia", profiler=profiler)
-        arr = device.to_device(np.zeros((8, 8)))
-        device.to_host(arr)
-        csv_text = profiler.report().to_csv()
+        with observe.session() as tracer:
+            device = Device(name="g", backend="julia")
+            arr = device.to_device(np.zeros((8, 8)))
+            device.to_host(arr)
+        csv_text = to_csv(tracer.spans)
         assert "<memcpy:H2D>" in csv_text
         assert "<memcpy:D2H>" in csv_text
+
+    def test_rows_independent_of_recording_order(self):
+        """Rank threads interleave their devices' spans arbitrarily."""
+        with observe.session() as tracer:
+            for name in ("gcd1", "gcd0"):
+                _launch_steps(Device(name=name, backend="julia"), steps=2)
+        spans = list(tracer.spans)
+        expected = to_csv(spans)
+        for seed in range(3):
+            random.Random(seed).shuffle(spans)
+            assert to_csv(spans) == expected
+        devices = [line.split(",")[2] for line in expected.splitlines()[1:]]
+        assert devices[:2] == ['"gcd0"', '"gcd1"']  # equal starts: by device

@@ -218,6 +218,37 @@ class TestCliTrace:
         assert csv_path.read_text().startswith('"Index"')
         assert "_kernel_gray_scott" in csv_path.read_text()
 
+    def test_four_rank_trace_is_reproducible(self, tmp_path, capsys):
+        """Rank threads interleave their devices' events differently on
+        every run; the CSV is the same bytes regardless."""
+        path = tmp_path / "s.json"
+        GrayScottSettings(
+            L=16, steps=8, plotgap=4, noise=0.01, backend="julia", ranks=4,
+            output=str(tmp_path / "t.bp"),
+        ).save(path)
+        csvs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for csv_path in csvs:
+            assert main(["run", str(path), "--trace", str(csv_path)]) == 0
+        first, second = (p.read_bytes() for p in csvs)
+        assert first == second
+        # 4 devices x (1 compile + 8 kernels + 2 copies per exchange,
+        # the initial exchange included)
+        assert len(first.splitlines()) == 1 + 4 * (1 + 8 + 2 * 9)
+
+    def test_streamed_trace_out_gives_the_same_csv(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        GrayScottSettings(
+            L=12, steps=4, plotgap=2, noise=0.0, backend="julia", ranks=2,
+            output=str(tmp_path / "t.bp"),
+        ).save(path)
+        assert main(["run", str(path), "--trace", str(tmp_path / "a.csv")]) == 0
+        assert main([
+            "run", str(path), "--trace", str(tmp_path / "b.csv"),
+            "--trace-out", str(tmp_path / "shards") + "/", "--timings",
+        ]) == 0
+        assert "wall-time sections" in capsys.readouterr().out
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
     def test_trace_rejected_on_cpu(self, settings_file, tmp_path, capsys):
         assert main(["run", str(settings_file), "--trace", str(tmp_path / "x.csv")]) == 2
         assert "GPU backend" in capsys.readouterr().err
@@ -277,10 +308,17 @@ class TestCliObservability:
         assert ranks == {"0", "1"}
 
     def test_timings_flag(self, settings_file, capsys):
+        from repro.observe import trace
+
         assert main(["run", str(settings_file), "--timings"]) == 0
+        assert trace.active() is None  # session torn down
         out = capsys.readouterr().out
-        assert "wall-time sections" in out
-        assert "compute" in out
+        table = out[out.index("wall-time sections"):].splitlines()
+        assert table[1].split() == ["section", "calls", "total", "(s)", "mean", "(ms)"]
+        steps = GrayScottSettings.load(settings_file).steps
+        assert sorted(line.split()[:2] for line in table[3:]) == [
+            ["compute", str(steps)], ["exchange", str(steps)]
+        ]
 
     def test_trace_subcommand(self, tmp_path, capsys):
         path = self._gpu_settings(tmp_path)

@@ -1,7 +1,6 @@
 import pytest
 
-from repro.util.errors import ReproError, TimerError
-from repro.util.timers import SimClock, Stopwatch, WallTimer
+from repro.util.timers import SimClock, WallTimer
 
 
 class TestWallTimer:
@@ -12,49 +11,6 @@ class TestWallTimer:
 
     def test_elapsed_zero_before_use(self):
         assert WallTimer().elapsed == 0.0
-
-
-class TestStopwatch:
-    def test_sections_accumulate(self):
-        sw = Stopwatch()
-        for _ in range(3):
-            with sw.section("a"):
-                pass
-        assert sw.counts["a"] == 3
-        assert sw.totals["a"] >= 0.0
-        assert sw.mean("a") == pytest.approx(sw.totals["a"] / 3)
-
-    def test_add_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Stopwatch().add("x", -1.0)
-
-    def test_manual_add(self):
-        sw = Stopwatch()
-        sw.add("io", 1.5)
-        sw.add("io", 0.5)
-        assert sw.totals["io"] == pytest.approx(2.0)
-        assert sw.mean("io") == pytest.approx(1.0)
-
-    def test_mean_of_unknown_section(self):
-        sw = Stopwatch()
-        sw.add("io", 1.0)
-        with pytest.raises(TimerError, match=r"no samples.*'compute'"):
-            sw.mean("compute")
-        # the message names what *was* recorded
-        with pytest.raises(TimerError, match="io"):
-            sw.mean("compute")
-        assert issubclass(TimerError, ReproError)
-
-    def test_render(self):
-        sw = Stopwatch()
-        sw.add("compute", 2.0)
-        sw.add("exchange", 0.5)
-        text = sw.render()
-        assert "wall-time sections" in text
-        assert "compute" in text and "exchange" in text
-
-    def test_render_empty(self):
-        assert "wall-time sections" in Stopwatch().render()
 
 
 class TestSimClock:
