@@ -127,6 +127,18 @@ class TestSerialWriter:
         assert reader.nsteps == 1
         engine.close()
 
+    def test_steps_written_counts_end_steps(self, io, tmp_path):
+        u = io.define_variable("U", np.float64, shape=(4, 4, 4), count=(4, 4, 4))
+        engine = io.open(tmp_path / "x.bp", "w")
+        assert engine.steps_written == 0
+        for s in range(2):
+            engine.begin_step()
+            engine.put(u, np.full((4, 4, 4), float(s)))
+            assert engine.steps_written == s  # counted at end_step, not put
+            engine.end_step()
+        engine.close()
+        assert engine.steps_written == 2
+
     def test_scalars_inline(self, io, tmp_path):
         step_var = io.define_variable("step", np.int32)
         with io.open(tmp_path / "x.bp", "w") as engine:

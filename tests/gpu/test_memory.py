@@ -89,3 +89,50 @@ class TestTransfers:
         arr = other.zeros((2, 2, 2))
         with pytest.raises(GpuError):
             device.to_host(arr)
+
+
+def _launch(device, n=8):
+    from repro.core.params import GrayScottParams
+    from repro.core.stencil import kernel_args, make_gray_scott_kernel
+    from repro.gpu.kernel import LaunchConfig
+
+    arrays = [device.zeros((n, n, n), name=f"a{i}") for i in range(4)]
+    arrays[0].fill(1.0)
+    cfg = LaunchConfig.for_domain((n, n, n), (4, 4, 4))
+    return device.launch(
+        make_gray_scott_kernel(), cfg.grid, cfg.workgroup,
+        kernel_args(*arrays, GrayScottParams(), seed=0, step=0),
+    )
+
+
+class TestLaunchSpans:
+    def test_kernel_span_carries_launch_counters(self):
+        with observe.session() as tracer:
+            device = Device(name="k", backend="julia")
+            cost = _launch(device)
+        (span,) = [s for kind, s in device_events(tracer.spans) if kind == "kernel"]
+        assert span.seconds == cost.seconds
+        assert span.arg("fetch_bytes") == cost.fetch_bytes
+        assert span.arg("write_bytes") == cost.write_bytes
+        assert span.arg("tcc_hit") == cost.tcc_hits
+        assert span.arg("tcc_miss") == cost.tcc_misses
+        assert span.arg("workgroup_size") == 64
+
+    def test_aot_device_records_no_compile(self):
+        with observe.session() as tracer:
+            _launch(Device(name="jit", backend="julia"))
+            _launch(Device(name="aot", backend="julia", aot=True))
+        compiles = [s.process for kind, s in device_events(tracer.spans)
+                    if kind == "compile"]
+        assert compiles == ["jit"]
+
+    def test_untraced_launch_prices_the_same(self):
+        """Without a tracer the device records nothing, and charges the
+        same modeled time to its clock."""
+        assert observe.active() is None
+        untraced = Device(name="u", backend="julia")
+        cost = _launch(untraced)
+        with observe.session():
+            traced = Device(name="t", backend="julia")
+            assert _launch(traced) == cost
+        assert untraced.clock.now == traced.clock.now

@@ -7,7 +7,13 @@ from repro.core.params import GrayScottParams
 from repro.core.stencil import kernel_args, make_gray_scott_kernel
 from repro.gpu.kernel import LaunchConfig
 from repro.gpu.memory import Device
-from repro.gpu.rocprof import device_events, kernel_stats, timeline_rows, to_csv
+from repro.gpu.rocprof import (
+    KernelStats,
+    device_events,
+    kernel_stats,
+    timeline_rows,
+    to_csv,
+)
 from repro.observe import trace as observe
 from repro.observe.export import ascii_timeline
 
@@ -42,6 +48,17 @@ class TestDeviceEvents:
         assert kinds.count("compile") == 1  # JIT once
         assert kinds.count("kernel") == 2
 
+    def test_non_device_spans_ignored(self):
+        with observe.session() as tracer:
+            _launch_steps(Device(name="gcd0", backend="julia"), steps=1)
+            tracer.add_span("step.compute", cat="core", clock=observe.WALL,
+                            process="rank0", thread="main", start=0.0, seconds=1.0)
+            tracer.add_span("lustre.write", cat="gpu", clock=observe.SIM,
+                            process="gcd0", thread="io", start=0.0, seconds=1.0)
+        assert [kind for kind, _ in device_events(tracer.spans)] == [
+            "compile", "kernel"
+        ]
+
     def test_events_are_ordered_in_time(self):
         device, _, spans = _traced(3)
         events = [span for _, span in device_events(spans)]
@@ -58,6 +75,28 @@ class TestKernelStats:
         assert stats.total_seconds > 0
         assert stats.avg_fetch_bytes > 0
         assert stats.tcc_misses > 0
+
+    def test_stats_sum_over_devices(self):
+        with observe.session() as tracer:
+            for name in ("gcd0", "gcd1"):
+                kernel = _launch_steps(Device(name=name, backend="julia"), steps=3)
+        per_device = kernel_stats(
+            [s for s in tracer.spans if s.process == "gcd0"]
+        )[kernel.name]
+        both = kernel_stats(tracer.spans)[kernel.name]
+        assert both.calls == 2 * per_device.calls == 6
+        assert both.fetch_bytes == pytest.approx(2 * per_device.fetch_bytes)
+        assert both.avg_fetch_bytes == pytest.approx(per_device.avg_fetch_bytes)
+
+    def test_avg_fetch_of_no_calls(self):
+        assert KernelStats("k").avg_fetch_bytes == 0.0
+
+    def test_timeline_rows_one_interval_per_event(self):
+        _, _, spans = _traced(3)
+        rows = {label: intervals for label, _, intervals in timeline_rows(spans)}
+        assert len(rows["JIT"]) == 1
+        assert len(rows["GPU kernels"]) == 3
+        assert all(end > start for start, end in rows["GPU kernels"])
 
     def test_render_timeline(self):
         _, _, spans = _traced(3)
@@ -84,6 +123,26 @@ class TestCsvExport:
         cells = to_csv(spans).splitlines()[-1].split(",")
         begin, end, duration = int(cells[3]), int(cells[4]), int(cells[5])
         assert end - begin == pytest.approx(duration, abs=2)
+
+    def test_kernel_row_counters_from_span(self):
+        _, kernel, spans = _traced(1)
+        (span,) = [s for k, s in device_events(spans) if k == "kernel"]
+        row = [line for line in to_csv(spans).splitlines()
+               if f'"{kernel.name}"' in line]
+        cells = row[0].split(",")
+        assert [int(c) for c in cells[6:]] == [
+            int(span.arg("fetch_bytes")), int(span.arg("write_bytes")),
+            int(span.arg("tcc_hit")), int(span.arg("tcc_miss")), 64,
+        ]
+
+    def test_copy_rows_carry_their_bytes(self):
+        with observe.session() as tracer:
+            device = Device(name="g", backend="julia")
+            arr = device.to_device(np.zeros((8, 8)))
+            device.to_host(arr)
+        rows = [line.split(",") for line in to_csv(tracer.spans).splitlines()[1:]]
+        sizes = {row[1]: (int(row[6]), int(row[7])) for row in rows}
+        assert sizes == {'"<memcpy:H2D>"': (0, 512), '"<memcpy:D2H>"': (512, 0)}
 
     def test_copies_in_csv(self):
         with observe.session() as tracer:

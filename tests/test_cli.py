@@ -320,6 +320,35 @@ class TestCliObservability:
             ["compute", str(steps)], ["exchange", str(steps)]
         ]
 
+    def test_plain_run_activates_no_tracer(self, settings_file, monkeypatch, capsys):
+        from repro.observe import trace
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a run without observe flags opened a tracer")
+
+        monkeypatch.setattr(trace, "session", refused)
+        monkeypatch.setattr(trace, "activate", refused)
+        assert main(["run", str(settings_file)]) == 0
+        assert "wall-time sections" not in capsys.readouterr().out
+
+    def test_timings_table_is_rank0_by_total(self):
+        from repro.cli import _step_sections
+        from repro.observe import trace
+
+        tracer = trace.Tracer()
+        for process, name, seconds in [
+            ("rank0", "step.exchange", 0.5), ("rank0", "step.compute", 0.25),
+            ("rank0", "step.exchange", 0.5), ("rank1", "step.compute", 9.0),
+            ("rank0", "core.run", 5.0),
+        ]:
+            tracer.add_span(name, cat="core", clock=trace.WALL, process=process,
+                            thread="main", start=0.0, seconds=seconds)
+        rows = [line.split() for line in _step_sections(tracer.spans).splitlines()[3:]]
+        assert [row[:4] for row in rows if row] == [
+            ["exchange", "2", "1.0000", "500.000"],
+            ["compute", "1", "0.2500", "250.000"],
+        ]
+
     def test_trace_subcommand(self, tmp_path, capsys):
         path = self._gpu_settings(tmp_path)
         t_json = tmp_path / "t.json"
