@@ -288,9 +288,9 @@ def block_payload(data: np.ndarray) -> tuple[memoryview, int]:
     view walks the array in Fortran byte order without the ``tobytes``
     copy the old path paid per block. Non-contiguous inputs still copy
     once. The view supports everything downstream needs — ``len()``,
-    CRC32, compression, ``os.writev`` — but is *not* picklable; callers
-    shipping payloads across process or simulated-MPI boundaries must
-    take ``bytes(payload)`` first.
+    CRC32, compression, ``os.writev`` — but is *not* picklable: the BP5
+    writer ships it to a remote aggregator as ``np.frombuffer(payload,
+    np.uint8)``, an array message the buffered send copies once.
     """
     arr = np.asfortranarray(data)
     if arr.ndim == 0:

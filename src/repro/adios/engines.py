@@ -187,8 +187,11 @@ class BP5Writer:
                 incoming = [(self.rank, local_blocks)]
                 for member in self._members(self._subfile):
                     if member != self.rank:
-                        payload, _ = self.comm.recv(member, _TAG_BLOCKS)
-                        incoming.append((member, payload))
+                        records, _ = self.comm.recv(member, _TAG_BLOCKS)
+                        for rec in records:
+                            if "payload" not in rec:  # follows as an array
+                                rec["payload"], _ = self.comm.recv(member, _TAG_BLOCKS)
+                        incoming.append((member, records))
                 incoming.sort()
                 written, summaries = self._aggregate_and_write(incoming)
                 if self.rank == 0:
@@ -203,12 +206,15 @@ class BP5Writer:
                 else:
                     self.comm.send((written, summaries), 0, _TAG_META)
             else:
-                # block_payload returns zero-copy memoryviews; they must
-                # become bytes to cross the (pickling) comm boundary
-                for rec in local_blocks:
-                    if not isinstance(rec["payload"], bytes):
-                        rec["payload"] = bytes(rec["payload"])
+                # the metadata crosses as one small object message; each
+                # payload follows as a uint8 array, which the buffered
+                # send copies once (a memoryview does not pickle)
+                payloads = [
+                    rec.pop("payload") for rec in local_blocks if len(rec["payload"])
+                ]
                 self.comm.send(local_blocks, aggregator, _TAG_BLOCKS)
+                for payload in payloads:
+                    self.comm.send(np.frombuffer(payload, np.uint8), aggregator, _TAG_BLOCKS)
             self.comm.barrier()  # step is durable before anyone continues
         self._in_step = False
         self.steps_written += 1

@@ -143,6 +143,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (ConfigError, OSError) as exc:
         print(f"grayscott: {exc}", file=sys.stderr)
         return 2
+    if args.virtual_ranks is not None:
+        needs = "a functional run"
+        misplaced = (("--trace", args.trace), ("--timings", args.timings))
+    else:
+        needs = "--virtual-ranks"
+        misplaced = (
+            ("--sim-profile", args.sim_profile), ("--overlap", args.overlap),
+            ("--nic-contention", args.nic_contention), ("--jobs", args.jobs != 1),
+        )
+    for flag, given in misplaced:
+        if given:
+            print(f"grayscott: {flag} requires {needs}", file=sys.stderr)
+            return 2
 
     trace_mode = _trace_mode(args.trace_out) if args.trace_out else None
     if args.trace_out:
@@ -163,14 +176,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     if args.virtual_ranks is not None:
         return _run_virtual(args, settings, trace_mode)
-    for flag, given in (
-        ("--sim-profile", args.sim_profile), ("--overlap", args.overlap),
-        ("--nic-contention", args.nic_contention), ("--jobs", args.jobs != 1),
-    ):
-        if given:
-            print(f"grayscott: {flag} requires --virtual-ranks",
-                  file=sys.stderr)
-            return 2
 
     if args.trace and settings.backend == "cpu":
         print("grayscott: --trace needs a GPU backend (julia/hip)",

@@ -56,8 +56,8 @@ def write_checkpoint(sim: Simulation, path: str | None = None) -> str:
     io.define_attribute("settings_json", sim.settings.to_json())
     with io.open(staged, "w", comm=sim.cart) as engine:
         engine.begin_step()
-        engine.put(var_u, np.asfortranarray(sim.interior("u")))
-        engine.put(var_v, np.asfortranarray(sim.interior("v")))
+        engine.put(var_u, sim.interior("u"))
+        engine.put(var_v, sim.interior("v"))
         engine.put(var_step, np.int64(sim.step_count))
         engine.end_step()
     if lead:

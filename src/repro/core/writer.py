@@ -66,8 +66,9 @@ class SimulationWriter:
     def write(self) -> None:
         """Write one output step of the current simulation state."""
         self.engine.begin_step()
-        self.engine.put(self.var_u, np.asfortranarray(self.sim.interior("u")))
-        self.engine.put(self.var_v, np.asfortranarray(self.sim.interior("v")))
+        # put snapshots its data (sync semantics): the one gather of the live view
+        self.engine.put(self.var_u, self.sim.interior("u"))
+        self.engine.put(self.var_v, self.sim.interior("v"))
         self.engine.put(self.var_step, np.int32(self.sim.step_count))
         self.engine.end_step()
 

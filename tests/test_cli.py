@@ -472,6 +472,25 @@ class TestCliVirtual:
         assert main(["run", str(path), "--nic-contention"]) == 2
         assert "--virtual-ranks" in capsys.readouterr().err
 
+    def test_trace_requires_a_functional_run(self, tmp_path, capsys):
+        path = self._gpu_settings(tmp_path)
+        csv = tmp_path / "x.csv"
+        assert main([
+            "run", str(path), "--virtual-ranks", "8", "--trace", str(csv),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "grayscott: --trace requires a functional run\n"
+        assert captured.out == "" and not csv.exists()
+
+    def test_timings_requires_a_functional_run(self, tmp_path, capsys):
+        path = self._gpu_settings(tmp_path)
+        assert main([
+            "run", str(path), "--virtual-ranks", "8", "--timings",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "grayscott: --timings requires a functional run\n"
+        assert captured.out == ""
+
 
 class TestCliStreaming:
     def _gpu_settings(self, tmp_path):
