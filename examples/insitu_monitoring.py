@@ -15,6 +15,7 @@ Usage::
 
 import sys
 
+import numpy as np
 
 from repro import GrayScottSettings, Simulation
 from repro.analysis.spectrum import dominant_wavelength
@@ -31,19 +32,21 @@ def main() -> int:
         sim = Simulation(settings, comm)
         monitor = InSituMonitor(every=50)
         sim.run(steps, on_step=monitor)
-        plane = None
-        full = sim.gather_global("v")
-        if comm.rank == 0:
-            plane = full[:, :, settings.L // 2]
-        return monitor if comm.rank == 0 else None, plane
+        return monitor, sim.domain.global_slices(), sim.interior("v")
 
     if nranks == 1:
         sim = Simulation(settings)
         monitor = InSituMonitor(every=50)
         sim.run(steps, on_step=monitor)
-        plane = sim.gather_global("v")[:, :, settings.L // 2]
+        full = sim.interior("v")
     else:
-        monitor, plane = run_spmd(worker, nranks, timeout=600)[0]
+        # every rank's block of V, placed at its global slices
+        blocks = run_spmd(worker, nranks, timeout=600)
+        monitor = blocks[0][0]
+        full = np.zeros(settings.shape, dtype=blocks[0][2].dtype)
+        for _, where, block in blocks:
+            full[where] = block
+    plane = full[:, :, settings.L // 2]
 
     print(f"ran {steps} steps on {nranks} rank(s)\n")
     print(monitor.render("v"))

@@ -437,6 +437,9 @@ def _cmd_ir(args: argparse.Namespace) -> int:
     from repro.ir.passes import parse_pipeline
     from repro.ir.perfmodel import counterfactual
 
+    if args.capacity_bytes is not None and not args.exact:
+        print("grayscott: --capacity-bytes requires --exact", file=sys.stderr)
+        return 2
     try:
         pipeline = parse_pipeline(args.passes)
         shape = _parse_shape(args.shape)

@@ -238,16 +238,3 @@ class Simulation:
     def interior(self, which: str = "u") -> np.ndarray:
         field = {"u": self.u, "v": self.v}[which]
         return self.domain.interior(field)
-
-    def gather_global(self, which: str = "u") -> np.ndarray | None:
-        """Assemble the full global field on rank 0 (None elsewhere)."""
-        interior = np.asfortranarray(self.interior(which))
-        if self.cart is None:
-            return interior.copy(order="F")
-        pieces = self.cart.gather((self.domain.global_slices(), interior), root=0)
-        if self.cart.rank != 0:
-            return None
-        out = np.zeros(self.settings.shape, dtype=self.dtype, order="F")
-        for slices, block in pieces:
-            out[slices] = block
-        return out

@@ -124,8 +124,6 @@ def simulate_module(
     shape: tuple[int, int, int],
     itemsize: int | None = None,
     capacity_bytes: int | None = None,
-    line_bytes: int = 64,
-    associativity: int = 16,
     spec: GcdSpec | None = None,
 ) -> ModuleCost:
     """Exact LRU simulation of the module's launches, state carried over.
@@ -137,8 +135,7 @@ def simulate_module(
     spec = spec or GcdSpec()
     sim = TraceCacheSim(
         capacity_bytes if capacity_bytes is not None else spec.tcc_bytes,
-        line_bytes,
-        associativity,
+        spec.cache_line_bytes,
     )
     costs = []
     for func in module.funcs:

@@ -10,6 +10,7 @@ from repro.core.settings import GrayScottSettings
 from repro.core.simulation import Simulation
 from repro.mpi.executor import run_spmd
 from repro.util.errors import ConfigError
+from tests.oracles.gather import gather_global
 
 
 def _wall_plan(dims, coords, shape=(3, 3, 3)):
@@ -77,13 +78,13 @@ class TestNeumannSimulation:
         settings = self._settings(noise=0.05, steps=0)
         serial = Simulation(settings)
         serial.run(8)
-        expected_u = serial.gather_global("u")
-        expected_v = serial.gather_global("v")
+        expected_u = gather_global(serial, "u")
+        expected_v = gather_global(serial, "v")
 
         def worker(comm):
             sim = Simulation(settings, comm)
             sim.run(8)
-            return sim.gather_global("u"), sim.gather_global("v")
+            return gather_global(sim, "u"), gather_global(sim, "v")
 
         got_u, got_v = run_spmd(worker, nranks, timeout=120)[0]
         assert np.array_equal(expected_u, got_u)

@@ -6,6 +6,7 @@ from repro.core.params import GrayScottParams
 from repro.core.settings import GrayScottSettings
 from repro.core.simulation import Simulation
 from repro.mpi.executor import run_spmd
+from tests.oracles.gather import gather_global
 from tests.oracles.stencil import step_reference, step_vectorized
 
 INTERIOR = (slice(1, -1),) * 3
@@ -41,12 +42,12 @@ class TestFloat32Stencil:
         settings = GrayScottSettings(L=12, noise=0.05, precision="float32")
         serial = Simulation(settings)
         serial.run(6)
-        expected = serial.gather_global("v")
+        expected = gather_global(serial, "v")
 
         def worker(comm):
             sim = Simulation(settings, comm)
             sim.run(6)
-            return sim.gather_global("v")
+            return gather_global(sim, "v")
 
         got = run_spmd(worker, 4, timeout=120)[0]
         assert got.dtype == np.float32

@@ -9,6 +9,7 @@ from repro.core.settings import GrayScottSettings
 from repro.core.simulation import Simulation
 from repro.mpi.executor import run_spmd
 from repro.util.errors import ConfigError
+from tests.oracles.gather import gather_global
 
 
 def _settings(tmp_path, **kwargs):
@@ -122,13 +123,13 @@ class TestCrossDecompositionRestart:
 
         reference = Simulation(settings)
         reference.run(10)
-        expected = reference.gather_global("v")
+        expected = gather_global(reference, "v")
 
         def worker(comm):
             sim = Simulation(settings, comm)
             restore_checkpoint(sim)
             sim.run(6)
-            return sim.gather_global("v")
+            return gather_global(sim, "v")
 
         got = run_spmd(worker, 2, timeout=120)[0]
         assert np.array_equal(expected, got)

@@ -7,6 +7,7 @@ from repro.gpu.rocprof import device_events
 from repro.mpi.executor import run_spmd
 from repro.observe import trace as observe
 from repro.util.errors import ConfigError
+from tests.oracles.gather import gather_global
 
 
 def _settings(**kwargs):
@@ -98,7 +99,7 @@ class TestSerialSimulation:
 
     def test_gather_global_serial(self):
         sim = Simulation(_settings())
-        full = sim.gather_global("u")
+        full = gather_global(sim, "u")
         assert full.shape == (12, 12, 12)
         assert np.array_equal(full, sim.interior("u"))
 
@@ -109,13 +110,13 @@ class TestParallelSimulation:
         settings = _settings(steps=6)
         serial = Simulation(settings)
         serial.run(6)
-        ref_u = serial.gather_global("u")
-        ref_v = serial.gather_global("v")
+        ref_u = gather_global(serial, "u")
+        ref_v = gather_global(serial, "v")
 
         def worker(comm):
             sim = Simulation(settings, comm, cart_dims=dims)
             sim.run(6)
-            return sim.gather_global("u"), sim.gather_global("v")
+            return gather_global(sim, "u"), gather_global(sim, "v")
 
         results = run_spmd(worker, nranks, timeout=120)
         par_u, par_v = results[0]
@@ -150,12 +151,12 @@ class TestGpuBackends:
         settings = _settings(steps=3, backend="julia")
         cpu = Simulation(_settings(steps=3))
         cpu.run(3)
-        expected = cpu.gather_global("u")
+        expected = gather_global(cpu, "u")
 
         def worker(comm):
             sim = Simulation(settings, comm)
             sim.run(3)
-            return sim.gather_global("u")
+            return gather_global(sim, "u")
 
         got = run_spmd(worker, 2, timeout=120)[0]
         assert np.array_equal(expected, got)
@@ -171,12 +172,12 @@ class TestNonPowerOfTwoDecompositions:
         settings = _settings(steps=5)
         serial = Simulation(settings)
         serial.run(5)
-        expected = serial.gather_global("v")
+        expected = gather_global(serial, "v")
 
         def worker(comm):
             sim = Simulation(settings, comm, cart_dims=dims)
             sim.run(5)
-            return sim.gather_global("v")
+            return gather_global(sim, "v")
 
         got = run_spmd(worker, nranks, timeout=180)[0]
         assert np.array_equal(expected, got)

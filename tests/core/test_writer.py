@@ -5,6 +5,7 @@ from repro.core.settings import GrayScottSettings
 from repro.core.simulation import Simulation
 from repro.core.writer import SimulationWriter
 from repro.mpi.executor import run_spmd
+from tests.oracles.gather import gather_global
 
 
 def _settings(tmp_path, **kwargs):
@@ -54,7 +55,7 @@ class TestParallelWriter:
         settings = _settings(tmp_path, steps=3)
         serial = Simulation(settings)
         serial.run(3)
-        expected = serial.gather_global("v")
+        expected = gather_global(serial, "v")
 
         def worker(comm):
             sim = Simulation(settings, comm)

@@ -10,7 +10,7 @@ from repro.gpu.cache import (
     seven_point_offsets,
 )
 from repro.util.errors import GpuError
-from tests.oracles.cache import scalar_cache_sim
+from tests.oracles.cache import ReferenceCache
 
 
 class TestEffectiveSizes:
@@ -119,40 +119,53 @@ class TestTraceCacheSim:
         with pytest.raises(GpuError):
             TraceCacheSim(capacity_bytes=64, line_bytes=64, associativity=16)
 
+    def test_halo_wider_than_the_array_rejected(self):
+        # radius 1 on a 2-cell axis leaves no interior cell to replay
+        sim = TraceCacheSim(1 << 20)
+        with pytest.raises(GpuError, match="no interior cells"):
+            sim.multi_sweep((8, 8, 2), 8, {"u": seven_point_offsets()}, {})
+
     def test_fetch_counts_loads_only(self):
+        # one 64 B line per array: 8 cells of 8 B, no halo
         sim = TraceCacheSim(capacity_bytes=1 << 20)
-        sim.access(0, is_load=True)
-        sim.access(1, is_load=False)
-        assert sim.fetch_bytes == 64
-        assert sim.misses == 2
+        est = sim.multi_sweep((8, 1, 1), 8, {"a": {(0, 0, 0)}}, {"b": {(0, 0, 0)}})
+        assert est.fetch_bytes == 64
+        assert est.write_bytes == 64
+        assert sim.misses == 2 and sim.load_misses == 1 and sim.hits == 14
 
     def test_lru_eviction(self):
-        # 2 sets x 2 ways of 64B lines = 256 B cache
-        sim = TraceCacheSim(capacity_bytes=256, line_bytes=64, associativity=2)
-        sim.access(0)
-        sim.access(2)
-        sim.access(4)  # evicts line 0 (set 0, LRU)
-        assert not sim.access(0)  # miss again
-        assert sim.access(4)  # still resident
+        # 2 sets x 2 ways of 64B lines = 256 B cache; the arrays' bases
+        # are page-aligned, so every one-line array maps to set 0
+        def misses(narrays):
+            sim = TraceCacheSim(capacity_bytes=256, line_bytes=64, associativity=2)
+            loads = {f"a{n}": {(0, 0, 0)} for n in range(narrays)}
+            return sim.multi_sweep((8, 1, 1), 8, loads, {}).tcc_misses
+
+        assert misses(2) == 2  # both lines stay resident
+        assert misses(3) == 24  # cycling 3 lines through 2 ways: LRU always misses
+
+    @staticmethod
+    def _fetch(capacity, shape, itemsize):
+        sim = TraceCacheSim(capacity_bytes=capacity)
+        return sim.multi_sweep(
+            shape, itemsize, {"u": seven_point_offsets()}, {}
+        ).fetch_bytes
 
     def test_validates_analytic_model_fits_case(self):
         """Planes fit in cache -> traffic ~= 1x array bytes."""
         shape = (24, 24, 24)
         itemsize = 8
-        cache = TraceCacheSim(capacity_bytes=1 << 20)  # 1 MB holds the array
-        cache.sweep(shape, itemsize, seven_point_offsets(), store=False)
+        fetch = self._fetch(1 << 20, shape, itemsize)  # 1 MB holds the array
         array_bytes = np.prod(shape) * itemsize
-        assert cache.fetch_bytes <= 1.1 * array_bytes
+        assert fetch <= 1.1 * array_bytes
 
     def test_validates_analytic_model_thrash_case(self):
         """Planes exceed cache -> traffic ~= 3x array bytes (Table 3)."""
         shape = (64, 64, 24)
         itemsize = 8
-        plane_bytes = shape[0] * shape[1] * itemsize  # 32 KB
-        cache = TraceCacheSim(capacity_bytes=16 * 1024)  # < 1 plane
-        cache.sweep(shape, itemsize, seven_point_offsets(), store=False)
+        fetch = self._fetch(16 * 1024, shape, itemsize)  # < 1 plane (32 KB)
         array_bytes = int(np.prod(shape)) * itemsize
-        passes = cache.fetch_bytes / array_bytes
+        passes = fetch / array_bytes
         assert 2.3 < passes <= 3.2
 
     def test_model_vs_trace_agreement_both_sides(self):
@@ -163,34 +176,69 @@ class TestTraceCacheSim:
             analytic = StencilTrafficModel(spec).passes_for(
                 shape, itemsize, seven_point_offsets()
             )
-            sim = TraceCacheSim(capacity_bytes=capacity)
-            sim.sweep(shape, itemsize, seven_point_offsets(), store=False)
-            measured = sim.fetch_bytes / (np.prod(shape) * itemsize)
+            fetch = self._fetch(capacity, shape, itemsize)
+            measured = fetch / (np.prod(shape) * itemsize)
             assert abs(measured - analytic) < 0.75, (shape, capacity, measured, analytic)
 
 
-class TestVectorFallback:
-    """Geometries outside the vector engine fall back to the loop."""
+class TestTiledReplay:
+    """Tile-blocked sweeps replay on the same engine as Fortran order."""
 
-    SHAPE = (10, 9, 8)
-    OFFSETS = {(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1)}
+    SHAPE = (14, 12, 10)  # interior 12 x 10 x 8 for a radius-1 stencil
+    LOADS = {"u": seven_point_offsets(), "v": seven_point_offsets()}
+    STORES = {"ut": {(0, 0, 0)}, "vt": {(0, 0, 0)}}
 
-    def _counters(self, sim, base_address):
-        sim.sweep(self.SHAPE, 8, self.OFFSETS, base_address=base_address)
-        return sim.hits, sim.misses, sim.load_misses
+    @pytest.mark.parametrize("tile", [
+        (4, 5, 2),  # divides the interior
+        (5, 3, 3),  # leaves a ragged last tile on every axis
+        (40, 40, 40),  # wider than the interior: one tile
+        (1, 1, 1),  # one cell per segment
+    ])
+    @pytest.mark.parametrize("capacity", [16 * 1024, 96 * 1024])
+    def test_matches_per_access_oracle(self, tile, capacity):
+        sim = TraceCacheSim(capacity)
+        ref = ReferenceCache(capacity)
+        est = sim.multi_sweep(self.SHAPE, 8, self.LOADS, self.STORES, tile)
+        assert est == ref.multi_sweep(self.SHAPE, 8, self.LOADS, self.STORES, tile)
+        assert (sim.hits, sim.misses, sim.load_misses) == (
+            ref.hits, ref.misses, ref.load_misses
+        )
 
-    def test_negative_base_address_matches_forced_loop(self):
-        base = -(1 << 20)
-        counters = self._counters(TraceCacheSim(16 * 1024), base)
-        assert counters == self._counters(scalar_cache_sim(16 * 1024), base)
-        # LRU counters are invariant under a shift by whole cache
-        # images (line x sets bytes); this one lands on a base the
-        # vector engine accepts
-        sim = TraceCacheSim(16 * 1024)
-        shift = 2 << 20
-        assert shift % (sim.line_bytes * sim.num_sets) == 0
-        assert counters == self._counters(sim, base + shift)
-        assert counters[1] > 0
+    def test_whole_interior_tile_is_fortran_order(self):
+        untiled = TraceCacheSim(16 * 1024).multi_sweep(
+            self.SHAPE, 8, self.LOADS, self.STORES
+        )
+        one_tile = TraceCacheSim(16 * 1024).multi_sweep(
+            self.SHAPE, 8, self.LOADS, self.STORES, (12, 10, 8)
+        )
+        assert one_tile == untiled
+
+    def test_tiling_changes_the_stream(self):
+        # 8 KiB holds ~5 rows of the 12 x 10 planes: tiling y moves reuse
+        untiled = TraceCacheSim(8 * 1024).multi_sweep(
+            self.SHAPE, 8, self.LOADS, self.STORES
+        )
+        tiled = TraceCacheSim(8 * 1024).multi_sweep(
+            self.SHAPE, 8, self.LOADS, self.STORES, (12, 2, 8)
+        )
+        assert tiled.tcc_requests == untiled.tcc_requests
+        assert tiled.tcc_misses != untiled.tcc_misses
+
+
+class TestPackingLimits:
+    """Geometries the replay cannot pack are errors, not a slow path."""
+
+    def test_row_too_long_for_the_access_packing(self):
+        sim = TraceCacheSim(64 * 1024)
+        with pytest.raises(GpuError, match="31-bit"):
+            sim.multi_sweep(
+                (2**28, 4, 4), 8, {"u": seven_point_offsets()}, {"ut": {(0, 0, 0)}}
+            )
+        assert (sim.hits, sim.misses) == (0, 0)
+
+    def test_too_many_sets_for_the_set_packing(self):
+        with pytest.raises(GpuError, match="30 bits"):
+            TraceCacheSim(2**30 * 64 * 16)
 
 
 @pytest.mark.slow
@@ -220,7 +268,7 @@ class TestPaperScaleSweeps:
         t0 = time.perf_counter()
         est_v = vec.multi_sweep((192,) * 3, 8, loads, stores)
         vec_s = time.perf_counter() - t0
-        ref = scalar_cache_sim(8 * 1024 * 1024)
+        ref = ReferenceCache(8 * 1024 * 1024)
         t0 = time.perf_counter()
         est_s = ref.multi_sweep((192,) * 3, 8, loads, stores)
         ref_s = time.perf_counter() - t0

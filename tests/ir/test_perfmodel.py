@@ -71,3 +71,32 @@ class TestExactSimulation:
         assert result.after.fetch_bytes < result.before.fetch_bytes
         assert result.bytes_saved > 100_000
         assert result.speedup > 1.0
+
+    def test_each_launch_reports_its_own_counters(self):
+        # the simulator's LRU state spans the module, but every launch's
+        # hits and misses are that launch's share of its own requests
+        cost = simulate_module(
+            workflow_module(), shape=(24, 24, 24), capacity_bytes=64 * 1024
+        )
+        for func in cost.funcs:
+            traffic = func.traffic
+            assert traffic.tcc_hits + traffic.tcc_misses == traffic.tcc_requests
+        lap = cost.funcs[1].traffic
+        assert lap.tcc_requests == 22**3 * 8
+
+    def test_tiled_module_matches_the_oracle(self):
+        from repro.ir.passes import PassManager
+        from tests.oracles.cache import ReferenceCache
+
+        rewritten, _ = PassManager("fuse,rle,cse,dse,tile=5x7x3").run(
+            workflow_module()
+        )
+        shape = (16, 16, 16)
+        cost = simulate_module(rewritten, shape=shape, capacity_bytes=64 * 1024)
+        ref = ReferenceCache(64 * 1024)
+        for func, got in zip(rewritten.funcs, cost.funcs):
+            assert func.tile == (5, 7, 3)
+            assert got.traffic == ref.multi_sweep(
+                shape, func.itemsize, func.loads_by_array(),
+                func.stores_by_array(), func.tile,
+            )

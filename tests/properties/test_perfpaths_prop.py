@@ -4,9 +4,9 @@ Each hot path has one production implementation; these properties
 drive randomized inputs through it and through an oracle, and require
 bit-identical outputs:
 
-- the cache simulator's vector sweep vs the same simulator forced onto
-  its per-access fallback (:mod:`tests.oracles.cache`): same
-  FETCH/WRITE/HIT/MISS counters and traffic estimate;
+- the cache simulator's replay vs an independent per-access LRU
+  (:mod:`tests.oracles.cache`): same HIT/MISS/load-miss counters and
+  traffic estimate, untiled and tiled, across consecutive sweeps;
 - the memoized JIT launch trace vs a cold re-trace (same IR, flops,
   access records);
 - :func:`~repro.mpi.datatypes.pack`/``unpack`` vs a gather/scatter over
@@ -14,15 +14,18 @@ bit-identical outputs:
   wire bytes, same scattered array, for strided and nested types.
 """
 
+from unittest.mock import patch
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.stencil import make_laplacian_kernel
+from repro.gpu import cache
 from repro.gpu.cache import TraceCacheSim
 from repro.gpu.jit import TraceMemo, trace_kernel
 from repro.mpi.datatypes import VectorDatatype, pack, unpack
-from tests.oracles.cache import scalar_cache_sim
+from tests.oracles.cache import ReferenceCache
 from tests.oracles.datatypes import pack_reference, unpack_reference
 
 # -- cache sweep ------------------------------------------------------------
@@ -33,8 +36,30 @@ offset_3d = st.tuples(
 
 
 @st.composite
+def tile_for(draw, interior):
+    """A tile that divides each interior extent, leaves a ragged last
+    tile, or is wider than the interior, chosen per axis."""
+    tile = []
+    for n in interior:
+        ragged = [t for t in range(2, n) if n % t]
+        kind = draw(st.sampled_from(["divides", "ragged", "wider"]))
+        if kind == "divides":
+            t = draw(st.sampled_from([t for t in range(1, n + 1) if n % t == 0]))
+        elif kind == "ragged" and ragged:
+            t = draw(st.sampled_from(ragged))
+        else:
+            t = n + draw(st.integers(1, 4))
+        tile.append(t)
+    return tuple(tile)
+
+
+@st.composite
 def sweep_case(draw):
-    shape = tuple(draw(st.integers(5, 12)) for _ in range(3))
+    # up to ~110 KB per array: past the smaller caches, so the cell
+    # order (Fortran or tiled) decides which lines survive
+    shape = (
+        draw(st.integers(5, 40)), draw(st.integers(5, 20)), draw(st.integers(5, 10))
+    )
     itemsize = draw(st.sampled_from([4, 8]))
     narrays = draw(st.integers(1, 2))
     loads = {}
@@ -44,60 +69,48 @@ def sweep_case(draw):
             draw(st.lists(offset_3d, min_size=1, max_size=7, unique=True))
         )
         stores[f"a{i}_out"] = {(0, 0, 0)}
-    capacity = draw(st.sampled_from([16 * 1024, 64 * 1024, 1024 * 1024]))
-    return shape, itemsize, loads, stores, capacity
+    # 96 KiB is 96 sets, not a power of two
+    capacity = draw(
+        st.sampled_from([16 * 1024, 64 * 1024, 96 * 1024, 1024 * 1024])
+    )
+    radius = max(abs(d) for offsets in loads.values() for o in offsets for d in o)
+    interior = tuple(n - 2 * radius for n in shape)
+    tile = draw(st.one_of(st.none(), tile_for(interior)))
+    return shape, itemsize, loads, stores, capacity, tile
 
 
-class TestCacheSweepEngines:
-    @given(sweep_case())
-    @settings(max_examples=40, deadline=None)
-    def test_vector_matches_scalar(self, case):
-        shape, itemsize, loads, stores, capacity = case
-        vec = TraceCacheSim(capacity)
-        est_v = vec.multi_sweep(shape, itemsize, loads, stores)
-        ref = scalar_cache_sim(capacity)
-        est_s = ref.multi_sweep(shape, itemsize, loads, stores)
-        assert est_v == est_s
-        assert (vec.hits, vec.misses, vec.load_misses) == (
-            ref.hits, ref.misses, ref.load_misses
-        )
+def _counters(sim):
+    return sim.hits, sim.misses, sim.load_misses
 
-    @given(sweep_case(), st.integers(0, 2**32 - 1))
+
+class TestCacheReplayVsOracle:
+    @given(sweep_case(), st.sampled_from([100, 5_000, cache._CHUNK_ACCESSES]))
+    @settings(max_examples=60, deadline=None)
+    def test_replay_matches_per_access_lru(self, case, chunk):
+        # small chunks cut the stream anywhere between segments: per-set
+        # order, and so every counter, must survive each cut
+        shape, itemsize, loads, stores, capacity, tile = case
+        sim = TraceCacheSim(capacity)
+        ref = ReferenceCache(capacity)
+        with patch.object(cache, "_CHUNK_ACCESSES", chunk):
+            est = sim.multi_sweep(shape, itemsize, loads, stores, tile)
+        assert est == ref.multi_sweep(shape, itemsize, loads, stores, tile)
+        assert _counters(sim) == _counters(ref)
+        assert est.tcc_hits + est.tcc_misses == est.tcc_requests
+
+    @given(sweep_case(), sweep_case(), sweep_case())
     @settings(max_examples=25, deadline=None)
-    def test_lazy_retention_survives_interleaving(self, case, seed):
-        # consecutive vector sweeps keep the LRU state dense between
-        # calls; scalar accesses in between force a materialization.
-        # Any interleaving must land on exactly the per-access loop's
-        # counters and final cache contents.
-        shape, itemsize, loads, stores, capacity = case
-        rng = np.random.default_rng(seed)
-        vec = TraceCacheSim(capacity)
-        ref = scalar_cache_sim(capacity)
-        for round_ in range(3):
-            vec.multi_sweep(shape, itemsize, loads, stores)
-            ref.multi_sweep(shape, itemsize, loads, stores)
-            if round_ < 2:
-                lines = rng.integers(0, 4 * vec.num_sets, size=5)
-                for line in lines:
-                    assert vec.access(int(line)) == ref.access(int(line))
-        assert (vec.hits, vec.misses, vec.load_misses) == (
-            ref.hits, ref.misses, ref.load_misses
-        )
-        vec._materialize()  # flush the retained dense state
-        assert [list(s) for s in vec._sets] == [list(s) for s in ref._sets]
-
-    @given(sweep_case())
-    @settings(max_examples=20, deadline=None)
-    def test_single_sweep_engines_match(self, case):
-        shape, itemsize, loads, _, capacity = case
-        offsets = next(iter(loads.values()))
-        vec = TraceCacheSim(capacity)
-        vec.sweep(shape, itemsize, offsets)
-        ref = scalar_cache_sim(capacity)
-        ref.sweep(shape, itemsize, offsets)
-        assert (vec.hits, vec.misses, vec.fetch_bytes) == (
-            ref.hits, ref.misses, ref.fetch_bytes
-        )
+    def test_three_consecutive_sweeps_carry_state(self, first, second, third):
+        # one simulator replays a module's launches back to back, each
+        # starting from the LRU state the previous one left behind; the
+        # cache is the first case's for all three
+        capacity = first[4]
+        sim = TraceCacheSim(capacity)
+        ref = ReferenceCache(capacity)
+        for shape, itemsize, loads, stores, _, tile in (first, second, third):
+            est = sim.multi_sweep(shape, itemsize, loads, stores, tile)
+            assert est == ref.multi_sweep(shape, itemsize, loads, stores, tile)
+            assert _counters(sim) == _counters(ref)
 
 
 # -- JIT launch-trace memo --------------------------------------------------

@@ -185,6 +185,38 @@ class TestCliIr:
         ]) == 0
         assert "speedup" in capsys.readouterr().out
 
+    def test_optimize_exact_tiled(self, settings_file, capsys):
+        assert main([
+            "ir", "optimize", str(settings_file), "--shape", "24", "--exact",
+            "--capacity-bytes", str(64 * 1024),
+            "--passes", "fuse,rle,cse,dse,tile=8x8x8",
+        ]) == 0
+        assert "speedup" in capsys.readouterr().out
+
+    def test_capacity_bytes_requires_exact(self, settings_file, capsys):
+        assert main([
+            "ir", "optimize", str(settings_file), "--shape", "24",
+            "--capacity-bytes", str(64 * 1024),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "grayscott: --capacity-bytes requires --exact\n"
+
+    @pytest.mark.parametrize("extra", [
+        # one row of 2**28 cells overflows the replay's access packing
+        ["--shape", f"{2**28}x4x4"],
+        # 2**30 sets of 16 x 64 B lines overflow its set packing
+        ["--shape", "24", "--capacity-bytes", str(2**40)],
+    ])
+    def test_exact_geometry_beyond_the_replay_is_one_line(
+        self, settings_file, capsys, extra
+    ):
+        assert main([
+            "ir", "optimize", str(settings_file), "--exact", *extra,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("grayscott: ") and err.count("\n") == 1
+
     def test_optimize_bad_shape_is_usage_error(self, settings_file, capsys):
         assert main([
             "ir", "optimize", str(settings_file), "--shape", "2x2",
